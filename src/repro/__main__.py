@@ -12,46 +12,37 @@ Commands:
   ``BENCH_<name>.json`` latency/accounting artifact (``--quick`` for the
   CI smoke profile; see docs/BENCHMARKS.md and tools/bench_compare.py)
 * ``inventory``— list the hardware-task library and the fabric floorplan
-* ``faults``   — run the deterministic fault-injection matrix
-  (``--list`` for the scenario and fault-site catalogs, ``--scenario
-  NAME|all`` to execute; output is seeded, sorted-keys JSON —
-  byte-identical across runs, which the CI ``fault-matrix`` job checks.
-  See docs/FAULTS.md)
-* ``soak``     — run the fault matrix while crashing/hanging the Hardware
-  Task Manager at seeded points, asserting the recovery invariants after
-  every run (``--crashes N`` sets the fault budget; ``--vm-kills N``
-  runs the VM crash/restore soak instead; docs/RECOVERY.md)
 * ``fleet``    — run a supervised multi-board fleet with open-loop tenant
   traffic (docs/FLEET.md): placement, heartbeat failure detection and
   checkpoint-based live migration across board fault domains.
-  ``--soak-board-kills N`` runs the chaos soak, ``--soak-surge`` runs
-  the overload surge soak (admission control, retry budgets, brownout;
-  docs/FLEET.md §11), ``--migration-demo`` proves a cross-board
-  migration bit-exact, ``--bench`` writes the
-  ``BENCH_fleet_quick.json`` latency artifact
-* ``explore``  — coverage-guided fault-space exploration (docs/FAULTS.md
-  §5): a clean pilot harvests trigger windows, then single- and
-  two-fault schedules are executed deterministically under ``--budget``
+  ``--migration-demo`` proves a cross-board migration bit-exact,
+  ``--bench`` writes the ``BENCH_fleet_quick.json`` latency artifact
+* ``explore``  — the fault-schedule runner (docs/FAULTS.md §5):
+  coverage-guided exploration under ``--budget`` (a clean pilot
+  harvests trigger windows, then single- and two-fault schedules run
   with invariant sweeps as the oracle, gated on a recovery-path
-  coverage floor; failing schedules are delta-debugged to minimal
-  repro JSONs replayable via ``--repro``
+  coverage floor), the canned ``--named`` schedules including the
+  ``surge`` SLO series, and ``--random N --sites a,b`` seeded fault
+  draws until N faults fired; failing schedules are delta-debugged to
+  minimal repro JSONs replayable via ``--repro``; ``--list`` prints the
+  fault sites and named schedules
 * ``postmortem`` — validate and pretty-print a flight-recorder bundle
   (docs/OBSERVABILITY.md §13)
 
-``soak``, ``fleet`` and ``explore`` distinguish failure classes in
-their exit code: an actual invariant violation (the flight recorder
-fired) exits 4, any other failed check exits 1, and an ``explore`` run
-that is clean but misses its coverage floor exits 3
+``fleet`` and ``explore`` distinguish failure classes in their exit
+code: an actual invariant violation exits 4, any other failed check (or
+a random-mode fire target not reached) exits 1, and an ``explore`` run
+that is clean but misses an SLO gate or its coverage floor exits 3
 (docs/RECOVERY.md §10).
 
-``run``, ``bench`` and ``soak`` take ``--stream-out FILE`` to write the
-JSONL telemetry stream (deterministic metric deltas at a sim-cycle
+``run``, ``bench`` and ``explore`` take ``--stream-out FILE`` to write
+the JSONL telemetry stream (deterministic metric deltas at a sim-cycle
 cadence — docs/OBSERVABILITY.md §10) and ``run``/``bench`` take ``--slo
 FILE`` to evaluate a declarative SLO config on it; any breach exits
-with status 3.  ``run`` and ``faults`` keep a flight recorder armed:
-an invariant violation, failed check or unhandled exception dumps a
-post-mortem bundle (default ``FLIGHT_<cmd>.json``; ``--flight-out``
-overrides, and on ``soak`` enables it).
+with status 3.  ``run`` keeps a flight recorder armed: an invariant
+violation or unhandled exception dumps a post-mortem bundle (default
+``FLIGHT_run.json``; ``--flight-out`` overrides, and on ``explore``
+enables it).
 """
 
 from __future__ import annotations
@@ -249,134 +240,50 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
+def _write_json(payload, out: str | None) -> bool:
+    """Write ``payload`` as sorted-keys JSON to ``out`` (stdout if None);
+    False (after reporting) when the file cannot be written."""
     import json
 
-    from .faults.matrix import SCENARIOS, run_all, run_scenario
-
-    if args.list_sites:
-        from .faults.registry import SITES
-
-        print("fault sites (FaultSpec.site; docs/FAULTS.md §1):")
-        for name, s in SITES.items():
-            print(f"  {name:22s} [{s.layer}] {s.effect}")
-            if s.targets:
-                print(f"  {'':22s}   {s.target_param}: "
-                      f"{', '.join(s.targets)}")
-            print(f"  {'':22s}   recovery: {', '.join(s.recovery_paths)}")
-        return 0
-    if args.list:
-        from .faults.plan import SITE_EFFECTS
-
-        print("fault scenarios (docs/FAULTS.md):")
-        for name, fn in SCENARIOS.items():
-            doc = (fn.__doc__ or "").strip().split("\n")[0]
-            print(f"  {name:14s} {doc}")
-        print()
-        print("fault sites (FaultSpec.site):")
-        for site, effect in SITE_EFFECTS.items():
-            print(f"  {site:22s} {effect}")
-        return 0
-    flight_path = args.flight_out or "FLIGHT_faults.json"
-    if args.scenario == "all":
-        payload = run_all(args.seed, flight_path=flight_path)
-    else:
-        try:
-            payload = run_scenario(args.scenario, args.seed,
-                                   flight_path=flight_path)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
-    else:
+    if not out:
         sys.stdout.write(text)
-    ok = payload["ok"]
-    if not ok:
-        print("FAULT MATRIX: one or more checks failed "
-              f"(post-mortem bundle: {flight_path})", file=sys.stderr)
-    return 0 if ok else 1
-
-
-def cmd_soak(args: argparse.Namespace) -> int:
-    import json
-
-    from .faults.soak import run_soak, run_vm_soak
-
-    stream = sink = None
-    if args.stream_out:
-        from .obs.stream import TelemetryStream
-
-        try:
-            sink = open(args.stream_out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write stream to {args.stream_out}: {exc}",
-                  file=sys.stderr)
-            return 2
-        # A pure record bus: the soak emits one ``shard`` snapshot per
-        # run plus the merged ``aggregate`` fleet view.
-        stream = TelemetryStream(None, interval_cycles=1, sink=sink,
-                                 source="soak", seed=args.seed)
+        return True
     try:
-        if args.vm_kills is not None:
-            payload = run_vm_soak(seed=args.seed, kills=args.vm_kills,
-                                  max_runs=args.max_runs, stream=stream,
-                                  flight_path=args.flight_out)
-        else:
-            payload = run_soak(seed=args.seed, crashes=args.crashes,
-                               max_runs=args.max_runs, stream=stream,
-                               flight_path=args.flight_out)
-    finally:
-        if stream is not None:
-            stream.close()
-        if sink is not None:
-            sink.close()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    t = payload["totals"]
-    if args.vm_kills is not None:
-        print(f"vm-soak: {t['runs']} runs, {t['vms_killed']} VMs killed, "
-              f"{t['restarts']} restarts, {t['halts']} halts, "
-              f"{t['invariant_violations']} invariant violations",
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return False
+    print(f"wrote {out}")
+    return True
+
+
+def _open_record_bus(path: str | None, *, source: str, seed: int):
+    """A pure record bus (no registry, no cadence) writing JSONL to
+    ``path``: returns ``(stream, sink)``, both None without a path;
+    exits 2 via SystemExit when the file cannot be opened."""
+    if not path:
+        return None, None
+    from .obs.stream import TelemetryStream
+
+    try:
+        sink = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write stream to {path}: {exc}",
               file=sys.stderr)
-    else:
-        print(f"soak: {t['runs']} runs, {t['faults_fired']} manager faults, "
-              f"{t['restarts']} restarts, "
-              f"{t['invariant_violations']} invariant violations",
-              file=sys.stderr)
-    if args.stream_out and stream is not None:
-        print(f"wrote {stream.records} telemetry records "
-              f"to {args.stream_out}", file=sys.stderr)
-    from .faults.soak import incident_exit_code
-    if payload["incident"] is not None:
-        print(f"SOAK: {payload['incident']}", file=sys.stderr)
-    return incident_exit_code(payload)
+        raise SystemExit(2)
+    return TelemetryStream(None, interval_cycles=1, sink=sink,
+                           source=source, seed=seed), sink
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
     import json
 
-    from .faults.soak import incident_exit_code
+    from .faults.explore import incident_exit_code
     from .fleet.dispatcher import FleetConfig
     from .fleet.harness import (make_kill_schedule, run_fleet,
-                                run_fleet_bench, run_fleet_soak,
-                                run_migration_demo, run_surge_soak)
+                                run_fleet_bench, run_migration_demo)
 
     if args.migration_demo:
         demo = run_migration_demo(seed=args.seed, workers=args.workers)
@@ -402,92 +309,35 @@ def cmd_fleet(args: argparse.Namespace) -> int:
               f"p50 {lat['p50']:.0f} / p99 {lat['p99']:.0f} cycles -> {out}")
         return 0
 
-    stream = sink = None
-    if args.stream_out:
-        from .obs.stream import TelemetryStream
-
-        try:
-            sink = open(args.stream_out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write stream to {args.stream_out}: {exc}",
-                  file=sys.stderr)
-            return 2
-        # Record bus: one ``shard`` snapshot per board (or per soak run)
-        # plus the merged ``aggregate`` fleet view.
-        stream = TelemetryStream(None, interval_cycles=1, sink=sink,
-                                 source="fleet", seed=args.seed)
+    # Record bus: one ``shard`` snapshot per board plus the merged
+    # ``aggregate`` fleet view.
+    stream, sink = _open_record_bus(args.stream_out, source="fleet",
+                                    seed=args.seed)
     try:
-        if args.soak_surge:
-            # The surge soak is a fixed, calibrated scenario (escalating
-            # surge factors against a tuned admission config), so it
-            # takes only the seed and worker mode from the CLI.
-            payload = run_surge_soak(seed=args.seed, workers=args.workers,
-                                     stream=stream,
-                                     flight_path=args.flight_out)
-        elif args.soak_board_kills is not None:
-            payload = run_fleet_soak(
-                seed=args.seed, board_kills=args.soak_board_kills,
-                boards=args.boards, workers=args.workers,
-                ticks=args.ticks, tenants_per_board=args.tenants_per_board,
-                stream=stream, flight_path=args.flight_out)
-        else:
-            cfg = FleetConfig(boards=args.boards, seed=args.seed,
-                              ticks=args.ticks, tick_ms=args.tick_ms,
-                              tenants_per_board=args.tenants_per_board,
-                              rate_per_tick=args.rate,
-                              workers=args.workers)
-            kills = (make_kill_schedule(cfg, kills=args.kills)
-                     if args.kills else ())
-            payload = run_fleet(cfg, kills=kills, stream=stream,
-                                flight_path=args.flight_out)
+        cfg = FleetConfig(boards=args.boards, seed=args.seed,
+                          ticks=args.ticks, tick_ms=args.tick_ms,
+                          tenants_per_board=args.tenants_per_board,
+                          rate_per_tick=args.rate, workers=args.workers)
+        kills = (make_kill_schedule(cfg, kills=args.kills)
+                 if args.kills else ())
+        payload = run_fleet(cfg, kills=kills, stream=stream,
+                            flight_path=args.flight_out)
     finally:
         if stream is not None:
             stream.close()
-        if sink is not None:
             sink.close()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    if args.soak_surge:
-        s = payload["slo"]
-        print(f"surge-soak: {len(payload['runs'])} loaded runs, "
-              f"critical p99 {s['critical_p99']['worst']} vs baseline "
-              f"{s['critical_p99']['baseline']} (slack "
-              f"{s['critical_p99']['slack']}), goodput ratio "
-              f"{s['critical_goodput_floor']['worst']} (floor "
-              f"{s['critical_goodput_floor']['min_ratio']}), "
-              f"{len(payload['violations'])} invariant violations",
-              file=sys.stderr)
-    elif args.soak_board_kills is not None:
-        t = payload["totals"]
-        print(f"fleet-soak: {t['runs']} runs, {t['kills_fired']} board "
-              f"kills, {t['migrations']} migrations, "
-              f"{t['tenants_shed']} tenants shed, "
-              f"{t['invariant_violations']} invariant violations",
-              file=sys.stderr)
-    else:
-        f = payload["fleet"]
-        r = payload["requests"]
-        print(f"fleet: {len(payload['kills_fired'])} kills fired, "
-              f"{f['boards_declared_dead']} boards declared dead, "
-              f"{f['migrations']} migrations, {r['served']} requests "
-              f"served, {len(payload['violations'])} violations",
-              file=sys.stderr)
-    if args.stream_out and stream is not None:
+    if not _write_json(payload, args.out):
+        return 1
+    f = payload["fleet"]
+    r = payload["requests"]
+    print(f"fleet: {len(payload['kills_fired'])} kills fired, "
+          f"{f['boards_declared_dead']} boards declared dead, "
+          f"{f['migrations']} migrations, {r['served']} requests "
+          f"served, {len(payload['violations'])} violations",
+          file=sys.stderr)
+    if stream is not None:
         print(f"wrote {stream.records} telemetry records "
               f"to {args.stream_out}", file=sys.stderr)
-    if args.soak_surge or args.soak_board_kills is not None:
-        if payload["incident"] is not None:
-            print(f"FLEET-SOAK: {payload['incident']}", file=sys.stderr)
-        return incident_exit_code(payload)
     if not payload["ok"]:
         reason = ("invariant_violation" if payload["violations"]
                   or any(payload["board_violations"].values())
@@ -497,13 +347,37 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_catalog() -> None:
+    """``explore --list``: the fault-site registry and named schedules."""
+    from .faults.explore import NAMED, NAMED_ALL, RANDOM_SITES
+    from .faults.registry import SITES
+
+    print("fault sites (FaultSpec.site; docs/FAULTS.md §1):")
+    for name, s in SITES.items():
+        rnd = "  [--random]" if name in RANDOM_SITES else ""
+        print(f"  {name:22s} [{s.layer}] {s.effect}{rnd}")
+        if s.targets:
+            print(f"  {'':22s}   {s.target_param}: {', '.join(s.targets)}")
+        print(f"  {'':22s}   recovery: {', '.join(s.recovery_paths)}")
+    print()
+    print("named schedules (--named NAME|all):")
+    for name in NAMED_ALL:
+        note = (NAMED[name][0] if name in NAMED else
+                "baseline + x4/x8/x16 traffic surges, retry storm and "
+                "board crash; SLO-gated, plus the brownout demo")
+        print(f"  {name:14s} {note}")
+
+
 def cmd_explore(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from .faults.explore import replay_repro, run_explore
-    from .faults.soak import incident_exit_code
+    from .faults.explore import (incident_exit_code, replay_repro,
+                                 run_explore)
 
+    if args.list:
+        _print_catalog()
+        return 0
     if args.repro:
         try:
             with open(args.repro, encoding="utf-8") as f:
@@ -528,52 +402,40 @@ def cmd_explore(args: argparse.Namespace) -> int:
               f"{result['still_failing']})", file=sys.stderr)
         return 1
 
-    stream = sink = None
-    if args.stream_out:
-        from .obs.stream import TelemetryStream
-
-        try:
-            sink = open(args.stream_out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write stream to {args.stream_out}: {exc}",
-                  file=sys.stderr)
-            return 2
-        # Record bus: one ``explore_schedule`` record per executed
-        # schedule, one ``explore_failure`` per shrunk failure.
-        stream = TelemetryStream(None, interval_cycles=1, sink=sink,
-                                 source="explore", seed=args.seed)
+    if bool(args.random) != bool(args.sites):
+        print("error: --random N and --sites a,b go together",
+              file=sys.stderr)
+        return 2
+    budget = args.budget
+    if budget is None:
+        budget = 0 if (args.named or args.random) else 150
+    # Record bus: one ``explore_schedule`` record per executed
+    # schedule, one ``explore_failure`` per shrunk failure.
+    stream, sink = _open_record_bus(args.stream_out, source="explore",
+                                    seed=args.seed)
     try:
-        try:
-            payload = run_explore(
-                budget=args.budget, seed=args.seed,
-                floor=args.coverage_floor, mutate=args.mutate,
-                include_fleet=not args.no_fleet, stream=stream,
-                flight_path=args.flight_out)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        payload = run_explore(
+            budget=budget, seed=args.seed, floor=args.coverage_floor,
+            mutate=args.mutate, include_fleet=not args.no_fleet,
+            named=[args.named] if args.named else (),
+            random_target=args.random or 0,
+            random_sites=args.sites.split(",") if args.sites else (),
+            stream=stream, flight_path=args.flight_out)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if stream is not None:
             stream.close()
-        if sink is not None:
             sink.close()
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    if not _write_json(payload, args.out):
+        return 1
     if args.repro_out and payload["repros"]:
         try:
             os.makedirs(args.repro_out, exist_ok=True)
             for repro in payload["repros"]:
-                path = os.path.join(
-                    args.repro_out, f"REPRO_{repro['from_schedule']}.json")
+                name = repro["from_schedule"].replace("/", "-")
+                path = os.path.join(args.repro_out, f"REPRO_{name}.json")
                 with open(path, "w", encoding="utf-8") as f:
                     json.dump(repro, f, indent=2, sort_keys=True)
                     f.write("\n")
@@ -584,12 +446,21 @@ def cmd_explore(args: argparse.Namespace) -> int:
             return 1
     t = payload["totals"]
     cov = payload["coverage"]
+    gate = (f"floor {cov['floor']:.0%}" if payload["budget"] > 0
+            else "not gated")
     print(f"explore: {t['executed']} schedules ({t['singles']} singles, "
           f"{t['pairs']} pairs), {t['failures']} failures, "
           f"sites {cov['site_fraction']:.0%}, "
-          f"paths {cov['path_fraction']:.0%} "
-          f"(floor {cov['floor']:.0%})", file=sys.stderr)
-    if args.stream_out and stream is not None:
+          f"paths {cov['path_fraction']:.0%} ({gate})", file=sys.stderr)
+    if payload["random"] is not None:
+        r = payload["random"]
+        print(f"random: {r['faults_fired']}/{r['target']} faults fired "
+              f"in {r['runs']} runs", file=sys.stderr)
+    if payload["slo"] is not None:
+        print("surge SLO gates: " + ", ".join(
+            f"{k} {'ok' if g['ok'] else 'BREACH'}"
+            for k, g in payload["slo"].items()), file=sys.stderr)
+    if stream is not None:
         print(f"wrote {stream.records} telemetry records "
               f"to {args.stream_out}", file=sys.stderr)
     if payload["incident"] is not None:
@@ -698,49 +569,6 @@ def main(argv: list[str] | None = None) -> int:
     p_inv = sub.add_parser("inventory", help="task library + floorplan")
     p_inv.set_defaults(fn=cmd_inventory)
 
-    p_faults = sub.add_parser(
-        "faults", help="run the deterministic fault-injection matrix")
-    p_faults.add_argument("--list", action="store_true",
-                          help="list the scenario catalog and exit")
-    p_faults.add_argument("--list-sites", action="store_true",
-                          help="list the fault-site registry (layer, "
-                               "valid targets, expected recovery paths) "
-                               "and exit")
-    p_faults.add_argument("--scenario", default="all", metavar="NAME",
-                          help="scenario name, or 'all' (default)")
-    p_faults.add_argument("--seed", type=int, default=1)
-    p_faults.add_argument("--out", metavar="FILE", default=None,
-                          help="write the JSON result to FILE instead of "
-                               "stdout")
-    p_faults.add_argument("--flight-out", metavar="FILE", default=None,
-                          help="post-mortem bundle path, written when a "
-                               "scenario's checks fail "
-                               "(default: FLIGHT_faults.json)")
-    p_faults.set_defaults(fn=cmd_faults)
-
-    p_soak = sub.add_parser(
-        "soak", help="fault matrix under seeded manager crashes "
-                     "(docs/RECOVERY.md)")
-    p_soak.add_argument("--seed", type=int, default=1)
-    p_soak.add_argument("--crashes", type=int, default=100,
-                        help="run until this many manager faults fired "
-                             "(default: 100)")
-    p_soak.add_argument("--vm-kills", type=int, default=None, metavar="N",
-                        help="run the VM crash/restore soak instead: kill "
-                             "guest VMs at seeded points until N kills fired "
-                             "(docs/RECOVERY.md §9)")
-    p_soak.add_argument("--max-runs", type=int, default=None,
-                        help="hard cap on scenario runs (default: 4x faults)")
-    p_soak.add_argument("--out", metavar="FILE", default=None,
-                        help="write the JSON result to FILE instead of stdout")
-    p_soak.add_argument("--stream-out", metavar="FILE", default=None,
-                        help="write per-run shard snapshots + the merged "
-                             "aggregate view as JSONL telemetry")
-    p_soak.add_argument("--flight-out", metavar="FILE", default=None,
-                        help="arm a flight recorder: dump a post-mortem "
-                             "bundle for the first faulted (or failing) run")
-    p_soak.set_defaults(fn=cmd_soak)
-
     p_fleet = sub.add_parser(
         "fleet", help="supervised multi-board fleet with live migration "
                       "(docs/FLEET.md)")
@@ -764,18 +592,6 @@ def main(argv: list[str] | None = None) -> int:
                          default="inline",
                          help="board hosting: in-process (deterministic "
                               "default) or one worker process per board")
-    p_fleet.add_argument("--soak-board-kills", type=int, default=None,
-                         metavar="N",
-                         help="run the chaos soak instead: repeat seeded "
-                              "fleet runs until N board faults fired, "
-                              "sweeping F1-F6 + board invariants each run")
-    p_fleet.add_argument("--soak-surge", action="store_true",
-                         help="run the overload surge soak instead: a "
-                              "baseline pass then escalating seeded "
-                              "traffic surges + retry storms + a board "
-                              "crash, gating O1-O5/F1-F6, the critical "
-                              "p99 SLO and the goodput floor "
-                              "(docs/FLEET.md §11)")
     p_fleet.add_argument("--migration-demo", action="store_true",
                          help="run the live-migration acceptance proof: "
                               "crash a board mid-workload, finish on a "
@@ -788,9 +604,8 @@ def main(argv: list[str] | None = None) -> int:
                          help="write the JSON result (or bench artifact) "
                               "to FILE instead of stdout")
     p_fleet.add_argument("--stream-out", metavar="FILE", default=None,
-                         help="write per-board/per-run shard snapshots + "
-                              "the merged aggregate view as JSONL "
-                              "telemetry")
+                         help="write per-board shard snapshots + the "
+                              "merged aggregate view as JSONL telemetry")
     p_fleet.add_argument("--flight-out", metavar="FILE", default=None,
                          help="arm a flight recorder: dump a post-mortem "
                               "bundle from the implicated board on the "
@@ -798,11 +613,25 @@ def main(argv: list[str] | None = None) -> int:
     p_fleet.set_defaults(fn=cmd_fleet)
 
     p_explore = sub.add_parser(
-        "explore", help="coverage-guided fault-space exploration with "
-                        "delta-debugged minimal repros (docs/FAULTS.md §5)")
-    p_explore.add_argument("--budget", type=int, default=150,
-                           help="schedule budget: max fault schedules to "
-                                "execute (default: 150)")
+        "explore", help="the fault-schedule runner: coverage-guided "
+                        "exploration, named schedules and seeded random "
+                        "faults, with delta-debugged minimal repros "
+                        "(docs/FAULTS.md §5)")
+    p_explore.add_argument("--budget", type=int, default=None,
+                           help="exploration schedule budget (default: "
+                                "150, or 0 with --named/--random)")
+    p_explore.add_argument("--named", default=None, metavar="NAME|all",
+                           help="run one named schedule, or 'all' (see "
+                                "--list)")
+    p_explore.add_argument("--random", type=int, default=None, metavar="N",
+                           help="random mode: seeded fault draws over "
+                                "--sites until N faults fired")
+    p_explore.add_argument("--sites", default=None, metavar="A,B",
+                           help="random-mode sites (service.crash, "
+                                "service.hang, vm.kill, board.*)")
+    p_explore.add_argument("--list", action="store_true",
+                           help="list the fault sites and named schedules "
+                                "and exit")
     p_explore.add_argument("--seed", type=int, default=7)
     p_explore.add_argument("--coverage-floor", type=float, default=0.9,
                            metavar="FRAC",
@@ -814,7 +643,8 @@ def main(argv: list[str] | None = None) -> int:
                                 "inline run (self-test mode; also via "
                                 "REPRO_EXPLORE_MUTATE)")
     p_explore.add_argument("--no-fleet", action="store_true",
-                           help="skip the board.* fleet schedules")
+                           help="skip the fleet schedules in exploration "
+                                "and 'surge' in --named all")
     p_explore.add_argument("--repro", metavar="FILE", default=None,
                            help="replay a shrunk repro JSON twice and "
                                 "verify the byte-identical failure "
@@ -830,7 +660,8 @@ def main(argv: list[str] | None = None) -> int:
                                 "records as JSONL telemetry")
     p_explore.add_argument("--flight-out", metavar="FILE", default=None,
                            help="dump a post-mortem bundle for the first "
-                                "failing schedule")
+                                "failing schedule, else for the first "
+                                "schedule in which a fault fired")
     p_explore.set_defaults(fn=cmd_explore)
 
     p_pm = sub.add_parser(

@@ -39,7 +39,7 @@ from .units import (
 )
 
 __all__ = [
-    "ArchFault", "ConfigError", "DataAbort", "DeviceBusy", "DeviceError",
+    "ArchFault", "DataAbort", "DeviceBusy", "DeviceError",
     "GuestPanic", "HwMmuFault", "HypercallError", "PrefetchAbort",
     "ReproError", "ServiceCrashed", "SimulationError",
     "UndefinedInstruction",
@@ -51,9 +51,3 @@ __all__ = [
     "us_to_cycles",
 ]
 
-
-def __getattr__(name: str):  # deprecation alias, re-warns via .errors
-    if name == "ConfigError":
-        from . import errors
-        return errors.ConfigError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,8 +7,6 @@ the simulated exception machinery, the latter should propagate to pytest.
 
 from __future__ import annotations
 
-import warnings
-
 
 class ReproError(Exception):
     """Base class for all errors raised by this package."""
@@ -20,11 +18,7 @@ class SimulationError(ReproError):
 
 class DeviceError(ReproError):
     """A modelled device or service (PCAP, PRR controller, manager...)
-    failed an operation, or was configured inconsistently.
-
-    Subsumes the retired ``ConfigError``: importing that name still works
-    but resolves to this class and emits a :class:`DeprecationWarning`.
-    """
+    failed an operation, or was configured inconsistently."""
 
 
 class DeviceBusy(DeviceError):
@@ -113,12 +107,3 @@ class HypercallError(ReproError):
 class GuestPanic(ReproError):
     """A guest OS hit an unrecoverable internal error."""
 
-
-def __getattr__(name: str):  # PEP 562 deprecation alias
-    if name == "ConfigError":
-        warnings.warn(
-            "ConfigError is deprecated; use DeviceError "
-            "(repro.common.errors.DeviceError) instead",
-            DeprecationWarning, stacklevel=2)
-        return DeviceError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,8 +2,9 @@
 
 ``FaultPlan`` declares which sites misbehave and when; ``FaultInjector``
 attaches a plan to a machine so hardened device/kernel code can consult
-it.  ``repro.faults.matrix`` holds the canonical fault-matrix scenarios
-run by the CLI (``python -m repro faults``) and CI.
+it.  ``repro.faults.explore`` is the fault-schedule runner — named
+schedules, coverage-guided exploration and seeded random faults —
+behind ``python -m repro explore`` and CI.
 """
 
 from .inject import FaultInjector

@@ -60,7 +60,6 @@ from .registry import (  # noqa: F401  (canonical spellings, re-exported)
     RETRY_STORM,
     SERVICE_CRASH,
     SERVICE_HANG,
-    SITE_EFFECTS,
     TRAFFIC_SURGE,
     VM_KILL,
     validate_spec_params,

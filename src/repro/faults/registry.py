@@ -2,8 +2,8 @@
 catch it*.
 
 Every consumer of fault metadata — :mod:`repro.faults.plan` (spec
-validation), :mod:`repro.faults.matrix` (scenario docs), the coverage
-explorer (:mod:`repro.faults.explore`), the docs linter
+validation), the fault-schedule runner (:mod:`repro.faults.explore`:
+coverage, random-mode draws, named schedules), the docs linter
 (``tools/check_event_catalog.py``) and the CLI site listing — reads this
 module, so a site can exist in exactly one place and the docs/FAULTS.md
 table can never drift from code.
@@ -227,9 +227,6 @@ SITES: dict[str, FaultSite] = {s.name: s for s in (
 
 #: Every site the injector understands; plans naming others are rejected.
 ALL_SITES = tuple(SITES)
-
-#: One-line effect per site (``python -m repro faults --list-sites``).
-SITE_EFFECTS = {name: s.effect for name, s in SITES.items()}
 
 
 def site(name: str) -> FaultSite:

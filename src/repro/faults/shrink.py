@@ -35,18 +35,31 @@ def _fails(result: dict[str, Any]) -> bool:
     return not result.get("ok", False)
 
 
+def failed_checks(result: dict[str, Any]) -> list[str]:
+    """The names of a result's failed checks, sorted."""
+    return sorted(k for k, v in result.get("checks", {}).items() if not v)
+
+
 def shrink_schedule(faults, *,
                     runner: Callable[[tuple], dict[str, Any]],
-                    revalidations: int = 2) -> dict[str, Any]:
+                    revalidations: int = 2,
+                    reasons=None) -> dict[str, Any]:
     """Reduce ``faults`` (a tuple of JSON-stable fault dicts) to a
-    minimal still-failing schedule; see the module docstring."""
+    minimal still-failing schedule; see the module docstring.  With
+    ``reasons`` (the original run's failed checks), a candidate counts
+    as still failing only if it fails one of them — so dropping a fault
+    that a named schedule's expectations need cannot pass for the
+    original failure."""
     cur = tuple(dict(f) for f in faults)
     runs = 0
 
     def failing(cand: tuple) -> bool:
         nonlocal runs
         runs += 1
-        return _fails(runner(cand))
+        res = runner(cand)
+        return _fails(res) and (not reasons
+                                or not set(reasons).isdisjoint(
+                                    failed_checks(res)))
 
     # 1. ddmin over whole faults (n is small; one-at-a-time removal is
     #    the n<=4 specialisation of ddmin's subset phase).
@@ -97,8 +110,7 @@ def shrink_schedule(faults, *,
         "faults": [dict(sorted(f.items())) for f in cur],
         "fingerprint": fingerprints[0],
         "replayed_identical": identical,
-        "reasons": sorted(k for k, v in final.get("checks", {}).items()
-                          if not v),
+        "reasons": failed_checks(final),
         "violations": list(final.get("violations", ()))[:8],
         "shrink_runs": runs,
     }

@@ -20,8 +20,7 @@ from .board import BoardServer, decode_checkpoint, encode_checkpoint
 from .detector import FailureDetector
 from .dispatcher import Dispatcher, FleetConfig, KillSpec
 from .harness import (make_kill_schedule, run_brownout_demo, run_fleet,
-                      run_fleet_bench, run_fleet_soak, run_migration_demo,
-                      run_surge_soak)
+                      run_fleet_bench, run_migration_demo)
 from .invariants import check_fleet_invariants
 from .overload import (AdmissionController, CircuitBreaker, LoadShedder,
                        OverloadConfig, RetryBudget, TokenBucket,
@@ -38,6 +37,5 @@ __all__ = [
     "check_fleet_invariants", "check_overload_invariants",
     "decode_checkpoint", "encode_checkpoint", "make_kill_schedule",
     "make_service_task", "run_brownout_demo", "run_fleet",
-    "run_fleet_bench", "run_fleet_soak", "run_migration_demo",
-    "run_surge_soak",
+    "run_fleet_bench", "run_migration_demo",
 ]

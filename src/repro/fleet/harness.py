@@ -1,17 +1,18 @@
-"""Fleet run harnesses: traffic runs, chaos soak, migration proof, bench.
+"""Fleet run harnesses: traffic runs, migration proof, brownout proof, bench.
 
-Three entry points sit behind ``python -m repro fleet``:
+Entry points behind ``python -m repro fleet``:
 
 * :func:`run_fleet` — one open-loop traffic run over a
   :class:`~repro.fleet.dispatcher.FleetConfig`, with an optional board
   kill schedule.  Returns a JSON-stable payload (byte-identical across
   same-seed reruns — the CI gate diffs two of them).
-* :func:`run_fleet_soak` — the chaos harness: repeated small fleet runs
-  under seeded board kills until the target fire count is reached, with
-  fleet F1-F6 **and** per-board I1-I8/L1-L6 sweeps after every run.
 * :func:`run_migration_demo` — the acceptance proof: a restartable
   FFT/QAM tenant is killed mid-run with its board and must finish on
   another board with **bit-exact** final output.
+
+The fault-schedule runner (:mod:`repro.faults.explore`) drives board
+chaos and the surge series through :func:`run_fleet`, with the
+:data:`EXPLORE_OVERLOAD` / :data:`SOAK_OVERLOAD` planes defined here.
 
 :func:`run_fleet_bench` produces a schema-v2 bench artifact
 (``BENCH_fleet_quick.json``) whose request-latency percentiles CI gates
@@ -25,27 +26,23 @@ from typing import Any
 
 from ..common.rng import make_rng
 from ..eval.bench import SCHEMA_VERSION
-from ..faults.plan import (BOARD_CRASH, BOARD_HANG, BOARD_PARTITION,
-                           RETRY_STORM, TRAFFIC_SURGE)
-from ..faults.soak import classify_incident
+from ..faults.coverage import paths_fired
+from ..faults.plan import BOARD_CRASH, BOARD_HANG, BOARD_PARTITION
 from ..obs.aggregate import MetricSnapshot
 from ..obs.analytics import SeriesSummary
 from ..obs.flight import write_bundle
 from .dispatcher import Dispatcher, FleetConfig, KillSpec
 from .overload import OverloadConfig
-from .tenant import BESTEFFORT, CRITICAL, DEAD, RUNNING, SHED, TenantSpec
+from .tenant import CRITICAL, DEAD, RUNNING, SHED, TenantSpec
 
-_SITE_BY_MODE = {"crash": BOARD_CRASH, "hang": BOARD_HANG,
-                 "partition": BOARD_PARTITION}
-
-#: Payload schema for fleet runs/soaks (independent of the bench schema).
+#: Payload schema for fleet runs (independent of the bench schema).
 FLEET_SCHEMA_VERSION = 1
 
 
 def make_kill_schedule(cfg: FleetConfig, *, kills: int,
                        seed: int | None = None,
-                       modes: tuple[str, ...] = ("crash", "hang",
-                                                 "partition")
+                       sites: tuple[str, ...] = (BOARD_CRASH, BOARD_HANG,
+                                                 BOARD_PARTITION)
                        ) -> tuple[KillSpec, ...]:
     """A seeded board-fault schedule: ``kills`` candidate events, fixed
     draw count each, spread over the run's middle ticks."""
@@ -55,10 +52,9 @@ def make_kill_schedule(cfg: FleetConfig, *, kills: int,
     for _ in range(kills):
         tick = int(rng.integers(1, hi))
         board = int(rng.integers(0, cfg.boards))
-        mode = modes[int(rng.integers(0, len(modes)))]
+        site = sites[int(rng.integers(0, len(sites)))]
         duration = 1 + int(rng.integers(0, cfg.deadline_ticks + 2))
-        out.append(KillSpec(tick=tick, board=board,
-                            site=_SITE_BY_MODE[mode],
+        out.append(KillSpec(tick=tick, board=board, site=site,
                             duration_ticks=duration))
     return tuple(sorted(out, key=lambda k: (k.tick, k.board, k.site)))
 
@@ -73,7 +69,7 @@ def run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
     surviving board plus the dispatcher's own registry, and the merged
     ``aggregate`` view (the PR 8 merge law).  ``flight_path`` writes the
     first invariant-violation bundle, if any.  ``_capture`` hands the
-    live dispatcher and merged snapshot to callers (tests, the soak).
+    live dispatcher and merged snapshot to callers (tests, the bench).
     """
     disp = Dispatcher(cfg, tenants=tenants, kills=kills)
     try:
@@ -232,7 +228,7 @@ def _emit_overload_records(stream, disp: Dispatcher) -> None:
         retries_denied=m.total("fleet.rpc.retries_denied"))
 
 
-# -- programmatic single-schedule entry (the explorer's fleet executor) -------
+# -- the explorer's overload plane --------------------------------------------
 
 #: The overload plane the explorer arms on every fleet schedule, tuned
 #: so its recovery paths are *reachable* at explorer scale (24 ticks,
@@ -248,124 +244,6 @@ EXPLORE_OVERLOAD = OverloadConfig(
     retry_ratio=0.0, retry_floor=1,
     breaker_threshold=2, breaker_cooldown_ticks=1,
     surge_factor=40.0, surge_duration_ticks=6)
-
-
-def run_fleet_schedule(kills: tuple[KillSpec, ...], *, seed: int,
-                       boards: int = 3, ticks: int = 24,
-                       tenants_per_board: int = 2,
-                       workers: str = "inline",
-                       flight_path: str | None = None) -> dict[str, Any]:
-    """Execute exactly one fleet-fault schedule against a small fleet
-    and return the JSON-stable :func:`run_fleet` payload.
-
-    This is the :mod:`repro.faults.explore` entry point: the explorer
-    hands it a candidate ``kills`` tuple and fingerprints the payload's
-    ``fleet`` totals for recovery-path coverage.  Same ``(kills, seed)``
-    always yields a byte-identical payload.  The overload plane is
-    armed (:data:`EXPLORE_OVERLOAD`) so ``traffic.surge`` and
-    ``retry.storm`` have recovery paths to hit.
-    """
-    cfg = FleetConfig(boards=boards, seed=seed, ticks=ticks,
-                      tenants_per_board=tenants_per_board, workers=workers,
-                      overload=EXPLORE_OVERLOAD)
-    return run_fleet(cfg, kills=tuple(sorted(
-        kills, key=lambda k: (k.tick, k.board, k.site))),
-        flight_path=flight_path)
-
-
-# -- chaos soak ---------------------------------------------------------------
-
-
-def run_fleet_soak(*, seed: int = 1, board_kills: int = 100,
-                   boards: int = 8, per_run_kills: int = 4,
-                   max_runs: int | None = None, workers: str = "inline",
-                   ticks: int = 32, tenants_per_board: int = 2,
-                   stream=None,
-                   flight_path: str | None = None) -> dict[str, Any]:
-    """Chaos soak: repeated seeded fleet runs until ``board_kills``
-    board faults have actually fired, asserting F1-F6 + per-board
-    invariants after each.  Deterministic: the i-th run is a pure
-    function of ``seed + i``, so the payload is byte-identical across
-    reruns (the CI gate).
-    """
-    if max_runs is None:
-        max_runs = max(4 * board_kills // max(1, per_run_kills) + 4, 4)
-    merged = MetricSnapshot.empty()
-    runs: list[dict[str, Any]] = []
-    all_violations: list[str] = []
-    fired_total = 0
-    migrations_total = 0
-    sheds_total = 0
-    flight_written = False
-    i = 0
-    while fired_total < board_kills and i < max_runs:
-        cfg = FleetConfig(boards=boards, seed=seed + i, ticks=ticks,
-                          tenants_per_board=tenants_per_board,
-                          workers=workers)
-        kills = make_kill_schedule(cfg, kills=per_run_kills)
-        capture: dict[str, Any] = {}
-        payload = run_fleet(
-            cfg, kills=kills, _capture=capture,
-            flight_path=(None if flight_written else flight_path))
-        fired = len(payload["kills_fired"])
-        fired_total += fired
-        migrations_total += payload["fleet"]["migrations"]
-        sheds_total += payload["fleet"]["tenants_shed"]
-        run_violations = (payload["violations"]
-                          + [f"board {b}: {v}"
-                             for b, vs in
-                             sorted(payload["board_violations"].items())
-                             for v in vs])
-        all_violations.extend(f"run {i}: {v}" for v in run_violations)
-        if payload["flight_dumped"] and flight_path:
-            flight_written = True
-        runs.append({
-            "run": i,
-            "seed": seed + i,
-            "kills_scheduled": len(kills),
-            "kills_fired": fired,
-            "boards_declared_dead":
-                payload["fleet"]["boards_declared_dead"],
-            "migrations": payload["fleet"]["migrations"],
-            "fresh_restarts": payload["fleet"]["fresh_restarts"],
-            "tenants_shed": payload["fleet"]["tenants_shed"],
-            "tenants_dead": payload["fleet"]["tenants_dead"],
-            "served": payload["requests"]["served"],
-            "shed": payload["requests"]["shed"],
-            "violations": len(run_violations),
-            "tenants_accounted": payload["tenants_accounted"],
-            "ok": payload["ok"],
-        })
-        if stream is not None:
-            snap = capture["merged"]
-            merged = merged.merge(snap)
-            stream.emit_shard(f"run-{i}", snap, harness="fleet-soak",
-                              seed=seed + i, ok=payload["ok"])
-        i += 1
-    if stream is not None:
-        stream.emit_aggregate(merged, shards=len(runs),
-                              harness="fleet-soak", seed=seed)
-    runs_ok = bool(runs) and all(r["ok"] for r in runs)
-    reached = fired_total >= board_kills
-    incident = classify_incident(all_violations, runs_ok, reached)
-    return {
-        "seed": seed,
-        "kill_target": board_kills,
-        "boards": boards,
-        "workers": workers,
-        "runs": runs,
-        "totals": {
-            "runs": len(runs),
-            "kills_fired": fired_total,
-            "migrations": migrations_total,
-            "tenants_shed": sheds_total,
-            "invariant_violations": len(all_violations),
-        },
-        "violations": all_violations,
-        "reached_target": reached,
-        "incident": incident,
-        "ok": incident is None,
-    }
 
 
 # -- migration proof ----------------------------------------------------------
@@ -480,19 +358,19 @@ def run_fleet_bench(*, seed: int = 1,
     }
 
 
-# -- surge soak (overload control plane acceptance) ---------------------------
+# -- the surge series' overload plane -----------------------------------------
 
-#: The overload plane the surge soak arms.  A tenant serves about one
-#: frame per 9 fleet ticks at ``tick_ms=2.0``, so ``admit_rate=0.1``
-#: matches the *offered* (and sustainable) rate — a surge saturates
-#: the bucket rather than the queue, which keeps per-tenant admissions
-#: and queue depths the same loaded or unloaded.  ``deadline_ticks``
-#: sits *below* the frame period on purpose: served latency then
-#: saturates the deadline cap in the unloaded baseline too, so the
-#: "critical p99 within 10% of baseline" gate measures protection, not
-#: the luck of queue alignment.  The tight retry budget (2% + floor 2)
-#: makes the 2-tick ``retry.storm`` hit a budget denial rather than
-#: amplify into the fleet.
+#: The overload plane the surge series arms (``explore --named surge``).
+#: A tenant serves about one frame per 9 fleet ticks at ``tick_ms=2.0``,
+#: so ``admit_rate=0.1`` matches the *offered* (and sustainable) rate —
+#: a surge saturates the bucket rather than the queue, which keeps
+#: per-tenant admissions and queue depths the same loaded or unloaded.
+#: ``deadline_ticks`` sits *below* the frame period on purpose: served
+#: latency then saturates the deadline cap in the unloaded baseline too,
+#: so the "critical p99 within 10% of baseline" gate measures
+#: protection, not the luck of queue alignment.  The tight retry budget
+#: (2% + floor 2) makes the 2-tick ``retry.storm`` hit a budget denial
+#: rather than amplify into the fleet.
 SOAK_OVERLOAD = OverloadConfig(
     admit_rate=0.1, admit_burst=2.0, queue_bound=6, deadline_ticks=6,
     degrade_high_water=2, degrade_low_water=1, degrade_hysteresis_ticks=2,
@@ -500,227 +378,6 @@ SOAK_OVERLOAD = OverloadConfig(
     retry_ratio=0.02, retry_floor=2,
     breaker_threshold=2, breaker_cooldown_ticks=1,
     surge_factor=8.0, surge_duration_ticks=12)
-
-#: Escalating offered-load multipliers: one loaded run each, so the
-#: payload carries a *series* of best-effort goodput fractions that must
-#: degrade progressively while critical p99 stays within slack.
-SURGE_FACTORS = (4.0, 8.0, 16.0)
-
-
-def _class_totals(payload: dict[str, Any]) -> dict[str, dict[str, int]]:
-    """Per-criticality-class request accounting from a run payload."""
-    out = {cls: {"arrived": 0, "admitted": 0, "served": 0,
-                 "goodput": 0, "dropped": 0}
-           for cls in (CRITICAL, BESTEFFORT)}
-    for td in payload["tenants"].values():
-        agg = out[td["class"]]
-        agg["arrived"] += td["arrived"]
-        agg["admitted"] += td["admitted"]
-        agg["served"] += td["served"]
-        agg["goodput"] += td["goodput"]
-        agg["dropped"] += sum(td["dropped"].values())
-    return out
-
-
-def _tagged_violations(tag: str, payload: dict[str, Any]) -> list[str]:
-    vs = list(payload["violations"])
-    vs += [f"board {b}: {v}"
-           for b, bvs in sorted(payload["board_violations"].items())
-           for v in bvs]
-    return [f"{tag}: {v}" for v in vs]
-
-
-def run_surge_soak(*, seed: int = 1, boards: int = 3, ticks: int = 96,
-                   tenants_per_board: int = 2,
-                   surge_factors: tuple[float, ...] = SURGE_FACTORS,
-                   workers: str = "inline",
-                   p99_slack: float = 1.10, goodput_floor: float = 0.55,
-                   stream=None,
-                   flight_path: str | None = None) -> dict[str, Any]:
-    """Overload chaos soak: seeded surges + a retry storm + a board kill.
-
-    Three phases (docs/RECOVERY.md §11):
-
-    * **Baseline** — the same fleet, overload plane armed, no faults:
-      yields the unloaded critical p99 and best-effort goodput fraction.
-    * **Loaded** — one run per factor in ``surge_factors``, each with a
-      ``traffic.surge`` window, a transient ``retry.storm`` on board 1
-      and a ``board.crash`` on board 2.  Gates: zero F1-F6/O1-O5
-      violations, critical p99 within ``p99_slack`` of baseline,
-      critical goodput/admitted at least ``goodput_floor`` times the
-      *baseline* ratio (criticals keep their goodput under overload;
-      the shared :func:`~repro.obs.slo.evaluate_rate_floor`
-      predicate), and the
-      best-effort goodput fraction non-increasing as factors escalate.
-    * **Brownout** — :func:`run_brownout_demo`: best-effort hardware
-      tasks reroute to the bit-identical software path under fabric
-      pressure and return to hardware when it clears (O5).
-
-    Deterministic: every run is a pure function of ``seed``, so the
-    payload is byte-identical across reruns (CI runs it twice and
-    ``cmp``\\ s).  Latency/goodput breaches classify as ``slo_breach``
-    (exit 3); structural check failures as ``checks_failed`` (exit 1);
-    any invariant violation as ``invariant_violation`` (exit 4).
-    """
-    from ..obs.slo import evaluate_rate_floor
-
-    flight_written = False
-
-    def one_run(overload: OverloadConfig,
-                kills: tuple[KillSpec, ...]) -> dict[str, Any]:
-        nonlocal flight_written
-        cfg = FleetConfig(boards=boards,
-                          tenants_per_board=tenants_per_board,
-                          seed=seed, ticks=ticks, workers=workers,
-                          overload=overload)
-        payload = run_fleet(
-            cfg, kills=kills, stream=stream,
-            flight_path=(None if flight_written else flight_path))
-        if payload["flight_dumped"] and flight_path:
-            flight_written = True
-        return payload
-
-    def be_fraction(cls: dict[str, dict[str, int]]) -> float | None:
-        be = cls[BESTEFFORT]
-        return (round(be["goodput"] / be["arrived"], 6)
-                if be["arrived"] else None)
-
-    # Phase A: unloaded baseline (same seed, same plane, no faults).
-    base = one_run(SOAK_OVERLOAD, ())
-    base_cls = _class_totals(base)
-    base_p99 = base["requests"]["latency"][CRITICAL].get("p99")
-    base_be_frac = be_fraction(base_cls)
-    base_crit = base_cls[CRITICAL]
-    base_crit_ratio = (round(base_crit["goodput"] / base_crit["admitted"],
-                             6) if base_crit["admitted"] else None)
-    # The floor the loaded runs must hold: a fraction of the baseline's
-    # own goodput ratio, not an absolute — the absolute ratio is pinned
-    # by deadline-vs-frame-period geometry, identical in every run.
-    crit_floor = (round(goodput_floor * base_crit_ratio, 6)
-                  if base_crit_ratio is not None else goodput_floor)
-    all_violations = _tagged_violations("baseline", base)
-
-    # Phase B: escalating surges, each with a storm and a board kill.
-    kills = (
-        KillSpec(tick=16, board=0, site=TRAFFIC_SURGE, duration_ticks=12),
-        KillSpec(tick=34, board=1, site=RETRY_STORM, duration_ticks=2),
-        KillSpec(tick=44, board=2, site=BOARD_CRASH),
-    )
-    runs: list[dict[str, Any]] = []
-    be_fracs: list[float] = []
-    worst_p99: float | None = None
-    worst_crit_ratio: float | None = None
-    for factor in surge_factors:
-        payload = one_run(SOAK_OVERLOAD.scaled_surge(factor), kills)
-        cls = _class_totals(payload)
-        p99 = payload["requests"]["latency"][CRITICAL].get("p99")
-        crit_ratio, _ = evaluate_rate_floor(
-            cls[CRITICAL]["goodput"], cls[CRITICAL]["admitted"],
-            min_ratio=crit_floor, min_denominator=8)
-        frac = be_fraction(cls)
-        tag = f"surge x{factor:g}"
-        all_violations.extend(_tagged_violations(tag, payload))
-        if p99 is not None and (worst_p99 is None or p99 > worst_p99):
-            worst_p99 = p99
-        if crit_ratio is not None and (worst_crit_ratio is None
-                                       or crit_ratio < worst_crit_ratio):
-            worst_crit_ratio = round(crit_ratio, 6)
-        if frac is not None:
-            be_fracs.append(frac)
-        fired_sites = [k["site"] for k in payload["kills_fired"]]
-        runs.append({
-            "surge_factor": factor,
-            "kills_fired": fired_sites,
-            "critical": cls[CRITICAL],
-            "besteffort": cls[BESTEFFORT],
-            "critical_p99": p99,
-            "critical_goodput_ratio": (None if crit_ratio is None
-                                       else round(crit_ratio, 6)),
-            "besteffort_goodput_fraction": frac,
-            "admission_dropped": payload["fleet"]["admission_dropped"],
-            "degrades": payload["fleet"]["admission_degraded"],
-            "breaker_opens": payload["fleet"]["breaker_opens"],
-            "breaker_short_circuits":
-                payload["fleet"]["breaker_short_circuits"],
-            "retries_denied": payload["fleet"]["rpc_retries_denied"],
-            "boards_stormed": payload["fleet"]["boards_stormed"],
-            "traffic_surges": payload["fleet"]["traffic_surges"],
-            "migrations": payload["fleet"]["migrations"],
-            "violations": len(_tagged_violations("", payload)),
-            "ok": payload["ok"],
-        })
-
-    # Phase C: brownout — pressure reroutes best-effort hardware tasks
-    # to the bit-identical software fallback, then back.
-    demo = run_brownout_demo(seed=seed)
-
-    # Gates.  All faults must actually fire, the plane must visibly
-    # engage, best-effort goodput must fall monotonically with offered
-    # load, and every run must hold its invariants.
-    eps = 1e-9
-    progressive = (
-        bool(be_fracs) and base_be_frac is not None
-        and all(b <= a + eps for a, b in zip(be_fracs, be_fracs[1:]))
-        and be_fracs[-1] < base_be_frac)
-    checks = {
-        "runs_ok": bool(runs) and all(r["ok"] for r in runs)
-        and base["ok"],
-        "surge_fired": all(TRAFFIC_SURGE in r["kills_fired"]
-                           for r in runs),
-        "storm_fired": all(RETRY_STORM in r["kills_fired"] for r in runs),
-        "board_killed": all(BOARD_CRASH in r["kills_fired"]
-                            for r in runs),
-        "admission_engaged": all(r["admission_dropped"] > 0
-                                 for r in runs),
-        "shedder_engaged": any(r["degrades"] >= 1 for r in runs),
-        "breaker_engaged": all(r["breaker_opens"] >= 1 for r in runs),
-        "retry_budget_engaged": all(r["retries_denied"] >= 1
-                                    for r in runs),
-        "besteffort_degrades": progressive,
-        "brownout_demo_ok": demo["ok"],
-    }
-    slo = {
-        "critical_p99": {
-            "baseline": base_p99, "worst": worst_p99,
-            "slack": p99_slack,
-            "ok": (base_p99 is not None and worst_p99 is not None
-                   and worst_p99 <= p99_slack * base_p99),
-        },
-        "critical_goodput_floor": {
-            "baseline_ratio": base_crit_ratio,
-            "relative_floor": goodput_floor,
-            "min_ratio": crit_floor, "worst": worst_crit_ratio,
-            "ok": (worst_crit_ratio is not None
-                   and worst_crit_ratio >= crit_floor),
-        },
-    }
-    checks_ok = all(checks.values())
-    slo_ok = all(gate["ok"] for gate in slo.values())
-    incident = classify_incident(all_violations, checks_ok, True,
-                                 slo_ok=slo_ok)
-    return {
-        "schema_version": FLEET_SCHEMA_VERSION,
-        "seed": seed,
-        "boards": boards,
-        "ticks": ticks,
-        "workers": workers,
-        "overload": SOAK_OVERLOAD.as_dict(),
-        "surge_factors": list(surge_factors),
-        "baseline": {
-            "critical": base_cls[CRITICAL],
-            "besteffort": base_cls[BESTEFFORT],
-            "critical_p99": base_p99,
-            "besteffort_goodput_fraction": base_be_frac,
-            "ok": base["ok"],
-        },
-        "runs": runs,
-        "brownout": demo,
-        "checks": checks,
-        "slo": slo,
-        "violations": all_violations,
-        "incident": incident,
-        "ok": incident is None,
-    }
 
 
 # -- brownout proof -----------------------------------------------------------
@@ -820,6 +477,7 @@ def run_brownout_demo(*, seed: int = 9) -> dict[str, Any]:
         "exits": ctl.exits,
         "reroutes": ctl.reroutes,
         "reroutes_counted": m.total("recovery.brownout_reroutes"),
+        "paths": list(paths_fired(m.total)),
         "iters": iters,
         "checks": checks,
         "ok": all(checks.values()),

@@ -164,7 +164,7 @@ class OverloadConfig:
 
     def scaled_surge(self, factor: float) -> "OverloadConfig":
         """The same plane with a different surge multiplier (the surge
-        soak escalates loads this way)."""
+        series escalates loads this way)."""
         return replace(self, surge_factor=float(factor))
 
 
@@ -413,7 +413,7 @@ class LoadShedder:
 def check_overload_invariants(disp) -> list[str]:
     """O1-O4 against a live dispatcher (O5 — brownout reroutes are
     bit-identical — is board-local, proven by the brownout demo harness
-    and folded into the surge soak's violation set):
+    and gated by the surge series):
 
     O1  **Queues always bounded.**  No tenant queue ever exceeds
         ``queue_bound`` when the plane is armed.

@@ -33,7 +33,7 @@ class TrafficModel:
         #: Scheduled surge windows ``(start_tick, duration_ticks,
         #: factor)``: extra offered-load multipliers stacked on the
         #: diurnal square wave.  The ``traffic.surge`` fault site and
-        #: the surge soak feed this knob; the Poisson draw count per
+        #: the surge series feed this knob; the Poisson draw count per
         #: tick is unchanged, so determinism is too.
         self.surges: list[tuple[int, int, float]] = []
         for start, duration, factor in surges:

@@ -1,7 +1,7 @@
 """Runtime invariant checker for the hardware-task subsystem.
 
 Called by the supervisor after every manager restart (and freely from
-tests / the soak harness): walks the PRR controller, the manager's
+tests / the fault-schedule runner): walks the PRR controller, the manager's
 tables, the intent journal, guest page-table mappings and the kernel
 mailbox, and returns a list of human-readable violation strings — empty
 when the world is consistent.  docs/RECOVERY.md lists the invariants.
@@ -19,8 +19,8 @@ __all__ = ["assert_no_vm_leaks", "check_invariants",
 def report_violations(kernel, violations, where: str) -> None:
     """Route invariant violations to the armed flight recorder, if any.
 
-    Every checker caller (supervisor restart, soak harness, fault
-    matrix) funnels violations through here so an armed recorder dumps
+    Every checker caller (supervisor restart, the fault-schedule
+    runner) funnels violations through here so an armed recorder dumps
     its post-mortem bundle at the first sign of inconsistency.  The
     caller keeps its own counting/tracing — this is the incident hook
     only, and a no-op when nothing is armed or nothing is wrong.

@@ -3,8 +3,8 @@
 Armed on a kernel (:meth:`FlightRecorder.arm` sets ``kernel.flight``),
 the recorder dumps a single post-mortem bundle the first time something
 goes wrong — an invariant violation (I1-I8, L1-L6, reported through
-:func:`repro.hwmgr.invariants.report_violations`), a fault-matrix check
-failure, a VM halted on an exhausted restart budget, or an unhandled
+:func:`repro.hwmgr.invariants.report_violations`), a fault schedule's
+check failure, a VM halted on an exhausted restart budget, or an unhandled
 exception escaping the kernel run loop.  Later triggers in the same run
 are counted but suppressed: the first bundle is the interesting one, and
 first-wins keeps the artifact deterministic.

@@ -112,7 +112,7 @@ def evaluate_rate_floor(num: float, den: float, *, min_ratio: float,
                         min_denominator: int = 1
                         ) -> tuple[float | None, bool]:
     """The ``rate_floor`` predicate, shared between :class:`SloEngine`
-    windows and offline gates (the fleet surge soak's goodput check):
+    windows and offline gates (the surge series' goodput floor):
     returns ``(observed_ratio, breaching)``.  Below ``min_denominator``
     the ratio is statistically meaningless and never breaches."""
     if den >= min_denominator and den > 0:

@@ -19,8 +19,8 @@ Wire schema (docs/OBSERVABILITY.md §10): one JSON object per line,
 ``sort_keys`` canonical form, every record carrying ``type``, ``t``
 (sim cycle) and ``seq``.  Record types: ``header`` (schema version,
 cadence, seed, full start snapshot), ``delta``, ``snapshot`` (full final
-image), ``shard`` / ``aggregate`` (per-run images and their merged fleet
-view, emitted by the soak harness), ``slo_breach`` (from
+image), ``shard`` / ``aggregate`` (per-board images and their merged
+fleet view, emitted by the fleet harness), ``slo_breach`` (from
 :mod:`repro.obs.slo`) and ``end``.
 """
 
@@ -41,8 +41,8 @@ DEFAULT_INTERVAL_MS = 10.0
 class TelemetryStream:
     """Periodic metric-delta emitter + record bus.
 
-    ``metrics`` may be ``None`` for a pure record bus (the soak harness
-    uses one to carry per-run shard snapshots without a live registry).
+    ``metrics`` may be ``None`` for a pure record bus (the fleet harness
+    uses one to carry per-board shard snapshots without a live registry).
     """
 
     def __init__(self, metrics=None, *, interval_cycles: int = 1,
@@ -145,7 +145,7 @@ class TelemetryStream:
 
     def emit_shard(self, label: str, snapshot: MetricSnapshot,
                    **info: Any) -> None:
-        """One fleet shard's final registry image (soak / fleet runs)."""
+        """One fleet shard's final registry image (fleet runs)."""
         self._emit("shard", {"label": label, "info": info,
                              "snapshot": snapshot.to_dict()})
 

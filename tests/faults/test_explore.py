@@ -1,5 +1,6 @@
-"""The coverage-guided explorer: tracker units, pilot shape, and the
-same-seed byte-identity property on a small budget (docs/FAULTS.md §5)."""
+"""The fault-schedule runner: tracker units, pilot shape, the shared
+oracle, named-schedule expectations, the surge SLO gates, and same-seed
+byte-identity (docs/FAULTS.md §5)."""
 
 import json
 
@@ -7,18 +8,20 @@ import pytest
 
 from repro.faults.coverage import CoverageTracker, paths_fired
 from repro.faults.explore import (
+    EXIT_COVERAGE_FLOOR,
+    NAMED,
     Schedule,
+    _expect_checks,
+    _inline_singles,
     _windows,
+    classify_incident,
+    incident_exit_code,
     run_explore,
     run_inline_schedule,
     run_pilot,
+    surge_gates,
 )
 from repro.faults.registry import ALL_SITES, RECOVERY_PATHS
-from repro.faults.soak import (
-    EXIT_COVERAGE_FLOOR,
-    classify_incident,
-    incident_exit_code,
-)
 
 
 class TestCoverageTracker:
@@ -142,3 +145,154 @@ def test_small_budget_explore_is_byte_identical():
     # A 4-schedule run cannot cover 14 sites: the floor gate must trip.
     assert p1["incident"] == "coverage_floor" and not p1["ok"]
     assert p1["metrics"]["explore.schedules"] == 4
+
+
+def _crash_at(point):
+    return {"site": "service.crash", "probability": 1.0, "after": 0,
+            "every": 1, "max_fires": 1, "params": {"point": point}}
+
+
+def test_armed_site_that_never_fires_fails_the_oracle():
+    """reclaim.pre_commit is consulted only after a watchdog expiry or a
+    client death: armed alone in a clean run it never fires, and the
+    ``faults_fired`` check must refuse to count that as a pass."""
+    res = run_inline_schedule((_crash_at("reclaim.pre_commit"),), seed=7)
+    assert res["fired_sites"] == []
+    assert res["checks"]["faults_fired"] is False and not res["ok"]
+
+
+def test_reclaim_crashpoint_enumerated_with_a_hang_trigger(pilot):
+    faults = next(f for f, note in _inline_singles(pilot)
+                  if note == "service.crash @reclaim.pre_commit")
+    assert [f["site"] for f in faults] == ["service.crash", "prr.hang"]
+    res = run_inline_schedule(faults, seed=7)
+    assert res["ok"], res["checks"]
+    assert res["fired_sites"] == ["prr.hang", "service.crash"]
+    assert {"journal_replay", "manager_respawn"} <= set(res["paths"])
+
+
+class TestExpectations:
+    """Named-schedule expectations are data evaluated into checks."""
+
+    COUNTS = {"pcap_retry": 2, "watchdog_reclaim": 1}
+
+    def _checks(self, expect, extra=None):
+        return _expect_checks(expect, lambda p: self.COUNTS.get(p, 0),
+                              lambda s: {"prr.hang": 2}.get(s, 0),
+                              extra or {})
+
+    def test_at_least_once_and_exact_counts(self):
+        c = self._checks({"paths": {"pcap_retry": None,
+                                    "watchdog_reclaim": 1,
+                                    "pcap_abort": None}})
+        assert c == {"path:pcap_retry": True, "path:watchdog_reclaim": True,
+                     "path:pcap_abort": False}
+        assert self._checks({"paths": {"pcap_retry": 1}}) \
+            == {"path:pcap_retry": False}
+
+    def test_forbidden_fires_and_extra_checks(self):
+        c = self._checks({"forbid": ["pcap_retry", "pcap_abort"],
+                          "fires": {"prr.hang": 2},
+                          "checks": ["drained"]},
+                         extra={"drained": lambda: False})
+        assert c == {"forbid:pcap_retry": False, "forbid:pcap_abort": True,
+                     "fires:prr.hang": True, "drained": False}
+
+    def test_forbidden_path_that_fires_fails_the_run(self):
+        """pcap-fail's fault under pcap-retry's expectations: the
+        forbidden pcap_abort path fires, so the schedule fails."""
+        res = run_inline_schedule(NAMED["pcap-fail"][1], seed=7,
+                                  expect=NAMED["pcap-retry"][2])
+        assert res["checks"]["forbid:pcap_abort"] is False
+        assert res["checks"]["invariants_hold"] and not res["ok"]
+
+
+def _fleet_result(p99, crit=(9, 20), be=(4, 10), **fleet):
+    counters = {"admission_dropped": 5, "admission_degraded": 1,
+                "breaker_opens": 1, "rpc_retries_denied": 1, **fleet}
+    return {"critical_p99": p99, "fleet": counters,
+            "classes": {"critical": {"goodput": crit[0],
+                                     "admitted": crit[1]},
+                        "besteffort": {"goodput": be[0], "arrived": be[1]}}}
+
+
+class TestSurgeGates:
+    BASE = _fleet_result(100.0, crit=(10, 20), be=(8, 10))
+    DEMO = {"checks": {"bit_identical": True}, "ok": True}
+
+    def _gates(self, runs, demo=DEMO):
+        return surge_gates(self.BASE, runs, demo)
+
+    def test_all_gates_hold(self):
+        g = self._gates([_fleet_result(105.0, be=(6, 10)),
+                         _fleet_result(110.0, be=(4, 10))])
+        assert all(gate["ok"] for gate in g.values()), g
+        assert g["critical_goodput_floor"]["min_ratio"] == 0.275
+
+    def test_p99_slack(self):
+        g = self._gates([_fleet_result(110.5)])
+        assert not g["critical_p99"]["ok"]
+        assert g["critical_p99"]["worst"] == 110.5
+
+    def test_relative_goodput_floor(self):
+        # 0.55 x the baseline ratio 0.5 = 0.275: 5/20 = 0.25 breaches.
+        g = self._gates([_fleet_result(100.0, crit=(5, 20))])
+        assert not g["critical_goodput_floor"]["ok"]
+        # Below 8 admitted the ratio is meaningless and never counts.
+        g = self._gates([_fleet_result(100.0, crit=(0, 7))])
+        assert g["critical_goodput_floor"]["worst"] is None
+
+    def test_besteffort_fraction_must_not_increase(self):
+        g = self._gates([_fleet_result(100.0, be=(4, 10)),
+                         _fleet_result(100.0, be=(5, 10))])
+        assert not g["besteffort_degrades"]["ok"]
+        assert g["besteffort_degrades"]["fractions"] == [0.4, 0.5]
+        g = self._gates([_fleet_result(100.0, be=(8, 10))])
+        assert not g["besteffort_degrades"]["ok"]   # never fell below base
+
+    def test_every_control_and_the_demo(self):
+        g = self._gates([_fleet_result(100.0, breaker_opens=0)],
+                        demo={"checks": {"entered": False}, "ok": False})
+        assert not g["controls_engaged"]["ok"]
+        assert not g["controls_engaged"]["breaker"]
+        assert not g["brownout_demo"]["ok"]
+
+    def test_breach_classifies_as_slo_breach_exit_3(self):
+        g = self._gates([_fleet_result(200.0)])
+        incident = classify_incident(
+            [], True, True, slo_ok=all(x["ok"] for x in g.values()))
+        assert incident == "slo_breach"
+        assert incident_exit_code({"incident": incident}) == 3
+
+
+def test_random_mode_rejects_sites_without_a_draw_rule():
+    with pytest.raises(ValueError, match="prr.hang"):
+        run_explore(budget=0, random_target=1, random_sites=("prr.hang",))
+
+
+def test_flight_rule_first_failure_replaces_first_fired(tmp_path):
+    """One bundle per invocation: the first schedule in which a fault
+    fired, until a schedule fails — its bundle replaces that one."""
+    path = tmp_path / "flight.json"
+    kw = dict(budget=0, seed=7, max_shrinks=0, flight_path=str(path))
+    run_explore(named=["pcap-retry"], **kw)
+    assert json.loads(path.read_text())["reason"] == "fault_replay"
+    p = run_explore(named=["pcap-retry", "hw-hang"],
+                    mutate="watchdog_reclaim", **kw)
+    assert [f["id"] for f in p["failures"]] == ["hw-hang"]
+    bundle = json.loads(path.read_text())
+    assert bundle["reason"] == "explore_failure"
+    assert "prr.hang" in bundle["fault_plan"]["sites"]
+
+
+def test_cli_lists_sites_and_rejects_bad_mode_arguments(capsys):
+    from repro.__main__ import main
+    assert main(["explore", "--list"]) == 0
+    out = capsys.readouterr().out
+    assert "service.crash" in out and "[--random]" in out
+    for name in (*NAMED, "surge"):
+        assert f"  {name} " in out
+    assert main(["explore", "--random", "3"]) == 2
+    assert main(["explore", "--sites", "vm.kill"]) == 2
+    assert main(["explore", "--named", "nope"]) == 2
+    assert "unknown named schedule 'nope'" in capsys.readouterr().err

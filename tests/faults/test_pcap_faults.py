@@ -33,16 +33,13 @@ def run_to_quiescence(machine, cap=500_000_000):
 
 
 def test_device_busy_hierarchy(machine):
-    """DeviceBusy is a DeviceError; ConfigError survives only as an alias."""
+    """A second transfer while one is in flight raises DeviceBusy, a
+    DeviceError."""
     bit = machine.bitstreams.get("fft1024")
     machine.pcap.start_transfer(bit, 0)
     with pytest.raises(DeviceBusy):
         machine.pcap.start_transfer(machine.bitstreams.get("qam4"), 1)
     assert issubclass(DeviceBusy, DeviceError)
-    with pytest.warns(DeprecationWarning):
-        from repro.common.errors import ConfigError
-    assert ConfigError is DeviceError
-    assert issubclass(DeviceBusy, ConfigError)
 
 
 def test_transfer_error_retried_then_succeeds(machine):

@@ -4,8 +4,10 @@ schedule, and replayed byte-identically (docs/FAULTS.md §5)."""
 
 import json
 
-from repro.faults.explore import replay_repro, run_explore
-from repro.faults.shrink import result_fingerprint, shrink_schedule
+from repro.faults.explore import (NAMED, execute_schedule, random_schedules,
+                                  replay_repro, run_explore)
+from repro.faults.shrink import (failed_checks, result_fingerprint,
+                                 shrink_schedule)
 
 
 def _fault(site, **kw):
@@ -59,6 +61,22 @@ class TestSyntheticShrinks:
         out = shrink_schedule(faults, runner=self._runner("prr.hang"))
         assert [f["site"] for f in out["faults"]] == ["prr.hang"]
 
+    def test_reasons_keep_the_original_failure(self):
+        """Dropping pcap.hang breaks an expectation instead of the
+        original invariant: still failing, but not the same failure."""
+        def run(faults):
+            sites = {f["site"] for f in faults}
+            checks = {"invariants_hold": sites != {"pcap.hang", "prr.hang"},
+                      "path:pcap_retry": "pcap.hang" in sites}
+            return {"ok": all(checks.values()), "checks": checks,
+                    "violations": []}
+        faults = (_fault("pcap.hang"), _fault("prr.hang"))
+        assert len(shrink_schedule(faults, runner=run)["faults"]) == 1
+        out = shrink_schedule(faults, runner=run,
+                              reasons=["invariants_hold"])
+        assert len(out["faults"]) == 2
+        assert out["reasons"] == ["invariants_hold"]
+
     def test_nondeterministic_runner_is_flagged(self):
         flips = {"n": 0}
 
@@ -91,3 +109,37 @@ def test_mutation_smoke_finds_and_shrinks_the_regression(monkeypatch):
     replay = replay_repro(json.loads(json.dumps(repro)))
     assert replay["reproduced"] and replay["still_failing"]
     assert replay["fingerprint"] == repro["fingerprint"]
+
+
+def test_failing_named_schedule_shrinks_and_replays():
+    """``explore --named hw-hang --mutate watchdog_reclaim``: the named
+    schedule fails, shrinks to its single prr.hang fault, and the repro
+    (expectations included) replays byte-identically."""
+    payload = run_explore(budget=0, named=["hw-hang"], seed=7,
+                          mutate="watchdog_reclaim")
+    assert payload["incident"] == "invariant_violation"
+    repro = payload["repros"][0]
+    assert repro["from_schedule"] == "hw-hang"
+    assert [f["site"] for f in repro["faults"]] == ["prr.hang"]
+    assert repro["expect"] == NAMED["hw-hang"][2]
+    assert repro["replayed_identical"]
+    assert replay_repro(json.loads(json.dumps(repro)))["reproduced"]
+
+
+def test_failing_random_schedule_shrinks_to_the_culprit():
+    """A random service.crash stacked on hw-hang fails under the planted
+    watchdog regression; the drawn crash is not the cause, so the
+    shrinker drops it."""
+    sched = next(s for s in random_schedules(7, ("service.crash",))
+                 if s.note.startswith("hw-hang"))
+
+    def runner(faults):
+        return execute_schedule("inline", faults, seed=sched.seed,
+                                mutate="watchdog_reclaim")
+
+    first = runner(sched.faults)
+    assert not first["ok"]
+    out = shrink_schedule(sched.faults, runner=runner,
+                          reasons=failed_checks(first))
+    assert [f["site"] for f in out["faults"]] == ["prr.hang"]
+    assert out["replayed_identical"]

@@ -1,11 +1,12 @@
-"""Fleet harnesses: byte-identity, chaos soak, migration proof, bench."""
+"""Fleet harnesses: byte-identity, board chaos, migration proof, bench."""
 
 import json
 
+from repro.faults.explore import BOARD_SITES, run_explore
 from repro.faults.plan import BOARD_CRASH
 from repro.fleet.dispatcher import FleetConfig, KillSpec
 from repro.fleet.harness import (FLEET_SCHEMA_VERSION, make_kill_schedule,
-                                 run_fleet, run_fleet_bench, run_fleet_soak,
+                                 run_fleet, run_fleet_bench,
                                  run_migration_demo)
 
 SMALL = FleetConfig(boards=2, tenants_per_board=2, seed=3, ticks=10,
@@ -59,24 +60,30 @@ def test_process_hosting_matches_inline():
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def _board_chaos(target, max_runs=None):
+    """Random mode over the board sites (the fleet chaos soak)."""
+    return run_explore(budget=0, seed=2, random_target=target,
+                       random_sites=BOARD_SITES, max_runs=max_runs)
+
+
 def test_small_soak_is_clean_and_reports_incident_none():
-    p = run_fleet_soak(seed=2, board_kills=3, boards=2, per_run_kills=3,
-                       ticks=10, tenants_per_board=2)
-    assert p["ok"], p["violations"]
+    p = _board_chaos(3)
+    assert p == _board_chaos(3)         # byte-identical run sequence
+    assert p["ok"], p["failures"]
     assert p["incident"] is None
-    assert p["reached_target"]
-    assert p["totals"]["kills_fired"] >= 3
-    for run in p["runs"]:
+    assert p["random"]["reached_target"]
+    assert p["random"]["faults_fired"] >= 3
+    for run in p["schedules"]:
         assert run["ok"], run
-        assert run["tenants_accounted"]
+        assert run["kind"] == "fleet"
+        assert set(run["fired_sites"]) <= set(BOARD_SITES)
 
 
 def test_soak_missing_target_is_checks_failed():
-    p = run_fleet_soak(seed=2, board_kills=50, boards=2, per_run_kills=2,
-                       max_runs=1, ticks=10)
+    p = _board_chaos(50, max_runs=1)
     assert not p["ok"]
     assert p["incident"] == "checks_failed"
-    assert not p["reached_target"]
+    assert not p["random"]["reached_target"]
 
 
 def test_migration_demo_is_bit_exact():

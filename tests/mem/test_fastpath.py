@@ -3,7 +3,7 @@
 docs/PERFORMANCE.md §5 is the contract these tests pin: the fused bulk
 loop, the fused touch path and the walk memo are pure reformulations of
 the cost model.  Every simulated-cycle quantity — ledgers, stats,
-accounting, fault-matrix and soak reports, bench series — must not move
+accounting, fault-schedule results, bench series — must not move
 when ``PlatformParams.fastpath`` is flipped.  Plus unit tests for the
 walk-memo invalidation rules (TTBR/DACR writes, DRAM write epochs).
 """
@@ -28,7 +28,8 @@ def _patch_default_params(monkeypatch, params):
 
     MachineConfig's default factory closes over the module-global
     DEFAULT_PARAMS in repro.machine, so patching that name reaches the
-    builders (bench, fault matrix, soak) that take no machine_config.
+    builders (bench, the fault-schedule runner) that take no
+    machine_config.
     """
     monkeypatch.setattr(machine_mod, "DEFAULT_PARAMS", params)
 
@@ -73,25 +74,30 @@ class TestRunEquivalence:
         assert fast == slow
 
     def test_fault_matrix_identical(self, monkeypatch):
-        from repro.faults.matrix import run_all
+        """Every named inline schedule: same results on both paths."""
+        from repro.faults.explore import NAMED, run_explore
 
-        fast = run_all(7)
+        fast = run_explore(budget=0, named=list(NAMED), seed=7)
         _patch_default_params(monkeypatch, SLOW_PARAMS)
-        slow = run_all(7)
+        slow = run_explore(budget=0, named=list(NAMED), seed=7)
         assert fast == slow
         assert fast["ok"]
 
     def test_vm_soak_with_restores_identical(self, monkeypatch):
-        """VM kill/checkpoint/restore soak: restores rewrite guest memory
-        images through the DRAM write epoch, so this exercises the memo
-        invalidation path end to end."""
-        from repro.faults.soak import run_vm_soak
+        """Random ``vm.kill`` mode with checkpoint restores: restores
+        rewrite guest memory images through the DRAM write epoch, so
+        this exercises the memo invalidation path end to end."""
+        from repro.faults.explore import run_explore
 
-        fast = run_vm_soak(seed=1, kills=4, max_runs=6)
+        kw = dict(budget=0, seed=1, random_target=4,
+                  random_sites=("vm.kill",), max_runs=6)
+        fast = run_explore(**kw)
         _patch_default_params(monkeypatch, SLOW_PARAMS)
-        slow = run_vm_soak(seed=1, kills=4, max_runs=6)
+        slow = run_explore(**kw)
         assert fast == slow
         assert fast["ok"]
+        assert any("restart_from_checkpoint" in s["paths"]
+                   for s in fast["schedules"])
 
     def test_fastpath_counters_only_move_on_fast_path(self):
         from repro.eval.scenarios import build_virtualized

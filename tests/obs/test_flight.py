@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.eval.scenarios import build_virtualized
-from repro.faults.soak import run_soak
+from repro.faults.explore import run_explore
 from repro.obs.flight import (
     FLIGHT_SCHEMA_VERSION,
     FlightRecorder,
@@ -24,7 +24,11 @@ from repro.obs.flight import (
 
 
 def _soak_bundle(path, seed=42):
-    run_soak(crashes=1, seed=seed, max_runs=3, flight_path=str(path))
+    """The bundle of one random ``service.crash`` run: nothing fails, so
+    the recorder keeps the first schedule in which the fault fired."""
+    run_explore(budget=0, seed=seed, random_target=1,
+                random_sites=("service.crash",), max_runs=3,
+                flight_path=str(path))
     return path
 
 
@@ -102,7 +106,8 @@ class TestBundleShape:
     def test_fault_plan_captured(self, bundle):
         plan = bundle["fault_plan"]
         assert plan["seed"] == 42
-        assert any(st["fires"] for st in plan["sites"].values())
+        assert bundle["reason"] == "fault_replay"
+        assert plan["sites"]["service.crash"]["fires"] >= 1
 
     def test_trace_tail_ordered(self, bundle):
         ts = [e["t"] for e in bundle["trace_tail"]]
