@@ -10,7 +10,7 @@ Commands:
 * ``table3``   — regenerate Table III (+ Fig. 9) and print both
 * ``bench``    — run the paper scenario and write a schema-versioned
   ``BENCH_<name>.json`` latency/accounting artifact (``--quick`` for the
-  CI smoke profile; see docs/BENCHMARKS.md and tools/bench_compare.py)
+  profile of the committed baseline; see docs/BENCHMARKS.md)
 * ``inventory``— list the hardware-task library and the fabric floorplan
 * ``fleet``    — run a supervised multi-board fleet with open-loop tenant
   traffic (docs/FLEET.md): placement, heartbeat failure detection and
@@ -50,7 +50,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .common.units import cycles_to_ms
+from .common.units import cycles_to_ms, ms_to_cycles
 
 
 def _open_stream(sc, args, *, source: str):
@@ -61,7 +61,6 @@ def _open_stream(sc, args, *, source: str):
     """
     if not (args.stream_out or args.slo):
         return None, None, None
-    from .common.units import ms_to_cycles
     from .obs.slo import SloEngine, load_slo_config
     from .obs.stream import TelemetryStream
 
@@ -94,12 +93,12 @@ def _open_stream(sc, args, *, source: str):
     return stream, engine, sink
 
 
-def _report_slo(engine) -> int:
-    """Print the SLO verdict; return the command exit code."""
+def _report_slo(s: dict) -> int:
+    """Print the verdict of an SLO summary (``SloEngine.summary()``);
+    return the command exit code."""
     from .obs.slo import EXIT_SLO_BREACH
 
-    s = engine.summary()
-    if engine.ok:
+    if s["ok"]:
         print(f"SLO: {len(s['rules'])} rule(s), {s['evaluations']} "
               f"evaluations, no breaches")
         return 0
@@ -158,7 +157,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {stream.records} telemetry records "
               f"({stream.deltas} deltas) to {args.stream_out}")
     if engine is not None:
-        return _report_slo(engine)
+        return _report_slo(engine.summary())
     return 0
 
 
@@ -206,15 +205,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(f"{'series':26} {'count':>6} {'p50':>10} {'p90':>10} "
           f"{'p99':>10}  unit")
     for sname, s in payload["series"].items():
-        if not s["count"] or "value" in s:
-            continue                      # value series printed below
+        if not s["count"]:
+            continue
         us = SeriesSummary(**s).scaled(1e6 / hz, "us")
         print(f"{sname:26} {us.count:>6} {us.p50:>10.2f} {us.p90:>10.2f} "
               f"{us.p99:>10.2f}  {us.unit}")
-    cps = payload["series"]["sim_cycles_per_sec"]["value"]
-    wall = payload["series"]["wall_clock_s"]["value"]
-    print(f"throughput: {cps:,.0f} simulated cycles per host second "
-          f"(run phase {wall:.3f} s wall)")
     acct = payload["accounting"]
     print(f"accounting: {len(acct['vms'])} VMs, "
           f"kernel {acct['kernel_cycles']} cycles, "
@@ -223,20 +218,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.stream_out:
         print(f"wrote telemetry stream to {args.stream_out}")
     if "slo" in payload:
-        from .obs.slo import EXIT_SLO_BREACH
-
-        s = payload["slo"]
-        if s["ok"]:
-            print(f"SLO: {len(s['rules'])} rule(s), {s['evaluations']} "
-                  f"evaluations, no breaches")
-        else:
-            print(f"SLO BREACH: {len(s['breaches'])} breach(es)",
-                  file=sys.stderr)
-            for b in s["breaches"]:
-                print(f"  {b['slo']} ({b['kind']}) at cycle {b['t']}: "
-                      f"observed {b['observed']} vs limit {b['limit']}",
-                      file=sys.stderr)
-            return EXIT_SLO_BREACH
+        return _report_slo(payload["slo"])
     return 0
 
 
@@ -309,17 +291,20 @@ def cmd_fleet(args: argparse.Namespace) -> int:
               f"p50 {lat['p50']:.0f} / p99 {lat['p99']:.0f} cycles -> {out}")
         return 0
 
-    # Record bus: one ``shard`` snapshot per board plus the merged
-    # ``aggregate`` fleet view.
-    stream, sink = _open_record_bus(args.stream_out, source="fleet",
-                                    seed=args.seed)
     try:
         cfg = FleetConfig(boards=args.boards, seed=args.seed,
                           ticks=args.ticks, tick_ms=args.tick_ms,
                           tenants_per_board=args.tenants_per_board,
                           rate_per_tick=args.rate, workers=args.workers)
-        kills = (make_kill_schedule(cfg, kills=args.kills)
-                 if args.kills else ())
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    kills = make_kill_schedule(cfg, kills=args.kills) if args.kills else ()
+    # Record bus: one ``shard`` snapshot per board plus the merged
+    # ``aggregate`` fleet view.
+    stream, sink = _open_record_bus(args.stream_out, source="fleet",
+                                    seed=args.seed)
+    try:
         payload = run_fleet(cfg, kills=kills, stream=stream,
                             flight_path=args.flight_out)
     finally:
@@ -677,13 +662,23 @@ def main(argv: list[str] | None = None) -> int:
     return args.fn(args)
 
 
+def _interval_ms(text: str) -> float:
+    """argparse type of ``--stream-interval-ms``: a finite cadence of at
+    least one simulated cycle."""
+    value = float(text)
+    if not (value < float("inf") and ms_to_cycles(value) >= 1):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of milliseconds, got {text}")
+    return value
+
+
 def _add_stream_args(p: argparse.ArgumentParser) -> None:
     from .obs.stream import DEFAULT_INTERVAL_MS
 
     p.add_argument("--stream-out", metavar="FILE", default=None,
                    help="write the JSONL telemetry stream (deterministic "
                         "metric deltas; docs/OBSERVABILITY.md §10)")
-    p.add_argument("--stream-interval-ms", type=float,
+    p.add_argument("--stream-interval-ms", type=_interval_ms,
                    default=DEFAULT_INTERVAL_MS, metavar="MS",
                    help="emission cadence in simulated milliseconds "
                         f"(default: {DEFAULT_INTERVAL_MS:g})")

@@ -111,8 +111,6 @@ class PlatformParams:
     tlb: TlbParams = field(default_factory=TlbParams)
     memmap: MemoryMapParams = field(default_factory=MemoryMapParams)
     fpga: FpgaParams = field(default_factory=FpgaParams)
-    #: Guest scheduling quantum, milliseconds (paper: 33 ms).
-    quantum_ms: float = 33.0
     #: Sampling divisor for bulk (workload) memory traffic; 1 = trace every access.
     bulk_sample: int = 64
     #: Simulation-engine fast path (docs/PERFORMANCE.md): fused bulk access

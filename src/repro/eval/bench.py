@@ -4,10 +4,10 @@ Runs the paper scenario (Mini-NOVA + manager + n uC/OS-II guests against
 the 4-PRR fabric, Fig. 8) and distils the run into one machine-readable,
 schema-versioned artifact: percentile summaries (p50/p90/p99, mean,
 min/max) of every latency axis the paper evaluates, plus the per-VM
-accounting table.  The artifact is deliberately deterministic — same
-code, same seed → byte-identical JSON — so two artifacts can be diffed
-and regression-gated by ``tools/bench_compare.py`` (see
-docs/BENCHMARKS.md for the schema and the CI wiring).
+accounting table.  The artifact is a pure function of (code, seed) —
+it holds no host time — so same code and same seed give byte-identical
+JSON, and a tier-1 test gates the committed baselines in
+``benchmarks/baselines/`` by exact equality (docs/BENCHMARKS.md).
 
 Series sources mix both measurement substrates on purpose: histogram
 series exercise the bucket-estimated percentiles, exact series the
@@ -18,7 +18,6 @@ interactively.
 from __future__ import annotations
 
 import json
-import time
 from typing import Any
 
 from ..obs.accounting import VmAccounting
@@ -31,17 +30,9 @@ from ..obs.analytics import (
 from .measures import extract_overheads
 from .scenarios import VirtScenario, build_virtualized
 
-#: Bump when the artifact layout changes; ``tools/bench_compare.py``
-#: refuses to diff artifacts of different major versions.
-#: v2: adds the ``wall_clock_s`` / ``sim_cycles_per_sec`` value series
-#: (host-time measurements; see VOLATILE_SERIES and docs/PERFORMANCE.md).
-SCHEMA_VERSION = 2
-
-#: Series measured in *host* time rather than simulated cycles.  They are
-#: the only nondeterministic part of the artifact: the byte-identity
-#: contract (docs/BENCHMARKS.md) applies to the artifact with these
-#: stripped — use :func:`strip_volatile` before byte-comparing.
-VOLATILE_SERIES = ("sim_cycles_per_sec", "wall_clock_s")
+#: Bump when the artifact layout changes.
+#: v3: drops the host-time value series; every field is simulated.
+SCHEMA_VERSION = 3
 
 #: Scenario shapes.  ``paper`` ~ the Section V setup; ``quick`` is the CI
 #: smoke profile (same structure, shorter horizon).
@@ -123,13 +114,9 @@ def run_bench(name: str = "paper", *, guests: int | None = None,
             engine = SloEngine(slo_rules, metrics=sc.metrics)
             engine.attach(stream)
         stream.attach(sc.kernel.sim)
-    t0 = time.perf_counter()
     try:
         sc.run_ms(ms)
-        wall = time.perf_counter() - t0
     finally:
-        # Stream teardown is host-side bookkeeping, outside the timed
-        # run phase (wall measures the engine, not the telemetry flush).
         if stream is not None:
             stream.close()
         if sink is not None:
@@ -137,18 +124,6 @@ def run_bench(name: str = "paper", *, guests: int | None = None,
     k = sc.kernel
     acct: VmAccounting = k.acct
     series = {n: s.as_dict() for n, s in sorted(collect_series(sc).items())}
-    # Engine-throughput value series (schema v2): host wall-clock of the
-    # *run* phase only (scenario construction excluded) and the derived
-    # simulated-cycles-per-host-second rate.  ``direction`` tells the
-    # regression gate which way is worse; wall-clock is informational
-    # (machine-dependent) and never gated directly.
-    series["wall_clock_s"] = {
-        "count": 1, "kind": "value", "unit": "s",
-        "direction": "none", "value": round(wall, 6)}
-    series["sim_cycles_per_sec"] = {
-        "count": 1, "kind": "value", "unit": "cycles/s",
-        "direction": "higher",
-        "value": round(k.sim.now / wall, 1) if wall > 0 else 0.0}
     extra: dict[str, Any] = {}
     if engine is not None:
         extra["slo"] = engine.summary()
@@ -211,19 +186,6 @@ def run_bench(name: str = "paper", *, guests: int | None = None,
         },
         "accounting": acct.snapshot(),
     }
-
-
-def strip_volatile(payload: dict[str, Any]) -> dict[str, Any]:
-    """Copy of the artifact without its host-time series.
-
-    Two same-seed artifacts must compare equal (and serialize
-    byte-identically) after this — it is the determinism contract the
-    fast path is held to (docs/PERFORMANCE.md §5).
-    """
-    out = dict(payload)
-    out["series"] = {n: s for n, s in payload["series"].items()
-                     if n not in VOLATILE_SERIES}
-    return out
 
 
 def write_bench(payload: dict[str, Any], path: str) -> None:

@@ -22,8 +22,9 @@ Overhead classes (paper definitions):
 
 The request lifecycle is paired with :meth:`Tracer.chains` (keyed by VM:
 only complete trap->start->end->resumed chains are counted, exactly the
-original extraction semantics) and the PL-IRQ halves with
-:meth:`Tracer.intervals` (keyed by the distribution sequence number).
+original extraction semantics) and the PL-IRQ halves by
+:func:`repro.obs.analytics.plirq_latency_samples` (keyed by the
+distribution sequence number).
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ from statistics import mean
 
 from ..common.units import cycles_to_us
 from ..kernel.hypercalls import Hc
+from ..obs.analytics import HWREQ_CHAIN, plirq_latency_samples
 from ..obs.trace import Tracer
-
-#: The guaranteed event chain of one hardware-task request (docs/OBSERVABILITY.md).
-HWREQ_CHAIN = ("hwreq_trap", "mgr_exec_start", "mgr_exec_end", "hwreq_resumed")
 
 
 @dataclass
@@ -88,15 +87,5 @@ def extract_overheads(tracer: Tracer) -> OverheadSamples:
         out.execution.append(execution)
         out.exit.append(exit_)
         out.total.append(entry + execution + exit_)
-
-    # PL-IRQ distribution: the routing half (exception vector -> vGIC
-    # pend) plus the injection half, summed per sequence number.  An
-    # injection whose routing half is missing (e.g. it fell out of the
-    # ring) counts its injection half alone.
-    route_cost = {
-        s.info["seq"]: d
-        for d, s, _ in tracer.spans("plirq_route", key="seq")
-    }
-    for d, s, _ in tracer.spans("plirq_inject", key="seq"):
-        out.plirq.append(route_cost.pop(s.info["seq"], 0) + d)
+    out.plirq = plirq_latency_samples(tracer)
     return out

@@ -25,14 +25,12 @@ from typing import Any, Iterable
 from .registry import ALL_SITES, RECOVERY_PATHS, SITES
 
 
-def paths_fired(totals, *, baseline=None) -> tuple[str, ...]:
+def paths_fired(totals) -> tuple[str, ...]:
     """The recovery paths whose metric moved, given a ``totals`` callable
-    (metric name -> label-summed total).  ``baseline`` (same shape)
-    subtracts a pre-run image so only *this run's* firings count."""
+    (metric name -> label-summed total)."""
     fired = []
     for name, path in RECOVERY_PATHS.items():
-        base = baseline(path.metric) if baseline is not None else 0
-        if totals(path.metric) - base > 0:
+        if totals(path.metric) > 0:
             fired.append(name)
     return tuple(sorted(fired))
 

@@ -161,12 +161,6 @@ class FaultSite:
     #: When non-empty: valid values for ``params[target_param]``.
     targets: tuple[str, ...] = ()
     target_param: str = ""
-    #: True for self-scheduled sites (fired at a cycle, not consulted
-    #: at a code site): ``plirq.storm`` and ``vm.kill``.
-    scheduled: bool = False
-    #: True for fleet-level fault domains (consulted by the dispatcher's
-    #: RPC link, not by on-board code).
-    fleet: bool = False
 
 
 #: The site registry, in documentation order (docs/FAULTS.md §1).
@@ -188,7 +182,7 @@ SITES: dict[str, FaultSite] = {s.name: s for s in (
               ("client_rewait",)),
     FaultSite(PLIRQ_STORM, "kernel",
               "a burst of unsolicited PL IRQs on one line",
-              ("spurious_eoi", "client_rewait"), scheduled=True),
+              ("spurious_eoi", "client_rewait")),
     FaultSite(GUEST_BAD_HYPERCALL, "guest",
               "a guest issues malformed hypercalls (rogue module)",
               ("hypercall_guard",)),
@@ -206,23 +200,23 @@ SITES: dict[str, FaultSite] = {s.name: s for s in (
     FaultSite(VM_KILL, "vm",
               "a guest VM is killed outright (lifecycle recovery)",
               ("vm_containment", "vm_restart", "restart_from_checkpoint"),
-              targets=VM_POLICIES, target_param="policy", scheduled=True),
+              targets=VM_POLICIES, target_param="policy"),
     FaultSite(BOARD_CRASH, "fleet",
               "a fleet board's worker dies outright (docs/FLEET.md)",
-              ("fencing", "migration_adopt"), fleet=True),
+              ("fencing", "migration_adopt")),
     FaultSite(BOARD_HANG, "fleet",
               "a fleet board freezes: alive but makes no progress",
-              ("fencing", "board_rejoin"), fleet=True),
+              ("fencing", "board_rejoin")),
     FaultSite(BOARD_PARTITION, "fleet",
               "a fleet board is isolated from the dispatcher",
-              ("fencing", "migration_adopt"), fleet=True),
+              ("fencing", "migration_adopt")),
     FaultSite(TRAFFIC_SURGE, "fleet",
               "offered load multiplies for a window (flash crowd)",
-              ("admission_shed", "rate_degrade"), fleet=True),
+              ("admission_shed", "rate_degrade")),
     FaultSite(RETRY_STORM, "fleet",
               "a board answers nothing while staying nominally up, "
               "amplifying every call into retries",
-              ("retry_budget", "breaker_trip"), fleet=True),
+              ("retry_budget", "breaker_trip")),
 )}
 
 #: Every site the injector understands; plans naming others are rejected.
@@ -250,24 +244,6 @@ def validate_spec_params(name: str, params: dict) -> None:
         raise ValueError(
             f"{name}: invalid {s.target_param} {value!r} "
             f"(valid: {', '.join(s.targets)})")
-
-
-def inline_sites() -> tuple[str, ...]:
-    """Sites exercisable on a single machine (everything non-fleet)."""
-    return tuple(n for n, s in SITES.items() if not s.fleet)
-
-
-def fleet_sites() -> tuple[str, ...]:
-    """The fleet fault domains (consulted by the dispatcher RPC link)."""
-    return tuple(n for n, s in SITES.items() if s.fleet)
-
-
-def expected_paths(names) -> tuple[str, ...]:
-    """Union of recovery paths the given sites are expected to fire."""
-    out: set[str] = set()
-    for n in names:
-        out.update(site(n).recovery_paths)
-    return tuple(sorted(out))
 
 
 def check_registry() -> list[str]:

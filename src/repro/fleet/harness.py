@@ -14,14 +14,12 @@ The fault-schedule runner (:mod:`repro.faults.explore`) drives board
 chaos and the surge series through :func:`run_fleet`, with the
 :data:`EXPLORE_OVERLOAD` / :data:`SOAK_OVERLOAD` planes defined here.
 
-:func:`run_fleet_bench` produces a schema-v2 bench artifact
-(``BENCH_fleet_quick.json``) whose request-latency percentiles CI gates
-with ``tools/bench_compare.py`` against the committed baseline.
+:func:`run_fleet_bench` produces the ``BENCH_fleet_quick.json`` bench
+artifact, which a tier-1 test holds equal to its committed baseline.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 from ..common.rng import make_rng
@@ -61,15 +59,13 @@ def make_kill_schedule(cfg: FleetConfig, *, kills: int,
 
 def run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
               tenants: list[TenantSpec] | None = None,
-              stream=None, flight_path: str | None = None,
-              _capture: dict[str, Any] | None = None) -> dict[str, Any]:
+              stream=None, flight_path: str | None = None) -> dict[str, Any]:
     """One fleet run; returns the JSON-stable payload.
 
     ``stream`` (a record bus) receives one ``shard`` record per
     surviving board plus the dispatcher's own registry, and the merged
     ``aggregate`` view (the PR 8 merge law).  ``flight_path`` writes the
-    first invariant-violation bundle, if any.  ``_capture`` hands the
-    live dispatcher and merged snapshot to callers (tests, the bench).
+    first invariant-violation bundle, if any.
     """
     disp = Dispatcher(cfg, tenants=tenants, kills=kills)
     try:
@@ -106,9 +102,6 @@ def run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
                 _emit_overload_records(stream, disp)
         if flight_path and disp.flight_bundle is not None:
             write_bundle(disp.flight_bundle, flight_path)
-        if _capture is not None:
-            _capture["disp"] = disp
-            _capture["merged"] = merged
         return _payload(disp, cfg, board_violations)
     finally:
         disp.close()
@@ -311,35 +304,12 @@ def run_migration_demo(*, seed: int = 7, kind: str = "fft",
 def run_fleet_bench(*, seed: int = 1,
                     workers: str = "inline") -> dict[str, Any]:
     """The ``fleet_quick`` bench artifact: a small fleet with one board
-    crash mid-run; request latency percentiles are the gated series."""
+    crash mid-run, summarised by its request-latency percentiles."""
     cfg = FleetConfig(boards=3, tenants_per_board=2, seed=seed, ticks=32,
                       workers=workers)
     kills = (KillSpec(tick=10, board=1, site=BOARD_CRASH),)
-    capture: dict[str, Any] = {}
-    t0 = time.perf_counter()
-    payload = run_fleet(cfg, kills=kills, _capture=capture)
-    wall = time.perf_counter() - t0
+    payload = run_fleet(cfg, kills=kills)
     lat = payload["requests"]["latency"]
-    series: dict[str, Any] = {
-        "fleet_request_latency_cycles": lat["all"],
-        "fleet_critical_latency_cycles": lat["critical"],
-        "fleet_besteffort_latency_cycles": lat["besteffort"],
-        "fleet_requests_served": {
-            "count": 1, "kind": "value", "unit": "requests",
-            "direction": "higher",
-            "value": payload["requests"]["served"]},
-        "fleet_goodput": {
-            "count": 1, "kind": "value", "unit": "requests",
-            "direction": "higher",
-            "value": payload["fleet"]["goodput"]},
-        "fleet_migrations": {
-            "count": 1, "kind": "value", "unit": "migrations",
-            "direction": "none",
-            "value": payload["fleet"]["migrations"]},
-        "wall_clock_s": {
-            "count": 1, "kind": "value", "unit": "s",
-            "direction": "none", "value": round(wall, 6)},
-    }
     return {
         "schema_version": SCHEMA_VERSION,
         "name": "fleet_quick",
@@ -349,12 +319,17 @@ def run_fleet_bench(*, seed: int = 1,
             "arrived": payload["requests"]["arrived"],
             "served": payload["requests"]["served"],
             "shed": payload["requests"]["shed"],
+            "goodput": payload["fleet"]["goodput"],
             "migrations": payload["fleet"]["migrations"],
             "boards_declared_dead":
                 payload["fleet"]["boards_declared_dead"],
             "violations": len(payload["violations"]),
         },
-        "series": series,
+        "series": {
+            "fleet_request_latency_cycles": lat["all"],
+            "fleet_critical_latency_cycles": lat["critical"],
+            "fleet_besteffort_latency_cycles": lat["besteffort"],
+        },
     }
 
 

@@ -67,6 +67,7 @@ class KernelConfig:
     """Boot-time policy knobs (defaults = the paper's design; the
     alternatives exist for the ablation benches)."""
 
+    #: Guest scheduling quantum, milliseconds (paper: 33 ms).
     quantum_ms: float = 33.0
     lazy_vfp: bool = True          # Table I: VFP is lazy-switched
     use_asid: bool = True          # Section III-C: no TLB flush on switch

@@ -17,7 +17,6 @@ def test_default_geometry_matches_paper_platform():
     assert p.cpu.hz == 660_000_000
     assert p.l1i.size == 32 * 1024 and p.l1d.size == 32 * 1024
     assert p.l2.size == 512 * 1024
-    assert p.quantum_ms == 33.0
 
 
 def test_cache_sets_computed():

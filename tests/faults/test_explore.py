@@ -66,11 +66,6 @@ def test_paths_fired_reads_registry_metrics():
     assert fired == ("manager_respawn", "watchdog_reclaim")
 
 
-def test_paths_fired_subtracts_baseline():
-    fired = paths_fired(lambda n: 3, baseline=lambda n: 3)
-    assert fired == ()
-
-
 def test_windows_are_sorted_within_budget():
     assert _windows(0) == (0,)
     assert _windows(1) == (0,)
@@ -296,3 +291,21 @@ def test_cli_lists_sites_and_rejects_bad_mode_arguments(capsys):
     assert main(["explore", "--sites", "vm.kill"]) == 2
     assert main(["explore", "--named", "nope"]) == 2
     assert "unknown named schedule 'nope'" in capsys.readouterr().err
+
+
+def test_cli_rejects_bad_numbers_with_exit_2(tmp_path, capsys):
+    """A non-positive stream cadence fails at parse time, before any
+    stream file exists; an invalid fleet shape prints ``error:``."""
+    from repro.__main__ import main
+    out = tmp_path / "stream.jsonl"
+    for argv in (["run", "--stream-interval-ms", "0"],
+                 ["bench", "--quick", "--stream-interval-ms", "-5"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--stream-out", str(out)])
+        assert exc.value.code == 2
+        assert "--stream-interval-ms" in capsys.readouterr().err
+    assert main(["fleet", "--boards", "0", "--stream-out", str(out)]) == 2
+    assert "error: need at least one board" in capsys.readouterr().err
+    assert main(["fleet", "--ticks", "-1"]) == 2
+    assert "error: ticks must be >= 0" in capsys.readouterr().err
+    assert not out.exists()

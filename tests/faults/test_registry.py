@@ -13,13 +13,10 @@ from repro.faults.registry import (
     VM_KILL,
     VM_POLICIES,
     check_registry,
-    expected_paths,
-    fleet_sites,
-    inline_sites,
     site,
     validate_spec_params,
 )
-from repro.fleet.dispatcher import KillSpec
+from repro.fleet.dispatcher import FLEET_FAULT_SITES, KillSpec
 
 
 def test_registry_is_internally_consistent():
@@ -39,16 +36,10 @@ def test_unknown_site_error_names_the_valid_list():
 
 
 def test_inline_and_fleet_partition_the_registry():
-    assert sorted(inline_sites() + fleet_sites()) == sorted(ALL_SITES)
-    assert set(fleet_sites()) == {"board.crash", "board.hang",
-                                  "board.partition", "traffic.surge",
-                                  "retry.storm"}
-
-
-def test_expected_paths_union_is_sorted():
-    paths = expected_paths(("prr.hang", "service.crash"))
-    assert paths == tuple(sorted(paths))
-    assert "watchdog_reclaim" in paths and "manager_respawn" in paths
+    """The dispatcher's fleet fault domains are exactly the registry's
+    ``fleet``-layer sites, so the two lists cannot drift apart."""
+    fleet = [n for n, s in SITES.items() if s.layer == "fleet"]
+    assert sorted(fleet) == sorted(FLEET_FAULT_SITES)
 
 
 def test_plan_reexports_registry_constants():

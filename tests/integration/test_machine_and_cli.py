@@ -101,3 +101,23 @@ def test_cli_run_native(capsys):
     assert main(["run", "--native", "--ms", "30"]) == 0
     out = capsys.readouterr().out
     assert "native scenario report" in out
+
+
+def test_cli_run_and_bench_share_the_slo_verdict(tmp_path, capsys):
+    """``run`` and ``bench`` print one SLO verdict; a breach exits 3."""
+    import json
+
+    from repro.__main__ import main
+    slo = tmp_path / "slo.json"
+    slo.write_text(json.dumps({"slos": [{
+        "name": "switch-p99", "kind": "latency_p99",
+        "histogram": "kernel.vm_switch_cycles", "quantile": 0.99,
+        "max": 1, "window_cycles": 6_600_000}]}))
+    args = ["--ms", "30", "--slo", str(slo)]
+    assert main(["run", *args, "--flight-out", str(tmp_path / "f.json")]) == 3
+    run_err = capsys.readouterr().err
+    assert main(["bench", *args, "--out", str(tmp_path / "b.json")]) == 3
+    bench_err = capsys.readouterr().err
+    for err in (run_err, bench_err):
+        assert "SLO BREACH:" in err and "across 1 rule(s)" in err
+        assert "switch-p99 (latency_p99) at cycle" in err

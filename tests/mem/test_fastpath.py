@@ -66,11 +66,11 @@ class TestRunEquivalence:
         assert states[0] == states[1]
 
     def test_bench_cycle_series_identical(self, monkeypatch):
-        from repro.eval.bench import run_bench, strip_volatile
+        from repro.eval.bench import run_bench
 
-        fast = strip_volatile(run_bench("quick", guests=2, ms=40.0, seed=5))
+        fast = run_bench("quick", guests=2, ms=40.0, seed=5)
         _patch_default_params(monkeypatch, SLOW_PARAMS)
-        slow = strip_volatile(run_bench("quick", guests=2, ms=40.0, seed=5))
+        slow = run_bench("quick", guests=2, ms=40.0, seed=5)
         assert fast == slow
 
     def test_fault_matrix_identical(self, monkeypatch):
