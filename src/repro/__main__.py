@@ -243,8 +243,9 @@ def _write_json(payload, out: str | None) -> bool:
 
 def _open_record_bus(path: str | None, *, source: str, seed: int):
     """A pure record bus (no registry, no cadence) writing JSONL to
-    ``path``: returns ``(stream, sink)``, both None without a path;
-    exits 2 via SystemExit when the file cannot be opened."""
+    ``path``, its ``header`` already written: returns ``(stream, sink)``,
+    both None without a path; exits 2 via SystemExit when the file cannot
+    be opened."""
     if not path:
         return None, None
     from .obs.stream import TelemetryStream
@@ -255,8 +256,10 @@ def _open_record_bus(path: str | None, *, source: str, seed: int):
         print(f"error: cannot write stream to {path}: {exc}",
               file=sys.stderr)
         raise SystemExit(2)
-    return TelemetryStream(None, interval_cycles=1, sink=sink,
-                           source=source, seed=seed), sink
+    bus = TelemetryStream(None, interval_cycles=1, sink=sink,
+                          source=source, seed=seed)
+    bus.emit_header()
+    return bus, sink
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:

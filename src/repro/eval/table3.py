@@ -62,9 +62,6 @@ class Table3Result:
                      + ", ".join(f"{c}:{self.n_requests[c]}" for c in self.columns))
         return "\n".join(lines)
 
-    def column_key(self, n_guests: int | str) -> str:
-        return "native" if n_guests == "native" else str(n_guests)
-
 
 def run_table3(*, guest_counts: tuple[int, ...] = (1, 2, 3, 4),
                completions_per_config: int = 60,

@@ -31,7 +31,7 @@ future requests counted as shed (F4 stays exact either way).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from ..common.params import DEFAULT_PARAMS
@@ -42,10 +42,8 @@ from ..faults.plan import (BOARD_CRASH, BOARD_HANG, BOARD_PARTITION,
 from ..obs.metrics import MetricsRegistry
 from .detector import DEFAULT_DEADLINE_TICKS, FailureDetector
 from .invariants import check_fleet_invariants
-from .overload import (DEFAULT_SURGE_DURATION_TICKS, DEFAULT_SURGE_FACTOR,
-                       AdmissionController, CircuitBreaker, LoadShedder,
-                       OverloadConfig, RetryBudget,
-                       check_overload_invariants)
+from .overload import (NO_LIMITS, AdmissionController, LoadShedder,
+                       OverloadConfig, _require, check_overload_invariants)
 from .rpc import BoardLink, BoardUnreachable
 from .tenant import (BESTEFFORT, CRITICAL, DEAD, MIGRATING, RUNNING, SHED,
                      TenantRecord, TenantSpec)
@@ -99,17 +97,14 @@ class FleetConfig:
     rate_per_tick: float = 0.1
     burst_period_ticks: int = 16
     burst_factor: float = 2.0
-    #: The overload control plane (docs/FLEET.md §11); None keeps every
-    #: legacy run byte-identical — no admission, budgets or breakers.
+    #: The overload control plane's limits (docs/FLEET.md §11); None
+    #: arms :data:`~repro.fleet.overload.NO_LIMITS`, which never binds.
     overload: OverloadConfig | None = None
 
     def __post_init__(self) -> None:
         """Fail fast on configs that can never work (the
         ``validate_spec_params`` convention: a bad knob is rejected at
         construction, not discovered as a hung or absurd run)."""
-        def _require(cond: bool, msg: str) -> None:
-            if not cond:
-                raise ValueError(msg)
         _require(self.boards >= 1, "need at least one board")
         _require(self.tenants_per_board >= 0,
                  f"tenants_per_board must be >= 0, got "
@@ -177,28 +172,17 @@ class Dispatcher:
         for ks in kills:
             if not 0 <= ks.board < cfg.boards:
                 raise ValueError(f"kill names unknown board {ks.board}")
-            if ks.site not in FLEET_FAULT_SITES:
-                raise ValueError(f"not a fleet fault site: {ks.site!r}")
         self.cfg = cfg
         self.metrics = MetricsRegistry()
         self.tick_cycles = ms_to_cycles(cfg.tick_ms, DEFAULT_PARAMS.cpu.hz)
-        #: The overload plane (docs/FLEET.md §11), armed only when the
-        #: config carries an OverloadConfig.
-        self.overload: OverloadConfig | None = cfg.overload
-        self.retry_budget = (
-            None if cfg.overload is None
-            else RetryBudget(ratio=cfg.overload.retry_ratio,
-                             floor=cfg.overload.retry_floor))
+        #: The overload plane's limits (docs/FLEET.md §11).
+        ov = self.overload = cfg.overload or NO_LIMITS
+        self.retry_budget = ov.retry_budget()
         host_cls = HOST_KINDS[cfg.workers]
         self.links = [
             BoardLink(b, host_cls(b, seed=cfg.seed * 1000 + b,
                                   tasks=cfg.tasks, tick_hz=cfg.tick_hz),
-                      self.metrics,
-                      breaker=(None if cfg.overload is None else
-                               CircuitBreaker(
-                                   threshold=cfg.overload.breaker_threshold,
-                                   cooldown_ticks=cfg.overload.
-                                   breaker_cooldown_ticks)),
+                      self.metrics, breaker=ov.breaker(),
                       retry_budget=self.retry_budget)
             for b in range(cfg.boards)]
         self.detector = FailureDetector(range(cfg.boards),
@@ -211,13 +195,9 @@ class Dispatcher:
             rate_per_tick=cfg.rate_per_tick,
             burst_period_ticks=cfg.burst_period_ticks,
             burst_factor=cfg.burst_factor)
-        if cfg.overload is None:
-            self.admission = None
-            self.shedder = None
-        else:
-            self.admission = AdmissionController(
-                cfg.overload, self.metrics, [s.name for s in specs])
-            self.shedder = LoadShedder(cfg.overload, self.metrics)
+        self.admission = AdmissionController(ov, self.metrics,
+                                             [s.name for s in specs])
+        self.shedder = LoadShedder(ov, self.metrics)
         #: Fleet-fault gating: one spec per site present in the schedule.
         self.plan = FaultPlan(
             [FaultSpec(site, max_fires=UNLIMITED)
@@ -268,10 +248,9 @@ class Dispatcher:
         for link in self.links:
             if link.tick(t):
                 self.metrics.counter("fleet.boards.rejoined").inc()
-        if self.admission is not None:
-            multipliers = {name: self.shedder.multiplier(rec)
-                           for name, rec in self.tenants.items()}
-            self.admission.begin_tick(t, self.tenants, multipliers)
+        multipliers = {name: self.shedder.multiplier(rec)
+                       for name, rec in self.tenants.items()}
+        self.admission.begin_tick(t, self.tenants, multipliers)
         self._arrive(t)
         self._inject(t)
         self._step_all(t)
@@ -281,12 +260,11 @@ class Dispatcher:
             self.metrics.counter("fleet.boards.declared_dead").inc()
             self._recover_board(board_id, t)
         self._pull_checkpoints(t)
-        if self.shedder is not None:
-            # Last resort only: a best-effort tenant that stayed fully
-            # degraded with a backlog for kill_after_ticks straight.
-            for name in self.shedder.step(t, self.tenants):
-                self._shed(self.tenants[name], reason="overload")
-                self.metrics.counter("fleet.admission.overload_kills").inc()
+        # Last resort only: a best-effort tenant that stayed fully
+        # degraded with a backlog for kill_after_ticks straight.
+        for name in self.shedder.step(t, self.tenants):
+            self._shed(self.tenants[name], reason="overload")
+            self.metrics.counter("fleet.admission.overload_kills").inc()
         self._update_gauges()
         vs = check_fleet_invariants(self) + check_overload_invariants(self)
         if vs:
@@ -304,9 +282,6 @@ class Dispatcher:
             if rec.state in (SHED, DEAD):
                 rec.shed_requests += n
                 self.metrics.counter("fleet.requests.shed").inc(n)
-            elif self.admission is None:
-                rec.admitted += n
-                rec.queue.extend([t] * n)
             else:
                 for _ in range(n):
                     reason = self.admission.admit(rec, t)
@@ -326,13 +301,9 @@ class Dispatcher:
                 # no link is involved, the admission plane has to cope.
                 if self.plan.should_fire(ks.site) is None:
                     continue
-                ov = self.overload
-                dur = ks.duration_ticks or (
-                    ov.surge_duration_ticks if ov is not None
-                    else DEFAULT_SURGE_DURATION_TICKS)
-                factor = (ov.surge_factor if ov is not None
-                          else DEFAULT_SURGE_FACTOR)
-                self.traffic.schedule_surge(t, dur, factor)
+                dur = ks.duration_ticks or self.overload.surge_duration_ticks
+                self.traffic.schedule_surge(t, dur,
+                                            self.overload.surge_factor)
                 self.metrics.counter("fleet.traffic.surges").inc()
                 self.kills_fired.append({"tick": t, **ks.as_dict()})
                 continue
@@ -369,8 +340,7 @@ class Dispatcher:
         hist = self.metrics.histogram("fleet.request_latency_cycles")
         served_c = self.metrics.counter("fleet.requests.served")
         goodput_c = self.metrics.counter("fleet.goodput")
-        deadline = (None if self.overload is None
-                    else self.overload.deadline_ticks)
+        deadline = self.overload.deadline_ticks
         for name, rec in sorted(self.tenants.items()):
             if rec.state != RUNNING or rec.board != board_id:
                 continue
@@ -385,7 +355,7 @@ class Dispatcher:
                 lat = lat_ticks * self.tick_cycles
                 rec.served += 1
                 served_c.inc()
-                if deadline is None or lat_ticks <= deadline:
+                if lat_ticks <= deadline:
                     rec.goodput += 1
                     goodput_c.inc()
                 hist.observe(lat)

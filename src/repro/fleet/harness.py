@@ -34,7 +34,7 @@ from .overload import OverloadConfig
 from .tenant import CRITICAL, DEAD, RUNNING, SHED, TenantSpec
 
 #: Payload schema for fleet runs (independent of the bench schema).
-FLEET_SCHEMA_VERSION = 1
+FLEET_SCHEMA_VERSION = 2
 
 
 def make_kill_schedule(cfg: FleetConfig, *, kills: int,
@@ -98,8 +98,7 @@ def run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
                               seed=cfg.seed)
             stream.emit_aggregate(merged, shards=shards + 1,
                                   harness="fleet", seed=cfg.seed)
-            if disp.overload is not None:
-                _emit_overload_records(stream, disp)
+            _emit_overload_transitions(stream, disp)
         if flight_path and disp.flight_bundle is not None:
             write_bundle(disp.flight_bundle, flight_path)
         return _payload(disp, cfg, board_violations)
@@ -182,26 +181,21 @@ def _overload_block(disp: Dispatcher) -> dict[str, Any]:
     for rec in disp.tenants.values():
         for reason, n in rec.dropped.items():
             drops[reason] = drops.get(reason, 0) + n
-    transitions = []
-    for link in disp.links:
-        br = getattr(link, "breaker", None)
-        if br is None:
-            continue
-        transitions.extend(
-            {"board": link.board_id, "tick": tick, "from": frm, "to": to}
-            for tick, frm, to in br.transitions)
+    transitions = [
+        {"board": link.board_id, "tick": tick, "from": frm, "to": to}
+        for link in disp.links
+        for tick, frm, to in link.breaker.transitions]
     return {
-        "enabled": disp.overload is not None,
-        "events": list(disp.shedder.events) if disp.shedder else [],
+        "events": list(disp.shedder.events),
         "breaker_transitions": transitions,
         "drops_by_reason": {k: drops[k] for k in sorted(drops)},
     }
 
 
-def _emit_overload_records(stream, disp: Dispatcher) -> None:
+def _emit_overload_transitions(stream, disp: Dispatcher) -> None:
     """Mirror the overload block onto the record bus: one
-    ``overload_transition`` per shedder event / breaker transition and
-    one end-of-run ``overload_summary`` (docs/OBSERVABILITY.md §10)."""
+    ``overload_transition`` per shedder event / breaker transition
+    (docs/OBSERVABILITY.md §10)."""
     ov = _overload_block(disp)
     for ev in ov["events"]:
         stream.emit_overload_transition(ev["kind"], tick=ev["tick"],
@@ -211,14 +205,6 @@ def _emit_overload_records(stream, disp: Dispatcher) -> None:
         stream.emit_overload_transition("breaker", tick=tr["tick"],
                                         board=tr["board"],
                                         frm=tr["from"], to=tr["to"])
-    m = disp.metrics
-    stream.emit_overload_summary(
-        admitted=m.total("fleet.admission.admitted"),
-        dropped=m.total("fleet.admission.dropped"),
-        goodput=m.total("fleet.goodput"),
-        drops_by_reason=ov["drops_by_reason"],
-        breaker_opens=m.total("fleet.breaker.opens"),
-        retries_denied=m.total("fleet.rpc.retries_denied"))
 
 
 # -- the explorer's overload plane --------------------------------------------

@@ -17,9 +17,9 @@ F3  **No orphaned PRR grants.**  On every reachable board, each PRR
     (or to the board's manager service).  A migrated or shed tenant's
     grants must have been reclaimed by its kill.
 F4  **Request conservation.**  Per tenant: arrived == served + shed +
-    dropped + queued, exactly, at every tick (dropped is zero unless
-    the overload plane is admitting — see O1-O5 in
-    :mod:`repro.fleet.overload`).
+    dropped + queued, exactly, at every tick (dropped stays zero under
+    the no-limit plane :data:`~repro.fleet.overload.NO_LIMITS` — see
+    O1-O5 in :mod:`repro.fleet.overload`).
 F5  **Monotonic placement epochs.**  The epoch sequence of every tenant
     is strictly increasing — a stale (pre-migration) placement can never
     be re-admitted as current.

@@ -1,9 +1,11 @@
 """Overload control plane: admission, retry budgets, breakers, shedding.
 
-The fleet of PR 9 survives *crashes*; this module makes it survive
-*load* (docs/FLEET.md §11).  Four deterministic mechanisms compose, all
-disabled unless a :class:`FleetConfig` carries an :class:`OverloadConfig`
-(the plane is strictly opt-in, so legacy fleet runs stay byte-identical):
+The fleet survives *crashes*; this module makes it survive *load*
+(docs/FLEET.md §11).  Four deterministic mechanisms compose, armed in
+every fleet run.  A :class:`FleetConfig` without an
+:class:`OverloadConfig` gets :data:`NO_LIMITS`, whose limits can never
+bind: nothing is refused, expired, degraded, denied or tripped, and
+goodput equals served.
 
 * **Token-bucket admission** (:class:`AdmissionController`) — each
   tenant's requests pass a per-tenant :class:`TokenBucket` and a bounded,
@@ -32,7 +34,9 @@ bit-identical — is board-local and proven by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+import sys
+from dataclasses import dataclass, replace
 from typing import Any
 
 #: Admission drop reasons (the only values a tenant's ``dropped`` dict
@@ -54,11 +58,6 @@ BREAKER_TRANSITIONS = frozenset({
     (BREAKER_HALF_OPEN, BREAKER_CLOSED),
     (BREAKER_HALF_OPEN, BREAKER_OPEN),
 })
-
-#: Surge multiplier applied by a ``traffic.surge`` fault when the run
-#: carries no OverloadConfig (the site still fires; nothing admits-gates).
-DEFAULT_SURGE_FACTOR = 8.0
-DEFAULT_SURGE_DURATION_TICKS = 8
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -100,8 +99,8 @@ class OverloadConfig:
     breaker_cooldown_ticks: int = 2
     #: ``traffic.surge`` shape: offered-load multiplier and the default
     #: duration when the KillSpec leaves ``duration_ticks`` at 0.
-    surge_factor: float = DEFAULT_SURGE_FACTOR
-    surge_duration_ticks: int = DEFAULT_SURGE_DURATION_TICKS
+    surge_factor: float = 8.0
+    surge_duration_ticks: int = 8
 
     def __post_init__(self) -> None:
         _require(self.admit_rate >= 0,
@@ -166,6 +165,27 @@ class OverloadConfig:
         """The same plane with a different surge multiplier (the surge
         series escalates loads this way)."""
         return replace(self, surge_factor=float(factor))
+
+    def breaker(self) -> "CircuitBreaker":
+        """A fresh per-link breaker with this plane's limits."""
+        return CircuitBreaker(threshold=self.breaker_threshold,
+                              cooldown_ticks=self.breaker_cooldown_ticks)
+
+    def retry_budget(self) -> "RetryBudget":
+        """A fresh fleet-wide retry budget with this plane's limits."""
+        return RetryBudget(ratio=self.retry_ratio, floor=self.retry_floor)
+
+
+#: The plane of a fleet run configured without one: every limit is out
+#: of reach, so it reproduces an unguarded fleet exactly.  The integer
+#: limits are ``sys.maxsize`` rather than ``inf`` because the breaker and
+#: the retry budget hold them as ints.  Surges keep the default 8x for
+#: 8 ticks.
+NO_LIMITS = OverloadConfig(
+    admit_rate=math.inf, admit_burst=math.inf, queue_bound=sys.maxsize,
+    deadline_ticks=sys.maxsize, degrade_high_water=sys.maxsize,
+    degrade_low_water=0, retry_floor=sys.maxsize,
+    breaker_threshold=sys.maxsize)
 
 
 class TokenBucket:
@@ -416,7 +436,7 @@ def check_overload_invariants(disp) -> list[str]:
     and gated by the surge series):
 
     O1  **Queues always bounded.**  No tenant queue ever exceeds
-        ``queue_bound`` when the plane is armed.
+        ``queue_bound``.
     O2  **Priority-ordered shedding.**  The overload plane never
         degrades or kills a critical tenant — best-effort traffic is
         always degraded (down to zero admission) first.
@@ -428,27 +448,25 @@ def check_overload_invariants(disp) -> list[str]:
     """
     from .tenant import CRITICAL
     out: list[str] = []
-    ov = getattr(disp, "overload", None)
+    bound = disp.overload.queue_bound
 
-    if ov is not None:
-        for name, rec in sorted(disp.tenants.items()):
-            if len(rec.queue) > ov.queue_bound:
-                out.append(f"O1: tenant {name} queue {len(rec.queue)} "
-                           f"exceeds bound {ov.queue_bound}")
+    for name, rec in sorted(disp.tenants.items()):
+        if len(rec.queue) > bound:
+            out.append(f"O1: tenant {name} queue {len(rec.queue)} "
+                       f"exceeds bound {bound}")
 
-    shedder = getattr(disp, "shedder", None)
-    if shedder is not None:
-        for name, rec in sorted(disp.tenants.items()):
-            if rec.spec.tclass != CRITICAL:
-                continue
-            if shedder.levels.get(name, 0) != 0:
-                out.append(f"O2: critical tenant {name} degraded to "
-                           f"level {shedder.levels[name]}")
-        for ev in shedder.events:
-            if ev["kind"] == "overload_kill" \
-                    and disp.tenants[ev["tenant"]].spec.tclass == CRITICAL:
-                out.append(f"O2: critical tenant {ev['tenant']} killed "
-                           f"by the overload shedder at t{ev['tick']}")
+    shedder = disp.shedder
+    for name, rec in sorted(disp.tenants.items()):
+        if rec.spec.tclass != CRITICAL:
+            continue
+        if shedder.levels.get(name, 0) != 0:
+            out.append(f"O2: critical tenant {name} degraded to "
+                       f"level {shedder.levels[name]}")
+    for ev in shedder.events:
+        if ev["kind"] == "overload_kill" \
+                and disp.tenants[ev["tenant"]].spec.tclass == CRITICAL:
+            out.append(f"O2: critical tenant {ev['tenant']} killed "
+                       f"by the overload shedder at t{ev['tick']}")
 
     for name, rec in sorted(disp.tenants.items()):
         dropped = sum(rec.dropped.values())
@@ -467,11 +485,8 @@ def check_overload_invariants(disp) -> list[str]:
                        f"{len(rec.queue)}")
 
     for link in disp.links:
-        br = getattr(link, "breaker", None)
-        if br is None:
-            continue
         prev = BREAKER_CLOSED
-        for tick, frm, to in br.transitions:
+        for tick, frm, to in link.breaker.transitions:
             if (frm, to) not in BREAKER_TRANSITIONS:
                 out.append(f"O4: board {link.board_id} illegal breaker "
                            f"transition {frm} -> {to} at t{tick}")

@@ -37,6 +37,7 @@ from typing import Any
 
 from ..faults.plan import (BOARD_CRASH, BOARD_HANG, BOARD_PARTITION,
                            RETRY_STORM)
+from .overload import NO_LIMITS
 from .workers import HostDead
 
 #: Attempts per logical RPC before the failure escapes to the detector.
@@ -77,12 +78,12 @@ class BoardLink:
         self.storming_until: int | None = None
         #: The dispatcher's clock, advanced once per tick.
         self.now_tick = 0
-        #: Optional overload plane (docs/FLEET.md §11): a per-link
-        #: :class:`~repro.fleet.overload.CircuitBreaker` and a
+        #: The overload plane (docs/FLEET.md §11): a per-link
+        #: :class:`~repro.fleet.overload.CircuitBreaker` and the
         #: fleet-wide shared :class:`~repro.fleet.overload.RetryBudget`.
-        #: Both None by default, leaving legacy behaviour byte-identical.
-        self.breaker = breaker
-        self.retry_budget = retry_budget
+        #: A link given neither gets no-limit ones that never trip or deny.
+        self.breaker = breaker or NO_LIMITS.breaker()
+        self.retry_budget = retry_budget or NO_LIMITS.retry_budget()
 
     # -- fault state -------------------------------------------------------
 
@@ -112,8 +113,7 @@ class BoardLink:
         """Advance the link clock; returns True when a hang/partition
         healed on this tick (the board rejoins, unless already fenced)."""
         self.now_tick = t
-        if self.breaker is not None \
-                and self.breaker.on_tick(t) == "half_open":
+        if self.breaker.on_tick(t) == "half_open":
             self.m.counter("fleet.breaker.half_opens").inc()
         if self.storming_until is not None and t >= self.storming_until:
             # A healed storm is not a rejoin: the board never left.
@@ -134,8 +134,7 @@ class BoardLink:
                     or self.hung_until is not None
                     or self.partitioned_until is not None
                     or self.storming_until is not None
-                    or (self.breaker is not None
-                        and not self.breaker.allow()))
+                    or not self.breaker.allow())
 
     def _unreachable_reason(self) -> str | None:
         if self.fenced:
@@ -160,13 +159,12 @@ class BoardLink:
             # host — the caller has a dispatcher bug.
             self.m.counter("fleet.fencing_violations").inc()
             raise BoardUnreachable(self.board_id, "fenced")
-        if self.breaker is not None and not self.breaker.allow():
+        if not self.breaker.allow():
             # Open breaker: fail fast without touching the host or the
             # retry machinery — the whole point is shedding this load.
             self.m.counter("fleet.breaker.short_circuits").inc()
             raise BoardUnreachable(self.board_id, "breaker_open")
-        if self.retry_budget is not None:
-            self.retry_budget.note_fresh()
+        self.retry_budget.note_fresh()
         last_reason = "unknown"
         attempt = 0
         while attempt < retries:
@@ -192,8 +190,7 @@ class BoardLink:
             attempt += 1
             if attempt >= retries:
                 break
-            if self.retry_budget is not None \
-                    and not self.retry_budget.try_retry():
+            if not self.retry_budget.try_retry():
                 # Budget exhausted: retries may not exceed their fixed
                 # fraction of fresh traffic (metastable-failure guard).
                 self.m.counter("fleet.rpc.retries_denied").inc()
@@ -205,14 +202,10 @@ class BoardLink:
         raise BoardUnreachable(self.board_id, last_reason)
 
     def _breaker_success(self) -> None:
-        if self.breaker is None:
-            return
         if self.breaker.on_success(self.now_tick) == "closed":
             self.m.counter("fleet.breaker.closes").inc()
 
     def _breaker_failure(self) -> None:
-        if self.breaker is None:
-            return
         if self.breaker.on_failure(self.now_tick) == "opened":
             self.m.counter("fleet.breaker.opens").inc()
 

@@ -128,11 +128,11 @@ class TenantRecord:
     arrived: int = 0
     served: int = 0
     shed_requests: int = 0
-    #: Overload-plane accounting (all zero when the plane is idle):
-    #: requests past admission, drops by reason (rate_limited /
-    #: queue_full / deadline_exceeded), the subset of ``shed_requests``
-    #: flushed from the queue on a kill, and requests served within the
-    #: overload deadline (== served when no deadline is configured).
+    #: Overload-plane accounting: requests past admission, drops by
+    #: reason (rate_limited / queue_full / deadline_exceeded; none under
+    #: NO_LIMITS), the subset of ``shed_requests`` flushed from the queue
+    #: on a kill, and requests served within the overload deadline
+    #: (== served under NO_LIMITS).
     admitted: int = 0
     dropped: dict[str, int] = field(default_factory=dict)
     queue_shed: int = 0

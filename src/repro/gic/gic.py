@@ -63,11 +63,6 @@ class Gic:
         self.asserted += 1
         self._update_line()
 
-    def deassert_irq(self, irq_id: int) -> None:
-        self._check_id(irq_id)
-        self.pending[irq_id] = False
-        self._update_line()
-
     # -- kernel-side API (also reachable via MMIO) ----------------------------
 
     def set_enable(self, irq_id: int, on: bool) -> None:

@@ -31,6 +31,7 @@ from ..kernel.hypercalls import HcStatus
 from . import layout_guest as GL
 from .actions import (
     BindIrqSem,
+    Compute,
     Delay,
     FAULTED,
     HwRequest,
@@ -79,7 +80,6 @@ def hw_task_run(os: Ucos, task_table_id: int, task_name: str,
     expected_id = task_id_of(task_name)
     want_irq = sem is not None
     handle = HwTaskHandle(status=HcStatus.BUSY)
-    _note_fresh_request(os)
 
     for attempt in range(max_retries):
         res = yield HwRequest(task_id=task_table_id, iface_va=iface_va,
@@ -87,14 +87,7 @@ def hw_task_run(os: Ucos, task_table_id: int, task_name: str,
         status, prr_id, irq_id = res
         if status in (HcStatus.BUSY, HcStatus.MANAGER_RESTARTING):
             # Transient: no PRR/PCAP available, or the manager service is
-            # being restarted (docs/RECOVERY.md) — back off and retry,
-            # unless the guest retry budget is spent (retries may never
-            # exceed their fixed fraction of fresh traffic; the denied
-            # request surfaces as BUSY and the adaptive APIs degrade to
-            # software instead of storming the manager).
-            if not _take_retry_budget(os):
-                handle.status = HcStatus.BUSY
-                return handle
+            # being restarted (docs/RECOVERY.md) — back off and retry.
             handle.retries += 1
             yield Delay(1)
             continue
@@ -253,29 +246,6 @@ def _note_sw_fallback(os: Ucos, kind: str) -> None:
     kernel.tracer.mark("sw_fallback", cat="fault", kind=kind)
 
 
-def _note_fresh_request(os: Ucos) -> None:
-    """Feed the guest retry budget one unit of fresh traffic (no-op
-    without a kernel or without a budget attached)."""
-    kernel = getattr(getattr(os, "port", None), "kernel", None)
-    if kernel is None or kernel.guest_retry_budget is None:
-        return
-    kernel.guest_retry_budget.note_fresh()
-
-
-def _take_retry_budget(os: Ucos) -> bool:
-    """May the BUSY/MANAGER_RESTARTING loop retry?  True without a
-    kernel or budget (legacy unbudgeted behaviour); a denial is counted
-    in ``recovery.retry_denials`` (the ``retry_budget`` guest leg)."""
-    kernel = getattr(getattr(os, "port", None), "kernel", None)
-    if kernel is None or kernel.guest_retry_budget is None:
-        return True
-    if kernel.guest_retry_budget.try_retry():
-        return True
-    kernel.metrics.counter("recovery.retry_denials").inc()
-    kernel.tracer.mark("retry_denied", cat="fault")
-    return False
-
-
 def _brownout_reroute(os: Ucos, kind: str) -> bool:
     """Should a *best-effort* task skip the fabric right now?
 
@@ -290,6 +260,36 @@ def _brownout_reroute(os: Ucos, kind: str) -> bool:
     kernel.metrics.counter("recovery.brownout_reroutes").inc()
     kernel.tracer.mark("brownout_reroute", cat="fault", kind=kind)
     return True
+
+
+def _adaptive_run(os: Ucos, kind: str, task_table_id: int, task_name: str,
+                  data_in: bytes, software, *, sem: Semaphore | None,
+                  allow_software: bool, besteffort: bool,
+                  hw_retries: int) -> Generator:
+    """Fabric first, CPU fallback: the body of every adaptive API.
+
+    ``software()`` returns the fallback's ``(WorkProfile, output)``; the
+    profile's CPU cost is charged before the output is handed back."""
+    if besteffort and allow_software and _brownout_reroute(os, kind):
+        # Brownout: the fabric is saturated, so best-effort work takes
+        # the software path immediately — same bytes, no PRR queueing.
+        handle = HwTaskHandle(status=HcStatus.BUSY)
+    else:
+        handle = yield from hw_task_run(os, task_table_id, task_name,
+                                        data_in, sem=sem,
+                                        max_retries=hw_retries)
+    if handle.status == HcStatus.SUCCESS or not allow_software:
+        return handle
+
+    _note_sw_fallback(os, kind)
+    prof, output = software()
+    yield Compute(prof.instrs, prof.mem_accesses,
+                  ((GL.USER_BASE + 0x20000, prof.ws_bytes),),
+                  prof.write_frac)
+    handle.status = HcStatus.SUCCESS
+    handle.prr_id = None
+    handle.output = output
+    return handle
 
 
 def fft_compute(os: Ucos, task_table_id: int, task_name: str,
@@ -309,32 +309,17 @@ def fft_compute(os: Ucos, task_table_id: int, task_name: str,
     """
     from ..dsp import fft as fft_golden
     from ..workloads.profiles import fft_sw_profile
-    from . import layout_guest as GL
-    from .actions import Compute
     import numpy as np
 
-    if besteffort and allow_software and _brownout_reroute(os, "fft"):
-        # Brownout: the fabric is saturated, so best-effort work takes
-        # the software path immediately — same bytes, no PRR queueing.
-        handle = HwTaskHandle(status=HcStatus.BUSY)
-    else:
-        handle = yield from hw_task_run(os, task_table_id, task_name,
-                                        data_in, sem=sem,
-                                        max_retries=hw_retries)
-    if handle.status == HcStatus.SUCCESS or not allow_software:
-        return handle
+    def software():
+        n = int(task_name[3:])
+        x = np.frombuffer(data_in, dtype=np.complex64)[:n]
+        return fft_sw_profile(n), fft_golden.fft(x).tobytes()
 
-    _note_sw_fallback(os, "fft")
-    n = int(task_name[3:])
-    prof = fft_sw_profile(n)
-    yield Compute(prof.instrs, prof.mem_accesses,
-                  ((GL.USER_BASE + 0x20000, prof.ws_bytes),),
-                  prof.write_frac)
-    x = np.frombuffer(data_in, dtype=np.complex64)[:n]
-    handle.status = HcStatus.SUCCESS
-    handle.prr_id = None
-    handle.output = fft_golden.fft(x).tobytes()
-    return handle
+    return (yield from _adaptive_run(
+        os, "fft", task_table_id, task_name, data_in, software, sem=sem,
+        allow_software=allow_software, besteffort=besteffort,
+        hw_retries=hw_retries))
 
 
 def qam_compute(os: Ucos, task_table_id: int, task_name: str,
@@ -351,26 +336,14 @@ def qam_compute(os: Ucos, task_table_id: int, task_name: str,
     """
     from ..dsp import qam as qam_golden
     from ..workloads.profiles import qam_sw_profile
-    from . import layout_guest as GL
-    from .actions import Compute
 
-    if besteffort and allow_software and _brownout_reroute(os, "qam"):
-        handle = HwTaskHandle(status=HcStatus.BUSY)
-    else:
-        handle = yield from hw_task_run(os, task_table_id, task_name,
-                                        data_in, sem=sem,
-                                        max_retries=hw_retries)
-    if handle.status == HcStatus.SUCCESS or not allow_software:
-        return handle
+    def software():
+        order = int(task_name[3:])
+        symbols = qam_golden.pack_bits_to_symbols(data_in, order)
+        return (qam_sw_profile(order, len(data_in)),
+                qam_golden.modulate(symbols, order).tobytes())
 
-    _note_sw_fallback(os, "qam")
-    order = int(task_name[3:])
-    prof = qam_sw_profile(order, len(data_in))
-    yield Compute(prof.instrs, prof.mem_accesses,
-                  ((GL.USER_BASE + 0x20000, prof.ws_bytes),),
-                  prof.write_frac)
-    symbols = qam_golden.pack_bits_to_symbols(data_in, order)
-    handle.status = HcStatus.SUCCESS
-    handle.prr_id = None
-    handle.output = qam_golden.modulate(symbols, order).tobytes()
-    return handle
+    return (yield from _adaptive_run(
+        os, "qam", task_table_id, task_name, data_in, software, sem=sem,
+        allow_software=allow_software, besteffort=besteffort,
+        hw_retries=hw_retries))

@@ -36,7 +36,7 @@ from ..gic.irqs import IRQ_PCAP_DONE, IRQ_PRIVATE_TIMER, SPURIOUS_IRQ, pl_line
 from ..machine import GIC_BASE, Machine
 from ..obs.accounting import VmAccounting
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import DEFAULT_RING_CAPACITY, Tracer
+from ..obs.trace import Tracer
 from . import layout as L
 from .costs import KERNEL_COSTS as C
 from .exits import (
@@ -62,6 +62,10 @@ _ICDISER = GIC_BASE + gicdev.ICDISER
 _ICDICER = GIC_BASE + gicdev.ICDICER
 
 
+#: Scheduling priority of guest PDs (services run above, idle at 0).
+GUEST_PRIORITY = 1
+
+
 @dataclass
 class KernelConfig:
     """Boot-time policy knobs (defaults = the paper's design; the
@@ -71,26 +75,15 @@ class KernelConfig:
     quantum_ms: float = 33.0
     lazy_vfp: bool = True          # Table I: VFP is lazy-switched
     use_asid: bool = True          # Section III-C: no TLB flush on switch
-    trace: bool = True
-    #: Ring capacity of the tracer (oldest events drop beyond this).
-    trace_capacity: int = DEFAULT_RING_CAPACITY
     #: Also emit the high-rate events (per-hypercall, per-vIRQ-injection,
     #: timer fires) documented as *verbose* in docs/OBSERVABILITY.md.
     trace_verbose: bool = False
-    #: Priority levels: guests at 1, services (manager) at 2, idle 0.
-    guest_priority: int = 1
+    #: Priority of the services (manager); guests run at
+    #: :data:`GUEST_PRIORITY`, idle at 0.
     service_priority: int = 2
     #: Services resume at the front of their circle (immediate dispatch);
     #: False = ablation where the manager waits its round-robin turn.
     service_resume_front: bool = True
-    #: Supervise the manager service: restart it on crash and on missed
-    #: request deadlines (docs/RECOVERY.md).  The deadline timer only
-    #: arms while a fault injector is attached, so fault-free runs stay
-    #: cycle-identical with this on.
-    supervise_manager: bool = True
-    #: Oldest outstanding manager request must be retired within this
-    #: budget or the supervisor declares the service hung.
-    manager_deadline_ms: float = 10.0
 
 
 @dataclass
@@ -114,9 +107,7 @@ class MiniNova:
         self.cpu = machine.cpu
         self.mem = machine.mem
         self.sim = machine.sim
-        self.tracer = Tracer(enabled=self.config.trace,
-                             capacity=self.config.trace_capacity,
-                             verbose=self.config.trace_verbose)
+        self.tracer = Tracer(verbose=self.config.trace_verbose)
         self.tracer.bind(self.sim.clock)
         self.metrics = MetricsRegistry()
         self._m_vm_switches = self.metrics.counter("kernel.vm_switches")
@@ -153,10 +144,6 @@ class MiniNova:
         #: manager service feeds it pressure, the adaptive guest APIs
         #: consult it for best-effort tasks (docs/FLEET.md §11).
         self.brownout = None
-        #: Guest-side retry budget (a :class:`repro.fleet.overload.
-        #: RetryBudget`; None = unbudgeted legacy retries).  Consulted by
-        #: the MANAGER_RESTARTING/BUSY retry loop in guest/api.py.
-        self.guest_retry_budget = None
         #: Flight-recorder attachment point (set by FlightRecorder.arm;
         #: None = no post-mortem bundle on incident — docs/OBSERVABILITY.md
         #: §13).  Purely observational: dumping never mutates kernel state.
@@ -261,7 +248,7 @@ class MiniNova:
         vcpu = Vcpu(vm_id=vm_id, save_area=kobj + 0x40)
         pd = ProtectionDomain(
             vm_id=vm_id, name=name,
-            priority=self.config.guest_priority if priority is None else priority,
+            priority=GUEST_PRIORITY if priority is None else priority,
             vcpu=vcpu, vgic=VGic(vm_id=vm_id, acct=self.acct), page_table=pt,
             asid=self.kmem.alloc_asid(), phys_base=phys_base,
             phys_size=L.GUEST_PHYS_CHUNK, runner=runner, kobj_addr=kobj)

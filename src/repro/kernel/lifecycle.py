@@ -42,6 +42,7 @@ profile — are cycle-identical to a kernel without this module.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -62,6 +63,29 @@ REPLAY_IRQS = frozenset({IVC_IRQ})
 
 #: Allowed policy actions.
 POLICY_ACTIONS = ("halt", "restart", "restart_from_checkpoint")
+
+
+@contextmanager
+def privileged_context(cpu):
+    """Run a kernel-initiated block at SVC with IRQs masked.
+
+    Restarts, resurrections and adoptions fire from the event loop under
+    whichever context is live (possibly guest user mode) and may install
+    another address space, so the mode, the IRQ mask and TTBR0,
+    CONTEXTIDR and DACR are saved first and put back afterwards."""
+    sysregs = cpu.sysregs
+    mode, masked = cpu.mode, cpu.irq_masked
+    saved = {name: sysregs.read(name, privileged=True)
+             for name in ("TTBR0", "CONTEXTIDR", "DACR")}
+    cpu.set_mode(Mode.SVC)
+    cpu.irq_masked = True
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            sysregs.write(name, value, privileged=True)
+        cpu.set_mode(mode)
+        cpu.irq_masked = masked
 
 
 @dataclass(frozen=True)
@@ -295,14 +319,8 @@ class VmLifecycle:
         old = k.domains[vm_id]
         policy = self.policies.get(vm_id)
         cpu = k.cpu
-        sysregs = cpu.sysregs
-        mode, masked = cpu.mode, cpu.irq_masked
-        saved_ctx = {name: sysregs.read(name, privileged=True)
-                     for name in ("TTBR0", "CONTEXTIDR", "DACR")}
-        cpu.set_mode(Mode.SVC)
-        cpu.irq_masked = True
         t0 = k.sim.now
-        try:
+        with privileged_context(cpu):
             respawn = getattr(old.runner, "lifecycle_respawn", None)
             if respawn is None:
                 # The runner cannot be rebuilt (e.g. a rogue WildRunner):
@@ -347,11 +365,6 @@ class VmLifecycle:
                           epoch=pd.epoch, seq=ckpt.seq if ckpt else 0,
                           source="checkpoint" if ckpt else "fresh")
             return pd
-        finally:
-            for name, value in saved_ctx.items():
-                sysregs.write(name, value, privileged=True)
-            cpu.set_mode(mode)
-            cpu.irq_masked = masked
 
     # -- cross-board adoption (docs/FLEET.md) -----------------------------
 
@@ -370,23 +383,10 @@ class VmLifecycle:
             raise ValueError(
                 f"checkpoint image is {len(ckpt.memory_image)} bytes but "
                 f"target PD {pd.vm_id} owns {pd.phys_size}")
-        # Same privileged-context protocol as resurrect(): the restore
-        # walks kernel save areas, so it must run at SVC with IRQs
-        # masked, leaving the interrupted context untouched.
-        cpu = self.k.cpu
-        sysregs = cpu.sysregs
-        mode, masked = cpu.mode, cpu.irq_masked
-        saved_ctx = {name: sysregs.read(name, privileged=True)
-                     for name in ("TTBR0", "CONTEXTIDR", "DACR")}
-        cpu.set_mode(Mode.SVC)
-        cpu.irq_masked = True
-        try:
+        # The restore walks kernel save areas, so it must run at SVC
+        # with IRQs masked, leaving the interrupted context untouched.
+        with privileged_context(self.k.cpu):
             self._apply_checkpoint(pd, ckpt)
-        finally:
-            for name, value in saved_ctx.items():
-                sysregs.write(name, value, privileged=True)
-            cpu.set_mode(mode)
-            cpu.irq_masked = masked
         if ckpt.quantum_remaining > 0:
             pd.quantum_remaining = ckpt.quantum_remaining
         self.k.metrics.counter("vm.lifecycle.adoptions").inc()

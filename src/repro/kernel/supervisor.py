@@ -10,7 +10,7 @@ and drives recovery from the intent journal plus hardware ground truth.
 Health model: the heartbeat is *mailbox progress*.  Every enqueue into
 ``kernel.manager_queue`` arms (or keeps armed) a per-request deadline;
 every posted result refreshes it.  If the oldest outstanding request has
-not been retired within ``manager_deadline_ms`` the supervisor declares
+not been retired within ``MANAGER_DEADLINE_MS`` the supervisor declares
 the service hung and restarts it.  Crashes need no timer: the run loop
 catches :class:`~repro.common.errors.ServiceCrashed` escaping the
 manager's ``step()`` and calls straight into :meth:`handle_crash`.
@@ -24,10 +24,14 @@ cycle-identical to the unsupervised kernel.
 from __future__ import annotations
 
 from ..common.units import ms_to_cycles
-from ..cpu.modes import Mode
 from ..hwmgr.invariants import check_invariants, report_violations
 from ..hwmgr.recovery import recover
+from .lifecycle import privileged_context
 from .memory import DACR_GUEST_USER
+
+#: Oldest outstanding manager request must be retired within this budget
+#: or the supervisor declares the service hung.
+MANAGER_DEADLINE_MS = 10.0
 
 
 class ManagerSupervisor:
@@ -50,13 +54,11 @@ class ManagerSupervisor:
 
     def _deadline_cycles(self) -> int:
         k = self.kernel
-        return ms_to_cycles(k.config.manager_deadline_ms,
-                            k.machine.params.cpu.hz)
+        return ms_to_cycles(MANAGER_DEADLINE_MS, k.machine.params.cpu.hz)
 
     def _armed_wanted(self) -> bool:
         k = self.kernel
-        return (k.config.supervise_manager and k.faults is not None
-                and k.manager_pd is not None)
+        return k.faults is not None and k.manager_pd is not None
 
     def note_enqueue(self) -> None:
         """A request entered the mailbox: start its deadline clock."""
@@ -113,46 +115,36 @@ class ManagerSupervisor:
             return
         self.in_restart = True
         t0 = k.sim.now
-        # The restart runs in kernel context no matter where it was
-        # triggered: a crash unwinds out of the manager's *user* mode, a
-        # deadline fires from the event loop under whichever guest's
-        # address space is live.  Raise privilege for the respawn cost
-        # and install the manager's address space for journal recovery
-        # (its code/ctl/table VAs only translate under its own TTBR),
-        # then put the interrupted context back.
-        cpu = k.cpu
-        sysregs = cpu.sysregs
-        mode, masked = cpu.mode, cpu.irq_masked
-        saved_ctx = {name: sysregs.read(name, privileged=True)
-                     for name in ("TTBR0", "CONTEXTIDR", "DACR")}
-        cpu.set_mode(Mode.SVC)
-        cpu.irq_masked = True
+        # A crash unwinds out of the manager's *user* mode, a deadline
+        # fires under whichever guest is live: respawn in kernel context,
+        # with the manager's address space installed for journal recovery
+        # (its code/ctl/table VAs only translate under its own TTBR).
+        sysregs = k.cpu.sysregs
         try:
-            self.restarts += 1
-            k.metrics.counter("supervisor.restarts", reason=reason).inc()
-            k.tracer.mark("manager_restart", cat="fault", reason=reason,
-                          n=self.restarts)
-            service = k.restart_manager(reason=reason)
-            pd = k.manager_pd
-            sysregs.write("TTBR0", pd.page_table.l1_base, privileged=True)
-            sysregs.write("CONTEXTIDR", pd.asid, privileged=True)
-            sysregs.write("DACR", DACR_GUEST_USER, privileged=True)
-            recover(k, service)
-            violations = check_invariants(k)
-            for what in violations:
-                k.metrics.counter("supervisor.invariant_violations").inc()
-                k.tracer.mark("invariant_violation", cat="fault", what=what)
-            report_violations(k, violations, where="manager_restart")
-            k.metrics.histogram("supervisor.restart_cycles").observe(
-                k.sim.now - t0)
-            k.tracer.mark("manager_recovered", cat="fault", reason=reason,
-                          violations=len(violations))
+            with privileged_context(k.cpu):
+                self.restarts += 1
+                k.metrics.counter("supervisor.restarts", reason=reason).inc()
+                k.tracer.mark("manager_restart", cat="fault", reason=reason,
+                              n=self.restarts)
+                service = k.restart_manager(reason=reason)
+                pd = k.manager_pd
+                sysregs.write("TTBR0", pd.page_table.l1_base,
+                              privileged=True)
+                sysregs.write("CONTEXTIDR", pd.asid, privileged=True)
+                sysregs.write("DACR", DACR_GUEST_USER, privileged=True)
+                recover(k, service)
+                violations = check_invariants(k)
+                for what in violations:
+                    k.metrics.counter("supervisor.invariant_violations").inc()
+                    k.tracer.mark("invariant_violation", cat="fault",
+                                  what=what)
+                report_violations(k, violations, where="manager_restart")
+                k.metrics.histogram("supervisor.restart_cycles").observe(
+                    k.sim.now - t0)
+                k.tracer.mark("manager_recovered", cat="fault",
+                              reason=reason, violations=len(violations))
         finally:
             self.in_restart = False
-            for name, value in saved_ctx.items():
-                sysregs.write(name, value, privileged=True)
-            cpu.set_mode(mode)
-            cpu.irq_masked = masked
         # Reset the heartbeat against the re-seeded mailbox: surviving
         # kernel-originated requests restart their deadline from now.
         if self._deadline_ev is not None:

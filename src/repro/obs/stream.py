@@ -110,6 +110,12 @@ class TelemetryStream:
         self.next_due = sim.now + self.interval
         if self.metrics is not None:
             self._prev = MetricSnapshot.of(self.metrics)
+        self.emit_header()
+        sim.attach_stream(self)
+
+    def emit_header(self) -> None:
+        """The first record: schema version, cadence, source, seed and
+        start snapshot (empty for a record bus, which never attaches)."""
         self._emit("header", {
             "schema_version": STREAM_SCHEMA_VERSION,
             "interval_cycles": self.interval,
@@ -118,7 +124,6 @@ class TelemetryStream:
             "meta": self.meta,
             "snapshot": self._prev.to_dict(),
         })
-        sim.attach_stream(self)
 
     def on_tick(self, now: int) -> None:
         """Engine callback: the clock crossed ``next_due``.
@@ -172,14 +177,6 @@ class TelemetryStream:
         enter/exit (docs/FLEET.md §11)."""
         self._emit("overload_transition",
                    {"kind": kind, "tick": tick, "info": info})
-
-    def emit_overload_summary(self, *, admitted: int, dropped: int,
-                              goodput: int, **info: Any) -> None:
-        """End-of-run overload accounting: admission totals plus
-        whatever the harness adds (drops by reason, breaker counts)."""
-        self._emit("overload_summary",
-                   {"admitted": admitted, "dropped": dropped,
-                    "goodput": goodput, "info": info})
 
     def emit_explore_failure(self, schedule_id: str, *, reasons: list[str],
                              shrunk_to: int, replayed_identical: bool,

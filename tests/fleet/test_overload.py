@@ -4,16 +4,17 @@ import json
 
 import pytest
 
-from repro.faults.plan import RETRY_STORM, TRAFFIC_SURGE
+from repro.faults.plan import (BOARD_CRASH, BOARD_HANG, RETRY_STORM,
+                               TRAFFIC_SURGE)
 from repro.fleet.dispatcher import Dispatcher, FleetConfig, KillSpec
 from repro.fleet.harness import run_brownout_demo, run_fleet
 from repro.fleet.overload import (BREAKER_CLOSED, BREAKER_HALF_OPEN,
                                   BREAKER_OPEN, BREAKER_TRANSITIONS,
                                   DROP_DEADLINE, DROP_QUEUE_FULL,
-                                  DROP_RATE_LIMITED, AdmissionController,
-                                  CircuitBreaker, LoadShedder,
-                                  OverloadConfig, RetryBudget, TokenBucket,
-                                  check_overload_invariants)
+                                  DROP_RATE_LIMITED, NO_LIMITS,
+                                  AdmissionController, CircuitBreaker,
+                                  LoadShedder, OverloadConfig, RetryBudget,
+                                  TokenBucket, check_overload_invariants)
 from repro.fleet.tenant import BESTEFFORT, CRITICAL, TenantRecord, TenantSpec
 from repro.obs.metrics import MetricsRegistry
 
@@ -286,8 +287,8 @@ class TestArmedFleet:
         assert f["breaker_opens"] >= 1
         assert f["traffic_surges"] == 1
         assert f["boards_stormed"] == 1
+        assert payload["config"]["overload"] == ARMED.as_dict()
         ov = payload["overload"]
-        assert ov["enabled"]
         assert sum(ov["drops_by_reason"].values()) == f["admission_dropped"]
         # O3 holds in the payload's own terms: goodput <= served.
         for td in payload["tenants"].values():
@@ -310,18 +311,110 @@ class TestArmedFleet:
             disp.close()
 
     def test_idle_plane_changes_nothing(self):
-        # overload=None must reproduce the legacy payload byte for byte
-        # (minus the overload block itself).
+        # An unconfigured run arms NO_LIMITS, which never binds: the
+        # config still reads null, the overload block stays empty and
+        # every served request counts as goodput.
         base = FleetConfig(boards=2, tenants_per_board=2, seed=5, ticks=20,
                            rate_per_tick=0.2)
         one = run_fleet(base)
         two = run_fleet(base)
         assert one["config"]["overload"] is None
-        assert not one["overload"]["enabled"]
-        assert one["overload"]["drops_by_reason"] == {}
+        assert one["overload"] == {"events": [], "breaker_transitions": [],
+                                   "drops_by_reason": {}}
         assert one["fleet"]["admission_dropped"] == 0
+        assert one["fleet"]["goodput"] == one["requests"]["served"]
         assert (json.dumps(one, sort_keys=True)
                 == json.dumps(two, sort_keys=True))
+
+
+class TestNoLimits:
+    """The plane every unconfigured fleet run arms."""
+
+    CALLS = 10_000
+
+    def test_config_is_the_unconfigured_plane(self):
+        disp = Dispatcher(FleetConfig(boards=1, tenants_per_board=0,
+                                      ticks=0))
+        try:
+            assert disp.overload is NO_LIMITS
+            assert disp.links[0].retry_budget is disp.retry_budget
+        finally:
+            disp.close()
+        assert (NO_LIMITS.surge_factor,
+                NO_LIMITS.surge_duration_ticks) == (8.0, 8)
+
+    def test_admission_never_refuses_or_expires(self):
+        m = MetricsRegistry()
+        rec = _rec()
+        adm = AdmissionController(NO_LIMITS, m, [rec.spec.name])
+        for t in range(self.CALLS):
+            adm.begin_tick(t, {rec.spec.name: rec}, {rec.spec.name: 1.0})
+            assert adm.admit(rec, t) is None
+            rec.queue.append(t)
+        assert len(rec.queue) == self.CALLS     # the tick-0 head survives
+        assert rec.dropped == {}
+        assert m.total("fleet.admission.admitted") == self.CALLS
+        assert m.total("fleet.admission.dropped") == 0
+
+    def test_shedder_never_degrades_or_kills(self):
+        sh = LoadShedder(NO_LIMITS, MetricsRegistry())
+        rec = _rec()
+        rec.queue.extend([0] * self.CALLS)
+        for t in range(self.CALLS // 10):
+            assert sh.step(t, {rec.spec.name: rec}) == []
+        assert sh.multiplier(rec) == 1.0
+        assert sh.levels == {} and sh.events == []
+
+    def test_retry_budget_never_denies(self):
+        rb = NO_LIMITS.retry_budget()
+        assert all(rb.try_retry() for _ in range(self.CALLS))
+        assert rb.denied == 0
+
+    def test_breaker_never_trips(self):
+        br = NO_LIMITS.breaker()
+        for t in range(self.CALLS):
+            br.on_tick(t)
+            assert br.on_failure(t) is None
+            assert br.allow()
+        assert br.state == BREAKER_CLOSED and br.transitions == []
+
+    def test_unconfigured_fleet_under_faults_never_binds(self):
+        # Crash, hang, storm and surge on an unconfigured fleet: nothing
+        # is dropped, denied or tripped, goodput equals served, every
+        # non-shed arrival is admitted, and O1-O4 hold on every tick.
+        cfg = FleetConfig(boards=3, tenants_per_board=2, seed=3, ticks=40,
+                          rate_per_tick=0.3)
+        kills = (KillSpec(tick=4, board=0, site=TRAFFIC_SURGE),
+                 KillSpec(tick=8, board=1, site=RETRY_STORM,
+                          duration_ticks=3),
+                 KillSpec(tick=14, board=2, site=BOARD_HANG,
+                          duration_ticks=2),
+                 KillSpec(tick=20, board=1, site=BOARD_CRASH))
+        disp = Dispatcher(cfg, kills=kills)
+        disp.place_initial()
+        try:
+            for t in range(cfg.ticks):
+                disp.tick(t)
+                assert check_overload_invariants(disp) == []
+            assert disp.violations == []
+            assert len(disp.kills_fired) == len(kills)
+            m = disp.metrics
+            assert m.total("fleet.rpc.failures") > 0
+            assert m.total("fleet.goodput") \
+                == m.total("fleet.requests.served") > 0
+            for name in ("fleet.admission.dropped", "fleet.admission.degraded",
+                         "fleet.rpc.retries_denied", "fleet.breaker.opens",
+                         "fleet.breaker.short_circuits"):
+                assert m.total(name) == 0, name
+            for link in disp.links:
+                assert link.breaker.transitions == []
+            for rec in disp.tenants.values():
+                assert rec.dropped == {}
+                assert rec.goodput == rec.served
+                arrival_shed = rec.shed_requests - rec.queue_shed
+                assert rec.admitted == rec.arrived - arrival_shed
+        finally:
+            disp.close()
 
 
 def test_brownout_demo_is_bit_identical():

@@ -121,3 +121,28 @@ def test_cli_run_and_bench_share_the_slo_verdict(tmp_path, capsys):
     for err in (run_err, bench_err):
         assert "SLO BREACH:" in err and "across 1 rule(s)" in err
         assert "switch-p99 (latency_p99) at cycle" in err
+
+
+def test_cli_record_bus_streams_start_with_a_header(tmp_path):
+    """``fleet`` and ``explore`` record buses open with a ``header`` that
+    carries the schema version, the source and the seed."""
+    import json
+
+    from repro.__main__ import main
+    from repro.obs.stream import STREAM_SCHEMA_VERSION
+    runs = {"fleet": ["fleet", "--boards", "2", "--ticks", "8", "--seed", "3"],
+            "explore": ["explore", "--named", "pcap-retry", "--seed", "5"]}
+    for source, argv in runs.items():
+        stream = tmp_path / f"{source}.jsonl"
+        assert main([*argv, "--stream-out", str(stream),
+                     "--out", str(tmp_path / f"{source}.json")]) == 0
+        records = [json.loads(x) for x in stream.read_text().splitlines()]
+        head = records[0]
+        assert head["type"] == "header" and head["seq"] == 0
+        assert head["schema_version"] == STREAM_SCHEMA_VERSION
+        assert head["source"] == source
+        assert head["seed"] == int(argv[-1])
+        assert head["snapshot"]["counters"] == {}
+        assert [r["type"] for r in records].count("header") == 1
+        assert records[-1]["type"] == "end"
+        assert records[-1]["records"] == len(records)
