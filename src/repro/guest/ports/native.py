@@ -10,6 +10,8 @@ work — exactly the differences the paper attributes the native column to.
 
 from __future__ import annotations
 
+import math
+
 from ...common.errors import DeviceError, GuestPanic
 from ...fpga.controller import CTL_STRIDE
 from ...gic import gic as gicdev
@@ -105,7 +107,16 @@ class NativeSystem:
             max_iterations: int = 10_000_000) -> None:
         if not self.booted:
             raise DeviceError("boot() first")
-        for _ in range(max_iterations):
+        # With the fast path, idle stretches spin up to ``until_cycles``
+        # (docs/PERFORMANCE.md §2), each spun chunk counting as one
+        # iteration.  ``until`` is evaluated between spins only: it cannot
+        # change while only the idle task runs and no event fires.
+        spin_until = None
+        if self.machine.mem.fastpath:
+            spin_until = math.inf if until_cycles is None else until_cycles
+        iterations = 0
+        while iterations < max_iterations:
+            iterations += 1
             if until_cycles is not None and self.sim.now >= until_cycles:
                 return
             if until is not None and until():
@@ -120,11 +131,13 @@ class NativeSystem:
                 continue
             if self.os.pending_irqs:
                 self.os.handle_pending_irqs()
-            kind, payload = self.os.run_one_action()
+            kind, payload = self.os.run_one_action(spin_until)
             if kind == "fault":
                 raise GuestPanic(f"native fault: {payload}")
             if kind == "halt":
                 self.halted = True
+            if kind == "ran" and payload:
+                iterations += payload - 1
         raise GuestPanic("native run loop exceeded max_iterations")
 
     def _handle_irq(self) -> None:

@@ -21,7 +21,7 @@ from ..ucos import Tcb, Ucos
 class ParavirtUcos:
     """DomainRunner hosting one paravirtualized uCOS instance."""
 
-    def __init__(self, os: Ucos, *, seed: int | None = None) -> None:
+    def __init__(self, os: Ucos) -> None:
         self.os = os
         self.kernel = None
         self.pd = None
@@ -58,10 +58,13 @@ class ParavirtUcos:
             self._boot_await = num
             return ExitHypercall(num=num, args=args)
         start = kernel.sim.now
+        # With the fast path, idle stretches spin up to the budget's end
+        # (docs/PERFORMANCE.md §2); the poll below follows their last chunk.
+        spin_until = start + budget if kernel.mem.fastpath else None
         while kernel.sim.now - start < budget:
             if self.os.pending_irqs:
                 self.os.handle_pending_irqs()
-            kind, payload = self.os.run_one_action()
+            kind, payload = self.os.run_one_action(spin_until)
             if kind == "ran":
                 if kernel.poll():
                     return None

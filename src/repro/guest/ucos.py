@@ -56,6 +56,8 @@ from .costs import (
 #: uC/OS-II convention: lower number = higher priority; 63 = idle.
 N_PRIOS = 64
 IDLE_PRIO = N_PRIOS - 1
+#: One idle-task spin chunk: its loop body and its one word of OS data.
+IDLE_CHUNK = Compute(UC.idle_loop, 4, ((GL.KERNEL_DATA, 4096),), 0.0)
 
 
 class TaskState(Enum):
@@ -114,7 +116,6 @@ class Tcb:
     retry_action: Any = None
     pending_sem: Semaphore | None = None
     switches: int = 0
-    actions: int = 0
 
 
 @dataclass
@@ -122,7 +123,6 @@ class OsStats:
     ticks: int = 0
     ctx_switches: int = 0
     isr_count: int = 0
-    idle_chunks: int = 0
     faults_handled: int = 0
 
 
@@ -189,8 +189,7 @@ class Ucos:
     def _create_idle(self) -> None:
         def idle_fn(os: "Ucos") -> Generator:
             while True:
-                yield Compute(UC.idle_loop, 4,
-                              ((GL.KERNEL_DATA, 4096),), 0.0)
+                yield IDLE_CHUNK
         self.create_task("idle", IDLE_PRIO, idle_fn)
 
     # -- scheduling core ----------------------------------------------------------
@@ -268,11 +267,17 @@ class Ucos:
 
     # -- the dispatcher ------------------------------------------------------------
 
-    def run_one_action(self) -> tuple[str, Any]:
+    def run_one_action(self, spin_until: int | float | None = None
+                       ) -> tuple[str, Any]:
         """Dispatch the highest-priority ready task for one action.
+
+        With ``spin_until``, an idle-task dispatch that owes no scheduling
+        work runs as a spin of idle chunks (:meth:`_spin_idle`) that may
+        last until that cycle.
 
         Returns one of:
           ("ran", None)            — action fully executed in-guest
+          ("ran", chunks)          — idle chunks spun (``spin_until``)
           ("hypercall", (tcb, num, args)) — port wants a VM exit
           ("fault", exc)           — architectural fault escaped to the host
           ("halt", None)           — every application task finished
@@ -283,6 +288,10 @@ class Ucos:
             return ("halt", None)
         if self.live_task_count() == 0:
             return ("halt", None)
+        if (spin_until is not None and tcb is self.current
+                and tcb.prio == IDLE_PRIO and tcb.retry_action is None
+                and not tcb.has_inbox and not self.pending_irqs):
+            return self._spin_idle(tcb, spin_until)
 
         if tcb is not self.current:
             ex.code(GL.KERNEL_CODE + CODE_SCHED, UC.sched_pick)
@@ -307,11 +316,28 @@ class Ucos:
             except StopIteration:
                 tcb.state = TaskState.DONE
                 return ("ran", None)
-        tcb.actions += 1
         return self._execute(tcb, action)
 
+    def _spin_idle(self, idle: Tcb, until: int | float) -> tuple[str, Any]:
+        """Idle chunks back to back through ``GuestExecutor.spin``.
+
+        Each chunk is what dispatching the idle task does today: the idle
+        task is current (no pick or context switch is charged), its
+        generator yields the same ``IDLE_CHUNK`` every time, and nothing
+        the port checks between actions — pending vIRQs, task states —
+        can change before the next event, where the spin stops.  A fault
+        leaves the chunk to retry, as :meth:`_execute` does.
+        """
+        c = IDLE_CHUNK
+        try:
+            return ("ran", self.port.exec.spin(c.instrs, c.mem_accesses,
+                                               c.regions, c.write_frac,
+                                               until))
+        except ArchFault as fault:
+            idle.retry_action = c
+            return ("fault", fault)
+
     def _execute(self, tcb: Tcb, action: Any) -> tuple[str, Any]:
-        ex = self.port.exec
         try:
             return self._execute_inner(tcb, action)
         except ArchFault as fault:

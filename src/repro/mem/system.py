@@ -35,8 +35,7 @@ class MemorySystem:
         self.guest_frames = FrameAllocator(mm.dram_base + 32 * 1024 * 1024,
                                            mm.dram_size - 32 * 1024 * 1024)
         # Fill-pressure amplification state (see sample_block).
-        import numpy as _np
-        self._press_rng = _np.random.default_rng(0xF111)
+        self._press_rng = np.random.default_rng(0xF111)
         self._l2_fill_acc = 0
         self._tlb_fill_acc = 0
         self._l2_press_threshold = params.l2.sets * params.l2.ways // 2
@@ -160,15 +159,19 @@ class MemorySystem:
 
     # -- bulk workload traffic ---------------------------------------------
 
-    def sample_block(self, vaddrs: np.ndarray, *, write_mask: np.ndarray,
+    def sample_block(self, vaddrs: list[int] | np.ndarray, *,
+                     write_mask: list[bool] | np.ndarray,
                      privileged: bool, scale: int) -> int:
         """Push sampled accesses through MMU+caches; extrapolate total cycles.
 
-        ``vaddrs``: sampled virtual addresses (1/scale of the real stream).
+        ``vaddrs``: sampled virtual addresses (1/scale of the real stream),
+        as a list or a NumPy array, with ``write_mask`` in the same form.
         Returns extrapolated cycles for the *full* stream's memory latency.
         """
         if len(vaddrs) == 0:
             return 0
+        if isinstance(vaddrs, np.ndarray):
+            vaddrs, write_mask = vaddrs.tolist(), write_mask.tolist()
         l2_misses0 = self.caches.l2.stats.misses
         tlb_misses0 = self.mmu.tlb.stats.misses
         if self.fastpath:
@@ -180,7 +183,7 @@ class MemorySystem:
             total = 0
             translate = self.mmu.translate
             caches_access = self.caches.access
-            for va, w in zip(vaddrs.tolist(), write_mask.tolist()):
+            for va, w in zip(vaddrs, write_mask):
                 paddr, c = translate(va, privileged=privileged, write=w)
                 c += caches_access(paddr, write=w, kind=AccessKind.DATA)
                 total += c
@@ -216,9 +219,23 @@ class MemorySystem:
         if self._tlb_fill_acc >= self._tlb_press_threshold:
             dropped = self.mmu.tlb.clear_random_sets(0.5, self._press_rng)
             self._tlb_fill_acc = -dropped * (scale - 1)
+        # Both accumulators now sit below their thresholds, so a block
+        # without L2 or TLB misses cannot drop anything: GuestExecutor.spin
+        # relies on that to skip this model for its MRU-hit chunks.
         return total * scale
 
-    def _sample_fast(self, vaddrs: np.ndarray, write_mask: np.ndarray,
+    def credit_mru_hits(self, n: int, cycles: int) -> None:
+        """Record what ``sample_block`` would for ``n`` one-address blocks
+        that hit the MRU entry of their TLB set and the MRU line of their
+        L1D set (``GuestExecutor.spin``): the hits, and ``cycles`` of
+        extrapolated latency on the batched-cycle books."""
+        self.mmu.tlb.stats.hits += n
+        self.caches.l1d.stats.hits += n
+        self.batched_cycles += cycles
+        if self._m_batched is not None:
+            self._m_batched.inc(cycles)
+
+    def _sample_fast(self, vaddrs: list[int], write_mask: list[bool],
                      privileged: bool) -> int:
         """Fused reformulation of the per-access translate+access loop.
 
@@ -265,7 +282,7 @@ class MemorySystem:
         lat_dram = caches._lat_dram
         wb_cost = lat_dram // 4
         try:
-            for va, w in zip(vaddrs.tolist(), write_mask.tolist()):
+            for va, w in zip(vaddrs, write_mask):
                 c = 0
                 if enabled:
                     vpn = va >> 12

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -184,6 +185,18 @@ class Simulator:
         if s is not None and self.clock.now >= s.next_due:
             s.on_tick(self.clock.now)
         return n
+
+    def next_due(self) -> int | float:
+        """The earliest clock value at which :meth:`dispatch_due` could do
+        anything: the head of the event queue (cancelled or not) or the
+        telemetry tap's next emission; ``inf`` when there is neither.
+        Advancing the clock short of it without dispatching is
+        unobservable (``GuestExecutor.spin``)."""
+        t = self._queue[0].time if self._queue else math.inf
+        s = self._stream
+        if s is not None and s.next_due < t:
+            t = s.next_due
+        return t
 
     def next_event_time(self) -> int | None:
         """Time of the earliest pending event, or None when queue is empty."""

@@ -96,3 +96,29 @@ def test_native_halts_when_tasks_done(native):
 def test_iface_addr_is_physical(native):
     machine, os_, sys_ = native
     assert sys_.iface_addr(2, 0x9999_0000) == machine.prr_reg_page_paddr(2)
+
+
+@pytest.mark.parametrize("fastpath", [True, False])
+def test_runaway_run_still_raises(fastpath):
+    """Spun idle chunks count against ``max_iterations``: a run whose only
+    task sleeps forever raises after about that many chunks, on either
+    path, instead of idling on to the next bound."""
+    from repro.common.errors import GuestPanic
+    from repro.common.params import DEFAULT_PARAMS
+
+    machine = Machine(MachineConfig(tasks=("fft256",),
+                                    params=DEFAULT_PARAMS.with_(
+                                        fastpath=fastpath)))
+    os_ = Ucos("nat", tick_hz=100)
+    sys_ = NativeSystem(machine, os_)
+    sys_.boot()
+
+    def sleeper(os):
+        yield Delay(10**9)
+
+    os_.create_task("sleeper", 5, sleeper)
+    with pytest.raises(GuestPanic, match="max_iterations"):
+        sys_.run(max_iterations=2000)
+    # 2000 idle chunks of ~6000 cycles, plus at most one tick period of
+    # overshoot by the last spin.
+    assert machine.now < 2000 * 6100 + ms_to_cycles(10)

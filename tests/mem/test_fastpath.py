@@ -117,6 +117,161 @@ class TestRunEquivalence:
         assert m.total("sim.fastpath.walk_cache_hits") == 0
 
 
+def _board_state(board):
+    """``_scenario_state`` of one fleet board, plus its kernel's trace."""
+    return {**_scenario_state(board), "trace": list(board.kernel.tracer.events)}
+
+
+class TestIdleSpinEquivalence:
+    """The fused idle spin (docs/PERFORMANCE.md §2) against the reference
+    loop that ``fastpath=False`` runs, where the spin does its work."""
+
+    def test_fleet_with_crash_and_migration_identical(self, monkeypatch):
+        """Tenants spin between frames; the crashed board's tenants are
+        migrated, and their restores rewrite DRAM under the spin."""
+        from repro.faults.plan import BOARD_CRASH
+        from repro.fleet import harness
+        from repro.fleet.dispatcher import FleetConfig, KillSpec
+
+        boards = []
+
+        class Capturing(harness.Dispatcher):
+            def __init__(self, *a, **kw):
+                super().__init__(*a, **kw)
+                boards.append([link.host._server for link in self.links])
+
+        monkeypatch.setattr(harness, "Dispatcher", Capturing)
+        cfg = FleetConfig(boards=3, tenants_per_board=2, seed=3, ticks=40,
+                          rate_per_tick=0.05, workers="inline")
+        kills = (KillSpec(tick=10, board=1, site=BOARD_CRASH),)
+        runs = []
+        for params in (DEFAULT_PARAMS, SLOW_PARAMS):
+            _patch_default_params(monkeypatch, params)
+            payload = harness.run_fleet(cfg, kills=kills)
+            runs.append((payload, [_board_state(b) for b in boards[-1]]))
+        assert runs[0] == runs[1]
+        payload = runs[0][0]
+        assert payload["ok"] and payload["fleet"]["migrations"] > 0
+
+    def test_native_table3_identical(self):
+        from repro.eval.scenarios import build_native
+
+        states = []
+        for params in (DEFAULT_PARAMS, SLOW_PARAMS):
+            sc = build_native(seed=2,
+                              machine_config=MachineConfig(params=params))
+            sc.run_until_completions(6)
+            caches = sc.machine.mem.caches
+            states.append({
+                "now": sc.machine.now,
+                "ledger": dict(sc.machine.cpu.cycle_ledger),
+                "caches": {n: vars(s) for n, s in caches.snapshot().items()},
+                "l1d_tags": [list(t) for t in caches.l1d._tags],
+                "tlb": vars(sc.machine.mem.mmu.tlb.stats.snapshot()),
+                "irqs": sc.system.irq_count,
+                "os": vars(sc.system.os.stats),
+                "trace": list(sc.tracer.events),
+                "completions": sc.total_completions(),
+            })
+        assert states[0] == states[1]
+        assert states[0]["completions"] >= 6
+
+    @pytest.mark.parametrize("disturb", ["tlb_flush", "evict_idle_line",
+                                         "kill_vm"])
+    def test_events_landing_mid_spin_identical(self, disturb):
+        """Events that fire while the idle task spins change what the
+        spin probes (the TLB, the idle task's L1D lines) or end the VM."""
+        from repro.eval.scenarios import build_virtualized
+        from repro.guest import layout_guest as GL
+        from repro.guest.ucos import IDLE_PRIO
+
+        def run(params):
+            sc = build_virtualized(
+                2, seed=4, with_workloads=False,
+                machine_config=MachineConfig(params=params))
+            k, mem = sc.kernel, sc.machine.mem
+            sc.run_ms(5.0)
+            idle_at_event = []
+
+            def fire():
+                pd = k.current
+                os_ = getattr(pd.runner, "os", None) if pd else None
+                idle_at_event.append(os_ is not None and os_.current.prio
+                                     == IDLE_PRIO)
+                if not idle_at_event[-1]:
+                    return
+                if disturb == "tlb_flush":
+                    mem.mmu.tlb.flush_all()
+                elif disturb == "evict_idle_line":
+                    page = mem.mmu.probe(GL.KERNEL_DATA).pfn << 12
+                    for off in range(0, 4096, sc.machine.params.l1d.line):
+                        mem.caches.l1d.invalidate_line(page + off)
+                elif not k.metrics.total("kernel.vm_kills"):
+                    k.kill_vm(pd, reason="test")
+
+            # Odd offsets land inside idle chunks, not on their edges.
+            for i in range(12):
+                k.sim.schedule(1_000_003 + i * 700_001, fire)
+            sc.run_ms(15.0)
+            return (_scenario_state(sc), k.metrics.total("kernel.vm_kills"),
+                    idle_at_event)
+
+        fast, slow = run(DEFAULT_PARAMS), run(SLOW_PARAMS)
+        assert fast == slow
+        state, kills, idle_at_event = fast
+        if disturb == "kill_vm":
+            assert kills == 1 and idle_at_event[0]
+        else:                             # most events hit a spinning guest
+            assert sum(idle_at_event) >= 6
+
+    def test_spin_engages(self, monkeypatch):
+        """Non-vacuity: the equality tests above prove nothing if the spin
+        never fuses a chunk.  A spy (not a product counter) counts idle
+        chunks that ran fused, i.e. inside ``spin`` without reaching
+        ``sample_block``, against every idle chunk run."""
+        from repro.eval.scenarios import build_virtualized
+        from repro.guest.exec import GuestExecutor
+        from repro.guest.ucos import IDLE_CHUNK
+
+        idle = (IDLE_CHUNK.instrs, IDLE_CHUNK.mem_accesses,
+                IDLE_CHUNK.regions, IDLE_CHUNK.write_frac)
+        counts = {"fused": 0, "general": 0}
+        inside = []
+        spin, bulk = GuestExecutor.spin, GuestExecutor.bulk
+        sample_block = MemorySystem.sample_block
+
+        def spy_spin(self, *args):
+            assert args[:4] == idle
+            inside.append(True)
+            try:
+                n = spin(self, *args)
+            finally:
+                inside.pop()
+            counts["fused"] += n
+            return n
+
+        def spy_bulk(self, *args):
+            if not inside and args == idle:
+                counts["general"] += 1
+            return bulk(self, *args)
+
+        def spy_sample_block(self, *args, **kw):
+            if inside:             # a chunk the spin handed back
+                counts["fused"] -= 1
+                counts["general"] += 1
+            return sample_block(self, *args, **kw)
+
+        monkeypatch.setattr(GuestExecutor, "spin", spy_spin)
+        monkeypatch.setattr(GuestExecutor, "bulk", spy_bulk)
+        monkeypatch.setattr(MemorySystem, "sample_block", spy_sample_block)
+        sc = build_virtualized(4, seed=1, with_workloads=False, verify=True,
+                               tick_hz=1000)
+        sc.run_ms(60.0)
+        total = counts["fused"] + counts["general"]
+        assert total > 1000
+        assert counts["fused"] >= 0.9 * total, counts
+
+
 @pytest.fixture
 def walked(memsys):
     """A memo-warm MMU: one mapped page, one completed timed walk."""
