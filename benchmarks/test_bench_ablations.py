@@ -22,6 +22,7 @@ from repro.eval.scenarios import build_virtualized
 from repro.hwmgr.service import ManagerService
 from repro.kernel.core import KernelConfig
 from repro.machine import MachineConfig
+from repro.obs.analytics import request_events
 
 
 def _mean_us(samples, hz):
@@ -125,14 +126,9 @@ def test_bench_ablation_manager_priority(benchmark):
                                task_set=("qam16",), kernel_config=cfg)
         sc.run_until_completions(6, max_ms=30_000)
         hz = sc.machine.params.cpu.hz
-        # Response = trap to result-posted, from the trace.
-        opened = {}
-        lat = []
-        for e in sc.tracer.events:
-            if e.name == "hwreq_queued":
-                opened[e.info["vm"]] = e.t
-            elif e.name == "hwreq_done" and e.info["vm"] in opened:
-                lat.append(e.t - opened.pop(e.info["vm"]))
+        # Response = request queued to result posted, from the trace.
+        lat = [done.t - queued.t for queued, done in request_events(
+            sc.tracer, ("hwreq_queued", "hwreq_done"))]
         results[front] = _mean_us(lat, hz)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     benchmark.extra_info["preempting_response_us"] = round(results[True], 2)

@@ -1,13 +1,12 @@
 """Extract the Table III overhead classes from a kernel/native trace.
 
-Built on the span/chain queries of :class:`repro.obs.trace.Tracer`; the
-event protocol itself (names, info keys, pairing rules) is the documented
+The event protocol (names, info keys, pairing rules) is the documented
 instrumentation contract of docs/OBSERVABILITY.md:
 
-* ``hwreq_trap(vm, hc)``     — SVC trap of an HC_HWTASK_REQUEST
-* ``mgr_exec_start(vm)``     — manager's first instruction for the request
-* ``mgr_exec_end(vm)``       — manager posted the result
-* ``hwreq_resumed(vm)``      — requesting guest resumed with the status
+* ``hwreq_trap(rid)``        — SVC trap of an HC_HWTASK_REQUEST
+* ``mgr_exec_start(rid)``    — manager's first instruction for the request
+* ``mgr_exec_end(rid)``      — manager posted the result
+* ``hwreq_resumed(rid)``     — requesting guest resumed with the status
 * ``plirq_route_start/_end(seq)``, ``plirq_inject_start/_end(seq)``
                              — the two halves of PL-IRQ distribution
 
@@ -20,9 +19,9 @@ Overhead classes (paper definitions):
   injection halves summed per IRQ instance)
 * **Total overhead**    = entry + execution + exit
 
-The request lifecycle is paired with :meth:`Tracer.chains` (keyed by VM:
-only complete trap->start->end->resumed chains are counted, exactly the
-original extraction semantics) and the PL-IRQ halves by
+A request's events are joined by its request ID with
+:func:`repro.obs.analytics.request_events` (only requests that reached
+all four events are counted), and the PL-IRQ halves by
 :func:`repro.obs.analytics.plirq_latency_samples` (keyed by the
 distribution sequence number).
 """
@@ -33,8 +32,7 @@ from dataclasses import dataclass, field
 from statistics import mean
 
 from ..common.units import cycles_to_us
-from ..kernel.hypercalls import Hc
-from ..obs.analytics import HWREQ_CHAIN, plirq_latency_samples
+from ..obs.analytics import plirq_latency_samples, request_events
 from ..obs.trace import Tracer
 
 
@@ -73,13 +71,11 @@ def _trimmed_mean(samples: list[int], trim: float) -> float:
 
 
 def extract_overheads(tracer: Tracer) -> OverheadSamples:
+    """Per-request Table III samples, in the order requesters resumed."""
     out = OverheadSamples()
-
-    # Request lifecycle: only chains opened by an actual HWTASK_REQUEST
-    # trap count (releases/attaches share the trap event name).
-    for trap, exec_start, exec_end, resumed in tracer.chains(
-            HWREQ_CHAIN, key="vm",
-            first_match={"hc": int(Hc.HWTASK_REQUEST)}):
+    for trap, exec_start, exec_end, resumed in request_events(
+            tracer, ("hwreq_trap", "mgr_exec_start", "mgr_exec_end",
+                     "hwreq_resumed")):
         entry = exec_start.t - trap.t
         execution = exec_end.t - exec_start.t
         exit_ = resumed.t - exec_end.t

@@ -72,6 +72,7 @@ class Pcap:
         self._xfer_bitstream: Bitstream | None = None
         self._xfer_prr = 0
         self._xfer_task = ""
+        self._xfer_rid: int | None = None
         self._xfer_attempt = 0
         self._xfer_corrupt = False
         self._timeout_ev: EventHandle | None = None
@@ -107,11 +108,12 @@ class Pcap:
         return -(-size * self.cpu_hz // self.params.pcap_bytes_per_sec)
 
     def start_transfer(self, bitstream: Bitstream, prr_id: int,
-                       core_name: str | None = None) -> int:
+                       rid: int | None = None) -> int:
         """Begin a reconfiguration; returns expected latency in CPU cycles.
 
         Raises :class:`DeviceBusy` if a transfer is already in flight
-        (the caller — the manager — serializes PCAP use).
+        (the caller — the manager — serializes PCAP use).  The trace
+        events carry ``rid``, the launching request's ID.
         """
         if self.busy:
             raise DeviceBusy("PCAP transfer already in progress")
@@ -119,7 +121,8 @@ class Pcap:
         self.done_flag = False
         self._xfer_bitstream = bitstream
         self._xfer_prr = prr_id
-        self._xfer_task = core_name or bitstream.task
+        self._xfer_task = bitstream.task
+        self._xfer_rid = rid
         self._xfer_attempt = 0
         return self._launch()
 
@@ -136,7 +139,8 @@ class Pcap:
         delay = self.transfer_cycles(bitstream.size)
         if self._tracer is not None:
             self._tracer.mark("pcap_xfer_start", cat="pcap", prr=prr_id,
-                              task=task, bytes=bitstream.size)
+                              task=task, bytes=bitstream.size,
+                              rid=self._xfer_rid)
         if self._m_transfers is not None:
             self._m_transfers.inc()
             self._m_bytes.inc(bitstream.size)
@@ -187,7 +191,7 @@ class Pcap:
         self._xfer_bitstream = None
         if self._tracer is not None:
             self._tracer.mark("pcap_xfer_end", cat="pcap", prr=prr_id,
-                              task=task)
+                              task=task, rid=self._xfer_rid)
         self.done_flag = True
         if self.int_en:
             self.gic.assert_irq(IRQ_PCAP_DONE)

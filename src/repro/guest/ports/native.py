@@ -11,6 +11,7 @@ work — exactly the differences the paper attributes the native column to.
 from __future__ import annotations
 
 import math
+from itertools import count
 
 from ...common.errors import DeviceError, GuestPanic
 from ...fpga.controller import CTL_STRIDE
@@ -68,6 +69,7 @@ class NativeSystem:
         self.booted = False
         self.halted = False
         self.irq_count = 0
+        self._rids = count(1)      # request IDs, as the kernel stamps them
 
     # -- boot ---------------------------------------------------------------
 
@@ -195,18 +197,20 @@ class NativeSystem:
         """The manager as a direct function call (Table III native row):
         trap/exec/resume collapse into one call, so the entry/exit spans
         have zero width by construction."""
+        rid = next(self._rids)
         self.tracer.mark("hwreq_trap", cat="hwmgr", vm=0,
-                         hc=int(Hc.HWTASK_REQUEST))
-        with self.tracer.span("mgr_exec", cat="hwmgr", vm=0):
+                         hc=int(Hc.HWTASK_REQUEST), rid=rid)
+        with self.tracer.span("mgr_exec", cat="hwmgr", vm=0, rid=rid):
             r = self.allocator.allocate(AllocRequest(
                 client_vm=0, task_id=req.task_id,
                 iface_va=req.iface_va,
                 data_pa=self.os.hwdata_pa + (req.data_va - GL.HWDATA_VA),
                 data_size=GL.HWDATA_SIZE - (req.data_va - GL.HWDATA_VA),
-                want_irq=req.want_irq))
+                want_irq=req.want_irq, rid=rid))
         self.metrics.counter("hwmgr.requests", kind="request").inc()
-        self.tracer.mark("hwreq_done", cat="hwmgr", vm=0, status=int(r.status))
-        self.tracer.mark("hwreq_resumed", cat="hwmgr", vm=0)
+        self.tracer.mark("hwreq_done", cat="hwmgr", vm=0, status=int(r.status),
+                         rid=rid)
+        self.tracer.mark("hwreq_resumed", cat="hwmgr", vm=0, rid=rid)
         tcb.inbox, tcb.has_inbox = (r.status, r.prr_id, r.irq_id), True
         return ("ran", None)
 
@@ -282,14 +286,15 @@ class _NativeManagerPort:
     def pcap_available(self) -> bool:
         return not self.sys.machine.pcap.busy
 
-    def pcap_launch(self, entry, prr_id: int, client_vm: int) -> None:
+    def pcap_launch(self, entry, prr_id: int, client_vm: int,
+                    rid: int | None) -> None:
         from ...fpga.pcap import PCAP_LEN, PCAP_SRC, PCAP_TARGET
         from ...machine import PCAP_BASE
         cpu = self.sys.cpu
         cpu.write32(PCAP_BASE + PCAP_SRC, entry.bitstream.paddr)
         cpu.write32(PCAP_BASE + PCAP_LEN, entry.bitstream.size)
         cpu.write32(PCAP_BASE + PCAP_TARGET, prr_id)
-        self.sys.machine.pcap.start_transfer(entry.bitstream, prr_id)
+        self.sys.machine.pcap.start_transfer(entry.bitstream, prr_id, rid)
 
     def crashpoint(self, point: str) -> None:
         pass  # the native manager is a plain function — it cannot "crash"

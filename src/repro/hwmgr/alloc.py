@@ -28,6 +28,7 @@ class AllocRequest:
     data_pa: int              # physical base of the client's data section
     data_size: int
     want_irq: bool = False
+    rid: int | None = None    # request ID, carried onto the PCAP transfer
 
 
 @dataclass
@@ -68,7 +69,7 @@ class ManagerPort(Protocol):
         """False while a PCAP transfer is in flight (single channel)."""
 
     def pcap_launch(self, entry: HwTaskEntry, prr_id: int,
-                    client_vm: int) -> None: ...
+                    client_vm: int, rid: int | None) -> None: ...
 
     def iface_va_of(self, client_vm: int, prr_id: int) -> int | None:
         """Current mapping of the PRR group in the client (None if unmapped)."""
@@ -226,7 +227,7 @@ class Allocator:
         # Stage 5: reconfigure through PCAP if the task is not resident.
         if needs_reconfig:
             port.code(0x800, MC.pcap_launch)
-            port.pcap_launch(entry, prr.prr_id, req.client_vm)
+            port.pcap_launch(entry, prr.prr_id, req.client_vm, req.rid)
         # Shared bookkeeping (present natively too).
         port.code(0x900, MC.alloc_bookkeeping)
 

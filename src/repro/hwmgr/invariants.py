@@ -105,7 +105,7 @@ def check_invariants(kernel) -> list[str]:
         queued = any(r.pd is pd for r in kernel.manager_queue)
         cur = getattr(service, "current_request", None)
         in_flight = cur is not None and cur.pd is pd
-        staged = "_deferred_exit" in pd.vcpu.vregs
+        staged = "_deferred_req" in pd.vcpu.vregs
         if not (queued or in_flight or staged):
             v.append(f"vm{vm_id}: parked in hwreq but request is neither "
                      f"queued, in flight, nor completed")

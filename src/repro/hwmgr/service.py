@@ -77,7 +77,8 @@ class ManagerService:
             self.crashpoint("pickup")
             exec_start = kernel.sim.now
             # The mgr_exec span (Table III "HW Manager execution").
-            with kernel.tracer.span("mgr_exec", cat="hwmgr", vm=req.pd.vm_id):
+            with kernel.tracer.span("mgr_exec", cat="hwmgr", vm=req.pd.vm_id,
+                                    rid=req.rid):
                 result = self._handle(req)
             kernel.metrics.counter("hwmgr.requests", kind=req.kind).inc()
             kernel.metrics.histogram("hwmgr.exec_cycles").observe(
@@ -119,7 +120,7 @@ class ManagerService:
             r = alloc.allocate(AllocRequest(
                 client_vm=pd.vm_id, task_id=req.task_id,
                 iface_va=req.iface_va, data_pa=data_pa, data_size=size,
-                want_irq=req.want_irq))
+                want_irq=req.want_irq, rid=req.rid))
             return (r.status, r.prr_id, r.irq_id)
         if req.kind == "release":
             r = alloc.release(req.pd.vm_id, req.task_id)
@@ -251,7 +252,8 @@ class ManagerService:
     def pcap_available(self) -> bool:
         return not self.kernel.machine.pcap.busy
 
-    def pcap_launch(self, entry, prr_id: int, client_vm: int) -> None:
+    def pcap_launch(self, entry, prr_id: int, client_vm: int,
+                    rid: int | None) -> None:
         from ..fpga.pcap import PCAP_LEN, PCAP_SRC, PCAP_TARGET
         cpu = self.cpu
         pcap_va = L.MANAGER_CTL_VA + _PAGE
@@ -259,7 +261,7 @@ class ManagerService:
         cpu.write32(pcap_va + PCAP_LEN, entry.bitstream.size)
         cpu.write32(pcap_va + PCAP_TARGET, prr_id)
         self.kernel.service_set_pcap_client(self.kernel.domains[client_vm])
-        self.kernel.machine.pcap.start_transfer(entry.bitstream, prr_id)
+        self.kernel.machine.pcap.start_transfer(entry.bitstream, prr_id, rid)
         if self.block_on_pcap:
             from ..fpga.pcap import PCAP_STATUS
             while self.kernel.machine.pcap.busy:

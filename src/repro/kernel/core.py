@@ -15,6 +15,7 @@ produced, not scripted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable
 
 from ..common.errors import (
@@ -98,6 +99,8 @@ class _HwRequest:
     iface_va: int = 0
     data_va: int = 0
     want_irq: bool = False
+    #: Request ID stamped at the HWTASK_REQUEST trap (None for other kinds).
+    rid: int | None = None
 
 
 class MiniNova:
@@ -130,6 +133,7 @@ class MiniNova:
         self._next_vm_id = 1
         self._timer_purpose: tuple[str, ProtectionDomain] | None = None
         self._plirq_seq = 0
+        self._rids = count(1)      # request IDs, stamped at HWTASK_REQUEST
         self._irq_vector_t = 0
         #: VM that launched the in-flight PCAP transfer (gets the DONE IRQ).
         self.pcap_client: ProtectionDomain | None = None
@@ -761,7 +765,7 @@ class MiniNova:
             self.metrics.counter("vm.lifecycle.virqs_dropped").inc(dropped)
         pd.vcpu.vregs.pop("_pending_pl_seq", None)
         pd.vcpu.vregs.pop("_hwreq_wait", None)
-        pd.vcpu.vregs.pop("_deferred_exit", None)
+        pd.vcpu.vregs.pop("_deferred_req", None)
         # Register-group mappings: demap + shoot down, like a release.
         for prr_id in list(pd.prr_iface):
             cpu.code(self.syms.mem_map, C.pt_update_per_page)
@@ -832,8 +836,8 @@ class MiniNova:
 
     def _resume_completed_hypercall(self, pd: ProtectionDomain) -> None:
         """Deliver the result of a deferred hypercall (manager round trip)."""
-        exit_ = pd.vcpu.vregs.pop("_deferred_exit", None)
-        if exit_ is None:
+        req = pd.vcpu.vregs.pop("_deferred_req", None)
+        if req is None:
             return
         cpu = self.cpu
         ctx = self.acct.push("kernel", pd.vm_id)
@@ -841,9 +845,10 @@ class MiniNova:
         cpu.irq_masked = True
         cpu.code(self.syms.exc_return, C.exc_return_path)
         cpu.return_from_exception()
-        self.tracer.mark("hwreq_resumed", cat="hwmgr", vm=pd.vm_id)
+        self.tracer.mark("hwreq_resumed", cat="hwmgr", vm=pd.vm_id,
+                         rid=req.rid)
         self.acct.pop(ctx)
-        pd.runner.complete_hypercall(exit_)
+        pd.runner.complete_hypercall(req.exit_)
 
     def _handle_hypercall(self, pd: ProtectionDomain, exit_: ExitHypercall) -> None:
         cpu, syms = self.cpu, self.syms
@@ -871,9 +876,10 @@ class MiniNova:
         if self.tracer.verbose:
             self.tracer.mark("hypercall", cat="hypercall", vm=pd.vm_id,
                              hc=int(num))
+        rid = next(self._rids) if num is Hc.HWTASK_REQUEST else None
         if num in (Hc.HWTASK_REQUEST, Hc.HWTASK_RELEASE, Hc.HWTASK_IRQ_ATTACH):
             self.tracer.mark("hwreq_trap", cat="hwmgr", vm=pd.vm_id,
-                             hc=int(num))
+                             hc=int(num), rid=rid)
         cpu.take_exception("svc")
         cpu.code(syms.svc_entry, C.svc_entry_stub)
         for w in range(4):                     # spill r0-r3 into the PD frame
@@ -883,7 +889,7 @@ class MiniNova:
         cpu.code(syms.handler(int(num)), 8)    # handler prologue fetch
 
         try:
-            deferred = self._dispatch_hypercall(pd, num, exit_)
+            deferred = self._dispatch_hypercall(pd, num, exit_, rid)
         except SimulationError:
             raise                         # engine corruption: not a guest bug
         except ReproError:
@@ -908,7 +914,7 @@ class MiniNova:
         cpu.set_ledger(prev_ledger)
 
     def _dispatch_hypercall(self, pd: ProtectionDomain, num: Hc,
-                            exit_: ExitHypercall) -> bool:
+                            exit_: ExitHypercall, rid: int | None) -> bool:
         """Execute one hypercall.  Returns True when the result is deferred
         (manager round-trip): the SVC frame then stays live until the
         requester is resumed."""
@@ -1031,7 +1037,7 @@ class MiniNova:
                 self.current = None
             exit_.result = HcStatus.SUCCESS
         elif num in (Hc.HWTASK_REQUEST, Hc.HWTASK_RELEASE, Hc.HWTASK_IRQ_ATTACH):
-            return self._hc_hwtask(pd, num, exit_)
+            return self._hc_hwtask(pd, num, exit_, rid)
         elif num is Hc.DEV_ACCESS:
             exit_.result = self._hc_dev_access(pd, a)
         elif num is Hc.IVC_SEND:
@@ -1140,7 +1146,7 @@ class MiniNova:
         return pd.hw_data.pa
 
     def _hc_hwtask(self, pd: ProtectionDomain, num: Hc,
-                   exit_: ExitHypercall) -> bool:
+                   exit_: ExitHypercall, rid: int | None) -> bool:
         """Queue a request for the Hardware Task Manager and wake it.
 
         Deferred: the caller resumes (with the status in r0) only after the
@@ -1159,7 +1165,8 @@ class MiniNova:
                 return False
             req = _HwRequest("request", pd, exit_, task_id=a[0],
                              iface_va=a[1], data_va=a[2],
-                             want_irq=bool(a[3]) if len(a) > 3 else False)
+                             want_irq=bool(a[3]) if len(a) > 3 else False,
+                             rid=rid)
         elif num is Hc.HWTASK_RELEASE:
             req = _HwRequest("release", pd, exit_, task_id=a[0] if a else 0)
         else:
@@ -1180,7 +1187,8 @@ class MiniNova:
         self.sched.suspend(pd)
         pd.vcpu.vregs["_hwreq_wait"] = True
         self.supervisor.note_enqueue()
-        self.tracer.mark("hwreq_queued", cat="hwmgr", vm=pd.vm_id)
+        self.tracer.mark("hwreq_queued", cat="hwmgr", vm=pd.vm_id,
+                         rid=req.rid)
         return True
 
     # ---------------------------------------------- manager kernel crossings
@@ -1420,11 +1428,11 @@ class MiniNova:
                                       front=self.config.service_resume_front)
             return
         req.exit_.result = result
-        req.pd.vcpu.vregs["_deferred_exit"] = req.exit_
+        req.pd.vcpu.vregs["_deferred_req"] = req
         self.sched.resume(req.pd, front=True)   # unpark the requester
         status = result[0] if isinstance(result, tuple) else result
         self.tracer.mark("hwreq_done", cat="hwmgr", vm=req.pd.vm_id,
-                         status=int(status))
+                         status=int(status), rid=req.rid)
 
     # ------------------------------------------------------------- utilities
 

@@ -10,11 +10,12 @@ into the same summary shape:
   computed either from **exact samples** (trace-span durations, nearest
   rank) or from **Histogram buckets**
   (:meth:`~repro.obs.metrics.Histogram.percentile` estimates);
-* :func:`dpr_chains` — per-chain critical-path breakdown of the DPR
+* :func:`request_events` — the one join of a hardware-task request's
+  trace events, keyed by its request ID (docs/OBSERVABILITY.md §5);
+* :func:`dpr_chains` — per-request critical-path breakdown of the DPR
   lifecycle (request trap → manager decision → PCAP streaming →
-  interface mapping), built from the documented event contract of
-  docs/OBSERVABILITY.md;
-* :func:`virq_latency_samples` — PL-IRQ injection-to-delivery latency
+  reconfiguration landed);
+* :func:`plirq_latency_samples` — PL-IRQ injection-to-delivery latency
   per distribution sequence (routing + injection halves).
 
 Everything here is pure computation over a :class:`Tracer` /
@@ -29,11 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from .metrics import Histogram
-from .trace import Tracer
-
-#: The guaranteed DPR request chain (docs/OBSERVABILITY.md §5).
-HWREQ_CHAIN = ("hwreq_trap", "mgr_exec_start", "mgr_exec_end",
-               "hwreq_resumed")
+from .trace import TraceEvent, Tracer
 
 #: Quantiles every summary reports.
 QUANTILES = (0.50, 0.90, 0.99)
@@ -114,6 +111,31 @@ def summarize(samples_or_hist, unit: str = "cycles") -> SeriesSummary:
     return SeriesSummary.from_samples(samples_or_hist, unit)
 
 
+# ------------------------------------------------------- request join
+
+def request_events(tracer: Tracer, names: Sequence[str]
+                   ) -> list[tuple[TraceEvent, ...]]:
+    """Join each hardware-task request's events by its request ID.
+
+    Every event on a request's path carries the ``rid`` stamped at its
+    HWTASK_REQUEST trap; other manager work carries ``rid=None`` and
+    never joins (docs/OBSERVABILITY.md §5).  Returns, per request that
+    reached every event in ``names``, those events in ``names`` order —
+    the first of a repeated name, so a retried PCAP transfer keeps its
+    first ``pcap_xfer_start`` — ordered by the last event's time.
+    """
+    by_rid: dict[int, dict[str, TraceEvent]] = {}
+    for name in names:
+        for e in tracer.find(name):
+            rid = e.info.get("rid")
+            if rid is not None:
+                by_rid.setdefault(rid, {}).setdefault(name, e)
+    out = [tuple(ev[n] for n in names) for ev in by_rid.values()
+           if all(n in ev for n in names)]
+    out.sort(key=lambda evs: evs[-1].t)
+    return out
+
+
 # --------------------------------------------------------------- DPR chains
 
 @dataclass(frozen=True)
@@ -125,7 +147,9 @@ class DprChain:
     * ``entry``       — SVC trap → manager's first instruction
     * ``decide``      — manager start → PCAP streaming launched (task
       lookup, PRR selection, reclaim, mapping, hwMMU load)
-    * ``pcap``        — bitstream streaming into the PRR
+    * ``pcap``        — bitstream streaming into the PRR, from the first
+      launch to landing: a retried transfer's failed attempts and
+      backoff are included
     * ``resume``      — manager posted the result → requester resumed
       (overlaps ``pcap``: stage 6 explicitly does not await completion)
     * ``ready``       — trap → reconfiguration landed: the end-to-end
@@ -150,33 +174,27 @@ class DprChain:
 
 
 def dpr_chains(tracer: Tracer) -> list[DprChain]:
-    """Pair every PCAP transfer with the request chain that launched it.
+    """One chain per landed reconfiguration, in landing order: the PCAP
+    transfer carries the ``rid`` of the request that launched it.
 
-    A ``pcap_xfer`` span whose start falls inside a request's
-    ``mgr_exec`` window belongs to that request (the manager is a single
-    serialized service, so containment is unambiguous).  Requests that
-    hit a resident task (no reconfiguration) produce no chain here —
-    their latency is fully described by the Table III classes.
+    Requests that hit a resident task (no reconfiguration) produce no
+    chain here — their latency is fully described by the Table III
+    classes.
     """
-    from ..kernel.hypercalls import Hc
-    xfers = tracer.spans("pcap_xfer", key="prr")
-    chains = tracer.chains(HWREQ_CHAIN, key="vm",
-                           first_match={"hc": int(Hc.HWTASK_REQUEST)})
     out: list[DprChain] = []
-    for dur, xs, xe in xfers:
-        for trap, exec_start, exec_end, resumed in chains:
-            if exec_start.t <= xs.t <= exec_end.t:
-                out.append(DprChain(
-                    vm=trap.info.get("vm", 0),
-                    prr=xs.info.get("prr", -1),
-                    task=str(xs.info.get("task", "?")),
-                    t_request=trap.t,
-                    entry=exec_start.t - trap.t,
-                    decide=xs.t - exec_start.t,
-                    pcap=dur,
-                    resume=resumed.t - exec_end.t,
-                    ready=xe.t - trap.t))
-                break
+    for trap, exec_start, exec_end, resumed, xs, xe in request_events(
+            tracer, ("hwreq_trap", "mgr_exec_start", "mgr_exec_end",
+                     "hwreq_resumed", "pcap_xfer_start", "pcap_xfer_end")):
+        out.append(DprChain(
+            vm=trap.info.get("vm", 0),
+            prr=xs.info.get("prr", -1),
+            task=str(xs.info.get("task", "?")),
+            t_request=trap.t,
+            entry=exec_start.t - trap.t,
+            decide=xs.t - exec_start.t,
+            pcap=xe.t - xs.t,
+            resume=resumed.t - exec_end.t,
+            ready=xe.t - trap.t))
     return out
 
 

@@ -18,9 +18,7 @@ original unbounded event list this tracer adds:
   subsystem;
 * **nesting-safe interval pairing** — :meth:`Tracer.intervals` keeps a
   *stack* per key, so nested same-key spans pair inside-out instead of the
-  outer start being silently overwritten (a bug in the original tracer);
-* **span chains** — :meth:`Tracer.chains` pairs multi-stage lifecycles
-  (trap -> exec-start -> exec-end -> resumed) in one pass.
+  outer start being silently overwritten (a bug in the original tracer).
 
 Every event name the kernel guarantees to emit is documented in
 ``docs/OBSERVABILITY.md``; treat that catalog as the API.
@@ -29,8 +27,8 @@ Every event name the kernel guarantees to emit is documented in
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterator, Sequence
 
 #: Recognized event categories (see docs/OBSERVABILITY.md).
 CATEGORIES = ("sched", "vgic", "hypercall", "hwmgr", "pcap", "sim", "fault",
@@ -261,38 +259,3 @@ class Tracer:
         """Intervals of the ``<name>_start``/``<name>_end`` span pair."""
         return self.intervals(name + SPAN_START_SUFFIX,
                               name + SPAN_END_SUFFIX, key=key)
-
-    def chains(self, names: Iterable[str], key: str | None = None,
-               first_match: dict[str, Any] | None = None
-               ) -> list[tuple[TraceEvent, ...]]:
-        """Pair multi-stage lifecycles: a chain completes when the events
-        in ``names`` occur in order for one value of ``info[key]``.
-
-        A fresh stage-0 event restarts its key's chain (latest wins);
-        incomplete chains at the end of the trace are discarded.
-        ``first_match`` filters which stage-0 events may open a chain
-        (e.g. only ``hwreq_trap`` events with ``hc == HWTASK_REQUEST``).
-        """
-        names = tuple(names)
-        stage_of = {n: i for i, n in enumerate(names)}
-        open_: dict[Any, list[TraceEvent]] = {}
-        out: list[tuple[TraceEvent, ...]] = []
-        for e in self.events:
-            stage = stage_of.get(e.name)
-            if stage is None:
-                continue
-            k = e.info.get(key) if key else None
-            if stage == 0:
-                if first_match and any(e.info.get(mk) != mv
-                                       for mk, mv in first_match.items()):
-                    open_.pop(k, None)
-                    continue
-                open_[k] = [e]
-            else:
-                chain = open_.get(k)
-                if chain is not None and len(chain) == stage:
-                    chain.append(e)
-                    if stage == len(names) - 1:
-                        out.append(tuple(chain))
-                        del open_[k]
-        return out

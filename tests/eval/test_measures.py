@@ -29,10 +29,10 @@ REQ = int(Hc.HWTASK_REQUEST)
 
 def test_basic_request_pairing():
     t = make_trace([
-        (100, "hwreq_trap", {"vm": 1, "hc": REQ}),
-        (150, "mgr_exec_start", {"vm": 1}),
-        (950, "mgr_exec_end", {"vm": 1}),
-        (1000, "hwreq_resumed", {"vm": 1}),
+        (100, "hwreq_trap", {"vm": 1, "hc": REQ, "rid": 1}),
+        (150, "mgr_exec_start", {"vm": 1, "rid": 1}),
+        (950, "mgr_exec_end", {"vm": 1, "rid": 1}),
+        (1000, "hwreq_resumed", {"vm": 1, "rid": 1}),
     ])
     s = extract_overheads(t)
     assert s.entry == [50]
@@ -43,18 +43,36 @@ def test_basic_request_pairing():
 
 def test_interleaved_vms_pair_independently():
     t = make_trace([
-        (100, "hwreq_trap", {"vm": 1, "hc": REQ}),
-        (110, "mgr_exec_start", {"vm": 1}),
-        (200, "hwreq_trap", {"vm": 2, "hc": REQ}),   # queued during vm1's
-        (300, "mgr_exec_end", {"vm": 1}),
-        (310, "mgr_exec_start", {"vm": 2}),
-        (400, "mgr_exec_end", {"vm": 2}),
-        (420, "hwreq_resumed", {"vm": 2}),
-        (500, "hwreq_resumed", {"vm": 1}),
+        (100, "hwreq_trap", {"vm": 1, "hc": REQ, "rid": 1}),
+        (110, "mgr_exec_start", {"vm": 1, "rid": 1}),
+        (200, "hwreq_trap", {"vm": 2, "hc": REQ, "rid": 2}),  # queued
+        (300, "mgr_exec_end", {"vm": 1, "rid": 1}),
+        (310, "mgr_exec_start", {"vm": 2, "rid": 2}),
+        (400, "mgr_exec_end", {"vm": 2, "rid": 2}),
+        (420, "hwreq_resumed", {"vm": 2, "rid": 2}),
+        (500, "hwreq_resumed", {"vm": 1, "rid": 1}),
     ])
     s = extract_overheads(t)
-    assert sorted(s.execution) == [90, 190]
+    assert s.execution == [90, 190]        # in resume order: vm2 first
     assert len(s.total) == 2
+
+
+def test_kernel_originated_mgr_exec_leaves_request_alone():
+    """A watchdog/client_died reclaim names the client's VM but carries no
+    request ID; queued ahead of the client's request, it must not be
+    read as that request's manager run (pairing by VM order would split
+    the request 10/40/800)."""
+    t = make_trace([
+        (100, "hwreq_trap", {"vm": 1, "hc": REQ, "rid": 1}),
+        (110, "mgr_exec_start", {"vm": 1, "rid": None}),
+        (150, "mgr_exec_end", {"vm": 1, "rid": None}),
+        (160, "mgr_exec_start", {"vm": 1, "rid": 1}),
+        (900, "mgr_exec_end", {"vm": 1, "rid": 1}),
+        (950, "hwreq_resumed", {"vm": 1, "rid": 1}),
+    ])
+    s = extract_overheads(t)
+    assert (s.entry, s.execution, s.exit) == ([60], [740], [50])
+    assert s.total == [850]
 
 
 def test_non_request_hypercalls_ignored():

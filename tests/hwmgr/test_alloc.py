@@ -76,7 +76,7 @@ class FakePort:
     def pcap_available(self):
         return not self.pcap_busy
 
-    def pcap_launch(self, entry, prr_id, vm):
+    def pcap_launch(self, entry, prr_id, vm, rid):
         self.calls.append(("pcap", entry.name, prr_id))
         self.machine.prrs[prr_id].core = make_core(entry.name)
 

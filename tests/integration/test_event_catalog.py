@@ -4,6 +4,7 @@ with the code."""
 
 from __future__ import annotations
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -78,3 +79,28 @@ def test_check_tool_passes_on_current_tree():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "event catalog OK" in proc.stdout
+
+
+def _load_check_tool():
+    spec = importlib.util.spec_from_file_location("check_event_catalog",
+                                                  CHECK_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+@pytest.mark.parametrize("row, flagged", [
+    ("| `hwreq_queued` | default | `vm`, `rid` |", "hwreq_queued: rid"),
+    # A span's keywords must be on both its rows.
+    ("| `mgr_exec_end` | default | `vm`, `rid` |", "mgr_exec_end: rid"),
+])
+def test_check_tool_flags_an_undocumented_info_key(tmp_path, monkeypatch,
+                                                   row, flagged):
+    tool = _load_check_tool()
+    assert tool.undocumented_info_keys() == {}
+    text = DOC.read_text()
+    assert text.count(row) == 1
+    doc = tmp_path / "OBSERVABILITY.md"
+    doc.write_text(text.replace(row, row.replace(", `rid`", "")))
+    monkeypatch.setattr(tool, "DOC", doc)
+    assert set(tool.undocumented_info_keys()) == {flagged}

@@ -106,15 +106,17 @@ class TestSeriesSummary:
         assert summarize([4, 5]).count == 2
 
 
-def _dpr_events(vm=1, prr=0, base=0):
+def _dpr_events(vm=1, prr=0, base=0, rid=1):
     """One full reconfiguring request chain starting at ``base``."""
     return [
-        (base + 100, "hwreq_trap", {"vm": vm, "hc": REQ}),
-        (base + 150, "mgr_exec_start", {"vm": vm}),
-        (base + 300, "pcap_xfer_start", {"prr": prr, "task": "fft256"}),
-        (base + 900, "pcap_xfer_end", {"prr": prr, "task": "fft256"}),
-        (base + 950, "mgr_exec_end", {"vm": vm}),
-        (base + 1000, "hwreq_resumed", {"vm": vm}),
+        (base + 100, "hwreq_trap", {"vm": vm, "hc": REQ, "rid": rid}),
+        (base + 150, "mgr_exec_start", {"vm": vm, "rid": rid}),
+        (base + 300, "pcap_xfer_start", {"prr": prr, "task": "fft256",
+                                         "rid": rid}),
+        (base + 900, "pcap_xfer_end", {"prr": prr, "task": "fft256",
+                                       "rid": rid}),
+        (base + 950, "mgr_exec_end", {"vm": vm, "rid": rid}),
+        (base + 1000, "hwreq_resumed", {"vm": vm, "rid": rid}),
     ]
 
 
@@ -154,9 +156,25 @@ class TestDprChains:
         events = [(50, "hwreq_trap", {"vm": 1, "hc": 999})] + _dpr_events()
         assert len(dpr_chains(make_trace(events))) == 1
 
+    def test_retried_transfer_counts_from_first_launch(self):
+        """The retry starts after the manager's window closed; the join
+        keeps the first ``pcap_xfer_start``, so ``pcap`` spans both
+        attempts and the backoff."""
+        events = [e for e in _dpr_events() if e[1] != "pcap_xfer_end"]
+        events += [
+            (1500, "pcap_xfer_error", {"prr": 0, "task": "fft256"}),
+            (2500, "pcap_xfer_start", {"prr": 0, "task": "fft256",
+                                       "rid": 1}),
+            (3100, "pcap_xfer_end", {"prr": 0, "task": "fft256",
+                                     "rid": 1}),
+        ]
+        (c,) = dpr_chains(make_trace(sorted(events, key=lambda e: e[0])))
+        assert (c.decide, c.pcap, c.ready) == (150, 2800, 3000)
+        assert c.entry + c.decide + c.pcap == c.ready
+
     def test_two_vms_sequential_chains(self):
         events = _dpr_events(vm=1, prr=0) + _dpr_events(vm=2, prr=1,
-                                                        base=5000)
+                                                        base=5000, rid=2)
         chains = dpr_chains(make_trace(events))
         assert sorted(c.vm for c in chains) == [1, 2]
 

@@ -1,4 +1,4 @@
-"""Tracer v2: ring bounds, name index, spans, chains, nesting fix."""
+"""Tracer v2: ring bounds, name index, spans, nesting fix."""
 
 from __future__ import annotations
 
@@ -109,6 +109,12 @@ class TestTracer:
         assert len(t.find("switch", vm=1)) == 2
         assert t.find("nothing") == []
 
+    def test_clear(self):
+        t, clk = make_tracer()
+        t.mark("a")
+        t.clear()
+        assert list(t.events) == [] and t.count("a") == 0
+
     def test_span_emits_start_end_pair(self):
         t, clk = make_tracer()
         clk.now = 10
@@ -165,70 +171,3 @@ class TestIntervals:
         assert sorted(d for d, _, _ in out) == [5, 30]
         inner = min(out, key=lambda x: x[0])
         assert (inner[1].t, inner[2].t) == (10, 15)
-
-
-# ---------------------------------------------------------------- chains
-
-class TestChains:
-    CHAIN = ("trap", "go", "done", "resume")
-
-    def emit(self, t, clk, vm, ts):
-        for name, when in zip(self.CHAIN, ts):
-            clk.now = when
-            t.mark(name, vm=vm)
-
-    def test_complete_chain(self):
-        t, clk = make_tracer()
-        self.emit(t, clk, 1, (0, 3, 9, 12))
-        ((a, b, c, d),) = t.chains(self.CHAIN, key="vm")
-        assert (a.t, b.t, c.t, d.t) == (0, 3, 9, 12)
-
-    def test_interleaved_vms(self):
-        t, clk = make_tracer()
-        clk.now = 0; t.mark("trap", vm=1)
-        clk.now = 1; t.mark("trap", vm=2)
-        clk.now = 2; t.mark("go", vm=2)
-        clk.now = 3; t.mark("go", vm=1)
-        clk.now = 4; t.mark("done", vm=1)
-        clk.now = 5; t.mark("resume", vm=1)
-        clk.now = 6; t.mark("done", vm=2)
-        clk.now = 7; t.mark("resume", vm=2)
-        chains = t.chains(self.CHAIN, key="vm")
-        assert len(chains) == 2
-        got = {c[0].info["vm"]: [e.t for e in c] for c in chains}
-        assert got == {1: [0, 3, 4, 5], 2: [1, 2, 6, 7]}
-
-    def test_incomplete_chain_discarded(self):
-        t, clk = make_tracer()
-        clk.now = 0; t.mark("trap", vm=1)
-        clk.now = 1; t.mark("go", vm=1)
-        assert t.chains(self.CHAIN, key="vm") == []
-
-    def test_stage0_restarts_chain(self):
-        t, clk = make_tracer()
-        clk.now = 0; t.mark("trap", vm=1)
-        clk.now = 1; t.mark("go", vm=1)
-        clk.now = 2; t.mark("trap", vm=1)   # abandons the first attempt
-        clk.now = 3; t.mark("go", vm=1)
-        clk.now = 4; t.mark("done", vm=1)
-        clk.now = 5; t.mark("resume", vm=1)
-        ((a, *_),) = t.chains(self.CHAIN, key="vm")
-        assert a.t == 2
-
-    def test_first_match_filter(self):
-        t, clk = make_tracer()
-        self.emit(t, clk, 1, (0, 1, 2, 3))
-        clk.now = 10
-        t.mark("trap", vm=1, hc=99)
-        clk.now = 11; t.mark("go", vm=1)
-        clk.now = 12; t.mark("done", vm=1)
-        clk.now = 13; t.mark("resume", vm=1)
-        chains = t.chains(self.CHAIN, key="vm", first_match={"hc": 99})
-        assert len(chains) == 1
-        assert chains[0][0].t == 10
-
-    def test_clear(self):
-        t, clk = make_tracer()
-        t.mark("a")
-        t.clear()
-        assert list(t.events) == [] and t.count("a") == 0

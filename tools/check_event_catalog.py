@@ -8,7 +8,9 @@
     .span("name", ...)          -> name_start, name_end
 
 and parses the catalog tables of docs/OBSERVABILITY.md (rows of the form
-``| `name` | default/verbose | ...``).
+``| `name` | default/verbose | ...``).  Every keyword a literal site passes
+(other than ``cat``) must also appear, backticked, in that event's "Info
+keys" cell; a span's keywords on both its ``_start`` and ``_end`` rows.
 
 **Metrics** — scans for registration sites
 (``.counter("x.y")`` / ``.gauge("x.y")`` / ``.histogram("x.y")``), parses
@@ -42,6 +44,7 @@ it.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -88,6 +91,58 @@ def events_in_code() -> dict[str, set[str]]:
             add(m.group(1) + "_start", rel)
             add(m.group(1) + "_end", rel)
     return out
+
+
+#: tracer methods and the position of their literal event-name argument.
+_EMITTERS = {"mark": 0, "mark_at": 1, "span": 0}
+
+
+def info_keys_in_code() -> dict[tuple[str, str], set[str]]:
+    """(event name, info keyword) -> set of emitting files, from the
+    literal-name ``.mark``/``.mark_at``/``.span`` call sites."""
+    out: dict[tuple[str, str], set[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith("obs/"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _EMITTERS):
+                continue
+            pos = _EMITTERS[node.func.attr]
+            arg = node.args[pos] if len(node.args) > pos else None
+            if not (isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str)):
+                continue
+            names = ([arg.value + "_start", arg.value + "_end"]
+                     if node.func.attr == "span" else [arg.value])
+            for kw in node.keywords:
+                if kw.arg not in (None, "cat"):
+                    for name in names:
+                        out.setdefault((name, kw.arg), set()).add(rel)
+    return out
+
+
+def info_keys_in_doc() -> dict[str, set[str]]:
+    """Event name -> the backticked names in its "Info keys" cell."""
+    out: dict[str, set[str]] = {}
+    for line in DOC.read_text().splitlines():
+        if DOC_ROW_RE.match(line.strip()):
+            cells = line.strip().split("|")
+            out[cells[1].strip().strip("`")] = set(
+                re.findall(r"`([a-z0-9_]+)`", cells[3]))
+    return out
+
+
+def undocumented_info_keys() -> dict[str, set[str]]:
+    """``"event: keyword"`` -> emitting files, for every keyword a
+    literal site passes that its event's documented row lacks (an
+    undocumented event is the event check's finding, not this one's)."""
+    doc = info_keys_in_doc()
+    return {f"{name}: {key}": files
+            for (name, key), files in info_keys_in_code().items()
+            if name in doc and key not in doc[name]}
 
 
 def events_in_doc() -> dict[str, str]:
@@ -246,6 +301,14 @@ def main() -> int:
     failed = _report("events", sorted(set(code) - set(doc)),
                      sorted(set(doc) - set(code)), code)
 
+    k_code = info_keys_in_code()
+    if not k_code:
+        print("error: found no info keywords at emission sites — the "
+              "info-key scanner is probably broken", file=sys.stderr)
+        return 2
+    k_missing = undocumented_info_keys()
+    failed |= _report("info keys", sorted(k_missing), [], k_missing)
+
     m_code = metrics_in_code()
     m_doc = metrics_in_doc()
     if not m_code or not m_doc:
@@ -300,6 +363,7 @@ def main() -> int:
         return 1
     print(f"event catalog OK: {len(doc)} events, "
           f"{len({f for fs in code.values() for f in fs})} emitting modules")
+    print(f"info keys OK: {len(k_code)} event/keyword pairs, all documented")
     print(f"metric catalog OK: {len(m_doc)} metrics documented, "
           f"{len(m_runtime)} registered at runtime")
     print(f"stream schema OK: {len(s_doc)} record types documented")
