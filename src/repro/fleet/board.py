@@ -3,8 +3,9 @@
 A :class:`BoardServer` owns one simulated Zynq — machine, kernel,
 Hardware Task Manager — and exposes the small operation set the
 dispatcher drives it with (docs/FLEET.md §3).  Every operation takes and
-returns **plain data** (ints, strings, bytes, dicts, lists), so the same
-server runs unmodified in-process (:class:`~repro.fleet.workers.
+returns **plain data** (ints, strings, bytes, dicts, lists, and a
+checkpoint's immutable :class:`~repro.kernel.lifecycle.PageImage`), so
+the same server runs unmodified in-process (:class:`~repro.fleet.workers.
 InlineHost`) or inside a worker process (:class:`~repro.fleet.workers.
 ProcessHost`) — and a fleet run produces byte-identical results either
 way, which is what keeps whole-fleet chaos runs reproducible.
@@ -42,7 +43,10 @@ DEFAULT_BOARD_TASKS = ("fft256", "qam16")
 
 
 def encode_checkpoint(ckpt: VmCheckpoint) -> dict[str, Any]:
-    """Wire form of a checkpoint: a plain dict (bytes stay bytes)."""
+    """Wire form of a checkpoint: a plain dict whose ``memory_image``
+    stays the snapshot's own page image (immutable, so ``asdict`` shares
+    it rather than copying 4,096 pages, and pickling ships each shared
+    page once)."""
     return asdict(ckpt)
 
 
@@ -122,8 +126,10 @@ class BoardServer:
 
         By default the guest's own latest periodic checkpoint (the
         VM_CHECKPOINT hypercalls its service loop issues) is reused —
-        the pull then costs no extra 16 MB image copy.  ``fresh`` forces
-        a synchronous snapshot (the planned-migration drain)."""
+        the pull then takes no snapshot and copies no guest memory.
+        ``fresh`` forces a synchronous snapshot (the planned-migration
+        drain), which copies only the pages written since the previous
+        one."""
         pd = self.kernel.domains[vm_id]
         ckpt = None if fresh else self.kernel.lifecycle.latest(vm_id)
         if ckpt is None:

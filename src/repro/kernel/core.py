@@ -218,6 +218,8 @@ class MiniNova:
         # VM lifecycle: checkpoint/restore + kill-path reclamation
         # (docs/RECOVERY.md §9) — zero-valued on fault-free runs.
         self.metrics.counter("vm.lifecycle.checkpoints")
+        self.metrics.counter("vm.lifecycle.checkpoint_bytes")
+        self.metrics.counter("vm.lifecycle.restore_bytes")
         self.metrics.counter("vm.lifecycle.restarts")
         self.metrics.counter("vm.lifecycle.restores")
         self.metrics.counter("vm.lifecycle.halts")

@@ -9,7 +9,9 @@ pending vIRQs — leaked or went stale.  This module closes the loop
   software-visible state: vCPU registers (incl. the lazy VFP ownership
   bit), the virtual-timer programming, the vGIC record list with its
   pending FIFO, the scheduler's view (queue position, remaining
-  quantum), the hardware-task data section and the guest memory image.
+  quantum), the hardware-task data section and the guest memory image
+  (a :class:`PageImage` that shares every page not written since the
+  VM's previous snapshot).
   Snapshots are versioned per VM and kept in a bounded in-memory store;
   they are taken on demand via ``HC_VM_CHECKPOINT`` or periodically when
   a policy asks for it.
@@ -46,7 +48,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from ..cpu.modes import Mode
+from ..mem.descriptors import PAGE_SIZE
 from . import layout as L
 from .costs import KERNEL_COSTS as C
 from .ivc import IVC_IRQ
@@ -63,6 +68,9 @@ REPLAY_IRQS = frozenset({IVC_IRQ})
 
 #: Allowed policy actions.
 POLICY_ACTIONS = ("halt", "restart", "restart_from_checkpoint")
+
+#: The one page object every never-written page of an image shares.
+ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 @contextmanager
@@ -109,6 +117,36 @@ class VmPolicy:
             raise ValueError("restart budget/backoff must be >= 0")
 
 
+class PageImage:
+    """Immutable image of a guest chunk: one ``bytes`` per 4 KB page.
+
+    Consecutive snapshots of a VM share every page not written between
+    them, and never-written pages share :data:`ZERO_PAGE`, so a snapshot
+    costs the pages written since the previous one, not a full chunk
+    copy.  Being immutable, it is its own deep copy (``dataclasses.
+    asdict`` deep-copies a checkpoint's fields), compares by value, and
+    pickles each shared page object once."""
+
+    __slots__ = ("pages",)
+
+    def __init__(self, pages: tuple[bytes, ...]) -> None:
+        self.pages = pages
+
+    def __len__(self) -> int:
+        return len(self.pages) * PAGE_SIZE
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PageImage):
+            return NotImplemented
+        return self.pages == other.pages
+
+    def __deepcopy__(self, memo) -> PageImage:
+        return self
+
+    def tobytes(self) -> bytes:
+        return b"".join(self.pages)
+
+
 @dataclass
 class VmCheckpoint:
     """One versioned snapshot of a VM's software-visible state."""
@@ -127,8 +165,9 @@ class VmCheckpoint:
     quantum_remaining: int
     runnable: bool
     queue_position: int
-    #: Full guest physical chunk (what makes the restore bit-exact).
-    memory_image: bytes
+    #: The whole guest physical chunk, page by page (what makes the
+    #: restore bit-exact).
+    memory_image: PageImage
     #: Hardware-task data section geometry (va, pa, size).
     hw_data: tuple[int, int, int]
     #: Opaque runner-side persistent state (``lifecycle_state()``).
@@ -147,6 +186,8 @@ class VmLifecycle:
         self.policies: dict[int, VmPolicy] = {}
         #: vm_id -> snapshots, newest last (bounded).
         self._store: dict[int, list[VmCheckpoint]] = {}
+        #: vm_id -> ``Dram.write_epoch`` when its newest snapshot was taken.
+        self._store_epoch: dict[int, int] = {}
         self._seq: dict[int, int] = {}
         #: vm_ids with a resurrection event scheduled but not yet run.
         self.pending: set[int] = set()
@@ -237,8 +278,7 @@ class VmLifecycle:
                 quantum_remaining=pd.quantum_remaining,
                 runnable=pd.state is PdState.RUN,
                 queue_position=k.sched.position(pd),
-                memory_image=k.mem.bus.dram.read_bytes(pd.phys_base,
-                                                       pd.phys_size),
+                memory_image=self._capture(pd),
                 hw_data=(pd.hw_data.va, pd.hw_data.pa, pd.hw_data.size),
                 runner_state=self._runner_state(pd),
                 phys_base=pd.phys_base)
@@ -255,6 +295,28 @@ class VmLifecycle:
             self._checkpointing = False
             cpu.set_mode(mode)
             cpu.irq_masked = masked
+
+    def _capture(self, pd: ProtectionDomain) -> PageImage:
+        """``pd``'s chunk as a page image: the pages stamped after the
+        VM's previous stored snapshot are copied out of DRAM, the rest
+        are shared with that snapshot (or are :data:`ZERO_PAGE`)."""
+        dram = self.k.mem.bus.dram
+        prev = self.latest(pd.vm_id)
+        if prev is None:
+            pages = [ZERO_PAGE] * (pd.phys_size // PAGE_SIZE)
+            since = 0
+        else:
+            pages = list(prev.memory_image.pages)
+            since = self._store_epoch[pd.vm_id]
+        dirty = np.flatnonzero(
+            dram.page_epochs(pd.phys_base, pd.phys_size) > since).tolist()
+        for i in dirty:
+            pages[i] = dram.read_bytes(pd.phys_base + i * PAGE_SIZE,
+                                       PAGE_SIZE)
+        self._store_epoch[pd.vm_id] = dram.write_epoch
+        self.k.metrics.counter("vm.lifecycle.checkpoint_bytes").inc(
+            len(dirty) * PAGE_SIZE)
+        return PageImage(tuple(pages))
 
     def _runner_state(self, pd: ProtectionDomain):
         hook = getattr(pd.runner, "lifecycle_state", None)
@@ -398,10 +460,19 @@ class VmLifecycle:
         """Rebuild ``pd``'s software-visible state from ``ckpt``."""
         k = self.k
         cpu = k.cpu
-        # Guest memory image first: it also rolls back any partial writes
-        # the dying epoch made after the snapshot (bit-exact resume).
-        k.mem.bus.dram.write_bytes(pd.phys_base, ckpt.memory_image)
-        cpu.instr(max(1, len(ckpt.memory_image) // 4096))
+        # Guest memory image first: it also rolls back the pages the dying
+        # epoch wrote after the snapshot (bit-exact resume).  A page that
+        # is zero in the image and was never written here already holds
+        # zeros; every other page is written back.
+        dram = k.mem.bus.dram
+        written = (dram.page_epochs(pd.phys_base, pd.phys_size) != 0).tolist()
+        restored = 0
+        for i, page in enumerate(ckpt.memory_image.pages):
+            if written[i] or page != ZERO_PAGE:
+                dram.write_bytes(pd.phys_base + i * PAGE_SIZE, page)
+                restored += PAGE_SIZE
+        k.metrics.counter("vm.lifecycle.restore_bytes").inc(restored)
+        cpu.instr(max(1, len(ckpt.memory_image) // PAGE_SIZE))
         # Active context: registers, vregs, timer, privilege view.
         pd.vcpu.restore(ckpt.vcpu)
         for w in range(Vcpu.ACTIVE_CONTEXT_WORDS):

@@ -16,6 +16,7 @@ import numpy as np
 from ..common.errors import MemoryError_
 from ..common.params import MemoryMapParams
 from ..common.units import hexaddr, is_aligned
+from .descriptors import PAGE_SIZE
 
 
 class MmioDevice(Protocol):
@@ -27,7 +28,8 @@ class MmioDevice(Protocol):
 
 
 class Dram:
-    """Byte-addressable RAM backed by a NumPy array."""
+    """Byte-addressable RAM backed by a NumPy array, with a write stamp
+    per 4 KB page."""
 
     def __init__(self, base: int, size: int) -> None:
         self.base = base
@@ -40,17 +42,36 @@ class Dram:
         #: which is safe: the memo is a pure cache of descriptor decoding
         #: (docs/PERFORMANCE.md §3).
         self.write_epoch = 0
+        #: Per 4 KB page, the ``write_epoch`` of the last write that
+        #: touched it; 0 = not written since the array was zeroed.  VM
+        #: checkpoints copy only the pages stamped after their previous
+        #: snapshot (docs/PERFORMANCE.md §7).
+        self._page_epochs = np.zeros(-(-size // PAGE_SIZE), dtype=np.int64)
 
     def contains(self, paddr: int) -> bool:
         return self.base <= paddr < self.base + self.size
+
+    def _stamp(self, off: int, n: int) -> None:
+        """Bump the epoch and stamp every page of ``[off, off + n)``."""
+        self.write_epoch += 1
+        self._page_epochs[off // PAGE_SIZE:(off + n - 1) // PAGE_SIZE + 1] = \
+            self.write_epoch
+
+    def page_epochs(self, paddr: int, n: int) -> np.ndarray:
+        """Read-only write stamps of the pages of ``[paddr, paddr + n)``,
+        a page-aligned range."""
+        off = paddr - self.base
+        view = self._page_epochs[off // PAGE_SIZE:(off + n) // PAGE_SIZE]
+        view.flags.writeable = False
+        return view
 
     def read32(self, paddr: int) -> int:
         off = paddr - self.base
         return int(self._mem[off:off + 4].view(np.uint32)[0])
 
     def write32(self, paddr: int, value: int) -> None:
-        self.write_epoch += 1
         off = paddr - self.base
+        self._stamp(off, 4)
         self._mem[off:off + 4].view(np.uint32)[0] = value & 0xFFFF_FFFF
 
     def read_bytes(self, paddr: int, n: int) -> bytes:
@@ -58,8 +79,8 @@ class Dram:
         return self._mem[off:off + n].tobytes()
 
     def write_bytes(self, paddr: int, data: bytes) -> None:
-        self.write_epoch += 1
         off = paddr - self.base
+        self._stamp(off, len(data))
         self._mem[off:off + len(data)] = np.frombuffer(data, dtype=np.uint8)
 
 

@@ -37,6 +37,8 @@ def test_checkpoint_wire_roundtrip():
     ckpt = decode_checkpoint(wire)
     assert isinstance(ckpt.hw_data, tuple)
     assert encode_checkpoint(ckpt) == wire
+    # The page image is shared, not copied page by page.
+    assert wire["memory_image"] is b.kernel.lifecycle.latest(vm).memory_image
 
 
 def test_checkpoint_reuses_guest_snapshot_by_default():

@@ -1,5 +1,7 @@
 """Board hosting backends: inline/process parity and real crash kills."""
 
+import pickle
+
 import pytest
 
 from repro.fleet.workers import HOST_KINDS, HostDead, InlineHost, ProcessHost
@@ -46,15 +48,27 @@ def test_process_host_marshals_remote_errors():
 
 def test_inline_and_process_boards_compute_identically():
     """The same op sequence on both backends yields equal plain data —
-    the substrate of the fleet's hosting-independence guarantee."""
+    the substrate of the fleet's hosting-independence guarantee.  That
+    includes a fresh checkpoint, small enough to ship as pickled pages,
+    and its restore on a second board."""
     inline = InlineHost(0, **HOST_ARGS)
     proc = ProcessHost(0, **HOST_ARGS)
+    inline2 = InlineHost(1, **HOST_ARGS)
+    proc2 = ProcessHost(1, **HOST_ARGS)
     try:
-        ops = [("place", (SPEC,)), ("step", (20_000_000,)),
-               ("heartbeat", ()), ("prr_grants", ()), ("invariants", ()),
-               ("snapshot", ())]
+        vm = inline.call("place", SPEC)["vm_id"]
+        assert proc.call("place", SPEC)["vm_id"] == vm
+        ops = [("step", (20_000_000,)), ("heartbeat", ()),
+               ("prr_grants", ()), ("invariants", ()), ("snapshot", ()),
+               ("checkpoint", (vm, True))]
         for op, args in ops:
-            assert inline.call(op, *args) == proc.call(op, *args), op
+            wire = inline.call(op, *args)
+            assert wire == proc.call(op, *args), op
+        assert len(pickle.dumps(wire)) < 1 << 20
+        ops = [("restore", (SPEC, wire)), ("step", (40_000_000,)),
+               ("heartbeat", ()), ("invariants", ()), ("snapshot", ())]
+        for op, args in ops:
+            assert inline2.call(op, *args) == proc2.call(op, *args), op
     finally:
-        inline.close()
-        proc.close()
+        for host in (inline, proc, inline2, proc2):
+            host.close()
