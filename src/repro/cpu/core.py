@@ -88,14 +88,9 @@ class Cpu:
         routines don't pay a full miss per 8 instructions.
         """
         lines = max(1, (n_instr + _INSTR_PER_LINE - 1) // _INSTR_PER_LINE)
-        line_bytes = self.params.l1i.line
-        cyc = 0
-        for i in range(lines):
-            lat = self.mem.touch(va + i * line_bytes, privileged=self.privileged,
-                                 fetch=True)
-            cyc += lat if i == 0 else min(lat, self._PREFETCH_COVERED)
-        cyc += self.timing.instr_cycles(n_instr)
-        self._charge(cyc)
+        cyc = self.mem.fetch_run(va, lines, privileged=self.privileged,
+                                 covered=self._PREFETCH_COVERED)
+        self._charge(cyc + self.timing.instr_cycles(n_instr))
 
     def load(self, va: int) -> None:
         """Timed load (timing only)."""
@@ -104,18 +99,6 @@ class Cpu:
     def store(self, va: int) -> None:
         """Timed store (timing only)."""
         self._charge(self.mem.touch(va, write=True, privileged=self.privileged))
-
-    def touch_range(self, base: int, size: int, *, write: bool = False,
-                    stride: int | None = None) -> None:
-        """Sequential timed sweep over [base, base+size)."""
-        step = stride or self.params.l1d.line
-        va = base
-        end = base + size
-        cyc = 0
-        while va < end:
-            cyc += self.mem.touch(va, write=write, privileged=self.privileged)
-            va += step
-        self._charge(cyc)
 
     def stream_range(self, base: int, size: int, *, write: bool = False) -> None:
         """Streaming access to an *uncached* buffer (e.g. a DMA staging

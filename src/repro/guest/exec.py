@@ -28,6 +28,15 @@ class GuestExecutor:
         self.cpu = cpu
         self.addr_base = addr_base
         self.rng = make_rng(seed, stream=stream)
+        # The bit generator's own draws, through NumPy's documented ctypes
+        # interface (typed function pointers and a pointer to the state
+        # that ``self.rng`` keeps alive): a scalar ``rng.random()`` is one
+        # ``next_double`` and ``rng.integers(0, 3)`` one Lemire-reduced
+        # ``next_uint32``, from the same state, at a fraction of the cost.
+        bits = self.rng.bit_generator.ctypes
+        self._bits = bits.state
+        self._next_double = bits.next_double
+        self._next_uint32 = bits.next_uint32
         self.sample = cpu.params.bulk_sample
         self._line = cpu.params.l1d.line
         # Per-regions-tuple precomputed region weights, as arrays for
@@ -58,7 +67,7 @@ class GuestExecutor:
             # Scalar draws take the same values from the same stream as
             # size-1 arrays, without building any array.
             vaddrs = [self._gen_addr(regions)]
-            writes = [self.rng.random() < write_frac]
+            writes = [self._next_double(self._bits) < write_frac]
         else:
             vaddrs = self._gen_addrs(n_sample, regions)
             writes = self.rng.random(n_sample) < write_frac
@@ -117,13 +126,14 @@ class GuestExecutor:
         lat = mem.caches._lat_l1 * scale
         cycles = cpu.timing.instr_cycles(instrs) + lat
         gen_addr = self._gen_addr
-        random = self.rng.random
+        next_double = self._next_double
+        bits = self._bits
         now = clock.now
         hits = 0
         try:
             while True:
                 va = gen_addr(regions)
-                w = random() < write_frac
+                w = next_double(bits) < write_frac
                 vpn = va >> 12
                 entries = tlb_sets[vpn % tlb_nsets]
                 if not entries:
@@ -186,14 +196,21 @@ class GuestExecutor:
 
     def _gen_addr(self, regions: tuple[tuple[int, int], ...]) -> int:
         """``_gen_addrs(1, regions)[0]`` from scalar draws: the same three
-        draws in the same order, which NumPy serves from the same stream
-        as size-1 arrays, and the same float and integer arithmetic on
-        Python numbers (``bisect_right`` is ``searchsorted(side="right")``,
-        ``int`` truncates like ``astype``)."""
+        draws in the same order, which the bit generator serves from the
+        same stream as size-1 arrays, and the same float and integer
+        arithmetic on Python numbers (``bisect_right`` is
+        ``searchsorted(side="right")``, ``int`` truncates like
+        ``astype``)."""
         bases, spans, cdf = self._regions(regions)[1]
-        rng = self.rng
-        i = bisect_right(cdf, rng.random())
-        offset = int(rng.random() * spans[i])
-        if rng.integers(0, 3):
+        next_double, bits = self._next_double, self._bits
+        i = bisect_right(cdf, next_double(bits))
+        offset = int(next_double(bits) * spans[i])
+        # integers(0, 3) is Lemire's reduction of a 32-bit word u: the
+        # high half of u * 3, with u redrawn while the low half is 0.
+        next_uint32 = self._next_uint32
+        m = next_uint32(bits) * 3
+        while not m & 0xFFFF_FFFF:
+            m = next_uint32(bits) * 3
+        if m >> 32:
             return bases[i] + (offset // self._line) * self._line
         return bases[i] + (offset & ~3)

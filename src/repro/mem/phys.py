@@ -8,7 +8,7 @@ only *touches* addresses for cache/TLB timing.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import Protocol
 
 import numpy as np
@@ -127,6 +127,18 @@ class Bus:
 
     def is_device(self, paddr: int) -> bool:
         return self._find(paddr) is not None
+
+    def overlaps_device(self, base: int, size: int) -> bool:
+        """True when any MMIO window intersects ``[base, base + size)``.
+
+        Windows are sorted and disjoint, so of those starting below the
+        range's end the last one ends furthest: if none reaches into the
+        range, it does not either."""
+        idx = bisect_left(self._starts, base + size) - 1
+        if idx < 0:
+            return False
+        r = self._regions[idx]
+        return r.base + r.size > base
 
     def read32(self, paddr: int) -> int:
         if self.dram.contains(paddr):

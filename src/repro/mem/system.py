@@ -2,9 +2,11 @@
 
 Two access styles:
 
-* **trace** accesses (`touch`, `read32`, `write32`): every kernel-path
-  load/store goes through TLB, walker and caches individually — this is
-  what makes the Table III entry/exit costs emerge from cache state.
+* **trace** accesses (`touch`, `fetch_run`, `read32`, `write32`): every
+  kernel-path load/store/fetch goes through TLB, walker and caches
+  individually — this is what makes the Table III entry/exit costs
+  emerge from cache state.  `fetch_run` takes a code block's I-lines a
+  page at a time, with the same effect as one `touch` per line.
 * **bulk** accesses (`sample_block`): guest workloads execute millions of
   instructions; we push a 1/N sample of their memory stream through the
   real cache/TLB models (polluting them realistically) and extrapolate the
@@ -135,6 +137,133 @@ class MemorySystem:
             # Device accesses are uncached; charge a bus round-trip.
             cycles += self.params.cpu.dram // 2
         return cycles
+
+    def fetch_run(self, vaddr: int, lines: int, *, privileged: bool,
+                  covered: int) -> int:
+        """I-fetch ``lines`` sequential lines from ``vaddr``; returns cycles.
+
+        The first line pays its latency, each later one at most
+        ``covered`` (``Cpu.code``'s prefetch model).  The reference is one
+        ``touch`` per line, which runs with the fast path or the MMU off
+        and on any page that an MMIO window overlaps.  Otherwise only a
+        page's first line goes through ``touch`` (TLB miss, walk, prefetch
+        abort), and the page's other lines, which would hit the TLB entry
+        that ``touch`` left MRU, walk L1I and L2 inline with batched stats
+        (docs/PERFORMANCE.md §2).
+        """
+        touch = self.touch
+        step = self.params.l1i.line
+        end = vaddr + lines * step
+        mmu = self.mmu
+        if not (self.fastpath and mmu.enabled):
+            cyc = touch(vaddr, privileged=privileged, fetch=True)
+            for va in range(vaddr + step, end, step):
+                cyc += min(touch(va, privileged=privileged, fetch=True),
+                           covered)
+            return cyc
+        tlb = mmu.tlb
+        tlb_sets = tlb._sets
+        tlb_nsets = tlb._nsets
+        overlaps_device = self.bus.overlaps_device
+        caches = self.caches
+        l1 = caches.l1i
+        l1_tags = l1._tags
+        l1_nsets = l1._sets
+        l1_ways = l1._ways
+        l1_shift = l1._offset_bits
+        l2 = caches.l2
+        l2_tags = l2._tags
+        l2_dirty = l2._dirty
+        l2_nsets = l2._sets
+        l2_ways = l2._ways
+        l2_shift = l2._offset_bits
+        # What each inline line can cost, prefetch cover applied: an L1I
+        # hit, an L2 hit, an L2 miss, and one that writes a victim back.
+        lat = caches._lat_l1
+        c_hit = min(lat, covered)
+        lat += caches._lat_l2
+        c_l2 = min(lat, covered)
+        lat += caches._lat_dram
+        c_dram = min(lat, covered)
+        c_wb = min(lat + caches._lat_dram // 4, covered)
+        h1 = ev1 = h2 = m2 = ev2 = wb2 = 0
+        cyc = touch(vaddr, privileged=privileged, fetch=True)
+        va = vaddr                    # the line ``touch`` just fetched
+        try:
+            while True:
+                # The rest of va's page, against the entry ``touch`` left
+                # at the front of its TLB set.
+                page_end = min(end, (va | 0xFFF) + 1)
+                va += step
+                if va < page_end:
+                    base = tlb_sets[(va >> 12) % tlb_nsets][0].pfn << 12
+                    if overlaps_device(base, 4096):
+                        while va < page_end:
+                            cyc += min(touch(va, privileged=privileged,
+                                             fetch=True), covered)
+                            va += step
+                    else:
+                        n = (page_end - va + step - 1) // step
+                        p0 = base | (va & 0xFFF)
+                        va += n * step
+                        for paddr in range(p0, p0 + n * step, step):
+                            # L1I lines are never dirty: fetches never
+                            # write, so an L1I victim needs no writeback.
+                            tag = paddr >> l1_shift
+                            s1 = l1_tags[tag % l1_nsets]
+                            if tag in s1:
+                                h1 += 1
+                                if s1[0] != tag:
+                                    s1.remove(tag)
+                                    s1.insert(0, tag)
+                                continue
+                            if len(s1) >= l1_ways:
+                                s1.pop()
+                                ev1 += 1
+                            s1.insert(0, tag)
+                            tag2 = paddr >> l2_shift
+                            idx2 = tag2 % l2_nsets
+                            s2 = l2_tags[idx2]
+                            if tag2 in s2:
+                                h2 += 1
+                                if s2[0] != tag2:
+                                    s2.remove(tag2)
+                                    s2.insert(0, tag2)
+                                continue
+                            m2 += 1
+                            if len(s2) >= l2_ways:
+                                v2 = s2.pop()
+                                ev2 += 1
+                                d2 = l2_dirty[idx2]
+                                if v2 in d2:
+                                    d2.discard(v2)
+                                    wb2 += 1
+                            s2.insert(0, tag2)
+                if va >= end:
+                    break
+                # The first line on the next page.
+                cyc += min(touch(va, privileged=privileged, fetch=True),
+                           covered)
+        finally:
+            # Flush the batched deltas even when a later page's fault
+            # unwinds the run, as the per-line loop would have left them.
+            # Every inline line is one TLB hit and one L1I access.
+            m1 = h2 + m2
+            tlb.stats.hits += h1 + m1
+            s = l1.stats
+            s.hits += h1
+            s.misses += m1
+            s.evictions += ev1
+            l1._resident += m1 - ev1
+            s = l2.stats
+            s.hits += h2
+            s.misses += m2
+            s.evictions += ev2
+            s.writebacks += wb2
+            l2._resident += m2 - ev2
+            caches.dram_accesses += m2
+        return (cyc + h1 * c_hit + h2 * c_l2 + (m2 - wb2) * c_dram
+                + wb2 * c_wb)
 
     def read32(self, vaddr: int, *, privileged: bool) -> tuple[int, int]:
         """Functional timed read; returns (value, cycles)."""

@@ -116,12 +116,6 @@ def test_ledger_attribution(booted, sim):
     assert booted.cycle_ledger["b"] == 150
 
 
-def test_touch_range_walks_lines(booted, sim):
-    t0 = sim.now
-    booted.touch_range(0x0020_0000, 1024)
-    assert sim.now - t0 >= 32      # 32 lines at >= 1 cycle
-
-
 def test_stream_range_does_not_pollute_caches(booted, memsys):
     before = memsys.caches.l1d.stats.accesses
     booted.stream_range(0x0020_0000, 4096, write=True)

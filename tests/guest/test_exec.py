@@ -108,6 +108,29 @@ def test_scalar_draw_pins_the_size1_stream(regions):
         assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
+@pytest.mark.parametrize("word, sequential", [(0x8000_0000, True),
+                                              (1, False)],
+                         ids=["sequential", "word_aligned"])
+def test_range3_draw_redraws_a_zero_word(word, sequential):
+    """``integers(0, 3)`` redraws the 32-bit word while the low half of
+    ``word * 3`` is 0, which only ``word == 0`` gives (probability
+    2**-32), so the pins above never reach it: the draw must use the
+    second word."""
+    ex = _executor()
+    words = iter((0, word))
+    ex._next_uint32 = lambda bits: next(words)
+    ex._next_double = lambda bits: 0.5
+    regions = ((0x100, 0x1000),)
+    bases, spans, _ = ex._regions(regions)[1]
+    offset = int(0.5 * spans[0])
+    line = ex._line
+    assert offset % line and offset % 4 == 0    # the two paths differ
+    addr = ex._gen_addr(regions)
+    assert next(words, None) is None            # both words were drawn
+    assert addr == bases[0] + (offset // line * line if sequential
+                               else offset)
+
+
 def test_scalar_bulk_equals_size1_sample_block():
     """One-address ``bulk`` (``mem_accesses < bulk_sample``) leaves the
     clock, the cache/TLB stats and the RNG exactly as feeding the size-1

@@ -1,10 +1,10 @@
 """Fast-path equivalence: fastpath on/off must be cycle-for-cycle identical.
 
 docs/PERFORMANCE.md §5 is the contract these tests pin: the fused bulk
-loop, the fused touch path and the walk memo are pure reformulations of
-the cost model.  Every simulated-cycle quantity — ledgers, stats,
-accounting, fault-schedule results, bench series — must not move
-when ``PlatformParams.fastpath`` is flipped.  Plus unit tests for the
+loop, the fused touch path, the fetch run and the walk memo are pure
+reformulations of the cost model.  Every simulated-cycle quantity —
+ledgers, stats, accounting, fault-schedule results, bench series — must
+not move when ``PlatformParams.fastpath`` is flipped.  Plus unit tests for the
 walk-memo invalidation rules (TTBR/DACR writes, DRAM write epochs).
 """
 
@@ -270,6 +270,182 @@ class TestIdleSpinEquivalence:
         total = counts["fused"] + counts["general"]
         assert total > 1000
         assert counts["fused"] >= 0.9 * total, counts
+
+
+HOLE_VA = 0x7000_0000
+
+
+def _kernel_space_cpu(params):
+    """A machine's CPU, privileged, on the kernel's address space (the
+    kernel image, its linear map of DRAM and the device windows), plus
+    one 4 KB page at ``HOLE_VA`` whose successor is unmapped."""
+    from repro.kernel import layout as L
+    from repro.kernel.memory import KernelMemory
+    from repro.machine import Machine
+
+    machine = Machine(MachineConfig(params=params, tasks=("fft256",)))
+    km = KernelMemory(machine)
+    km.kernel_pt.map_page(HOLE_VA, machine.mem.guest_frames.alloc(4096),
+                          ap=AP.PRIV_ONLY, domain=L.DOMAIN_HK)
+    cpu = machine.cpu
+    cpu.sysregs.write("TTBR0", km.kernel_pt.l1_base, privileged=True)
+    cpu.sysregs.write("DACR", dacr_set(0, L.DOMAIN_HK, DomainType.CLIENT),
+                      privileged=True)
+    cpu.sysregs.write("SCTLR", 1, privileged=True)
+    return cpu
+
+
+def _fetch_state(cpu):
+    """Everything a code block can change: the clock, the ledger, the
+    TLB, L1I and L2 stats, tags, occupancy and dirty lines, the DRAM
+    access count and the walk count."""
+    mem = cpu.mem
+    caches, tlb = mem.caches, mem.mmu.tlb
+    return {
+        "now": cpu.sim.now,
+        "ledger": dict(cpu.cycle_ledger),
+        "tlb": (vars(tlb.stats.snapshot()), tlb._resident,
+                [list(s) for s in tlb._sets]),
+        **{name: (vars(level.stats.snapshot()), level._resident,
+                  [list(t) for t in level._tags],
+                  [set(d) for d in level._dirty])
+           for name, level in (("l1i", caches.l1i), ("l2", caches.l2))},
+        "dram_accesses": caches.dram_accesses,
+        "walks": mem.mmu.walks,
+    }
+
+
+class TestFetchRunEquivalence:
+    """``MemorySystem.fetch_run`` (docs/PERFORMANCE.md §2) against the
+    per-line ``touch`` loop that ``fastpath=False`` runs."""
+
+    @staticmethod
+    def _both(script):
+        """Run ``script(cpu)`` on both paths; return both final states."""
+        out = []
+        for params in (DEFAULT_PARAMS, SLOW_PARAMS):
+            cpu = _kernel_space_cpu(params)
+            script(cpu)
+            out.append(_fetch_state(cpu))
+        return out
+
+    @pytest.mark.parametrize("offset, n_instr", [
+        (0x840, 64),          # starts mid-page, stays on it
+        (0xFF4, 40),          # starts mid-line, crosses one page
+        (0xF00, 128),         # crosses one page
+        (0x0A0, 7600),        # the manager's bookkeeping block: 8 pages
+        (0xE00, 128),         # ends exactly on a page boundary
+        (0x800, 2560),        # several pages, ends on a boundary
+    ], ids=["in_page", "mid_line", "one_crossing", "eight_pages",
+            "ends_on_boundary", "pages_end_on_boundary"])
+    def test_blocks_across_pages_identical(self, offset, n_instr):
+        """Cold walks, warm hits, L1I conflict evictions 8 KB apart, and
+        L2 misses that write dirty victims back after a store sweep."""
+        from repro.kernel import layout as L
+
+        va = L.KERNEL_BASE + offset
+
+        def script(cpu):
+            cpu.code(va, n_instr)
+            cpu.code(va, n_instr)
+            for k in range(1, 6):
+                cpu.code(va + k * 8192, n_instr)
+            for a in range(L.KERNEL_LINEAR_BASE + 0x40_0000,
+                           L.KERNEL_LINEAR_BASE + 0x4A_0000, 32):
+                cpu.store(a)
+            cpu.mem.mmu.tlb.flush_all()
+            cpu.code(va, n_instr)
+            cpu.code(va + 8192, n_instr)
+
+        fast, slow = self._both(script)
+        assert fast == slow
+        l1i_stats, l2_stats = fast["l1i"][0], fast["l2"][0]
+        assert l1i_stats["evictions"] and l2_stats["writebacks"]
+        assert fast["tlb"][0]["misses"]
+
+    def test_fault_on_second_page_identical(self):
+        """The block's second page is unmapped: the same abort, reason
+        and walk cycles; the first page's lines are in the stats; nothing
+        is charged."""
+        from repro.common.errors import PrefetchAbort
+
+        faults = []
+
+        def script(cpu):
+            cpu.code(HOLE_VA + 0xF00, 64)          # pays the first walk
+            cpu.mem.mmu.tlb.flush_all()
+            t0 = cpu.sim.now
+            with pytest.raises(PrefetchAbort) as info:
+                cpu.code(HOLE_VA + 0xE00, 160)     # 16 lines, then the hole
+            assert cpu.sim.now == t0
+            faults.append((info.value.vaddr, info.value.reason,
+                           info.value.cycles))
+
+        fast, slow = self._both(script)
+        assert fast == slow
+        assert faults[0] == faults[1]
+        assert faults[0][:2] == (HOLE_VA + 0x1000, "translation fault (L2)")
+        # 8 + 16 lines on the first page, 8 of them twice; three walks.
+        assert (fast["l1i"][0]["hits"], fast["l1i"][0]["misses"]) == (8, 16)
+        assert (fast["tlb"][0]["hits"], fast["tlb"][0]["misses"]) == (22, 3)
+
+    @pytest.mark.parametrize("va", [
+        0xF8F0_0040,        # the GIC page: the first line is a device
+        0xF8F0_2100,        # a timer window starts mid-page, after line 0
+        0xF800_6F00,        # crosses into the PCAP page
+    ], ids=["gic", "window_mid_page", "into_pcap"])
+    def test_device_pages_identical(self, va):
+        def script(cpu):
+            cpu.code(va, 160)
+            cpu.code(va, 160)
+
+        fast, slow = self._both(script)
+        assert fast == slow
+
+    def test_mmu_off_identical(self):
+        from repro.kernel import layout as L
+
+        def script(cpu):
+            cpu.sysregs.write("SCTLR", 0, privileged=True)
+            for _ in range(2):
+                cpu.code(L.KERNEL_BASE + 0xF40, 2000)
+
+        fast, slow = self._both(script)
+        assert fast == slow
+        assert fast["l1i"][0]["hits"] and not fast["tlb"][0]["hits"]
+
+    def test_fetch_run_engages(self, monkeypatch):
+        """Non-vacuity: the tests above prove nothing if every line still
+        goes through ``touch``.  A spy (not a product counter) counts the
+        lines fetched against the ``touch`` calls made inside
+        ``fetch_run``."""
+        from repro.eval.scenarios import build_virtualized
+
+        counts = {"lines": 0, "touched": 0}
+        inside = []
+        fetch_run, touch = MemorySystem.fetch_run, MemorySystem.touch
+
+        def spy_fetch_run(self, vaddr, lines, **kw):
+            counts["lines"] += lines
+            inside.append(True)
+            try:
+                return fetch_run(self, vaddr, lines, **kw)
+            finally:
+                inside.pop()
+
+        def spy_touch(self, *args, **kw):
+            if inside:
+                counts["touched"] += 1
+            return touch(self, *args, **kw)
+
+        monkeypatch.setattr(MemorySystem, "fetch_run", spy_fetch_run)
+        monkeypatch.setattr(MemorySystem, "touch", spy_touch)
+        sc = build_virtualized(4, seed=1, with_workloads=False, verify=True,
+                               tick_hz=1000)
+        sc.run_ms(60.0)
+        assert counts["lines"] > 20_000
+        inline = counts["lines"] - counts["touched"]
+        assert inline >= 0.9 * counts["lines"], counts
 
 
 @pytest.fixture

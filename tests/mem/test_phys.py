@@ -79,6 +79,22 @@ def test_two_disjoint_windows(bus):
     assert d1.regs[0] == 1 and d2.regs[0] == 2
 
 
+@pytest.mark.parametrize("base, size, hit", [
+    (0xF000_0000, 0x1000, True),      # the page the first window starts
+    (0xF000_1000, 0x1000, False),     # between the windows
+    (0xF000_2000, 0x1000, True),      # a window starts mid-page
+    (0xF000_2200, 0x100, True),       # inside a window
+    (0xF000_2300, 0xD00, False),      # from a window's end
+    (0xF000_2100, 0x100, False),      # up to a window's start
+    (0xEFFF_F000, 0x4000, True),      # spans both windows
+], ids=["first_page", "between", "mid_page_start", "inside", "from_end",
+        "to_start", "spanning"])
+def test_overlaps_device(bus, base, size, hit):
+    bus.map_device(0xF000_0000, 0x40, FakeDevice(), "a")
+    bus.map_device(0xF000_2200, 0x100, FakeDevice(), "b")
+    assert bus.overlaps_device(base, size) is hit
+
+
 def test_frame_allocator_alignment():
     fa = FrameAllocator(0x10_0000, 0x10_0000)
     a = fa.alloc(100, align=4096)
