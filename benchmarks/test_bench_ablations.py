@@ -72,10 +72,8 @@ def test_bench_ablation_lazy_vfp(benchmark):
                                kernel_config=KernelConfig(lazy_vfp=lazy))
         sc.run_until_completions(9, max_ms=6000)
         hz = sc.machine.params.cpu.hz
-        ledger = sc.kernel.cpu.cycle_ledger
-        per_switch = (ledger.get("vm_switch", 0)
-                      / max(1, sc.kernel.vm_switch_count))
-        results[lazy] = cycles_to_us(per_switch, hz)
+        switches = sc.metrics.histogram("kernel.vm_switch_cycles")
+        results[lazy] = cycles_to_us(switches.mean, hz)
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     benchmark.extra_info["lazy_switch_us"] = round(results[True], 3)
     benchmark.extra_info["eager_switch_us"] = round(results[False], 3)

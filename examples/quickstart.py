@@ -50,16 +50,17 @@ def main() -> None:
     ok = np.allclose(got, want, rtol=1e-3, atol=1e-2)
 
     m = sc.machine
+    total = m.metrics.total
     print("=== Mini-NOVA quickstart ===")
     print(f"simulated time:        {cycles_to_ms(m.now):8.2f} ms")
     print(f"hardware task:         fft1024 on PRR{handle.prr_id} "
           f"(reconfigured: {handle.reconfigured})")
     print(f"PL IRQ used:           {handle.irq_id}")
     print(f"result matches NumPy:  {ok}")
-    print(f"hypercalls served:     {sc.kernel.hypercall_count}")
-    print(f"VM switches:           {sc.kernel.vm_switch_count}")
-    print(f"PCAP transfers:        {m.pcap.transfers} "
-          f"({m.pcap.bytes_moved / 1024:.0f} KiB streamed)")
+    print(f"hypercalls served:     {total('kernel.hypercalls')}")
+    print(f"VM switches:           {total('kernel.vm_switches')}")
+    print(f"PCAP transfers:        {total('pcap.transfers')} "
+          f"({total('pcap.bytes_moved') / 1024:.0f} KiB streamed)")
     l1d = m.mem.caches.l1d.stats
     print(f"L1D accesses/misses:   {l1d.accesses}/{l1d.misses}")
     if not ok:

@@ -139,11 +139,11 @@ def run_bench(name: str = "paper", *, guests: int | None = None,
         },
         "totals": {
             "cycles": k.sim.now,
-            "vm_switches": k.vm_switch_count,
-            "hypercalls": k.hypercall_count,
+            "vm_switches": k.metrics.total("kernel.vm_switches"),
+            "hypercalls": k.metrics.total("kernel.hypercalls"),
             "irqs": k.irq_count,
             "manager_requests": sc.manager.requests_handled,
-            "pcap_transfers": sc.machine.pcap.transfers,
+            "pcap_transfers": k.metrics.total("pcap.transfers"),
             "completions": sc.total_completions(),
         },
         "series": series,

@@ -20,6 +20,7 @@ def _cache_line(name: str, stats) -> str:
 
 def scenario_report(sc: VirtScenario | NativeScenario) -> str:
     machine = sc.machine
+    m = machine.metrics
     hz = machine.params.cpu.hz
     lines: list[str] = []
     virt = isinstance(sc, VirtScenario)
@@ -28,9 +29,10 @@ def scenario_report(sc: VirtScenario | NativeScenario) -> str:
 
     if virt:
         k = sc.kernel
-        lines.append(f"kernel: {k.vm_switch_count} VM switches, "
-                     f"{k.hypercall_count} hypercalls, {k.irq_count} IRQs, "
-                     f"{k.sched.preemptions} preemptions")
+        lines.append(f"kernel: {m.total('kernel.vm_switches')} VM switches, "
+                     f"{m.total('kernel.hypercalls')} hypercalls, "
+                     f"{k.irq_count} IRQs, "
+                     f"{m.total('sched.preemptions')} preemptions")
         lines.append(f"manager: {sc.manager.requests_handled} requests "
                      f"({sc.manager.allocator.stats})")
         guests = sc.guests
@@ -58,8 +60,8 @@ def scenario_report(sc: VirtScenario | NativeScenario) -> str:
             f"client {prr.client_vm if prr.client_vm is not None else '-':>2} "
             f"runs {prr.runs:>4d} reconfigs {prr.reconfig_count:>3d} "
             f"violations {prr.violations}")
-    lines.append(f"  PCAP: {machine.pcap.transfers} transfers, "
-                 f"{machine.pcap.bytes_moved // 1024} KiB")
+    lines.append(f"  PCAP: {m.total('pcap.transfers')} transfers, "
+                 f"{m.total('pcap.bytes_moved') // 1024} KiB")
 
     mem = machine.mem
     lines.append("memory system:")

@@ -418,7 +418,6 @@ def run_inline_schedule(faults, *, seed: int, mutate: str | None = None,
     acct = kernel.acct
     acct.settle()
     journal = kernel.manager_journal
-    sup = kernel.supervisor
     fired = {s: plan.fires(s) for s in sorted(sites)}
     may_miss = set((expect or {}).get("may_miss", ()))
     # Progress is owed only by guests still alive at the horizon: a
@@ -442,9 +441,9 @@ def run_inline_schedule(faults, *, seed: int, mutate: str | None = None,
     }
     if SERVICE_CRASH in sites:
         checks["restarted_per_crash"] = (
-            sup.restarts >= plan.fires(SERVICE_CRASH))
+            m.total("supervisor.restarts") >= plan.fires(SERVICE_CRASH))
         checks["crashes_all_handled"] = (
-            sup.crashes == plan.fires(SERVICE_CRASH))
+            m.total("supervisor.crashes") == plan.fires(SERVICE_CRASH))
     if VM_KILL in sites:
         checks["kills_counted"] = m.total("kernel.vm_kills") >= kills
     if persistent:

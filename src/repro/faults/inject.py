@@ -4,11 +4,11 @@ and the hardened device/kernel code.
 Devices expose a ``faults`` attachment point (``machine.pcap.faults``,
 ``machine.prr_controller.faults``); when one is attached, the device asks
 ``faults.fire(site, ...)`` at each named site it reaches.  The injector
-consults the plan, does the observability bookkeeping (``fault.injected``
-counter + ``fault_inject`` trace event), and hands the spec back so the
-site can read its parameters.  Without an injector attached, the hardened
-code takes the exact happy path it always took — no extra events, no
-timing perturbation.
+consults the plan, does the observability bookkeeping in the machine's
+registry and tracer (``fault.injected`` counter + ``fault_inject`` trace
+event), and hands the spec back so the site can read its parameters.
+Without an injector attached, the hardened code takes the exact happy
+path it always took — no extra events, no timing perturbation.
 
 PL-IRQ storms have no device-side site (they model *unsolicited* fabric
 interrupts), so the injector schedules them itself at attach time.
@@ -27,28 +27,20 @@ class FaultInjector:
         self.plan = plan
         self.machine = None
         self.kernel = None
-        self._tracer = None
-        self._metrics = None
 
     # -- wiring ---------------------------------------------------------
 
     def attach(self, machine, kernel=None) -> None:
-        """Hook into a machine's fault sites (and a kernel's obs layer)."""
+        """Hook into a machine's fault sites, and a kernel's (manager
+        supervision, VM kills) when one drives the machine."""
         self.machine = machine
         machine.pcap.faults = self
         machine.prr_controller.faults = self
         if kernel is not None:
             self.kernel = kernel
             kernel.faults = self
-            self._tracer = kernel.tracer
-            self._metrics = kernel.metrics
         self._schedule_storms(machine)
         self._schedule_vm_kills(machine)
-
-    def attach_obs(self, tracer=None, metrics=None) -> None:
-        """Wire observability directly (native / kernel-less scenarios)."""
-        self._tracer = tracer
-        self._metrics = metrics
 
     # -- the decision point ---------------------------------------------
 
@@ -58,10 +50,8 @@ class FaultInjector:
         spec = self.plan.should_fire(site)
         if spec is None:
             return None
-        if self._metrics is not None:
-            self._metrics.counter("fault.injected", site=site).inc()
-        if self._tracer is not None:
-            self._tracer.mark("fault_inject", cat="fault", site=site, **ctx)
+        self.machine.metrics.counter("fault.injected", site=site).inc()
+        self.machine.tracer.mark("fault_inject", cat="fault", site=site, **ctx)
         return spec
 
     # -- self-driven sites ----------------------------------------------

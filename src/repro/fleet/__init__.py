@@ -26,7 +26,7 @@ from .overload import (AdmissionController, CircuitBreaker, LoadShedder,
                        OverloadConfig, RetryBudget, TokenBucket,
                        check_overload_invariants)
 from .rpc import BoardLink, BoardUnreachable
-from .tenant import TenantRecord, TenantSpec, make_service_task
+from .tenant import TenantRecord, TenantSpec
 from .traffic import TrafficModel
 
 __all__ = [
@@ -36,6 +36,6 @@ __all__ = [
     "TenantRecord", "TenantSpec", "TokenBucket", "TrafficModel",
     "check_fleet_invariants", "check_overload_invariants",
     "decode_checkpoint", "encode_checkpoint", "make_kill_schedule",
-    "make_service_task", "run_brownout_demo", "run_fleet",
+    "run_brownout_demo", "run_fleet",
     "run_fleet_bench", "run_migration_demo",
 ]

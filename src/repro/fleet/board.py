@@ -35,7 +35,8 @@ from ..kernel.pd import PdState
 from ..machine import Machine, MachineConfig
 from ..obs.aggregate import MetricSnapshot
 from ..obs.flight import FlightRecorder
-from .tenant import TenantSpec, make_service_task
+from ..workloads.restartable import make_restartable_task
+from .tenant import TenantSpec
 
 #: Default task library installed on every fleet board (small: board
 #: construction is the dominant cost of a many-board run).
@@ -78,7 +79,9 @@ class BoardServer:
 
     def _build_vm(self, spec: TenantSpec, *, runnable: bool):
         os_ = Ucos(spec.name, tick_hz=self.tick_hz)
-        os_.create_task(f"svc-{spec.kind}", 5, make_service_task(spec))
+        os_.create_task(f"svc-{spec.kind}", 5, make_restartable_task(
+            spec.kind, frames=spec.frames, seed=spec.seed,
+            checkpoint_every=spec.checkpoint_every))
         pd = self.kernel.create_vm(os_.name, ParavirtUcos(os_),
                                    runnable=runnable)
         self._oses[pd.vm_id] = os_

@@ -12,10 +12,10 @@ failures (migrate, or restart fresh as a last resort), ``besteffort``
 tenants are shed first when the surviving capacity cannot hold everyone.
 
 The service workload is the checkpoint-aware restartable frame loop of
-:mod:`repro.workloads.restartable`, generalised to run open-ended: frame
-``i`` writes its golden FFT/QAM output into slot ``i mod SERVICE_SLOTS``
-of the hw-data section (the finite-slot region wraps), records progress
-in ``os.persist["frame"]`` and checkpoints every ``checkpoint_every``
+:mod:`repro.workloads.restartable`, run open-ended: frame ``i`` writes
+its golden FFT/QAM output into slot ``i mod RESTART_SLOTS`` of the
+hw-data section (the finite-slot region wraps), records progress in
+``os.persist["frame"]`` and checkpoints every ``checkpoint_every``
 frames.  Each completed frame serves exactly one queued request of the
 open-loop traffic model, and because frame outputs are pure functions of
 ``(kind, seed, i)`` the fleet's request accounting is reproducible to
@@ -27,16 +27,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
-
-from ..guest.actions import Delay, Finish, Hypercall, SectionWrite
-from ..guest.ucos import Ucos
-from ..kernel.hypercalls import Hc
-from ..workloads.restartable import (FRAME_SLOT, RESTART_OUT_OFF,
-                                     _frame_bytes)
-
-#: Output slots available to the wrapping service loop (the restartable
-#: region is 128 KB: slots RESTART_OUT_OFF .. end of the 512 KB section).
-SERVICE_SLOTS = 32
 
 #: Criticality classes, shed order: best-effort tenants go first.
 CRITICAL = "critical"
@@ -76,32 +66,6 @@ class TenantSpec:
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "TenantSpec":
         return cls(**d)
-
-
-def make_service_task(spec: TenantSpec):
-    """Open-ended frame service loop for :meth:`Ucos.create_task`.
-
-    Identical recovery contract to :func:`repro.workloads.restartable.
-    make_restartable_task` — progress in ``os.persist["frame"]``, resume
-    at the recorded frame after a checkpoint restore — but frame ``i``
-    lands in slot ``i % SERVICE_SLOTS`` so the loop can outlive the
-    512 KB section.
-    """
-
-    def fn(os: Ucos):
-        start = int(os.persist.get("frame", 0))
-        for i in range(start, spec.frames):
-            out = _frame_bytes(spec.kind, spec.seed, i)
-            slot = i % SERVICE_SLOTS
-            yield SectionWrite(RESTART_OUT_OFF + slot * FRAME_SLOT, out)
-            os.persist["frame"] = i + 1
-            if spec.checkpoint_every > 0 \
-                    and (i + 1) % spec.checkpoint_every == 0:
-                yield Hypercall(int(Hc.VM_CHECKPOINT), (0,))
-            yield Delay(1)
-        yield Finish()
-
-    return fn
 
 
 @dataclass

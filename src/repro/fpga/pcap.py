@@ -25,6 +25,8 @@ from ..common.errors import DeviceBusy
 from ..common.params import FpgaParams
 from ..gic.gic import Gic
 from ..gic.irqs import IRQ_PCAP_DONE
+from ..obs.metrics import MetricsRegistry
+from ..obs.trace import Tracer
 from ..sim.engine import EventHandle, Simulator
 from .bitstream import Bitstream
 from .controller import PrrController
@@ -42,7 +44,8 @@ PCAP_WINDOW_SIZE = 0x100
 
 class Pcap:
     def __init__(self, sim: Simulator, gic: Gic, controller: PrrController,
-                 params: FpgaParams, cpu_hz: int) -> None:
+                 params: FpgaParams, cpu_hz: int, tracer: Tracer,
+                 metrics: MetricsRegistry) -> None:
         self.sim = sim
         self.gic = gic
         self.controller = controller
@@ -51,8 +54,6 @@ class Pcap:
         self.busy = False
         self.done_flag = False
         self.int_en = True
-        self.transfers = 0
-        self.bytes_moved = 0
         #: Hook: called (prr_id, task_name) when a reconfiguration lands.
         self.on_done: Callable[[int, str], None] | None = None
         #: Hook: called (prr_id) when a reconfiguration is abandoned —
@@ -78,28 +79,25 @@ class Pcap:
         self._timeout_ev: EventHandle | None = None
         self._completion_ev: EventHandle | None = None
         self._retry_ev: EventHandle | None = None
-        # Observability (attached by the kernel / native system at boot):
-        # pcap_xfer_start/_end span + transfer counters, docs/OBSERVABILITY.md.
-        self._tracer = None
-        self._metrics = None
-        self._m_transfers = None
-        self._m_bytes = None
-        self._m_xfer_cycles = None
-
-    def attach_obs(self, tracer=None, metrics=None) -> None:
-        """Wire this port into an observability layer (idempotent)."""
+        # The machine's observability layer: pcap_xfer_start/_end span and
+        # transfer counters (docs/OBSERVABILITY.md).
         self._tracer = tracer
         self._metrics = metrics
-        if metrics is not None:
-            self._m_transfers = metrics.counter("pcap.transfers")
-            self._m_bytes = metrics.counter("pcap.bytes_moved")
-            self._m_xfer_cycles = metrics.histogram("pcap.xfer_cycles")
-            # Failure/recovery counters, zero-valued until a fault plan
-            # actually injects something (docs/FAULTS.md).
-            metrics.counter("pcap.errors")
-            metrics.counter("recovery.pcap_retries")
-            metrics.counter("recovery.pcap_giveups")
-            metrics.counter("recovery.pcap_cancels")
+        self._m_transfers = metrics.counter("pcap.transfers")
+        self._m_bytes = metrics.counter("pcap.bytes_moved")
+        self._m_xfer_cycles = metrics.histogram("pcap.xfer_cycles")
+        # Failure/recovery counters, zero-valued until a fault plan
+        # actually injects something (docs/FAULTS.md).
+        metrics.counter("pcap.errors")
+        metrics.counter("recovery.pcap_retries")
+        metrics.counter("recovery.pcap_giveups")
+        metrics.counter("recovery.pcap_cancels")
+
+    @property
+    def transfers(self) -> int:
+        """Transfer attempts launched: ``pcap.transfers`` (a read-only
+        view over the registry, kept for benchmarks/e2e)."""
+        return self._m_transfers.value
 
     # -- direct API (used by the Hardware Task Manager) --------------------
 
@@ -133,18 +131,14 @@ class Pcap:
         assert bitstream is not None
         self._xfer_attempt += 1
         self._xfer_corrupt = False
-        self.transfers += 1
-        self.bytes_moved += bitstream.size
         self.controller.begin_reconfig(prr_id)
         delay = self.transfer_cycles(bitstream.size)
-        if self._tracer is not None:
-            self._tracer.mark("pcap_xfer_start", cat="pcap", prr=prr_id,
-                              task=task, bytes=bitstream.size,
-                              rid=self._xfer_rid)
-        if self._m_transfers is not None:
-            self._m_transfers.inc()
-            self._m_bytes.inc(bitstream.size)
-            self._m_xfer_cycles.observe(delay)
+        self._tracer.mark("pcap_xfer_start", cat="pcap", prr=prr_id,
+                          task=task, bytes=bitstream.size,
+                          rid=self._xfer_rid)
+        self._m_transfers.inc()
+        self._m_bytes.inc(bitstream.size)
+        self._m_xfer_cycles.observe(delay)
         self._retry_ev = None
         completion = self.sim.schedule(delay, self._complete, prr_id, task,
                                        label=f"pcap-{task}->prr{prr_id}")
@@ -189,9 +183,8 @@ class Pcap:
         self.controller.finish_reconfig(prr_id, make_core(task))
         self.busy = False
         self._xfer_bitstream = None
-        if self._tracer is not None:
-            self._tracer.mark("pcap_xfer_end", cat="pcap", prr=prr_id,
-                              task=task, rid=self._xfer_rid)
+        self._tracer.mark("pcap_xfer_end", cat="pcap", prr=prr_id,
+                          task=task, rid=self._xfer_rid)
         self.done_flag = True
         if self.int_en:
             self.gic.assert_irq(IRQ_PCAP_DONE)
@@ -202,19 +195,14 @@ class Pcap:
         """One attempt failed: retry with backoff or give up for good."""
         prr_id, task, attempt = self._xfer_prr, self._xfer_task, \
             self._xfer_attempt
-        if self._tracer is not None:
-            self._tracer.mark("pcap_xfer_error", cat="fault", prr=prr_id,
-                              task=task, reason=reason, attempt=attempt)
-        if self._metrics is not None:
-            self._metrics.counter("pcap.errors", reason=reason).inc()
+        self._tracer.mark("pcap_xfer_error", cat="fault", prr=prr_id,
+                          task=task, reason=reason, attempt=attempt)
+        self._metrics.counter("pcap.errors", reason=reason).inc()
         if attempt <= self.max_retries:
             backoff = self.retry_backoff_cycles * (1 << (attempt - 1))
-            if self._metrics is not None:
-                self._metrics.counter("recovery.pcap_retries").inc()
-            if self._tracer is not None:
-                self._tracer.mark("pcap_retry", cat="fault", prr=prr_id,
-                                  task=task, attempt=attempt,
-                                  backoff=backoff)
+            self._metrics.counter("recovery.pcap_retries").inc()
+            self._tracer.mark("pcap_retry", cat="fault", prr=prr_id,
+                              task=task, attempt=attempt, backoff=backoff)
             self._retry_ev = self.sim.schedule(
                 backoff, self._launch,
                 label=f"pcap-retry-{task}->prr{prr_id}")
@@ -222,11 +210,9 @@ class Pcap:
         # Out of retries: abort the reconfiguration.  The PRR lands in
         # ERR_RECONFIG (REG_TASKID reads all-ones), the DONE flag/IRQ still
         # fire so a waiting client wakes up and observes the error.
-        if self._metrics is not None:
-            self._metrics.counter("recovery.pcap_giveups").inc()
-        if self._tracer is not None:
-            self._tracer.mark("pcap_giveup", cat="fault", prr=prr_id,
-                              task=task, attempts=attempt)
+        self._metrics.counter("recovery.pcap_giveups").inc()
+        self._tracer.mark("pcap_giveup", cat="fault", prr=prr_id,
+                          task=task, attempts=attempt)
         self.controller.abort_reconfig(prr_id)
         self.busy = False
         self._xfer_bitstream = None
@@ -264,11 +250,8 @@ class Pcap:
         self.busy = False
         self._xfer_bitstream = None
         self._xfer_corrupt = False
-        if self._tracer is not None:
-            self._tracer.mark("pcap_cancel", cat="fault", prr=target,
-                              task=task)
-        if self._metrics is not None:
-            self._metrics.counter("recovery.pcap_cancels").inc()
+        self._tracer.mark("pcap_cancel", cat="fault", prr=target, task=task)
+        self._metrics.counter("recovery.pcap_cancels").inc()
         self.done_flag = True
         if self.int_en:
             self.gic.assert_irq(IRQ_PCAP_DONE)

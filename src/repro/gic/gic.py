@@ -51,7 +51,6 @@ class Gic:
         self.irq_line_cb: Callable[[bool], None] | None = None
         #: Statistics.
         self.asserted = 0
-        self.acked = 0
         self.eois = 0
 
     # -- device-side API -----------------------------------------------------
@@ -81,7 +80,6 @@ class Gic:
             return SPURIOUS_IRQ
         self.pending[irq] = False
         self.active[irq] = True
-        self.acked += 1
         self._update_line()
         return irq
 

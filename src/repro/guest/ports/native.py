@@ -20,8 +20,6 @@ from ...gic.irqs import IRQ_PCAP_DONE, IRQ_PRIVATE_TIMER, SPURIOUS_IRQ, pl_line
 from ...kernel import layout as KL
 from ...kernel.hypercalls import Hc, HcStatus
 from ...machine import GIC_BASE, Machine
-from ...obs.metrics import MetricsRegistry
-from ...obs.trace import Tracer
 from ...mem.descriptors import AP, DomainType, SECTION_SIZE, dacr_set
 from ...mem.ptables import PageTable
 from ..costs import CODE_HC_WRAPPER, UCOS_COSTS as UC
@@ -44,14 +42,13 @@ MANAGER_FN_OFF = 0x3000
 class NativeSystem:
     """Bare-metal uCOS + in-OS hardware-task manager on one Machine."""
 
-    def __init__(self, machine: Machine, os: Ucos, *, trace: bool = True) -> None:
+    def __init__(self, machine: Machine, os: Ucos) -> None:
         self.machine = machine
         self.os = os
         self.cpu = machine.cpu
         self.sim = machine.sim
-        self.tracer = Tracer(enabled=trace)
-        self.tracer.bind(self.sim.clock)
-        self.metrics = MetricsRegistry()
+        self.tracer = machine.tracer
+        self.metrics = machine.metrics
         self.phys_base = machine.mem.guest_frames.alloc(16 << 20, align=1 << 20)
         self.exec = GuestExecutor(self.cpu, addr_base=self.phys_base,
                                   stream=f"native-{os.name}")
@@ -98,8 +95,6 @@ class NativeSystem:
         # Enable timer + PCAP IRQs; PL lines are enabled per allocation.
         for irq in (IRQ_PRIVATE_TIMER, IRQ_PCAP_DONE):
             self.machine.gic.set_enable(irq, True)
-        self.machine.pcap.attach_obs(tracer=self.tracer, metrics=self.metrics)
-        self.sim.attach_metrics(self.metrics)
         self.machine.private_timer.program(self._tick_cycles)
         self.booted = True
 

@@ -174,10 +174,13 @@ def check_lifecycle_invariants(kernel) -> list[str]:
     # L5: lifecycle bookkeeping balances — every kill was resolved into a
     # halt, a completed restart, or a still-scheduled resurrection.
     if lc is not None:
-        resolved = lc.halt_count + lc.restart_count + len(lc.pending)
-        if lc.kills != resolved:
-            v.append(f"lifecycle: {lc.kills} kills != {lc.halt_count} halts"
-                     f" + {lc.restart_count} restarts + {len(lc.pending)}"
+        total = kernel.metrics.total
+        kills, halts, restarts = (total("kernel.vm_kills"),
+                                  total("vm.lifecycle.halts"),
+                                  total("vm.lifecycle.restarts"))
+        if kills != halts + restarts + len(lc.pending):
+            v.append(f"lifecycle: {kills} kills != {halts} halts"
+                     f" + {restarts} restarts + {len(lc.pending)}"
                      f" pending")
 
     # L6: every live domain is registered with the accountant (ledger

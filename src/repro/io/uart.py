@@ -22,13 +22,11 @@ UART_WINDOW_SIZE = 0x1000
 class Uart:
     def __init__(self) -> None:
         self.output = bytearray()
-        self.tx_count = 0
         self.enabled = True
 
     def putc(self, byte: int) -> None:
         if self.enabled:
             self.output.append(byte & 0xFF)
-            self.tx_count += 1
 
     def text(self) -> str:
         return self.output.decode("latin-1")

@@ -36,8 +36,6 @@ from ..hwmgr.journal import JOURNAL_OFF, OP_ALLOCATE, IntentJournal
 from ..gic.irqs import IRQ_PCAP_DONE, IRQ_PRIVATE_TIMER, SPURIOUS_IRQ, pl_line
 from ..machine import GIC_BASE, Machine
 from ..obs.accounting import VmAccounting
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import Tracer
 from . import layout as L
 from .costs import KERNEL_COSTS as C
 from .exits import (
@@ -110,22 +108,23 @@ class MiniNova:
         self.cpu = machine.cpu
         self.mem = machine.mem
         self.sim = machine.sim
-        self.tracer = Tracer(verbose=self.config.trace_verbose)
-        self.tracer.bind(self.sim.clock)
-        self.metrics = MetricsRegistry()
-        self._m_vm_switches = self.metrics.counter("kernel.vm_switches")
+        #: The machine's tracer and registry: every count this kernel
+        #: reports has its one book there (docs/OBSERVABILITY.md §6).
+        self.tracer = machine.tracer
+        self.tracer.verbose = self.config.trace_verbose
+        self.metrics = machine.metrics
         self._m_vm_switch_cycles = self.metrics.histogram(
             "kernel.vm_switch_cycles")
         self._m_irqs = self.metrics.counter("kernel.irqs")
         self._m_hypercall_cycles = self.metrics.histogram(
             "kernel.hypercall_cycles")
         #: Per-VM resource accounting: context-clock cycle attribution,
-        #: event tallies and PRR occupancy (docs/BENCHMARKS.md).
-        self.acct = VmAccounting(metrics=self.metrics)
+        #: PRR occupancy and vIRQ latency samples (docs/BENCHMARKS.md).
+        self.acct = VmAccounting(self.metrics)
         self.kmem = KernelMemory(machine)
         self.sched = Scheduler(
             ms_to_cycles(self.config.quantum_ms, machine.params.cpu.hz),
-            metrics=self.metrics, accounting=self.acct)
+            self.metrics)
         self.ivc = IvcRouter()
         self.syms = L.SYMS
         self.domains: dict[int, ProtectionDomain] = {}
@@ -165,18 +164,28 @@ class MiniNova:
         #: Per-VM console transcript: (vm_id, line) in emission order.
         self.console_log: list[tuple[int, str]] = []
         self._console_bufs: dict[int, bytearray] = {}
-        #: Statistics.
-        self.hypercall_count = 0
+        #: Physical IRQ entries, spurious ACKs included (``kernel.irqs``
+        #: counts only the IRQs that were acknowledged with an ID).
         self.irq_count = 0
-        self.vm_switch_count = 0
         self.booted = False
+
+    @property
+    def vm_switch_count(self) -> int:
+        """All VMs' ``kernel.vm_switches`` (a read-only view over the
+        registry, kept for benchmarks/e2e)."""
+        return self.metrics.total("kernel.vm_switches")
+
+    @property
+    def hypercall_count(self) -> int:
+        """All VMs' ``kernel.hypercalls`` (a read-only view over the
+        registry, kept for benchmarks/e2e)."""
+        return self.metrics.total("kernel.hypercalls")
 
     # ------------------------------------------------------------------ boot
 
     def boot(self) -> None:
         """Install vectors, enable the MMU on the kernel space."""
         cpu, sys = self.cpu, self.cpu.sysregs
-        cpu.set_ledger("kernel")
         cpu.vbar = self.syms.vectors
         sys.write("VBAR", self.syms.vectors, privileged=True)
         sys.write("TTBR0", self.kmem.kernel_pt.l1_base, privileged=True)
@@ -188,16 +197,11 @@ class MiniNova:
         # per-VM and routed through the vGICs).
         for irq in (IRQ_PRIVATE_TIMER, IRQ_PCAP_DONE):
             self.machine.gic.set_enable(irq, True)
-        # Wire the shared-device and engine probes into this kernel's
-        # observability layer (PCAP reconfigurations, sim event counts).
-        self.machine.pcap.attach_obs(tracer=self.tracer, metrics=self.metrics)
-        self.sim.attach_metrics(self.metrics)
-        self.mem.attach_metrics(self.metrics)
         # Hung-task watchdog recovery goes through the manager service.
         self.machine.prr_controller.on_hang = self._on_prr_hang
         # Failure/recovery counters, registered up front so the BENCH
         # artifacts carry them zero-valued on fault-free runs
-        # (docs/FAULTS.md; the pcap.* ones register in attach_obs above).
+        # (docs/FAULTS.md; the pcap.* ones register with the machine).
         self.metrics.counter("fault.injected")
         self.metrics.counter("kernel.vm_kills")
         self.metrics.counter("kernel.hypercall_faults")
@@ -349,7 +353,6 @@ class MiniNova:
             self._deliver_pending_virqs(pd)
             start = self.sim.now
             budget = pd.quantum_remaining
-            ledger = self.cpu.set_ledger(f"guest:{pd.name}")
             # Guest privilege view is constant within one chunk: it only
             # flips in kernel context (GUEST_MODE_SET, vIRQ injection).
             ctx = self.acct.guest_push(pd.vm_id, pd.vcpu.guest_kernel_mode)
@@ -357,7 +360,6 @@ class MiniNova:
                 exit_ = pd.runner.step(budget)
             except ServiceCrashed as crash:
                 self.acct.pop(ctx)
-                self.cpu.set_ledger(ledger)
                 used = self.sim.now - start
                 self.sched.charge(pd, used)
                 self._consume_vtime(pd, used)
@@ -366,7 +368,6 @@ class MiniNova:
                 self.supervisor.handle_crash(pd, crash)
                 continue
             self.acct.pop(ctx)
-            self.cpu.set_ledger(ledger)
             used = self.sim.now - start
             self.sched.charge(pd, used)
             self._consume_vtime(pd, used)
@@ -385,7 +386,6 @@ class MiniNova:
     def _vm_switch(self, to: ProtectionDomain) -> None:
         cpu, syms = self.cpu, self.syms
         switch_start = self.sim.now
-        prev_ledger = cpu.set_ledger("vm_switch")
         ctx = self.acct.push("kernel", to.vm_id)   # switch-in cost: successor
         # The switch runs in kernel context (reached via SVC/IRQ on real
         # hardware; the run loop raises privilege explicitly here).
@@ -447,17 +447,13 @@ class MiniNova:
             cpu.vfp.enable()
 
         self._program_timer(to)
-        to.switches_in += 1
-        self.vm_switch_count += 1
-        self._m_vm_switches.inc()
+        self.metrics.counter("kernel.vm_switches", vm=to.vm_id).inc()
         self._m_vm_switch_cycles.observe(self.sim.now - switch_start)
-        self.acct.note_switch_in(to.vm_id)
         self.acct.pop(ctx)
         self.current = to
         # Drop to PL0 for the incoming domain; IRQs are live while it runs.
         cpu.set_mode(Mode.USR)
         cpu.irq_masked = False
-        cpu.set_ledger(prev_ledger)
 
     def _gic_mask_set(self, pd: ProtectionDomain, *, enable: bool) -> None:
         """Reflect ``pd``'s enabled vIRQ set into the physical GIC.
@@ -511,7 +507,6 @@ class MiniNova:
 
     def _handle_physical_irq(self) -> None:
         cpu, syms = self.cpu, self.syms
-        prev_ledger = cpu.set_ledger("irq")
         # ACK/EOI/routing is unattributed kernel work; injection into a
         # specific VM re-pushes with that VM (see _inject_virq).
         ctx = self.acct.push("kernel", None)
@@ -523,7 +518,6 @@ class MiniNova:
         if irq == SPURIOUS_IRQ:
             cpu.return_from_exception()
             self.acct.pop(ctx)
-            cpu.set_ledger(prev_ledger)
             return
         self._m_irqs.inc()
         if self.tracer.verbose:
@@ -549,7 +543,6 @@ class MiniNova:
         # other device IRQs (UART...) are kernel-internal: nothing to inject
         cpu.return_from_exception()
         self.acct.pop(ctx)
-        cpu.set_ledger(prev_ledger)
 
     def _route_pl_irq(self, irq: int, line: int) -> None:
         """Hardware-task IRQ -> owning VM's vGIC (Fig. 6)."""
@@ -810,7 +803,6 @@ class MiniNova:
     def _vfp_lazy_switch(self, pd: ProtectionDomain) -> None:
         """UND trap from a disabled VFP: move banks now (Table I, lazy)."""
         cpu = self.cpu
-        prev_ledger = cpu.set_ledger("vfp_lazy")
         ctx = self.acct.push("kernel", pd.vm_id)
         cpu.take_exception("und")
         cpu.code(self.syms.und_entry, C.und_entry_stub)
@@ -832,7 +824,6 @@ class MiniNova:
         self.tracer.mark("vfp_lazy_switch", cat="sched", vm=pd.vm_id)
         cpu.return_from_exception()
         self.acct.pop(ctx)
-        cpu.set_ledger(prev_ledger)
 
     # -------------------------------------------------------------- hypercalls
 
@@ -854,16 +845,13 @@ class MiniNova:
 
     def _handle_hypercall(self, pd: ProtectionDomain, exit_: ExitHypercall) -> None:
         cpu, syms = self.cpu, self.syms
-        prev_ledger = cpu.set_ledger("hypercall")
         ctx = self.acct.push("kernel", pd.vm_id)
         hc_start = self.sim.now
-        self.hypercall_count += 1
-        pd.hypercalls += 1
-        self.acct.note_hypercall(pd.vm_id)
         try:
             num = Hc(exit_.num)
         except ValueError:
-            self.metrics.counter("kernel.hypercalls", hc="INVALID").inc()
+            self.metrics.counter("kernel.hypercalls", hc="INVALID",
+                                 vm=pd.vm_id).inc()
             # An unassigned number is the same guest fault class as a
             # malformed argument: both land in the hypercall guard.
             self.metrics.counter("kernel.hypercall_faults").inc()
@@ -872,9 +860,9 @@ class MiniNova:
             exit_.result = HcStatus.ERR_ARG
             pd.runner.complete_hypercall(exit_)
             self.acct.pop(ctx)
-            cpu.set_ledger(prev_ledger)
             return
-        self.metrics.counter("kernel.hypercalls", hc=num.name).inc()
+        self.metrics.counter("kernel.hypercalls", hc=num.name,
+                             vm=pd.vm_id).inc()
         if self.tracer.verbose:
             self.tracer.mark("hypercall", cat="hypercall", vm=pd.vm_id,
                              hc=int(num))
@@ -913,7 +901,6 @@ class MiniNova:
             self._m_hypercall_cycles.observe(self.sim.now - hc_start)
             pd.runner.complete_hypercall(exit_)
         self.acct.pop(ctx)
-        cpu.set_ledger(prev_ledger)
 
     def _dispatch_hypercall(self, pd: ProtectionDomain, num: Hc,
                             exit_: ExitHypercall, rid: int | None) -> bool:

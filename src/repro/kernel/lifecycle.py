@@ -195,11 +195,6 @@ class VmLifecycle:
         self.halted: set[int] = set()
         #: Resurrections granted so far, per vm_id.
         self.attempts: dict[int, int] = {}
-        #: Lifetime tallies (L5 identity: kills == halts + restarts +
-        #: pending resurrections).
-        self.kills = 0
-        self.halt_count = 0
-        self.restart_count = 0
         #: Reentrancy guard: a checkpoint hypercall arriving while one is
         #: already being taken answers BUSY instead of nesting.
         self._checkpointing = False
@@ -329,7 +324,6 @@ class VmLifecycle:
 
     def note_kill(self, pd: ProtectionDomain, reason: str) -> None:
         """``kill_vm`` reports every death here; apply the VM's policy."""
-        self.kills += 1
         policy = self.policies.get(pd.vm_id)
         if policy is None or policy.action == "halt":
             self._halt(pd, reason)
@@ -346,7 +340,6 @@ class VmLifecycle:
                             label=f"vm-resurrect-{vm_id}")
 
     def _halt(self, pd: ProtectionDomain, reason: str) -> None:
-        self.halt_count += 1
         self.halted.add(pd.vm_id)
         self.k.metrics.counter("vm.lifecycle.halts").inc()
         self.k.tracer.mark("vm_halted", cat="lifecycle", vm=pd.vm_id,
@@ -417,7 +410,6 @@ class VmLifecycle:
             k.sched.add(pd, runnable=True)
             if ckpt is not None and ckpt.quantum_remaining > 0:
                 pd.quantum_remaining = ckpt.quantum_remaining
-            self.restart_count += 1
             k.metrics.counter("vm.lifecycle.restarts").inc()
             if ckpt is not None:
                 k.metrics.counter("vm.lifecycle.restores").inc()

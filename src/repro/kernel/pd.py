@@ -70,9 +70,7 @@ class ProtectionDomain:
     #: e.g. a vIRQ routed at a DEAD predecessor PD — is counted and
     #: dropped, never delivered.
     epoch: int = 0
-    #: Statistics.
-    switches_in: int = 0
-    hypercalls: int = 0
+    #: Fault exits this incarnation took, lazy-VFP traps included.
     faults: int = 0
 
     def owns_phys(self, lo: int, hi: int) -> bool:

@@ -9,11 +9,10 @@ Hardware Task Manager sits one priority level above the guests and is
 resumed at the *front* of its circle, which is what makes its requests
 preempt guests immediately (Section IV-E).
 
-Observability: preemption/rotation counts are mirrored into the kernel's
-:class:`~repro.obs.metrics.MetricsRegistry` (``sched.preemptions``,
-``sched.rotations``) when one is supplied, plus a ``sched.runnable``
-gauge tracking the run-queue population; per-VM rotation tallies go to
-an optional :class:`~repro.obs.accounting.VmAccounting`.  The dispatch
+Observability: preemptions and per-VM rotations are counted in the
+machine's :class:`~repro.obs.metrics.MetricsRegistry` (``sched.preemptions``,
+``sched.rotations{vm}``), the only book of either, plus a
+``sched.runnable`` gauge tracking the run-queue population.  The dispatch
 events themselves (``vm_switch``) are traced by the kernel core — see
 docs/OBSERVABILITY.md.
 """
@@ -23,31 +22,25 @@ from __future__ import annotations
 from collections import deque
 
 from ..common.errors import SimulationError
+from ..obs.metrics import MetricsRegistry
 from .pd import PdState, ProtectionDomain
 
 
 class Scheduler:
     """Run/suspend queues plus the quantum accounting of Section III-D."""
 
-    def __init__(self, quantum_cycles: int, n_priorities: int = 8,
-                 metrics=None, accounting=None) -> None:
+    def __init__(self, quantum_cycles: int, metrics: MetricsRegistry,
+                 n_priorities: int = 8) -> None:
         self.quantum_cycles = quantum_cycles
         self.n_priorities = n_priorities
         self._run: list[deque[ProtectionDomain]] = [deque() for _ in range(n_priorities)]
         self._suspended: set[ProtectionDomain] = set()
-        self.preemptions = 0
-        self.rotations = 0
-        self._acct = accounting
-        self._m_preemptions = (metrics.counter("sched.preemptions")
-                               if metrics is not None else None)
-        self._m_rotations = (metrics.counter("sched.rotations")
-                             if metrics is not None else None)
-        self._m_runnable = (metrics.gauge("sched.runnable")
-                            if metrics is not None else None)
+        self._metrics = metrics
+        self._m_preemptions = metrics.counter("sched.preemptions")
+        self._m_runnable = metrics.gauge("sched.runnable")
 
     def _update_runnable(self) -> None:
-        if self._m_runnable is not None:
-            self._m_runnable.set(self.runnable_count())
+        self._m_runnable.set(self.runnable_count())
 
     # -- queue management -----------------------------------------------------
 
@@ -121,11 +114,7 @@ class Scheduler:
         q = self._run[pd.priority]
         if q and q[0] is pd:
             q.rotate(-1)
-            self.rotations += 1
-            if self._m_rotations is not None:
-                self._m_rotations.inc()
-            if self._acct is not None:
-                self._acct.note_rotation(pd.vm_id)
+            self._metrics.counter("sched.rotations", vm=pd.vm_id).inc()
         pd.quantum_remaining = self.quantum_cycles
 
     def charge(self, pd: ProtectionDomain, cycles: int) -> None:
@@ -135,9 +124,7 @@ class Scheduler:
 
     def note_preemption(self) -> None:
         """Count a quantum-expiry preemption (timer fired mid-slice)."""
-        self.preemptions += 1
-        if self._m_preemptions is not None:
-            self._m_preemptions.inc()
+        self._m_preemptions.inc()
 
     # -- introspection ------------------------------------------------------------
 

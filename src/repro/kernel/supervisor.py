@@ -39,9 +39,6 @@ class ManagerSupervisor:
 
     def __init__(self, kernel) -> None:
         self.kernel = kernel
-        self.restarts = 0
-        self.crashes = 0
-        self.deadline_expiries = 0
         #: True while a restart/recovery cycle is running; fault consults
         #: inside the manager are suppressed for its duration.
         self.in_restart = False
@@ -91,7 +88,6 @@ class ManagerSupervisor:
             self._deadline_ev = k.sim.schedule(
                 limit - age, self._deadline_check, label="mgr-deadline")
             return
-        self.deadline_expiries += 1
         k.metrics.counter("supervisor.deadline_expiries").inc()
         k.tracer.mark("manager_deadline", cat="fault", age=age,
                       queued=len(k.manager_queue))
@@ -102,7 +98,6 @@ class ManagerSupervisor:
     def handle_crash(self, pd, exc) -> None:
         """Run-loop handler for ServiceCrashed escaping the manager."""
         k = self.kernel
-        self.crashes += 1
         k.metrics.counter("supervisor.crashes").inc()
         k.tracer.mark("service_crash", cat="fault", vm=pd.vm_id,
                       point=exc.point)
@@ -122,10 +117,9 @@ class ManagerSupervisor:
         sysregs = k.cpu.sysregs
         try:
             with privileged_context(k.cpu):
-                self.restarts += 1
                 k.metrics.counter("supervisor.restarts", reason=reason).inc()
                 k.tracer.mark("manager_restart", cat="fault", reason=reason,
-                              n=self.restarts)
+                              n=k.metrics.total("supervisor.restarts"))
                 service = k.restart_manager(reason=reason)
                 pd = k.manager_pd
                 sysregs.write("TTBR0", pd.page_table.l1_base,

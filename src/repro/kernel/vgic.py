@@ -12,12 +12,13 @@ are delivered when the VM is next scheduled (Section IV-D).
 
 Observability: injections are traced by the kernel core (the
 ``plirq_inject_*`` span and the verbose ``virq_inject`` event — see
-docs/OBSERVABILITY.md) and counted in ``kernel.virq_injected{vm=...}``;
-the per-instance ``pended`` / ``injected`` attributes here are the raw
-tallies those probes are built from.  When the kernel wires an
-``acct`` (:class:`~repro.obs.accounting.VmAccounting`), every
-pend/take pair additionally produces one injection-to-delivery latency
-sample (``kernel.virq_delivery_cycles``).
+docs/OBSERVABILITY.md) and counted there in ``kernel.virq_injected{vm}``.
+The vGIC itself keeps no tallies: it reports pends, takes and drops to
+the kernel's ``acct`` (:class:`~repro.obs.accounting.VmAccounting`),
+which counts pends in ``kernel.virq_pended{vm}`` and turns every
+pend/take pair into one injection-to-delivery latency sample
+(``kernel.virq_delivery_cycles``).  Both counters live in the machine's
+registry, so they keep counting across a VM's resurrections.
 """
 
 from __future__ import annotations
@@ -48,11 +49,8 @@ class VGic:
     irqs: dict[int, VIrqState] = field(default_factory=dict)
     #: Delivery order for pending vIRQs (FIFO).
     _pending_fifo: list[int] = field(default_factory=list)
-    #: vIRQs delivered to the guest / marked pending (lifetime tallies).
-    injected: int = 0
-    pended: int = 0
     #: Optional per-VM accountant (wired by the kernel); pend/take feed
-    #: its vIRQ tallies and injection-to-delivery latency samples.
+    #: its pend counter and injection-to-delivery latency samples.
     acct: Any = None
     #: Set when the owning PD dies: a dead-epoch vGIC accepts no new
     #: pends (the kernel's routing sites count such attempts into
@@ -96,7 +94,6 @@ class VGic:
             return
         if not st.pending:
             st.pending = True
-            self.pended += 1
             self._pending_fifo.append(irq_id)
             if self.acct is not None:
                 self.acct.note_virq_pended(self.vm_id, irq_id)
@@ -113,7 +110,6 @@ class VGic:
         st = self.irqs[irq_id]
         st.pending = False
         self._pending_fifo.remove(irq_id)
-        self.injected += 1
         if self.acct is not None:
             self.acct.note_virq_injected(self.vm_id, irq_id)
 

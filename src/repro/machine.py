@@ -4,6 +4,12 @@ Wires the DES engine, CPU, memory system, GIC, timers, and the PL side
 (PRR controller + PCAP + bitstream store) onto the physical bus, matching
 Fig. 4 of the paper.  Both the virtualized system (Mini-NOVA + guests) and
 the native baseline run on an identical ``Machine``.
+
+The machine also owns the one observability layer every component of it
+reports to: a :class:`~repro.obs.metrics.MetricsRegistry` and a
+:class:`~repro.obs.trace.Tracer` bound to the engine clock, handed to the
+engine, the memory system and the PCAP at construction and used by
+whichever system (kernel or native port) drives the machine.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from .fpga.prr import Prr
 from .gic.gic import GIC_WINDOW_SIZE, Gic
 from .io.uart import UART_WINDOW_SIZE, Uart
 from .mem.system import MemorySystem
+from .obs.metrics import MetricsRegistry
+from .obs.trace import Tracer
 from .sim.engine import Simulator
 from .timerhw.timers import TIMER_WINDOW_SIZE, GlobalTimer, PrivateTimer
 
@@ -56,8 +64,10 @@ class Machine:
         self.config = config or MachineConfig()
         params = self.config.params
         self.params = params
-        self.sim = Simulator()
-        self.mem = MemorySystem(params)
+        self.metrics = MetricsRegistry()
+        self.sim = Simulator(self.metrics)
+        self.tracer = Tracer(self.sim.clock)
+        self.mem = MemorySystem(params, self.metrics)
         self.cpu = Cpu(self.sim, self.mem, params)
         self.gic = Gic()
         self.gic.irq_line_cb = self._set_irq_line
@@ -71,7 +81,8 @@ class Machine:
             self.sim, self.gic, self.mem.bus, self.prrs, params.fpga,
             params.cpu.hz)
         self.pcap = Pcap(self.sim, self.gic, self.prr_controller,
-                         params.fpga, params.cpu.hz)
+                         params.fpga, params.cpu.hz, self.tracer,
+                         self.metrics)
         self.bitstreams = BitstreamStore(self.mem.bus, self.mem.kernel_frames)
         for task in self.config.tasks:
             self.bitstreams.install(task)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from ..cache.hierarchy import AccessKind, CacheHierarchy
 from ..common.errors import DataAbort, PrefetchAbort
 from ..common.params import TlbParams
+from ..obs.metrics import MetricsRegistry
 from .descriptors import (
     AP,
     DomainType,
@@ -39,7 +40,8 @@ from .tlb import Tlb, TlbEntry
 class Mmu:
     """One MMU instance (the platform is modelled with a single active core)."""
 
-    def __init__(self, bus: Bus, caches: CacheHierarchy, tlb_params: TlbParams) -> None:
+    def __init__(self, bus: Bus, caches: CacheHierarchy, tlb_params: TlbParams,
+                 metrics: MetricsRegistry) -> None:
         self.bus = bus
         self.caches = caches
         self.tlb = Tlb(tlb_params)
@@ -58,10 +60,9 @@ class Mmu:
         #: write epoch.  Successful walks only; faults always re-walk.
         self._walk_memo: dict[tuple[int, int], tuple] = {}
         self._memo_epoch = -1
-        self.walk_memo_hits = 0
-        self.walk_memo_invalidations = 0
-        self._m_walk_hits = None     # optional sim.fastpath.walk_cache_hits
-        self._m_walk_invals = None
+        self._m_walk_hits = metrics.counter("sim.fastpath.walk_cache_hits")
+        self._m_walk_invals = metrics.counter(
+            "sim.fastpath.walk_cache_invalidations")
         # Flattened DACR decode (see _rebuild_dacr_tables).
         self._dacr_types: list[int] = []
         self._allow: dict[tuple[bool, bool], list[bool]] = {}
@@ -87,9 +88,7 @@ class Mmu:
         """Drop every memoized walk (TTBR/DACR write, lifecycle epoch bump)."""
         if self._walk_memo:
             self._walk_memo.clear()
-            self.walk_memo_invalidations += 1
-            if self._m_walk_invals is not None:
-                self._m_walk_invals.inc()
+            self._m_walk_invals.inc()
         self._memo_epoch = -1
 
     def _rebuild_dacr_tables(self) -> None:
@@ -133,11 +132,11 @@ class Mmu:
         """Permission table for one access class (see _rebuild_dacr_tables)."""
         return self._allow[(privileged, write)]
 
-    def attach_metrics(self, metrics) -> None:
-        """Mirror fast-path activity into ``sim.fastpath.*`` counters."""
-        self._m_walk_hits = metrics.counter("sim.fastpath.walk_cache_hits")
-        self._m_walk_invals = metrics.counter(
-            "sim.fastpath.walk_cache_invalidations")
+    @property
+    def walk_memo_hits(self) -> int:
+        """Walks served from the memo: ``sim.fastpath.walk_cache_hits``
+        (a read-only view over the registry, kept for benchmarks/e2e)."""
+        return self._m_walk_hits.value
 
     # -- translation -------------------------------------------------------
 
@@ -192,9 +191,7 @@ class Mmu:
             if epoch != self._memo_epoch:
                 if self._walk_memo:
                     self._walk_memo.clear()
-                    self.walk_memo_invalidations += 1
-                    if self._m_walk_invals is not None:
-                        self._m_walk_invals.inc()
+                    self._m_walk_invals.inc()
                 self._memo_epoch = epoch
             hit = self._walk_memo.get((self.ttbr, vpn))
             if hit is not None:
@@ -202,9 +199,7 @@ class Mmu:
                 # evolution); skip only the pure functional decode.
                 l1_addr, l2_addr, pfn, ap, domain, global_ = hit
                 self.walks += 1
-                self.walk_memo_hits += 1
-                if self._m_walk_hits is not None:
-                    self._m_walk_hits.inc()
+                self._m_walk_hits.inc()
                 cycles = self.caches.access(l1_addr, kind=AccessKind.WALK)
                 if l2_addr is not None:
                     cycles += self.caches.access(l2_addr, kind=AccessKind.WALK)

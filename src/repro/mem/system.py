@@ -20,16 +20,18 @@ import numpy as np
 from ..cache.hierarchy import AccessKind, CacheHierarchy
 from ..common.errors import SimulationError
 from ..common.params import PlatformParams
+from ..obs.metrics import MetricsRegistry
 from .mmu import Mmu
 from .phys import Bus, FrameAllocator
 
 
 class MemorySystem:
-    def __init__(self, params: PlatformParams) -> None:
+    def __init__(self, params: PlatformParams,
+                 metrics: MetricsRegistry) -> None:
         self.params = params
         self.bus = Bus(params.memmap)
         self.caches = CacheHierarchy(params)
-        self.mmu = Mmu(self.bus, self.caches, params.tlb)
+        self.mmu = Mmu(self.bus, self.caches, params.tlb, metrics)
         mm = params.memmap
         #: Kernel-reserved DRAM carve-out for page tables & kernel objects.
         self.kernel_frames = FrameAllocator(mm.dram_base, 32 * 1024 * 1024)
@@ -48,15 +50,8 @@ class MemorySystem:
         # slow path by construction; tests/mem/test_fastpath.py proves it.
         self.fastpath = params.fastpath
         self.mmu.fastpath = params.fastpath
-        #: Cycles charged through the batched bulk path (fast path only).
-        self.batched_cycles = 0
-        self._m_batched = None
-
-    def attach_metrics(self, metrics) -> None:
-        """Register ``sim.fastpath.*`` counters (called by the kernel at
-        boot so they exist at zero even before any bulk traffic)."""
+        # Cycles charged through the batched bulk path (fast path only).
         self._m_batched = metrics.counter("sim.fastpath.batched_cycles")
-        self.mmu.attach_metrics(metrics)
 
     # -- trace-accurate accesses -------------------------------------------
 
@@ -305,9 +300,7 @@ class MemorySystem:
         tlb_misses0 = self.mmu.tlb.stats.misses
         if self.fastpath:
             total = self._sample_fast(vaddrs, write_mask, privileged)
-            self.batched_cycles += total * scale
-            if self._m_batched is not None:
-                self._m_batched.inc(total * scale)
+            self._m_batched.inc(total * scale)
         else:
             total = 0
             translate = self.mmu.translate
@@ -360,9 +353,7 @@ class MemorySystem:
         extrapolated latency on the batched-cycle books."""
         self.mmu.tlb.stats.hits += n
         self.caches.l1d.stats.hits += n
-        self.batched_cycles += cycles
-        if self._m_batched is not None:
-            self._m_batched.inc(cycles)
+        self._m_batched.inc(cycles)
 
     def _sample_fast(self, vaddrs: list[int], write_mask: list[bool],
                      privileged: bool) -> int:

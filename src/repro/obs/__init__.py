@@ -12,7 +12,8 @@ the CLI's ``--trace-out``/``--metrics`` flags are built on:
 * :mod:`repro.obs.analytics`  — percentile summaries (p50/p90/p99) over
   histograms and trace-span samples, DPR critical-path chains;
 * :mod:`repro.obs.accounting` — per-VM cycle attribution (kernel /
-  guest-kernel / guest-user / idle), event tallies, PRR occupancy;
+  guest-kernel / guest-user / idle), PRR occupancy, exact vIRQ latency
+  samples; per-VM event counts are read back from the registry;
 * :mod:`repro.obs.aggregate`  — mergeable :class:`MetricSnapshot` with an
   exact K-way merge law (the fleet-aggregation substrate);
 * :mod:`repro.obs.stream`     — the schema-versioned JSONL telemetry bus

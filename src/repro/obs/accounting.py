@@ -17,12 +17,17 @@ kernel cycles and idle cycles equals the simulated cycles elapsed since
 :meth:`VmAccounting.bind` — an invariant pinned by
 ``tests/integration/test_accounting_invariant.py``.
 
-On top of the cycle ledger the accountant keeps per-VM event tallies fed
-by kernel/scheduler/vGIC/manager probes (hypercalls, vIRQ pend/inject
-with injection-to-delivery latency, switch-ins, quantum rotations) and
-per-PRR occupancy intervals reconciled from the live fabric state, so
-``python -m repro bench`` can emit a complete per-VM table (see
-docs/BENCHMARKS.md).
+The accountant keeps only what a counter cannot hold: that context
+clock, per-PRR occupancy intervals reconciled from the live fabric state,
+and the exact vIRQ injection-to-delivery latency samples.  Per-VM event
+counts (switch-ins, hypercalls, vIRQ pends and injections, quantum
+rotations) have one book, the machine's
+:class:`~repro.obs.metrics.MetricsRegistry`, under a ``vm`` label: the
+accountant registers each VM's series when the VM is registered and
+reads them back for :meth:`VmAccounting.snapshot` and
+:meth:`VmAccounting.render`, so ``python -m repro bench`` can emit a
+complete per-VM table (see docs/BENCHMARKS.md).  Reading the books never
+registers a metric.
 """
 
 from __future__ import annotations
@@ -30,13 +35,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from .metrics import MetricsRegistry
+
 #: Context kinds a cycle can be attributed to.
 CONTEXTS = ("kernel", "guest_kernel", "guest_user", "idle")
 
-#: Safety cap on retained vIRQ latency samples (oldest half is compacted
-#: into the histogram-backed summary only; exact percentiles then degrade
-#: gracefully instead of growing without bound on very long runs).
+#: Cap on the exact vIRQ latency samples kept per VM: each VM keeps its
+#: first ``MAX_VIRQ_SAMPLES`` and drops later ones, so memory stays
+#: bounded on very long runs.  ``kernel.virq_delivery_cycles`` still
+#: observes every sample.
 MAX_VIRQ_SAMPLES = 1 << 18
+
+#: Per-VM counts the accountant reports but does not keep: snapshot key
+#: and the registry counter it sums over the VM's label sets.
+VM_COUNTS = (("hypercalls", "kernel.hypercalls"),
+             ("virqs_pended", "kernel.virq_pended"),
+             ("virqs_injected", "kernel.virq_injected"),
+             ("switches_in", "kernel.vm_switches"),
+             ("rotations", "sched.rotations"))
+
+#: The counters labelled by ``vm`` alone, registered with each VM
+#: (``kernel.hypercalls`` also carries ``hc`` and registers on first use).
+VM_SERIES = tuple(metric for _, metric in VM_COUNTS
+                  if metric != "kernel.hypercalls")
 
 
 @dataclass
@@ -51,12 +72,6 @@ class VmAccount:
     #: Kernel cycles spent on this VM's behalf (hypercall handling,
     #: vIRQ injection, switch-in cost, deferred-result resume).
     kernel_cycles: int = 0
-    #: Event tallies.
-    hypercalls: int = 0
-    virqs_pended: int = 0
-    virqs_injected: int = 0
-    switches_in: int = 0
-    rotations: int = 0
     #: Total cycles this VM held fabric regions (summed over PRRs; two
     #: PRRs held for one cycle count as two occupancy cycles).
     prr_occupancy_cycles: int = 0
@@ -69,34 +84,19 @@ class VmAccount:
         return (self.guest_kernel_cycles + self.guest_user_cycles
                 + self.kernel_cycles)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "vm_id": self.vm_id, "name": self.name,
-            "guest_kernel_cycles": self.guest_kernel_cycles,
-            "guest_user_cycles": self.guest_user_cycles,
-            "kernel_cycles": self.kernel_cycles,
-            "cpu_cycles": self.cpu_cycles,
-            "hypercalls": self.hypercalls,
-            "virqs_pended": self.virqs_pended,
-            "virqs_injected": self.virqs_injected,
-            "switches_in": self.switches_in,
-            "rotations": self.rotations,
-            "prr_occupancy_cycles": self.prr_occupancy_cycles,
-        }
-
 
 class VmAccounting:
-    """Transition-driven cycle attribution plus per-VM event tallies.
+    """Transition-driven cycle attribution, PRR occupancy and exact vIRQ
+    latency samples; per-VM counts read back from the registry.
 
     The owner (the kernel) binds a cycle clock, registers VMs, and marks
     context transitions with :meth:`push` / :meth:`pop` (re-entrant, so
     nested attribution — a vIRQ injection inside a switch-in — charges
     the innermost context).  All probe methods are safe no-ops until
-    :meth:`bind` is called, so standalone unit tests of the scheduler or
-    vGIC never need an accountant.
+    :meth:`bind` is called.
     """
 
-    def __init__(self, metrics=None) -> None:
+    def __init__(self, metrics: MetricsRegistry) -> None:
         self._clock: Any = None
         self.start_cycle = 0
         self._last = 0
@@ -111,12 +111,10 @@ class VmAccounting:
         self._virq_pend_t: dict[tuple[int, int], int] = {}
         #: Open PRR occupancy intervals: prr_id -> (vm_id, start cycle).
         self._prr_open: dict[int, tuple[int, int]] = {}
-        self._virq_dropped = 0
-        # Optional metrics mirror: delivery latency as a histogram so the
-        # always-on registry exposes it too (docs/OBSERVABILITY.md §6).
-        self._m_virq_latency = (
-            metrics.histogram("kernel.virq_delivery_cycles")
-            if metrics is not None else None)
+        self._metrics = metrics
+        # Delivery latency as a histogram too, so the always-on registry
+        # exposes it (docs/OBSERVABILITY.md §6).
+        self._m_virq_latency = metrics.histogram("kernel.virq_delivery_cycles")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -131,9 +129,13 @@ class VmAccounting:
         return self._clock is not None
 
     def register_vm(self, vm_id: int, name: str = "") -> VmAccount:
+        """Open ``vm_id``'s row and register its per-VM counters; a
+        resurrected VM re-registers onto the same row and series."""
         acct = self.vms.get(vm_id)
         if acct is None:
             acct = self.vms[vm_id] = VmAccount(vm_id=vm_id, name=name)
+            for metric in VM_SERIES:
+                self._metrics.counter(metric, vm=vm_id)
         elif name:
             acct.name = name
         return acct
@@ -196,26 +198,13 @@ class VmAccounting:
         if self._clock is not None:
             self._settle()
 
-    # -- event probes -------------------------------------------------------
-
-    def note_hypercall(self, vm_id: int) -> None:
-        if self._clock is not None:
-            self._vm(vm_id).hypercalls += 1
-
-    def note_switch_in(self, vm_id: int) -> None:
-        if self._clock is not None:
-            self._vm(vm_id).switches_in += 1
-
-    def note_rotation(self, vm_id: int) -> None:
-        if self._clock is not None:
-            self._vm(vm_id).rotations += 1
+    # -- vIRQ probes ---------------------------------------------------------
 
     def note_virq_pended(self, vm_id: int, irq_id: int) -> None:
         """vGIC probe: ``irq_id`` became pending for ``vm_id`` now."""
         if self._clock is None:
             return
-        acct = self._vm(vm_id)
-        acct.virqs_pended += 1
+        self._metrics.counter("kernel.virq_pended", vm=vm_id).inc()
         self._virq_pend_t.setdefault((vm_id, irq_id), self._clock.now)
 
     def note_virq_injected(self, vm_id: int, irq_id: int) -> None:
@@ -223,18 +212,14 @@ class VmAccounting:
         Records the injection-to-delivery latency since the pend."""
         if self._clock is None:
             return
-        acct = self._vm(vm_id)
-        acct.virqs_injected += 1
         t0 = self._virq_pend_t.pop((vm_id, irq_id), None)
         if t0 is None:
             return
         lat = self._clock.now - t0
-        if self._m_virq_latency is not None:
-            self._m_virq_latency.observe(lat)
-        if len(acct.virq_latency) < MAX_VIRQ_SAMPLES:
-            acct.virq_latency.append(lat)
-        else:
-            self._virq_dropped += 1
+        self._m_virq_latency.observe(lat)
+        samples = self._vm(vm_id).virq_latency
+        if len(samples) < MAX_VIRQ_SAMPLES:
+            samples.append(lat)
 
     def note_virq_dropped(self, vm_id: int, irq_id: int) -> None:
         """vGIC probe: a pending vIRQ was discarded without delivery
@@ -286,16 +271,33 @@ class VmAccounting:
             out.extend(acct.virq_latency)
         return out
 
+    def counts(self, vm_id: int) -> dict[str, int]:
+        """``vm_id``'s event counts, summed from the registry."""
+        return {key: self._metrics.total(metric, vm=vm_id)
+                for key, metric in VM_COUNTS}
+
     def snapshot(self) -> dict[str, Any]:
         """Settle and return the full accounting state as plain data."""
         self.settle()
         self.close_prr_occupancy()
+        vms = []
+        for vm in sorted(self.vms):
+            a = self.vms[vm]
+            vms.append({
+                "vm_id": a.vm_id, "name": a.name,
+                "guest_kernel_cycles": a.guest_kernel_cycles,
+                "guest_user_cycles": a.guest_user_cycles,
+                "kernel_cycles": a.kernel_cycles,
+                "cpu_cycles": a.cpu_cycles,
+                **self.counts(vm),
+                "prr_occupancy_cycles": a.prr_occupancy_cycles,
+            })
         return {
             "start_cycle": self.start_cycle,
             "kernel_cycles": self.kernel_cycles,
             "idle_cycles": self.idle_cycles,
             "total_accounted": self.total_accounted(),
-            "vms": [self.vms[vm].as_dict() for vm in sorted(self.vms)],
+            "vms": vms,
         }
 
     def render(self) -> str:
@@ -307,12 +309,12 @@ class VmAccounting:
                 f"{'prr-occ':>12}")
         lines = ["=== per-VM accounting (cycles) ===", head]
         for vm in sorted(self.vms):
-            a = self.vms[vm]
+            a, n = self.vms[vm], self.counts(vm)
             lines.append(
                 f"{a.vm_id:>3} {a.name:16.16} {a.guest_kernel_cycles:>12} "
                 f"{a.guest_user_cycles:>12} {a.kernel_cycles:>10} "
-                f"{a.hypercalls:>6} {a.virqs_injected:>6} "
-                f"{a.switches_in:>6} {a.prr_occupancy_cycles:>12}")
+                f"{n['hypercalls']:>6} {n['virqs_injected']:>6} "
+                f"{n['switches_in']:>6} {a.prr_occupancy_cycles:>12}")
         lines.append(f"kernel (unattributed): {self.kernel_cycles} cycles, "
                      f"idle: {self.idle_cycles} cycles")
         return "\n".join(lines)

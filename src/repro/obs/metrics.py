@@ -5,6 +5,9 @@ number, PRR reconfigurations, TLB/cache flushes) are too frequent to trace
 event-by-event on long runs but too valuable to lose.  The registry keeps
 them as plain Python attributes behind pre-fetched handles, so a probe is
 one attribute increment — cheap enough to stay enabled in every run.
+Each machine owns one registry, and it is the only book of every count
+it holds: components read their statistics back from it rather than
+keeping a second tally.
 
 Naming follows a ``subsystem.metric`` convention with optional labels,
 e.g. ``kernel.hypercalls{hc=TIMER_SET}``; ``render()`` produces the
@@ -181,10 +184,13 @@ class MetricsRegistry:
 
     # -- introspection / export ---------------------------------------------
 
-    def total(self, name: str) -> int:
-        """Sum a counter across every label set (0 if never registered)."""
-        return sum(c.value for (n, _), c in self._counters.items()
-                   if n == name)
+    def total(self, name: str, **labels: Any) -> int:
+        """Sum a counter across every label set that carries ``labels``
+        (``total("kernel.hypercalls", vm=2)`` sums one VM's series; 0 if
+        none is registered).  Reading never registers a metric."""
+        want = labels.items()
+        return sum(c.value for (n, key), c in self._counters.items()
+                   if n == name and want <= dict(key).items())
 
     def counters(self) -> list[Counter]:
         return [self._counters[k] for k in sorted(self._counters, key=str)]

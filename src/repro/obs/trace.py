@@ -151,61 +151,37 @@ class _Span:
                           **self._info)
 
 
-class _NoopSpan:
-    """Zero-cost stand-in returned when tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
-
-_NOOP_SPAN = _NoopSpan()
-
-
 class Tracer:
     """Bounded, name-indexed event tracer bound to a cycle clock.
 
-    ``enabled=False`` turns every probe into a no-op; ``verbose`` gates the
-    high-rate events (per-hypercall, per-vIRQ-injection — see the Level
-    column in docs/OBSERVABILITY.md) that would otherwise dominate the
-    ring on long runs.
+    Each machine owns one, bound to its engine clock at construction.
     """
 
-    def __init__(self, enabled: bool = True,
-                 capacity: int = DEFAULT_RING_CAPACITY,
-                 verbose: bool = False) -> None:
-        self.enabled = enabled
-        self.verbose = verbose
+    def __init__(self, clock: Any,
+                 capacity: int = DEFAULT_RING_CAPACITY) -> None:
+        #: Also emit the high-rate events (per-hypercall,
+        #: per-vIRQ-injection — the Level column in docs/OBSERVABILITY.md)
+        #: that would otherwise dominate the ring on long runs; the kernel
+        #: sets it from ``KernelConfig.trace_verbose``.
+        self.verbose = False
         self.events = EventRing(capacity)
-        self._clock_ref: Any = None   # object with .now (set by the kernel)
-
-    def bind(self, clock_like: Any) -> None:
-        """Attach the clock the timestamps are read from (kernel boot)."""
-        self._clock_ref = clock_like
+        self._clock = clock           # object with .now
 
     # -- recording ----------------------------------------------------------
 
     def mark(self, name: str, *, cat: str = "misc", **info: Any) -> None:
         """Record an instant event at the current cycle."""
-        if self.enabled and self._clock_ref is not None:
-            self.events.append(TraceEvent(self._clock_ref.now, name, info, cat))
+        self.events.append(TraceEvent(self._clock.now, name, info, cat))
 
     def mark_at(self, t: int, name: str, *, cat: str = "misc",
                 **info: Any) -> None:
         """Record an event with an explicit timestamp (e.g. the PL-IRQ
         exception-vector time captured before routing work began)."""
-        if self.enabled:
-            self.events.append(TraceEvent(t, name, info, cat))
+        self.events.append(TraceEvent(t, name, info, cat))
 
-    def span(self, name: str, *, cat: str = "misc", **info: Any):
+    def span(self, name: str, *, cat: str = "misc", **info: Any) -> _Span:
         """Context manager emitting ``<name>_start``/``<name>_end`` marks
         around its body — the span pairing the eval layer consumes."""
-        if not (self.enabled and self._clock_ref is not None):
-            return _NOOP_SPAN
         return _Span(self, name, cat, info)
 
     def clear(self) -> None:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..common.errors import SimulationError
+from ..obs.metrics import MetricsRegistry
 
 
 class Clock:
@@ -77,18 +78,16 @@ class EventHandle:
 class Simulator:
     """Clock + event queue.  One instance per simulated machine."""
 
-    def __init__(self) -> None:
+    def __init__(self, metrics: MetricsRegistry) -> None:
         self.clock = Clock()
         self._queue: list[_QueuedEvent] = []
         self._seq = itertools.count()
-        #: Total events fired, for sanity checks in tests.
-        self.fired_count = 0
-        # Optional observability counters (attached by the kernel at boot;
-        # see docs/OBSERVABILITY.md): events scheduled/fired, idle skips.
-        self._m_scheduled = None
-        self._m_fired = None
-        self._m_idle = None
-        self._m_idle_cycles = None
+        # Engine activity in the machine's registry (docs/OBSERVABILITY.md
+        # §6): events scheduled/fired, idle fast-forwards and their cycles.
+        self._m_scheduled = metrics.counter("sim.events_scheduled")
+        self._m_fired = metrics.counter("sim.events_fired")
+        self._m_idle = metrics.counter("sim.idle_advances")
+        self._m_idle_cycles = metrics.counter("sim.idle_cycles")
         # Optional per-VM accountant (attached by the kernel at boot): its
         # idle ledger is fed from here, because only the engine knows how
         # far an idle fast-forward jumped.
@@ -98,14 +97,6 @@ class Simulator:
         # queue, the idle jump targets and every cycle-exact series are
         # identical with streaming on or off.
         self._stream = None
-
-    def attach_metrics(self, metrics) -> None:
-        """Mirror engine activity into a
-        :class:`~repro.obs.metrics.MetricsRegistry` (``sim.*`` counters)."""
-        self._m_scheduled = metrics.counter("sim.events_scheduled")
-        self._m_fired = metrics.counter("sim.events_fired")
-        self._m_idle = metrics.counter("sim.idle_advances")
-        self._m_idle_cycles = metrics.counter("sim.idle_cycles")
 
     def attach_accounting(self, accounting) -> None:
         """Report idle fast-forwards to a
@@ -140,8 +131,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule event in the past ({t} < {self.clock.now})")
         handle = EventHandle(t, fn, args, label)
         heapq.heappush(self._queue, _QueuedEvent(t, next(self._seq), handle))
-        if self._m_scheduled is not None:
-            self._m_scheduled.inc()
+        self._m_scheduled.inc()
         return handle
 
     def defer(self, handle: EventHandle, extra: int) -> EventHandle:
@@ -176,9 +166,7 @@ class Simulator:
         n = 0
         while (ev := self._pop_due(self.clock.now)) is not None:
             ev.fired = True
-            self.fired_count += 1
-            if self._m_fired is not None:
-                self._m_fired.inc()
+            self._m_fired.inc()
             ev.fn(*ev.args)
             n += 1
         s = self._stream
@@ -212,12 +200,10 @@ class Simulator:
         t = self.next_event_time()
         if t is None:
             return False
-        if self._m_idle is not None:
-            self._m_idle.inc()
+        self._m_idle.inc()
         skipped = max(0, t - self.clock.now)
         if skipped:
-            if self._m_idle_cycles is not None:
-                self._m_idle_cycles.inc(skipped)
+            self._m_idle_cycles.inc(skipped)
             if self._accounting is not None:
                 # Before the jump, so the accountant settles the open
                 # context first and books the gap as idle.

@@ -9,7 +9,9 @@ frame's input is regenerated from a per-frame RNG stream, the output
 region is bit-identical whether the VM ran uninterrupted, was killed and
 restarted fresh, or was resurrected from a checkpoint and resumed at the
 recorded frame — which is exactly what the lifecycle acceptance test
-asserts.
+asserts.  Frame ``i`` lands in slot ``i mod RESTART_SLOTS``, so an
+open-ended loop (a fleet tenant's service task, docs/FLEET.md) wraps
+around the finite region instead of outgrowing the section.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ from ..kernel.hypercalls import Hc
 #: one 4 KB slot per frame.
 RESTART_OUT_OFF = 0x6_0000
 FRAME_SLOT = 4096
+#: Slots in the 128 KB output slice (RESTART_OUT_OFF .. end of the
+#: section); frame ``i`` uses slot ``i % RESTART_SLOTS``.
+RESTART_SLOTS = 32
 
 #: Per-kind frame shapes (both well under one slot).
 FFT_POINTS = 256          # 256 x complex64 = 2 KB per frame
@@ -69,7 +74,8 @@ def make_restartable_task(kind: str, *, frames: int = 8, seed: int = 0,
     ``kind`` is ``"fft"`` or ``"qam"``.  Progress lives under
     ``os.persist["frame"]``; a fresh incarnation (empty persist) starts
     at frame 0, a checkpoint-restored one resumes where the last
-    checkpoint left off.
+    checkpoint left off.  ``frames`` may exceed :data:`RESTART_SLOTS`:
+    later frames overwrite the slots of earlier ones.
     """
     if kind not in ("fft", "qam"):
         raise ValueError(f"unknown restartable kind {kind!r}")
@@ -80,7 +86,8 @@ def make_restartable_task(kind: str, *, frames: int = 8, seed: int = 0,
         st.resumed_at = start
         for i in range(start, frames):
             out = _frame_bytes(kind, seed, i)
-            yield SectionWrite(RESTART_OUT_OFF + i * FRAME_SLOT, out)
+            slot = i % RESTART_SLOTS
+            yield SectionWrite(RESTART_OUT_OFF + slot * FRAME_SLOT, out)
             os.persist["frame"] = i + 1
             st.frames_done += 1
             if checkpoint_every > 0 and (i + 1) % checkpoint_every == 0:
@@ -95,8 +102,9 @@ def make_restartable_task(kind: str, *, frames: int = 8, seed: int = 0,
 
 
 def expected_output(kind: str, *, frames: int = 8, seed: int = 0) -> bytes:
-    """The full golden output region an uninterrupted run produces
-    (frame slots are zero-padded to ``FRAME_SLOT``)."""
+    """The full golden output region an uninterrupted run of ``frames``
+    (at most :data:`RESTART_SLOTS`) produces; frame slots are
+    zero-padded to ``FRAME_SLOT``."""
     chunks = []
     for i in range(frames):
         out = _frame_bytes(kind, seed, i)

@@ -8,6 +8,7 @@ from repro.common.params import DEFAULT_PARAMS
 from repro.cpu.core import Cpu
 from repro.machine import Machine, MachineConfig
 from repro.mem.system import MemorySystem
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 
 
@@ -17,13 +18,19 @@ def params():
 
 
 @pytest.fixture
-def sim():
-    return Simulator()
+def metrics():
+    """The one registry the ``sim`` and ``memsys`` fixtures report to."""
+    return MetricsRegistry()
 
 
 @pytest.fixture
-def memsys(params):
-    return MemorySystem(params)
+def sim(metrics):
+    return Simulator(metrics)
+
+
+@pytest.fixture
+def memsys(params, metrics):
+    return MemorySystem(params, metrics)
 
 
 @pytest.fixture

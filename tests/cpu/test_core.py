@@ -107,15 +107,6 @@ def test_user_mode_not_privileged(cpu):
         assert cpu.privileged
 
 
-def test_ledger_attribution(booted, sim):
-    booted.set_ledger("a")
-    booted.instr(100)
-    booted.set_ledger("b")
-    booted.instr(200)
-    assert booted.cycle_ledger["a"] == 75
-    assert booted.cycle_ledger["b"] == 150
-
-
 def test_stream_range_does_not_pollute_caches(booted, memsys):
     before = memsys.caches.l1d.stats.accesses
     booted.stream_range(0x0020_0000, 4096, write=True)

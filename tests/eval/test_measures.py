@@ -15,9 +15,8 @@ class _Clock:
 
 
 def make_trace(events):
-    t = Tracer()
     clock = _Clock()
-    t.bind(clock)
+    t = Tracer(clock)
     for time, name, info in events:
         clock.now = time
         t.mark(name, **info)
@@ -167,10 +166,3 @@ def test_tracer_intervals_nested_same_key():
     pairs = t.intervals("a", "b", key="k")
     assert sorted((d, s.t, e.t) for d, s, e in pairs) == \
         [(5, 20, 25), (50, 10, 60)]
-
-
-def test_tracer_disabled_records_nothing():
-    t = Tracer(enabled=False)
-    t.bind(_Clock())
-    t.mark("x")
-    assert t.events == []

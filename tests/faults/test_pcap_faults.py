@@ -14,18 +14,12 @@ from repro.faults.plan import (
 )
 from repro.fpga.controller import TASKID_RECONFIG_FAILED
 from repro.fpga.prr import PrrStatus, REG_TASKID
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
 
 
 def attach(machine, specs, seed=1):
     inj = FaultInjector(FaultPlan(specs, seed=seed))
-    tracer, metrics = Tracer(), MetricsRegistry()
-    tracer.bind(machine.sim)
     inj.attach(machine)
-    inj.attach_obs(tracer, metrics)
-    machine.pcap.attach_obs(tracer, metrics)
-    return inj, tracer, metrics
+    return inj, machine.tracer, machine.metrics
 
 
 def run_to_quiescence(machine, cap=500_000_000):

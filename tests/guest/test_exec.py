@@ -9,13 +9,16 @@ from repro.guest.exec import GuestExecutor
 from repro.mem.descriptors import AP, DomainType, dacr_set
 from repro.mem.ptables import PageTable
 from repro.mem.system import MemorySystem
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 
 
-def _mapped_executor() -> GuestExecutor:
-    """An executor on a fresh machine with 8 MB mapped at 0x4000_0000."""
-    sim = Simulator()
-    mem = MemorySystem(DEFAULT_PARAMS)
+def _mapped_executor(metrics: MetricsRegistry | None = None) -> GuestExecutor:
+    """An executor on a fresh machine with 8 MB mapped at 0x4000_0000,
+    reporting to ``metrics`` (a fresh registry by default)."""
+    metrics = MetricsRegistry() if metrics is None else metrics
+    sim = Simulator(metrics)
+    mem = MemorySystem(DEFAULT_PARAMS, metrics)
     cpu = Cpu(sim, mem, DEFAULT_PARAMS)
     pt = PageTable(mem.bus, mem.kernel_frames)
     for mb in range(8):
@@ -68,8 +71,8 @@ def test_region_weighting_by_size(ex):
 
 
 def test_addr_base_offsets_everything():
-    sim = Simulator()
-    mem = MemorySystem(DEFAULT_PARAMS)
+    metrics = MetricsRegistry()
+    sim, mem = Simulator(metrics), MemorySystem(DEFAULT_PARAMS, metrics)
     cpu = Cpu(sim, mem, DEFAULT_PARAMS)
     ex = GuestExecutor(cpu, addr_base=0x1000_0000, seed=5)
     addrs = ex._gen_addrs(100, ((0x100, 0x1000),))
@@ -78,8 +81,8 @@ def test_addr_base_offsets_everything():
 
 def test_deterministic_stream(ex):
     a = ex._gen_addrs(50, ((0x4000_0000, 0x10000),))
-    sim = Simulator()
-    mem = MemorySystem(DEFAULT_PARAMS)
+    metrics = MetricsRegistry()
+    sim, mem = Simulator(metrics), MemorySystem(DEFAULT_PARAMS, metrics)
     cpu = Cpu(sim, mem, DEFAULT_PARAMS)
     ex2 = GuestExecutor(cpu, addr_base=0, seed=5, stream="t")
     b = ex2._gen_addrs(50, ((0x4000_0000, 0x10000),))
@@ -88,8 +91,8 @@ def test_deterministic_stream(ex):
 
 
 def _executor():
-    sim = Simulator()
-    mem = MemorySystem(DEFAULT_PARAMS)
+    metrics = MetricsRegistry()
+    sim, mem = Simulator(metrics), MemorySystem(DEFAULT_PARAMS, metrics)
     cpu = Cpu(sim, mem, DEFAULT_PARAMS)
     return GuestExecutor(cpu, addr_base=0x1000_0000, seed=11, stream="pin")
 
@@ -138,14 +141,16 @@ def test_scalar_bulk_equals_size1_sample_block():
     ``sample_block`` does."""
     regions = ((0x4000_0000, 0x6000), (0x4010_0000, 0x2000))
 
-    def state(e):
+    def state(e, metrics):
         mem = e.cpu.mem
-        return (e.cpu.sim.now, dict(e.cpu.cycle_ledger),
+        return (e.cpu.sim.now,
                 {n: vars(s) for n, s in mem.caches.snapshot().items()},
-                vars(mem.mmu.tlb.stats.snapshot()), mem.batched_cycles,
+                vars(mem.mmu.tlb.stats.snapshot()),
+                metrics.total("sim.fastpath.batched_cycles"),
                 e.rng.bit_generator.state)
 
-    scalar, twin = _mapped_executor(), _mapped_executor()
+    books = MetricsRegistry(), MetricsRegistry()
+    scalar, twin = _mapped_executor(books[0]), _mapped_executor(books[1])
     cpu, mem = twin.cpu, twin.cpu.mem
     for _ in range(300):
         scalar.bulk(800, 40, regions, 0.5)
@@ -154,27 +159,29 @@ def test_scalar_bulk_equals_size1_sample_block():
         writes = twin.rng.random(1) < 0.5
         cpu._charge(mem.sample_block(vaddrs, write_mask=writes,
                                      privileged=cpu.privileged, scale=40))
-    assert state(scalar) == state(twin)
+    assert state(scalar, books[0]) == state(twin, books[1])
     assert mem.mmu.tlb.stats.hits and mem.caches.l1d.stats.misses
 
 
 def test_spin_equals_bulk_chunk_for_chunk():
     """``spin`` leaves exactly the state of as many ``bulk`` calls: the
-    clock, the ledger, every stat, the L1D tags and dirty bits, the
-    batched cycles and the RNG.  A small region makes most chunks hit
+    clock, every stat, the L1D tags and dirty bits, the batched cycles
+    and the RNG.  A small region makes most chunks hit
     the MRU TLB entry and L1D lines; writes exercise the dirty bit, and
     the cold start exercises the hand-back on a miss."""
     # Three pages; the third one's line shares an L1D set with the
     # first one's, so some chunks hit a line that is not MRU.
     regions = ((0x4000_0000, 256), (0x4000_2100, 128), (0x4000_4000, 64))
-    spun, ref = _mapped_executor(), _mapped_executor()
+    books = MetricsRegistry(), MetricsRegistry()
+    spun, ref = _mapped_executor(books[0]), _mapped_executor(books[1])
 
-    def state(e):
+    def state(e, metrics):
         cpu, mem = e.cpu, e.cpu.mem
         l1 = mem.caches.l1d
-        return (cpu.sim.now, dict(cpu.cycle_ledger),
+        return (cpu.sim.now,
                 {n: vars(s) for n, s in mem.caches.snapshot().items()},
-                vars(mem.mmu.tlb.stats.snapshot()), mem.batched_cycles,
+                vars(mem.mmu.tlb.stats.snapshot()),
+                metrics.total("sim.fastpath.batched_cycles"),
                 [list(t) for t in l1._tags], [set(d) for d in l1._dirty],
                 e.rng.bit_generator.state)
 
@@ -183,7 +190,7 @@ def test_spin_equals_bulk_chunk_for_chunk():
         n = spun.spin(6000, 4, regions, 0.5, spun.cpu.sim.now + 50 * 6000)
         for _ in range(n):
             ref.bulk(6000, 4, regions, 0.5)
-        assert state(spun) == state(ref)
+        assert state(spun, books[0]) == state(ref, books[1])
         calls += 1
         chunks += n
     assert 1 < calls < chunks / 2         # most chunks ran fused

@@ -22,6 +22,7 @@ from repro.guest.ucos import IDLE_PRIO, TaskState, Ucos
 from repro.mem.descriptors import AP, DomainType, dacr_set
 from repro.mem.ptables import PageTable
 from repro.mem.system import MemorySystem
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 
 
@@ -29,8 +30,8 @@ class MiniPort:
     """Just enough port for OS-internal actions."""
 
     def __init__(self):
-        sim = Simulator()
-        mem = MemorySystem(DEFAULT_PARAMS)
+        metrics = MetricsRegistry()
+        sim, mem = Simulator(metrics), MemorySystem(DEFAULT_PARAMS, metrics)
         cpu = Cpu(sim, mem, DEFAULT_PARAMS)
         pt = PageTable(mem.bus, mem.kernel_frames)
         # Flat privileged space covering the guest layout.

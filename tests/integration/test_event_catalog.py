@@ -104,3 +104,22 @@ def test_check_tool_flags_an_undocumented_info_key(tmp_path, monkeypatch,
     doc.write_text(text.replace(row, row.replace(", `rid`", "")))
     monkeypatch.setattr(tool, "DOC", doc)
     assert set(tool.undocumented_info_keys()) == {flagged}
+
+
+@pytest.mark.parametrize("row, edited, flagged", [
+    ("| `fleet.admission.dropped` | `reason` |",
+     "| `fleet.admission.dropped` | — |", "fleet.admission.dropped: reason"),
+    ("| `kernel.hypercalls` | `hc`, `vm` |",
+     "| `kernel.hypercalls` | `hc` |", "kernel.hypercalls: vm"),
+])
+def test_check_tool_flags_an_undocumented_metric_label(tmp_path, monkeypatch,
+                                                       row, edited, flagged):
+    tool = _load_check_tool()
+    found = tool.metric_labels_in_code()
+    assert tool.undocumented_labels(found) == {}
+    text = DOC.read_text()
+    assert text.count(row) == 1
+    doc = tmp_path / "OBSERVABILITY.md"
+    doc.write_text(text.replace(row, edited))
+    monkeypatch.setattr(tool, "DOC", doc)
+    assert set(tool.undocumented_labels(found)) == {flagged}

@@ -80,8 +80,7 @@ def test_invalid_numbers_rejected_with_err_arg(kernel, pd):
     for num in (0, 29, 30, 33, -1, 0x7FFF_FFFF):
         exit_ = issue(kernel, pd, num, (1, 2, 3, 4))
         assert exit_.result == HcStatus.ERR_ARG, f"hc {num}"
-    assert kernel.metrics.counter(
-        "kernel.hypercalls", hc="INVALID").value == 6
+    assert kernel.metrics.total("kernel.hypercalls", hc="INVALID") == 6
 
 
 def test_hwtask_calls_fail_clean_without_manager(kernel, pd):

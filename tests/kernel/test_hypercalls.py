@@ -223,7 +223,8 @@ def test_hypercall_counts_tracked(env):
     before = k.hypercall_count
     call(k, pd, Hc.REG_READ, 1)
     assert k.hypercall_count == before + 1
-    assert pd.hypercalls >= 1
+    assert k.metrics.total("kernel.hypercalls", vm=pd.vm_id) >= 1
+    assert k.metrics.total("kernel.hypercalls", hc="REG_READ") == 1
 
 
 def test_exception_stack_balanced_after_hypercalls(env):

@@ -87,7 +87,6 @@ def test_kill_without_policy_halts_for_good():
     assert kernel.domains[GUEST_VM] is pd          # never replaced
     assert pd.state is PdState.DEAD
     assert GUEST_VM in kernel.lifecycle.halted
-    assert kernel.lifecycle.halt_count == 1
     assert kernel.metrics.total("vm.lifecycle.halts") == 1
     assert kernel.metrics.total("vm.lifecycle.restarts") == 0
     assert_no_vm_leaks(kernel)
@@ -125,9 +124,9 @@ def test_restart_budget_exhaustion_halts():
     kernel.run(until_cycles=machine.sim.now + 1_000_000)
     assert kernel.domains[GUEST_VM].epoch == 1     # no second life
     assert GUEST_VM in kernel.lifecycle.halted
-    assert kernel.lifecycle.kills == 2
-    assert kernel.lifecycle.halt_count == 1
-    assert kernel.lifecycle.restart_count == 1
+    assert kernel.metrics.total("kernel.vm_kills") == 2
+    assert kernel.metrics.total("vm.lifecycle.halts") == 1
+    assert kernel.metrics.total("vm.lifecycle.restarts") == 1
     assert_no_vm_leaks(kernel)
 
 
@@ -200,7 +199,8 @@ def test_fault_free_run_schedules_no_lifecycle_events():
                  "client_reclaims"):
         assert m.total(f"vm.lifecycle.{name}") == 0, name
     lc = sc.kernel.lifecycle
-    assert lc.kills == 0 and not lc.pending and not lc.halted
+    assert m.total("kernel.vm_kills") == 0
+    assert not lc.pending and not lc.halted
     assert sc.tracer.count("vm_checkpoint") == 0
     assert sc.tracer.count("vm_restore") == 0
 

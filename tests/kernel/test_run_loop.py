@@ -56,7 +56,7 @@ def test_round_robin_share_with_quantum(kernel, small_machine):
     # Both ran, interleaved by the 1 ms quantum.
     assert r1.steps > 2 and r2.steps > 2
     assert kernel.vm_switch_count >= 8
-    assert kernel.sched.rotations >= 8
+    assert kernel.metrics.total("sched.rotations") >= 8
 
 
 def test_single_vm_quantum_rearms_timer(kernel, small_machine):

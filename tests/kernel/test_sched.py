@@ -21,8 +21,8 @@ QUANTUM = 1000
 
 
 @pytest.fixture
-def sched():
-    return Scheduler(QUANTUM)
+def sched(metrics):
+    return Scheduler(QUANTUM, metrics)
 
 
 def test_pick_highest_priority(sched, memsys):
@@ -33,7 +33,7 @@ def test_pick_highest_priority(sched, memsys):
     assert sched.pick() is hi
 
 
-def test_round_robin_same_level(sched, memsys):
+def test_round_robin_same_level(sched, memsys, metrics):
     a, b, c = (mk_pd(memsys, i, 1) for i in (1, 2, 3))
     for pd in (a, b, c):
         sched.add(pd)
@@ -44,7 +44,8 @@ def test_round_robin_same_level(sched, memsys):
     assert sched.pick() is c
     sched.quantum_expired(c)
     assert sched.pick() is a          # circle closed
-    assert sched.rotations == 3
+    assert metrics.total("sched.rotations") == 3
+    assert metrics.total("sched.rotations", vm=1) == 1
 
 
 def test_quantum_refilled_on_rotation(sched, memsys):

@@ -24,8 +24,9 @@ def test_crash_restarts_manager_and_guest_completes():
     sc = _scenario([FaultSpec(SERVICE_CRASH, after=1, max_fires=1)])
     sc.run_until_completions(3)
     k = sc.kernel
-    assert k.supervisor.crashes == 1
-    assert k.supervisor.restarts == 1
+    assert k.metrics.total("supervisor.crashes") == 1
+    assert k.metrics.total("supervisor.restarts") == 1
+    assert k.tracer.find("manager_restart")[0].info["n"] == 1
     # The in-flight request was bounced with MANAGER_RESTARTING and the
     # guest API retried it transparently: all work still completed,
     # nothing lost, nothing double-applied.
@@ -42,7 +43,7 @@ def test_crash_mid_act_rolls_back_journal():
                               params={"point": "alloc.mid_act"})])
     sc.run_until_completions(3)
     k = sc.kernel
-    assert k.supervisor.restarts == 1
+    assert k.metrics.total("supervisor.restarts") == 1
     assert k.metrics.total("recovery.journal_rollbacks") >= 1
     assert k.manager_journal.balanced()
     assert check_invariants(k) == []
@@ -53,8 +54,8 @@ def test_hang_trips_deadline_and_restarts():
     sc = _scenario([FaultSpec(SERVICE_HANG, max_fires=1)])
     sc.run_until_completions(3)
     k = sc.kernel
-    assert k.supervisor.deadline_expiries >= 1
-    assert k.supervisor.restarts >= 1
+    assert k.metrics.total("supervisor.deadline_expiries") >= 1
+    assert k.metrics.total("supervisor.restarts", reason="deadline") >= 1
     assert sc.guests[0].thw_stats.completions >= 3
     assert check_invariants(k) == []
 
@@ -77,7 +78,6 @@ def test_no_faults_means_no_supervisor_activity():
     sc.run_until_completions(2)
     k = sc.kernel
     assert k.faults is None
-    assert k.supervisor.restarts == 0
-    assert k.supervisor.crashes == 0
+    assert k.metrics.total("supervisor.crashes") == 0
     assert k.supervisor._deadline_ev is None
     assert k.metrics.total("supervisor.restarts") == 0

@@ -48,7 +48,7 @@ def test_fifo_delivery_order(vg):
         vg.take(irq)
         order.append(irq)
     assert order == [63, 61, 62]
-    assert vg.injected == 3
+    assert vg.pending_fifo() == []
 
 
 def test_pend_deduplicates(vg):

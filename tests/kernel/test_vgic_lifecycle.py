@@ -75,14 +75,18 @@ def test_virq_into_suspended_vm_waits_for_resume(kernel):
     pd.vgic.register(IVC_IRQ)
     pd.vgic.pend(IVC_IRQ)
     assert pd.vgic.pending_fifo() == [IVC_IRQ]
-    before = pd.vgic.injected
+
+    def injected():
+        return kernel.metrics.total("kernel.virq_injected", vm=pd.vm_id)
+
+    before = injected()
     kernel.run(until_cycles=kernel.sim.now + 500_000)
     assert pd.vgic.pending_fifo() == [IVC_IRQ]       # still parked
     assert kernel.metrics.total("vm.lifecycle.virqs_dead_epoch") == 0
     kernel.sched.resume(pd)
     kernel.run(until_cycles=kernel.sim.now + 500_000)
     assert pd.vgic.pending_fifo() == []
-    assert pd.vgic.injected == before + 1
+    assert injected() == before + 1
 
 
 def test_virq_to_dead_epoch_counted_and_dropped(kernel):
@@ -128,12 +132,13 @@ def test_virq_during_pending_resurrection_dropped_then_new_epoch_receives(
     reborn = kernel.domains[2]
     assert reborn.epoch == 1 and reborn.state is not PdState.DEAD
     assert not reborn.vgic.dead
-    injected = reborn.vgic.injected
+    # vm 2's count spans both epochs: it goes on, it does not restart.
+    injected = kernel.metrics.total("kernel.virq_injected", vm=2)
     exit_ = ExitHypercall(int(Hc.IVC_SEND), (2, 5, 6, 7, 8))
     kernel._handle_hypercall(sender, exit_)
     assert exit_.result == HcStatus.SUCCESS
     kernel.run(until_cycles=kernel.sim.now + 3_000_000)
-    assert reborn.vgic.injected == injected + 1
+    assert kernel.metrics.total("kernel.virq_injected", vm=2) == injected + 1
     assert kernel.metrics.total("vm.lifecycle.virqs_dead_epoch") == 1
 
 

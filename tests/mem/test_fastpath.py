@@ -3,7 +3,7 @@
 docs/PERFORMANCE.md §5 is the contract these tests pin: the fused bulk
 loop, the fused touch path, the fetch run and the walk memo are pure
 reformulations of the cost model.  Every simulated-cycle quantity —
-ledgers, stats, accounting, fault-schedule results, bench series — must
+the clock, stats, accounting, fault-schedule results, bench series — must
 not move when ``PlatformParams.fastpath`` is flipped.  Plus unit tests for the
 walk-memo invalidation rules (TTBR/DACR writes, DRAM write epochs).
 """
@@ -19,6 +19,7 @@ from repro.mem.descriptors import AP, DomainType, dacr_set
 from repro.mem.ptables import PageTable
 from repro.mem.system import MemorySystem
 from repro.mem.tlb import TlbEntry
+from repro.obs.metrics import MetricsRegistry
 
 SLOW_PARAMS = DEFAULT_PARAMS.with_(fastpath=False)
 
@@ -41,7 +42,6 @@ def _scenario_state(sc):
     tlb = sc.machine.mem.mmu.tlb
     return {
         "now": k.sim.now,
-        "ledger": dict(sc.machine.cpu.cycle_ledger),
         "caches": {n: vars(s) for n, s in caches.snapshot().items()},
         "dram_accesses": caches.dram_accesses,
         "tlb": vars(tlb.stats.snapshot()),
@@ -164,7 +164,6 @@ class TestIdleSpinEquivalence:
             caches = sc.machine.mem.caches
             states.append({
                 "now": sc.machine.now,
-                "ledger": dict(sc.machine.cpu.cycle_ledger),
                 "caches": {n: vars(s) for n, s in caches.snapshot().items()},
                 "l1d_tags": [list(t) for t in caches.l1d._tags],
                 "tlb": vars(sc.machine.mem.mmu.tlb.stats.snapshot()),
@@ -296,14 +295,13 @@ def _kernel_space_cpu(params):
 
 
 def _fetch_state(cpu):
-    """Everything a code block can change: the clock, the ledger, the
-    TLB, L1I and L2 stats, tags, occupancy and dirty lines, the DRAM
-    access count and the walk count."""
+    """Everything a code block can change: the clock, the TLB, L1I and
+    L2 stats, tags, occupancy and dirty lines, the DRAM access count and
+    the walk count."""
     mem = cpu.mem
     caches, tlb = mem.caches, mem.mmu.tlb
     return {
         "now": cpu.sim.now,
-        "ledger": dict(cpu.cycle_ledger),
         "tlb": (vars(tlb.stats.snapshot()), tlb._resident,
                 [list(s) for s in tlb._sets]),
         **{name: (vars(level.stats.snapshot()), level._resident,
@@ -473,11 +471,15 @@ class TestWalkMemo:
         _, _, mmu = walked
         assert self._rewalk(mmu) == 1
 
-    def test_ttbr_write_invalidates(self, walked):
+    def test_ttbr_write_invalidates(self, walked, metrics):
         _, _, mmu = walked
-        before = mmu.walk_memo_invalidations
+
+        def invalidations():
+            return metrics.total("sim.fastpath.walk_cache_invalidations")
+
+        before = invalidations()
         mmu.set_ttbr(mmu.ttbr)
-        assert mmu.walk_memo_invalidations == before + 1
+        assert invalidations() == before + 1
         assert not mmu._walk_memo
 
     def test_dacr_write_invalidates(self, walked):
@@ -513,7 +515,7 @@ class TestWalkMemo:
         assert mmu._walk_memo == memo
 
     def test_slowpath_mmu_never_memoizes(self):
-        memsys = MemorySystem(SLOW_PARAMS)
+        memsys = MemorySystem(SLOW_PARAMS, MetricsRegistry())
         pt = PageTable(memsys.bus, memsys.kernel_frames)
         mmu = memsys.mmu
         mmu.set_ttbr(pt.l1_base)

@@ -18,7 +18,7 @@ class _Prr:
 
 
 def make_acct(metrics=None):
-    acct = VmAccounting(metrics=metrics)
+    acct = VmAccounting(MetricsRegistry() if metrics is None else metrics)
     clock = _Clock()
     acct.bind(clock)
     return acct, clock
@@ -97,7 +97,7 @@ class TestContextClock:
         assert acct.total_accounted() == clock.now - acct.start_cycle
 
     def test_bind_starts_at_current_clock(self):
-        acct = VmAccounting()
+        acct = VmAccounting(MetricsRegistry())
         clock = _Clock()
         clock.now = 1000
         acct.bind(clock)
@@ -108,37 +108,37 @@ class TestContextClock:
 
 
 class TestUnboundIsNoop:
-    """Every probe must be safe before bind() — standalone scheduler/vGIC
-    unit tests construct these objects without an accountant clock."""
+    """Every probe must be safe before bind() — standalone vGIC unit
+    tests construct these objects without an accountant clock."""
 
     def test_all_probes_noop(self):
-        acct = VmAccounting()
+        reg = MetricsRegistry()
+        acct = VmAccounting(reg)
         ctx = acct.push("kernel", 1)
         acct.pop(ctx)
         acct.guest_push(1, True)
         acct.charge_idle(100)
         acct.settle()
-        acct.note_hypercall(1)
-        acct.note_switch_in(1)
-        acct.note_rotation(1)
         acct.note_virq_pended(1, 5)
         acct.note_virq_injected(1, 5)
         acct.sync_prr_occupancy([_Prr(0, client_vm=1)])
         acct.close_prr_occupancy()
         assert acct.vms == {}
         assert acct.total_accounted() == 0
+        assert reg.as_dict() == {"kernel.virq_delivery_cycles": {
+            "count": 0, "sum": 0, "min": None, "max": None}}
 
 
 class TestVirqLatency:
     def test_pend_to_inject_latency(self):
-        acct, clock = make_acct()
+        reg = MetricsRegistry()
+        acct, clock = make_acct(reg)
         clock.now = 100
         acct.note_virq_pended(1, 34)
         clock.now = 450
         acct.note_virq_injected(1, 34)
         assert acct.vms[1].virq_latency == [350]
-        assert acct.vms[1].virqs_pended == 1
-        assert acct.vms[1].virqs_injected == 1
+        assert reg.total("kernel.virq_pended", vm=1) == 1
         assert acct.virq_latency_samples() == [350]
 
     def test_coalesced_pend_keeps_earliest_timestamp(self):
@@ -155,10 +155,11 @@ class TestVirqLatency:
 
     def test_inject_without_pend_records_no_sample(self):
         acct, clock = make_acct()
+        acct.register_vm(1)
         clock.now = 10
         acct.note_virq_injected(1, 34)
-        assert acct.vms[1].virqs_injected == 1
         assert acct.vms[1].virq_latency == []
+        assert acct.virq_latency_samples() == []
 
     def test_dropped_pend_discards_timestamp(self):
         """Unregistering a pending vIRQ must not leave a stale timestamp
@@ -273,10 +274,12 @@ class TestSnapshot:
         assert acct.vms[1].name == "late-name"
 
     def test_render_mentions_every_vm(self):
-        acct, clock = make_acct()
+        reg = MetricsRegistry()
+        acct, clock = make_acct(reg)
         acct.register_vm(1, "guest-a")
-        acct.note_hypercall(1)
+        reg.counter("kernel.hypercalls", hc="YIELD", vm=1).inc()
         clock.now = 10
         out = acct.render()
         assert "guest-a" in out
         assert "per-VM accounting" in out
+        assert acct.snapshot()["vms"][0]["hypercalls"] == 1

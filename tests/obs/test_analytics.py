@@ -24,9 +24,8 @@ class _Clock:
 
 
 def make_trace(events):
-    t = Tracer()
     clock = _Clock()
-    t.bind(clock)
+    t = Tracer(clock)
     for time, name, info in events:
         clock.now = time
         t.mark(name, **info)

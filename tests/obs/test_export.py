@@ -17,9 +17,8 @@ class FakeClock:
 
 @pytest.fixture
 def tracer():
-    t = Tracer()
     clk = FakeClock()
-    t.bind(clk)
+    t = Tracer(clk)
     t.clk = clk          # test-side handle for advancing time
     return t
 
@@ -93,8 +92,7 @@ class TestJsonDocument:
         assert doc["otherData"]["dropped_events"] == 0
 
     def test_dropped_count_reported(self):
-        t = Tracer(capacity=2)
-        t.bind(FakeClock())
+        t = Tracer(FakeClock(), capacity=2)
         for _ in range(5):
             t.mark("x")
         doc = json.loads(chrome_trace_json(t))

@@ -13,10 +13,8 @@ class FakeClock:
 
 
 def make_tracer(**kw) -> tuple[Tracer, FakeClock]:
-    t = Tracer(**kw)
     clk = FakeClock()
-    t.bind(clk)
-    return t, clk
+    return Tracer(clk, **kw), clk
 
 
 # ---------------------------------------------------------------- ring
@@ -79,14 +77,6 @@ class TestTracer:
         clk.now = 100
         t.mark_at(90, "vector", cat="vgic", irq=7)
         assert t.events[0].t == 90
-
-    def test_disabled_tracer_records_nothing(self):
-        t, clk = make_tracer(enabled=False)
-        t.mark("a")
-        with t.span("s"):
-            pass
-        assert list(t.events) == []
-        assert t.count("a") == 0
 
     def test_default_capacity(self):
         t, _ = make_tracer()

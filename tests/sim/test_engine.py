@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.common.errors import SimulationError
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Clock, Simulator
 
 
@@ -25,7 +26,7 @@ def test_clock_refuses_backwards():
 
 
 def test_events_fire_in_time_order():
-    sim = Simulator()
+    sim = Simulator(MetricsRegistry())
     fired = []
     sim.schedule(30, fired.append, "c")
     sim.schedule(10, fired.append, "a")
@@ -36,7 +37,7 @@ def test_events_fire_in_time_order():
 
 
 def test_same_time_events_fire_fifo():
-    sim = Simulator()
+    sim = Simulator(MetricsRegistry())
     fired = []
     for i in range(5):
         sim.schedule(10, fired.append, i)
@@ -45,7 +46,8 @@ def test_same_time_events_fire_fifo():
 
 
 def test_cancel_prevents_firing():
-    sim = Simulator()
+    metrics = MetricsRegistry()
+    sim = Simulator(metrics)
     fired = []
     h = sim.schedule(10, fired.append, "x")
     sim.schedule(20, fired.append, "y")
@@ -53,11 +55,11 @@ def test_cancel_prevents_firing():
     assert not h.pending
     sim.run_until(50)
     assert fired == ["y"]
-    assert sim.fired_count == 1
+    assert metrics.total("sim.events_fired") == 1
 
 
 def test_dispatch_due_only_past_events():
-    sim = Simulator()
+    sim = Simulator(MetricsRegistry())
     fired = []
     sim.schedule(10, fired.append, "soon")
     sim.schedule(1000, fired.append, "later")
@@ -68,7 +70,7 @@ def test_dispatch_due_only_past_events():
 
 
 def test_event_can_schedule_due_event():
-    sim = Simulator()
+    sim = Simulator(MetricsRegistry())
     fired = []
 
     def chain():
@@ -82,7 +84,7 @@ def test_event_can_schedule_due_event():
 
 
 def test_advance_to_next_event():
-    sim = Simulator()
+    sim = Simulator(MetricsRegistry())
     fired = []
     sim.schedule(500, fired.append, "x")
     assert sim.advance_to_next_event()
@@ -91,14 +93,14 @@ def test_advance_to_next_event():
 
 
 def test_cannot_schedule_in_past():
-    sim = Simulator()
+    sim = Simulator(MetricsRegistry())
     sim.clock.advance(100)
     with pytest.raises(SimulationError):
         sim.schedule_at(50, lambda: None)
 
 
 def test_next_event_time_skips_cancelled():
-    sim = Simulator()
+    sim = Simulator(MetricsRegistry())
     h = sim.schedule(10, lambda: None)
     sim.schedule(20, lambda: None)
     h.cancel()
@@ -107,7 +109,7 @@ def test_next_event_time_skips_cancelled():
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1, max_size=50))
 def test_events_always_fire_sorted(delays):
-    sim = Simulator()
+    sim = Simulator(MetricsRegistry())
     fired = []
     for d in delays:
         sim.schedule(d, lambda d=d: fired.append(d))

@@ -4,13 +4,14 @@ import pytest
 
 from repro.gic.gic import Gic
 from repro.gic.irqs import IRQ_PRIVATE_TIMER
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.timerhw.timers import GlobalTimer, PT_CONTROL, PT_COUNTER, PT_LOAD, PrivateTimer
 
 
 @pytest.fixture
 def env():
-    sim = Simulator()
+    sim = Simulator(MetricsRegistry())
     gic = Gic()
     gic.set_enable(IRQ_PRIVATE_TIMER, True)
     return sim, gic, PrivateTimer(sim, gic)
@@ -65,7 +66,7 @@ def test_mmio_interface(env):
 
 
 def test_global_timer_reads_clock():
-    sim = Simulator()
+    sim = Simulator(MetricsRegistry())
     g = GlobalTimer(sim)
     sim.clock.advance(12345)
     assert g.read() == 12345

@@ -15,8 +15,12 @@ keys" cell; a span's keywords on both its ``_start`` and ``_end`` rows.
 **Metrics** — scans for registration sites
 (``.counter("x.y")`` / ``.gauge("x.y")`` / ``.histogram("x.y")``), parses
 the §6 metrics catalog (dotted backticked names in the first table cell),
-and additionally runs a small scenario to collect every metric name
-*registered at runtime*, which must be a subset of the documented set.
+and additionally runs a small virtualized and a small native scenario to
+collect every metric name *registered at runtime*, which must be a
+subset of the documented set.  Labels are checked the same way: every
+keyword a literal site passes (other than ``buckets``), and every label
+a runtime series carries, must appear backticked in that metric's
+"Labels" cell.
 
 **Stream records** — scans ``src/repro/obs`` for telemetry-stream
 record emissions (``._emit("type", ...)``) and checks them against the
@@ -182,6 +186,57 @@ def metrics_in_doc() -> set[str]:
     return out
 
 
+#: registry methods whose literal first argument names a metric, and the
+#: keywords they take that are not labels.
+_REGISTERERS = ("counter", "gauge", "histogram")
+_NOT_LABELS = (None, "buckets")
+
+
+def metric_labels_in_code() -> dict[tuple[str, str], set[str]]:
+    """(metric name, label) -> set of registering files, from the
+    literal-name ``.counter``/``.gauge``/``.histogram`` call sites."""
+    out: dict[tuple[str, str], set[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in _REGISTERERS and node.args):
+                continue
+            arg = node.args[0]
+            if not (isinstance(arg, ast.Constant)
+                    and isinstance(arg.value, str) and "." in arg.value):
+                continue
+            for kw in node.keywords:
+                if kw.arg not in _NOT_LABELS:
+                    out.setdefault((arg.value, kw.arg), set()).add(rel)
+    return out
+
+
+def metric_labels_in_doc() -> dict[str, set[str]]:
+    """Metric name -> the backticked names in its §6 "Labels" cell."""
+    out: dict[str, set[str]] = {}
+    for line in DOC.read_text().splitlines():
+        cells = line.strip().split("|")
+        if len(cells) < 4:
+            continue
+        labels = set(re.findall(r"`([a-z0-9_]+)`", cells[2]))
+        for name in DOC_METRIC_NAME_RE.findall(cells[1]):
+            out[name] = labels
+    return out
+
+
+def undocumented_labels(found: dict[tuple[str, str], set[str]]
+                        ) -> dict[str, set[str]]:
+    """``"metric: label"`` -> where it was found, for every label a
+    documented metric carries that its Labels cell lacks (an undocumented
+    metric is the metric check's finding, not this one's)."""
+    doc = metric_labels_in_doc()
+    return {f"{name}: {label}": where
+            for (name, label), where in found.items()
+            if name in doc and label not in doc[name]}
+
+
 #: telemetry-stream record emissions, only inside obs/ (the stream bus
 #: and its subscribers own the wire schema; nothing else emits records).
 STREAM_EMIT_RE = re.compile(r'\._emit\(\s*"([a-z0-9_]+)"')
@@ -254,18 +309,20 @@ def doc_links() -> dict[str, set[str]]:
     return out
 
 
-def metrics_at_runtime() -> set[str]:
-    """Metric names actually registered by a small scenario run."""
+def metrics_at_runtime() -> dict[str, set[str]]:
+    """Metric name -> the labels its series carry, for every metric
+    registered by a small virtualized and a small native run."""
     sys.path.insert(0, str(REPO / "src"))
     from repro.eval.scenarios import build_native, build_virtualized
 
-    names: set[str] = set()
+    out: dict[str, set[str]] = {}
     for sc in (build_virtualized(1, seed=1), build_native(seed=1)):
         sc.run_ms(30)
         reg = sc.metrics
         for group in (reg.counters(), reg.gauges(), reg.histograms()):
-            names.update(m.name for m in group)
-    return names
+            for m in group:
+                out.setdefault(m.name, set()).update(k for k, _ in m.labels)
+    return out
 
 
 def _report(kind: str, missing_doc: list[str], stale_doc: list[str],
@@ -318,6 +375,14 @@ def main() -> int:
     failed |= _report("metrics", sorted(set(m_code) - m_doc),
                       sorted(m_doc - set(m_code)), m_code)
 
+    l_code = metric_labels_in_code()
+    if not l_code:
+        print("error: found no labels at metric registration sites — the "
+              "label scanner is probably broken", file=sys.stderr)
+        return 2
+    l_missing = undocumented_labels(l_code)
+    failed |= _report("metric labels", sorted(l_missing), [], l_missing)
+
     s_code = stream_records_in_code()
     s_doc = stream_records_in_doc()
     if not s_code or not s_doc:
@@ -338,13 +403,18 @@ def main() -> int:
                       sorted(f_doc - f_reg), doc="docs/FAULTS.md §1")
 
     m_runtime = metrics_at_runtime()
-    undoc_runtime = sorted(m_runtime - m_doc)
+    undoc_runtime = sorted(set(m_runtime) - m_doc)
     if undoc_runtime:
         print("metrics registered at runtime but missing from "
               "docs/OBSERVABILITY.md:", file=sys.stderr)
         for name in undoc_runtime:
             print(f"  {name}", file=sys.stderr)
         failed = True
+    l_runtime = undocumented_labels({(name, label): {"runtime"}
+                                     for name, labels in m_runtime.items()
+                                     for label in labels})
+    failed |= _report("runtime metric labels", sorted(l_runtime),
+                      [], l_runtime)
 
     links = doc_links()
     if not links:
@@ -366,6 +436,8 @@ def main() -> int:
     print(f"info keys OK: {len(k_code)} event/keyword pairs, all documented")
     print(f"metric catalog OK: {len(m_doc)} metrics documented, "
           f"{len(m_runtime)} registered at runtime")
+    print(f"metric labels OK: {len(l_code)} metric/label pairs at literal "
+          f"sites, all documented")
     print(f"stream schema OK: {len(s_doc)} record types documented")
     print(f"fault sites OK: {len(f_reg)} registered, all in docs/FAULTS.md")
     print(f"doc links OK: {len(links)} docs pages referenced, all present")
