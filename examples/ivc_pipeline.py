@@ -74,7 +74,8 @@ def main() -> None:
     print(f"in order + checksums match: "
           f"{log['received'] == log['sent']}")
     print(f"simulated time:  {cycles_to_ms(sc.machine.now):.1f} ms")
-    print(f"IVC messages routed by the kernel: {sc.kernel.ivc.sent}")
+    print("IVC messages routed by the kernel: "
+          f"{sc.metrics.total('kernel.ivc_sent')}")
     if log["received"] != log["sent"]:
         raise SystemExit("pipeline corrupted!")
 

@@ -43,7 +43,8 @@ def scene_1_hwmmu(sc) -> None:
     survived = machine.mem.bus.dram.read_bytes(secret, 14) == b"victim-secret!"
     print(f"  attacker VM{attacker.vm_id} aimed PRR{prr.prr_id} DMA at "
           f"VM{victim.vm_id}'s section: status={status.name}")
-    print(f"  hwMMU violations recorded: {prr.violations}")
+    print("  hwMMU violations recorded: "
+          f"{sc.metrics.total('prr.violations', prr=prr.prr_id)}")
     print(f"  victim memory intact: {survived}")
     assert status == PrrStatus.ERR_BOUNDS and survived
 

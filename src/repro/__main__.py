@@ -53,44 +53,53 @@ import sys
 from .common.units import cycles_to_ms, ms_to_cycles
 
 
-def _open_stream(sc, args, *, source: str):
-    """Build the stream + SLO engine a CLI run asked for (or (None,)*3).
+def _run_observed(sc, args, ms: float, *, source: str,
+                  meta: dict | None = None):
+    """Run scenario ``sc`` for ``ms`` simulated milliseconds with the
+    telemetry ``args`` asked for: a JSONL stream (``--stream-out``)
+    and/or an SLO engine (``--slo``) riding on it.
 
-    Returns ``(stream, engine, sink)``; exits with code 2 via
-    SystemExit on an unreadable SLO config.
+    Returns ``(stream, engine)``, each None when not asked for; exits
+    with code 2 via SystemExit on a bad SLO config or an unwritable
+    stream path, before anything runs.
     """
-    if not (args.stream_out or args.slo):
-        return None, None, None
-    from .obs.slo import SloEngine, load_slo_config
-    from .obs.stream import TelemetryStream
+    stream = engine = sink = None
+    if args.stream_out or args.slo:
+        from .obs.slo import SloEngine, load_slo_config
+        from .obs.stream import TelemetryStream
 
-    sink = None
-    if args.stream_out:
-        try:
-            sink = open(args.stream_out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write stream to {args.stream_out}: {exc}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-    stream = TelemetryStream(
-        sc.metrics,
-        interval_cycles=ms_to_cycles(args.stream_interval_ms,
-                                     sc.machine.params.cpu.hz),
-        sink=sink, source=source, seed=args.seed)
-    engine = None
-    if args.slo:
-        try:
-            rules = load_slo_config(args.slo)
-        except (OSError, ValueError) as exc:
-            if sink is not None:
-                sink.close()
-            print(f"error: bad SLO config {args.slo}: {exc}",
-                  file=sys.stderr)
-            raise SystemExit(2)
-        engine = SloEngine(rules, metrics=sc.metrics)
-        engine.attach(stream)
-    stream.attach(sc.machine.sim)
-    return stream, engine, sink
+        rules = None
+        if args.slo:
+            try:
+                rules = load_slo_config(args.slo)
+            except (OSError, ValueError) as exc:
+                print(f"error: bad SLO config {args.slo}: {exc}",
+                      file=sys.stderr)
+                raise SystemExit(2)
+        if args.stream_out:
+            try:
+                sink = open(args.stream_out, "w", encoding="utf-8")
+            except OSError as exc:
+                print(f"error: cannot write stream to {args.stream_out}: "
+                      f"{exc}", file=sys.stderr)
+                raise SystemExit(2)
+        stream = TelemetryStream(
+            sc.metrics,
+            interval_cycles=ms_to_cycles(args.stream_interval_ms,
+                                         sc.machine.params.cpu.hz),
+            sink=sink, source=source, seed=args.seed, meta=meta)
+        if rules is not None:
+            engine = SloEngine(rules, metrics=sc.metrics)
+            engine.attach(stream)
+        stream.attach(sc.machine.sim)
+    try:
+        sc.run_ms(ms)
+    finally:
+        if stream is not None:
+            stream.close()
+        if sink is not None:
+            sink.close()
+    return stream, engine
 
 
 def _report_slo(s: dict) -> int:
@@ -128,14 +137,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         FlightRecorder(args.flight_out or "FLIGHT_run.json").arm(
             sc.kernel, seed=args.seed,
             context={"command": "run", "guests": args.guests, "ms": args.ms})
-    stream, engine, sink = _open_stream(sc, args, source="run")
-    try:
-        sc.run_ms(args.ms)
-    finally:
-        if stream is not None:
-            stream.close()
-        if sink is not None:
-            sink.close()
+    stream, engine = _run_observed(sc, args, args.ms, source="run")
     print(scenario_report(sc))
     if args.trace_out:
         from .obs.export import write_chrome_trace
@@ -173,24 +175,19 @@ def cmd_table3(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .eval.bench import default_artifact_path, run_bench, write_bench
+    from .eval.bench import (bench_payload, bench_scenario,
+                             default_artifact_path, write_bench)
     from .obs.analytics import SeriesSummary
 
     name = "quick" if args.quick else args.name
-    slo_rules = None
-    if args.slo:
-        from .obs.slo import load_slo_config
-
-        try:
-            slo_rules = load_slo_config(args.slo)
-        except (OSError, ValueError) as exc:
-            print(f"error: bad SLO config {args.slo}: {exc}",
-                  file=sys.stderr)
-            return 2
-    payload = run_bench(name, guests=args.guests, ms=args.ms, seed=args.seed,
-                        stream_out=args.stream_out,
-                        stream_interval_ms=args.stream_interval_ms,
-                        slo_rules=slo_rules)
+    sc, ms = bench_scenario(name, guests=args.guests, ms=args.ms,
+                            seed=args.seed)
+    _, engine = _run_observed(sc, args, ms, source=f"bench:{name}",
+                              meta={"guests": len(sc.guests), "ms": ms})
+    payload = bench_payload(sc, name, ms=ms, seed=args.seed)
+    if engine is not None:
+        # The only key --slo adds, so default artifacts stay identical.
+        payload["slo"] = engine.summary()
     out = args.out or default_artifact_path(name)
     try:
         write_bench(payload, out)

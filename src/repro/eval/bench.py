@@ -76,63 +76,36 @@ def collect_series(sc: VirtScenario) -> dict[str, SeriesSummary]:
     return series
 
 
-def run_bench(name: str = "paper", *, guests: int | None = None,
-              ms: float | None = None, seed: int = 1,
-              stream_out: str | None = None,
-              stream_interval_ms: float | None = None,
-              slo_rules=None) -> dict[str, Any]:
-    """Run one bench profile and return the artifact payload.
-
-    ``stream_out`` additionally writes the JSONL telemetry stream of the
-    run (docs/OBSERVABILITY.md §10); ``slo_rules`` evaluates SLOs on the
-    stream (file sink optional) and embeds their summary under an
-    ``"slo"`` key — the only key the artifact gains, and only when rules
-    were supplied, so default artifacts stay byte-identical.  Streaming
-    is an observational tap on the engine: it never schedules events, so
-    every cycle-exact series is unchanged by these options.
-    """
+def bench_scenario(name: str = "paper", *, guests: int | None = None,
+                   ms: float | None = None,
+                   seed: int = 1) -> tuple[VirtScenario, float]:
+    """Build bench profile ``name`` (``guests``/``ms`` override it);
+    returns the scenario and the simulated milliseconds to run it for."""
     profile = PROFILES.get(name, PROFILES["paper"])
     guests = profile["guests"] if guests is None else guests
     ms = profile["ms"] if ms is None else ms
-    sc = build_virtualized(guests, seed=seed)
-    stream = engine = sink = None
-    if stream_out is not None or slo_rules is not None:
-        from ..common.units import ms_to_cycles
-        from ..obs.slo import SloEngine
-        from ..obs.stream import DEFAULT_INTERVAL_MS, TelemetryStream
+    return build_virtualized(guests, seed=seed), ms
 
-        interval_ms = (DEFAULT_INTERVAL_MS if stream_interval_ms is None
-                       else stream_interval_ms)
-        hz = sc.machine.params.cpu.hz
-        sink = (open(stream_out, "w", encoding="utf-8")
-                if stream_out is not None else None)
-        stream = TelemetryStream(
-            sc.metrics, interval_cycles=ms_to_cycles(interval_ms, hz),
-            sink=sink, source=f"bench:{name}", seed=seed,
-            meta={"guests": guests, "ms": ms})
-        if slo_rules is not None:
-            engine = SloEngine(slo_rules, metrics=sc.metrics)
-            engine.attach(stream)
-        stream.attach(sc.kernel.sim)
-    try:
-        sc.run_ms(ms)
-    finally:
-        if stream is not None:
-            stream.close()
-        if sink is not None:
-            sink.close()
+
+def run_bench(name: str = "paper", *, guests: int | None = None,
+              ms: float | None = None, seed: int = 1) -> dict[str, Any]:
+    """Run one bench profile and return the artifact payload."""
+    sc, ms = bench_scenario(name, guests=guests, ms=ms, seed=seed)
+    sc.run_ms(ms)
+    return bench_payload(sc, name, ms=ms, seed=seed)
+
+
+def bench_payload(sc: VirtScenario, name: str, *, ms: float,
+                  seed: int) -> dict[str, Any]:
+    """The artifact payload of bench scenario ``sc`` after its run."""
     k = sc.kernel
     acct: VmAccounting = k.acct
     series = {n: s.as_dict() for n, s in sorted(collect_series(sc).items())}
-    extra: dict[str, Any] = {}
-    if engine is not None:
-        extra["slo"] = engine.summary()
     return {
-        **extra,
         "schema_version": SCHEMA_VERSION,
         "name": name,
         "scenario": {
-            "guests": guests,
+            "guests": len(sc.guests),
             "ms": ms,
             "seed": seed,
             "cpu_hz": sc.machine.params.cpu.hz,
@@ -141,8 +114,8 @@ def run_bench(name: str = "paper", *, guests: int | None = None,
             "cycles": k.sim.now,
             "vm_switches": k.metrics.total("kernel.vm_switches"),
             "hypercalls": k.metrics.total("kernel.hypercalls"),
-            "irqs": k.irq_count,
-            "manager_requests": sc.manager.requests_handled,
+            "irqs": k.metrics.total("kernel.irq_entries"),
+            "manager_requests": k.metrics.total("hwmgr.requests"),
             "pcap_transfers": k.metrics.total("pcap.transfers"),
             "completions": sc.total_completions(),
         },

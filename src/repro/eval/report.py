@@ -9,6 +9,7 @@ handy in notebooks/tests.
 from __future__ import annotations
 
 from ..common.units import cycles_to_ms, cycles_to_us
+from ..hwmgr.alloc import ALLOC_OUTCOMES, RECLAIM_REASONS
 from .measures import extract_overheads
 from .scenarios import NativeScenario, VirtScenario
 
@@ -16,6 +17,11 @@ from .scenarios import NativeScenario, VirtScenario
 def _cache_line(name: str, stats) -> str:
     return (f"  {name:5s} accesses {stats.accesses:>10d}   "
             f"misses {stats.misses:>8d}   miss-rate {stats.miss_rate:6.2%}")
+
+
+def _by_label(m, name: str, label: str, values) -> str:
+    """``name``'s total per ``label`` value: ``"a 1, b 0"``."""
+    return ", ".join(f"{v} {m.total(name, **{label: v})}" for v in values)
 
 
 def scenario_report(sc: VirtScenario | NativeScenario) -> str:
@@ -28,16 +34,18 @@ def scenario_report(sc: VirtScenario | NativeScenario) -> str:
     lines.append(f"simulated time: {cycles_to_ms(machine.now, hz):.2f} ms")
 
     if virt:
-        k = sc.kernel
         lines.append(f"kernel: {m.total('kernel.vm_switches')} VM switches, "
                      f"{m.total('kernel.hypercalls')} hypercalls, "
-                     f"{k.irq_count} IRQs, "
+                     f"{m.total('kernel.irq_entries')} IRQs, "
                      f"{m.total('sched.preemptions')} preemptions")
-        lines.append(f"manager: {sc.manager.requests_handled} requests "
-                     f"({sc.manager.allocator.stats})")
+        lines.append(
+            f"manager: {m.total('hwmgr.requests')} requests ("
+            f"{_by_label(m, 'hwmgr.allocations', 'outcome', ALLOC_OUTCOMES)}"
+            f"; reclaims "
+            f"{_by_label(m, 'hwmgr.reclaims', 'reason', RECLAIM_REASONS)})")
         guests = sc.guests
     else:
-        lines.append(f"native: {sc.system.irq_count} IRQs")
+        lines.append(f"native: {m.total('kernel.irq_entries')} IRQs")
         guests = [sc.guest]
 
     for g in guests:
@@ -55,11 +63,13 @@ def scenario_report(sc: VirtScenario | NativeScenario) -> str:
 
     lines.append("fabric:")
     for prr in machine.prrs:
+        i = prr.prr_id
         lines.append(
-            f"  PRR{prr.prr_id}: task {prr.core.name if prr.core else '-':8s} "
+            f"  PRR{i}: task {prr.core.name if prr.core else '-':8s} "
             f"client {prr.client_vm if prr.client_vm is not None else '-':>2} "
-            f"runs {prr.runs:>4d} reconfigs {prr.reconfig_count:>3d} "
-            f"violations {prr.violations}")
+            f"runs {m.total('prr.runs', prr=i):>4d} "
+            f"reconfigs {m.total('prr.reconfigs', prr=i):>3d} "
+            f"violations {m.total('prr.violations', prr=i)}")
     lines.append(f"  PCAP: {m.total('pcap.transfers')} transfers, "
                  f"{m.total('pcap.bytes_moved') // 1024} KiB")
 

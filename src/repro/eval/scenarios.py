@@ -61,12 +61,18 @@ def _populate_guest(os_: Ucos, directory: dict[str, int], *, seed: int,
 class VirtScenario:
     machine: Machine
     kernel: MiniNova
-    manager: ManagerService
     guests: list[GuestSetup]
     directory: dict[str, int]
     #: The fault injector, when the scenario was built with a fault plan
     #: (``None`` for the default healthy-fabric runs).
     injector: "object | None" = None
+
+    @property
+    def manager(self) -> ManagerService:
+        """The live manager service: the supervisor respawns it in place
+        after a crash or a hang, so this is not always the one the
+        scenario was built with."""
+        return self.kernel.manager_pd.runner
 
     @property
     def tracer(self):
@@ -137,8 +143,7 @@ def build_virtualized(n_guests: int, *, seed: int = 1,
         from ..faults.inject import FaultInjector
         injector = FaultInjector(fault_plan)
         injector.attach(machine, kernel)
-    manager = manager or ManagerService()
-    kernel.attach_manager(manager)
+    kernel.attach_manager(manager or ManagerService())
     directory = task_directory(machine)
     guests: list[GuestSetup] = []
     for g in range(n_guests):
@@ -150,9 +155,8 @@ def build_virtualized(n_guests: int, *, seed: int = 1,
                                 task_set=task_set)
         kernel.create_vm(os_.name, ParavirtUcos(os_))
         guests.append(setup)
-    return VirtScenario(machine=machine, kernel=kernel, manager=manager,
-                        guests=guests, directory=directory,
-                        injector=injector)
+    return VirtScenario(machine=machine, kernel=kernel, guests=guests,
+                        directory=directory, injector=injector)
 
 
 def build_native(*, seed: int = 1, use_irq: bool = True, verify: bool = False,

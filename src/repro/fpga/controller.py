@@ -25,6 +25,7 @@ from ..common.units import fpga_cycles_to_cpu_cycles
 from ..gic.gic import Gic
 from ..gic.irqs import pl_irq
 from ..mem.phys import Bus
+from ..obs.metrics import MetricsRegistry
 from ..sim.engine import EventHandle, Simulator
 from .ip import IpCore
 from .prr import (
@@ -72,13 +73,22 @@ class PrrController:
 
     def __init__(self, sim: Simulator, gic: Gic, bus: Bus,
                  prrs: list[Prr], params: FpgaParams,
-                 cpu_hz: int) -> None:
+                 cpu_hz: int, metrics: MetricsRegistry) -> None:
         self.sim = sim
         self.gic = gic
         self.bus = bus
         self.prrs = prrs
         self.params = params
         self.cpu_hz = cpu_hz
+        # Per-region counts, indexed by prr_id (docs/OBSERVABILITY.md §6).
+        self._m_runs = [metrics.counter("prr.runs", prr=p.prr_id)
+                        for p in prrs]
+        self._m_violations = [metrics.counter("prr.violations",
+                                              prr=p.prr_id) for p in prrs]
+        self._m_reconfigs = [metrics.counter("prr.reconfigs", prr=p.prr_id)
+                             for p in prrs]
+        self._m_hangs = [metrics.counter("prr.hangs", prr=p.prr_id)
+                         for p in prrs]
         self._pending: dict[int, EventHandle] = {}
         self._watchdogs: dict[int, EventHandle] = {}
         #: Hook for tests/probes: called (prr_id, status) at completion.
@@ -207,7 +217,7 @@ class PrrController:
         # the client's window.  The FPGA sees physical addresses only.
         if not (prr.hwmmu.allows(prr.src, prr.src + prr.length)
                 and prr.hwmmu.allows(prr.dst, prr.dst + max(outlen, 1))):
-            prr.violations += 1
+            self._m_violations[prr.prr_id].inc()
             prr.status = PrrStatus.ERR_BOUNDS
             self._maybe_irq(prr)
             return
@@ -249,7 +259,7 @@ class PrrController:
         self._watchdogs.pop(prr.prr_id, None)
         if prr.status != PrrStatus.BUSY:
             return                      # completed after all; stale timer
-        prr.hangs += 1
+        self._m_hangs[prr.prr_id].inc()
         self._cancel(prr)
         if self.on_hang is not None:
             self.on_hang(prr.prr_id)
@@ -272,7 +282,7 @@ class PrrController:
         self.bus.dram.write_bytes(prr.dst, result)
         prr.outlen = outlen
         prr.status = PrrStatus.DONE
-        prr.runs += 1
+        self._m_runs[prr.prr_id].inc()
         self._maybe_irq(prr)
         if self.on_complete is not None:
             self.on_complete(prr.prr_id, prr.status)
@@ -310,7 +320,7 @@ class PrrController:
                 f"PRR{prr_id} cannot host {core.name} (resource overflow)")
         prr.core = core
         prr.reconfiguring = False
-        prr.reconfig_count += 1
+        self._m_reconfigs[prr_id].inc()
 
     def abort_reconfig(self, prr_id: int) -> None:
         """PCAP gave up on this region's reconfiguration: leave it empty

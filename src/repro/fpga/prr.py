@@ -71,14 +71,8 @@ class Prr:
     hwmmu: HwMmuWindow = field(default_factory=HwMmuWindow)
     client_vm: int | None = None
     reconfiguring: bool = False
-    #: Counters surfaced by the eval probes.
-    runs: int = 0
-    violations: int = 0
-    reconfig_count: int = 0
     #: Cycle the current computation started (for watchdog latency math).
     busy_since: int = 0
-    #: Hung computations detected by the controller watchdog.
-    hangs: int = 0
 
     def can_host(self, core: IpCore) -> bool:
         return core.resources.fits_in(self.capacity)

@@ -4,13 +4,12 @@ the guest executor, and the hardware-task client API."""
 from . import actions, api, layout_guest
 from .costs import UCOS_COSTS, UcosCosts
 from .exec import GuestExecutor
-from .gpos import Gpos
 from .ports.native import NativeSystem
 from .ports.paravirt import ParavirtUcos
 from .ucos import IDLE_PRIO, N_PRIOS, OsStats, Semaphore, TaskState, Tcb, Ucos
 
 __all__ = [
     "actions", "api", "layout_guest", "UCOS_COSTS", "UcosCosts",
-    "GuestExecutor", "Gpos", "NativeSystem", "ParavirtUcos", "IDLE_PRIO", "N_PRIOS",
+    "GuestExecutor", "NativeSystem", "ParavirtUcos", "IDLE_PRIO", "N_PRIOS",
     "OsStats", "Semaphore", "TaskState", "Tcb", "Ucos",
 ]

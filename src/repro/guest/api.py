@@ -256,7 +256,6 @@ def _brownout_reroute(os: Ucos, kind: str) -> bool:
     if kernel is None or kernel.brownout is None \
             or not kernel.brownout.active:
         return False
-    kernel.brownout.note_reroute()
     kernel.metrics.counter("recovery.brownout_reroutes").inc()
     kernel.tracer.mark("brownout_reroute", cat="fault", kind=kind)
     return True

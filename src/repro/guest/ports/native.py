@@ -62,10 +62,10 @@ class NativeSystem:
         prr_table = PrrTable(machine.prrs,
                              row_base=self.phys_base + GL.KERNEL_DATA + 0x3000)
         self.allocator = Allocator(self._mgr_port, task_table, prr_table,
-                                   machine.prrs)
+                                   machine.prrs, machine.metrics)
+        self._m_irq_entries = machine.metrics.counter("kernel.irq_entries")
         self.booted = False
         self.halted = False
-        self.irq_count = 0
         self._rids = count(1)      # request IDs, as the kernel stamps them
 
     # -- boot ---------------------------------------------------------------
@@ -140,7 +140,7 @@ class NativeSystem:
     def _handle_irq(self) -> None:
         """IRQ vectors directly into uCOS (no distribution layer)."""
         cpu = self.cpu
-        self.irq_count += 1
+        self._m_irq_entries.inc()
         cpu.take_exception("irq")
         irq = cpu.read32(_ICCIAR)
         if irq == SPURIOUS_IRQ:

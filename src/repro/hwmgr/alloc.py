@@ -16,6 +16,7 @@ from typing import Protocol
 from ..fpga.prr import Prr, PrrStatus
 from ..kernel.costs import MANAGER_COSTS as MC
 from ..kernel.hypercalls import HcStatus
+from ..obs.metrics import MetricsRegistry
 from .journal import OP_ALLOCATE, OP_RECLAIM, OP_RELEASE, IntentJournal
 from .tables import HardwareTaskTable, HwTaskEntry, PrrTable
 
@@ -96,11 +97,23 @@ from ..fpga.controller import (  # noqa: E402  (kept close to use)
 )
 
 
+#: ``hwmgr.allocations`` outcomes: one per :meth:`Allocator.allocate`.
+ALLOC_OUTCOMES = ("success", "reconfig", "busy", "error")
+#: ``hwmgr.reclaims`` reasons: a region taken for another client's
+#: request (stage 3a), or force-reclaimed (:meth:`Allocator.force_reclaim`).
+RECLAIM_REASONS = ("request", "watchdog", "recovery", "client_died")
+
+
 class Allocator:
-    """Stateful allocation engine over the two tables + live PRR objects."""
+    """Stateful allocation engine over the two tables + live PRR objects.
+
+    Its counts live in the machine's registry, so they outlive the
+    service instance that made them (a restarted manager builds a fresh
+    allocator over the same counters)."""
 
     def __init__(self, port: ManagerPort, task_table: HardwareTaskTable,
                  prr_table: PrrTable, prrs: list[Prr],
+                 metrics: MetricsRegistry,
                  journal: IntentJournal | None = None) -> None:
         self.port = port
         self.tasks = task_table
@@ -109,9 +122,10 @@ class Allocator:
         self.journal = journal
         #: PL IRQ lines in use: line -> prr_id.
         self.irq_lines: dict[int, int] = {}
-        self.stats = {"success": 0, "reconfig": 0, "busy": 0,
-                      "reclaims": 0, "errors": 0, "watchdog_reclaims": 0,
-                      "recovery_reclaims": 0}
+        self._m_outcome = {o: metrics.counter("hwmgr.allocations", outcome=o)
+                           for o in ALLOC_OUTCOMES}
+        self._m_reclaims = {r: metrics.counter("hwmgr.reclaims", reason=r)
+                            for r in RECLAIM_REASONS}
 
     # -- helpers ------------------------------------------------------------
 
@@ -157,18 +171,18 @@ class Allocator:
         entry = self.tasks.by_id(req.task_id)
         port.code(0x200, MC.task_table_lookup)
         if entry is None:
-            self.stats["errors"] += 1
+            self._m_outcome["error"].inc()
             return AllocResult(HcStatus.ERR_NOTASK)
         port.touch(entry.row_addr)
         prr, needs_reconfig = self._choose(entry, req.client_vm)
         if prr is None:
-            self.stats["busy"] += 1
+            self._m_outcome["busy"].inc()
             port.code(0xA00, MC.status_return)
             return AllocResult(HcStatus.BUSY)
         if needs_reconfig and not port.pcap_available():
             # Single-channel PCAP is mid-transfer: report BUSY before any
             # state is committed; the client simply retries.
-            self.stats["busy"] += 1
+            self._m_outcome["busy"].inc()
             port.code(0xA00, MC.status_return)
             return AllocResult(HcStatus.BUSY)
         row = self.prr_table.row(prr.prr_id)
@@ -191,7 +205,7 @@ class Allocator:
         # Stage 3a: reclaim from a previous client (consistency protocol).
         if prr.client_vm is not None and prr.client_vm != req.client_vm:
             reclaimed_from = prr.client_vm
-            self.stats["reclaims"] += 1
+            self._m_reclaims["request"].inc()
             port.code(0x500, MC.reclaim_save_regs)
             port.reg_group_save(reclaimed_from, prr)
             if port.iface_va_of(reclaimed_from, prr.prr_id) is not None:
@@ -247,10 +261,10 @@ class Allocator:
         # awaited (the client polls or takes the PCAP IRQ).
         port.code(0xA00, MC.status_return)
         if needs_reconfig:
-            self.stats["reconfig"] += 1
+            self._m_outcome["reconfig"].inc()
             return AllocResult(HcStatus.RECONFIG, prr.prr_id, True,
                                reclaimed_from, irq_id)
-        self.stats["success"] += 1
+        self._m_outcome["success"].inc()
         return AllocResult(HcStatus.SUCCESS, prr.prr_id, False,
                            reclaimed_from, irq_id)
 
@@ -285,16 +299,16 @@ class Allocator:
         unowned and empty; the old client discovers the loss through its
         state flag / unmapped interface and re-requests the task.
 
-        ``reason`` is ``"watchdog"`` (hung task; bumps ``row.hangs``),
-        ``"recovery"`` (crash-recovery rollback/reconcile) or
-        ``"client_died"`` (owning VM killed — docs/RECOVERY.md §9; counts
-        with the recovery reclaims).  The routine
-        is **idempotent**: a second call on an already-clean region — a
-        watchdog kill racing a crash-recovery pass, say — returns early
-        without touching hardware or double-counting, so ``row.reclaims``
-        moves exactly once per actual reclaim.  An in-flight PCAP
-        transfer targeting the region is cancelled, and any open journal
-        entry for it is aborted (docs/RECOVERY.md).
+        ``reason`` is ``"watchdog"`` (hung task), ``"recovery"``
+        (crash-recovery rollback/reconcile) or ``"client_died"`` (owning
+        VM killed — docs/RECOVERY.md §9); it labels the reclaim's
+        ``hwmgr.reclaims`` count.  The routine is **idempotent**: a
+        second call on an already-clean region — a watchdog kill racing
+        a crash-recovery pass, say — returns early without touching
+        hardware or double-counting, so ``hwmgr.reclaims`` moves exactly
+        once per actual reclaim.  An in-flight PCAP transfer targeting
+        the region is cancelled, and any open journal entry for it is
+        aborted (docs/RECOVERY.md).
         Returns the old client's VM id (None if nothing was reclaimed).
         """
         port = self.port
@@ -333,12 +347,7 @@ class Allocator:
         port.ctl_write(prr_id, CTL_HWMMU_LIMIT, 0)
         row.client_vm = None
         row.task_name = None
-        row.reclaims += 1
-        if reason == "watchdog":
-            row.hangs += 1
-            self.stats["watchdog_reclaims"] += 1
-        else:
-            self.stats["recovery_reclaims"] += 1
+        self._m_reclaims[reason].inc()
         port.touch(row.row_addr, write=True)
         if rec is not None:
             self.journal.commit(rec)

@@ -67,9 +67,6 @@ class BrownoutController:
     def __init__(self, config: BrownoutConfig | None = None) -> None:
         self.cfg = config or BrownoutConfig()
         self.active = False
-        self.entries = 0
-        self.exits = 0
-        self.reroutes = 0
 
     def pressure(self, kernel) -> tuple[float, int]:
         prrs = kernel.machine.prrs
@@ -84,17 +81,12 @@ class BrownoutController:
             if (occupancy >= self.cfg.enter_occupancy
                     or depth >= self.cfg.enter_queue_depth):
                 self.active = True
-                self.entries += 1
                 kernel.metrics.counter("hwmgr.brownout.entries").inc()
                 kernel.metrics.gauge("hwmgr.brownout.active").set(1)
         else:
             if (occupancy <= self.cfg.exit_occupancy
                     and depth <= self.cfg.exit_queue_depth):
                 self.active = False
-                self.exits += 1
                 kernel.metrics.counter("hwmgr.brownout.exits").inc()
                 kernel.metrics.gauge("hwmgr.brownout.active").set(0)
         return self.active
-
-    def note_reroute(self) -> None:
-        self.reroutes += 1

@@ -70,8 +70,8 @@ class IntentJournal:
         self.row_base = row_base
         self._next_seq = 0
         self._entries: list[JournalEntry] = []
-        self.stats = {"opened": 0, "committed": 0, "aborted": 0,
-                      "replayed": 0, "rolled_back": 0}
+        #: Entry transitions; they balance the journal (invariant I6).
+        self.stats = {"opened": 0, "committed": 0, "aborted": 0}
 
     # -- the write path (manager side) ----------------------------------
 

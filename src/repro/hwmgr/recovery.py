@@ -34,18 +34,17 @@ from .journal import ACT, OP_ALLOCATE, OP_RECLAIM, OP_RELEASE
 __all__ = ["recover"]
 
 
-def recover(kernel, service) -> dict[str, int]:
+def recover(kernel, service) -> None:
     """Drive the freshly respawned ``service`` back to a consistent state.
 
-    Returns a small dict of counts (rollbacks / replays / reconcile
-    reclaims) for tests; the same numbers land in ``recovery.*`` metrics.
+    Each rollback, replay and reconcile reclaim is counted in the
+    ``recovery.*`` metrics.
     """
     alloc = service.allocator
     journal = kernel.manager_journal
     machine = kernel.machine
     metrics = kernel.metrics
     tracer = kernel.tracer
-    counts = {"rollbacks": 0, "replays": 0, "reconcile_reclaims": 0}
 
     # -- 1. journal pass ---------------------------------------------------
     for e in journal.open_entries():
@@ -57,8 +56,6 @@ def recover(kernel, service) -> dict[str, int]:
             if e.state == ACT and e.prr_id is not None:
                 alloc.force_reclaim(e.prr_id, reason="recovery")
             journal.abort(e)
-            journal.stats["rolled_back"] += 1
-            counts["rollbacks"] += 1
             metrics.counter("recovery.journal_rollbacks").inc()
             tracer.mark("journal_rollback", cat="fault", op=e.op, seq=e.seq,
                         prr=e.prr_id if e.prr_id is not None else -1)
@@ -66,15 +63,11 @@ def recover(kernel, service) -> dict[str, int]:
             # Replay through the normal path; reuse_or_begin picks this
             # very entry back up and commits it.
             alloc.release(e.client_vm, e.task_id)
-            journal.stats["replayed"] += 1
-            counts["replays"] += 1
             metrics.counter("recovery.journal_replays").inc()
             tracer.mark("journal_replay", cat="fault", op=e.op, seq=e.seq,
                         prr=-1)
         elif e.op == OP_RECLAIM and e.prr_id is not None:
             alloc.force_reclaim(e.prr_id, reason="recovery")
-            journal.stats["replayed"] += 1
-            counts["replays"] += 1
             metrics.counter("recovery.journal_replays").inc()
             tracer.mark("journal_replay", cat="fault", op=e.op, seq=e.seq,
                         prr=e.prr_id)
@@ -87,7 +80,6 @@ def recover(kernel, service) -> dict[str, int]:
             # PCAP port is idle: the driving context died between the
             # begin and the launch.  Abort it into ERR_RECONFIG.
             ctl.abort_reconfig(prr.prr_id)
-            counts["reconcile_reclaims"] += 1
             metrics.counter("recovery.reconcile_reclaims").inc()
             tracer.mark("reconcile_reclaim", cat="fault", prr=prr.prr_id,
                         why="orphan_reconfig")
@@ -97,7 +89,6 @@ def recover(kernel, service) -> dict[str, int]:
             # BUSY with neither a completion nor a watchdog event alive:
             # nothing will ever finish this region — reclaim it.
             alloc.force_reclaim(prr.prr_id, reason="recovery")
-            counts["reconcile_reclaims"] += 1
             metrics.counter("recovery.reconcile_reclaims").inc()
             tracer.mark("reconcile_reclaim", cat="fault", prr=prr.prr_id,
                         why="wedged_busy")
@@ -109,7 +100,6 @@ def recover(kernel, service) -> dict[str, int]:
         for prr_id in list(pd.prr_iface):
             if machine.prrs[prr_id].client_vm != vm_id:
                 kernel.service_unmap_iface(pd, prr_id)
-                counts["reconcile_reclaims"] += 1
                 metrics.counter("recovery.reconcile_reclaims").inc()
                 tracer.mark("reconcile_reclaim", cat="fault", prr=prr_id,
                             why="stale_mapping")
@@ -122,4 +112,3 @@ def recover(kernel, service) -> dict[str, int]:
         row.busy = prr.status == PrrStatus.BUSY
     alloc.irq_lines = {prr.irq_line: prr.prr_id
                        for prr in machine.prrs if prr.irq_line is not None}
-    return counts

@@ -38,7 +38,6 @@ class ManagerService:
         self.kernel = None
         self.pd = None
         self.allocator: Allocator | None = None
-        self.requests_handled = 0
         #: The request being handled right now (crash-recovery reads this
         #: off the dead instance to bounce the in-flight requester).
         self.current_request = None
@@ -59,6 +58,7 @@ class ManagerService:
             row_base=L.MANAGER_DATA_VA + 0x1000)
         prr_table = PrrTable(machine.prrs, row_base=L.MANAGER_DATA_VA + 0x3000)
         self.allocator = Allocator(self, task_table, prr_table, machine.prrs,
+                                   kernel.metrics,
                                    journal=kernel.manager_journal)
 
     def step(self, budget: int):
@@ -92,7 +92,6 @@ class ManagerService:
                 kernel.brownout.observe(kernel)
             kernel.manager_post_result(req, result)
             self.current_request = None
-            self.requests_handled += 1
             req = kernel.manager_take_request()
         return ExitIdle()
 

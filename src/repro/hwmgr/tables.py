@@ -37,10 +37,6 @@ class PrrRow:
     task_name: str | None = None
     #: Manager-visible state; the live truth is the PRR controller's.
     busy: bool = False
-    #: Watchdog force-reclaims of this region (docs/FAULTS.md).
-    hangs: int = 0
-    #: Total force-reclaims (watchdog + crash-recovery; docs/RECOVERY.md).
-    reclaims: int = 0
     row_addr: int = 0
 
 

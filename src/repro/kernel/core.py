@@ -115,6 +115,7 @@ class MiniNova:
         self.metrics = machine.metrics
         self._m_vm_switch_cycles = self.metrics.histogram(
             "kernel.vm_switch_cycles")
+        self._m_irq_entries = self.metrics.counter("kernel.irq_entries")
         self._m_irqs = self.metrics.counter("kernel.irqs")
         self._m_hypercall_cycles = self.metrics.histogram(
             "kernel.hypercall_cycles")
@@ -125,7 +126,7 @@ class MiniNova:
         self.sched = Scheduler(
             ms_to_cycles(self.config.quantum_ms, machine.params.cpu.hz),
             self.metrics)
-        self.ivc = IvcRouter()
+        self.ivc = IvcRouter(self.metrics)
         self.syms = L.SYMS
         self.domains: dict[int, ProtectionDomain] = {}
         self.current: ProtectionDomain | None = None
@@ -164,9 +165,6 @@ class MiniNova:
         #: Per-VM console transcript: (vm_id, line) in emission order.
         self.console_log: list[tuple[int, str]] = []
         self._console_bufs: dict[int, bytearray] = {}
-        #: Physical IRQ entries, spurious ACKs included (``kernel.irqs``
-        #: counts only the IRQs that were acknowledged with an ID).
-        self.irq_count = 0
         self.booted = False
 
     @property
@@ -510,7 +508,7 @@ class MiniNova:
         # ACK/EOI/routing is unattributed kernel work; injection into a
         # specific VM re-pushes with that VM (see _inject_virq).
         ctx = self.acct.push("kernel", None)
-        self.irq_count += 1
+        self._m_irq_entries.inc()           # spurious ACKs included
         self._irq_vector_t = self.sim.now   # PL-IRQ entry is measured from
         cpu.take_exception("irq")           # the exception vector (paper)
         cpu.code(syms.irq_entry, C.irq_entry_stub)

@@ -75,19 +75,6 @@ class HcStatus(IntEnum):
     MANAGER_RESTARTING = 7   # manager PD is being restarted; retry shortly
 
 
-#: Statuses that mean the request failed outright.  BUSY, RECONFIG and
-#: MANAGER_RESTARTING are transient conditions a client may retry or wait
-#: out; these are not (docs/FAULTS.md — the guest API maps aborted
-#: reconfigurations and reclaimed regions onto ERR_STATE).
-ERROR_STATUSES = frozenset({HcStatus.ERR_ARG, HcStatus.ERR_PERM,
-                            HcStatus.ERR_NOTASK, HcStatus.ERR_STATE})
-
-
-def is_error(status: int) -> bool:
-    """True when ``status`` (an int or :class:`HcStatus`) is a hard error."""
-    return status in ERROR_STATUSES
-
-
 #: Hypercalls the paravirtualized uC/OS-II port actually uses (paper: 17
 #: dedicated hypercalls for the guest).
 UCOS_HYPERCALLS = (

@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from ..obs.metrics import MetricsRegistry
+
 #: vIRQ id used to notify a VM of pending IVC messages.
 IVC_IRQ = 30
 
@@ -34,11 +36,9 @@ class IvcMessage:
 class Mailbox:
     vm_id: int
     queue: deque[IvcMessage] = field(default_factory=deque)
-    dropped: int = 0
 
     def push(self, msg: IvcMessage) -> bool:
         if len(self.queue) >= MAILBOX_SLOTS:
-            self.dropped += 1
             return False
         self.queue.append(msg)
         return True
@@ -51,11 +51,16 @@ class Mailbox:
 
 
 class IvcRouter:
-    """All mailboxes; owned by the kernel, driven by IVC_SEND/IVC_RECV."""
+    """All mailboxes; owned by the kernel, driven by IVC_SEND/IVC_RECV.
 
-    def __init__(self) -> None:
+    Messages delivered and messages refused by a full mailbox are counted
+    in the machine's registry (``kernel.ivc_sent``, ``kernel.ivc_dropped``),
+    so the counts survive a mailbox being replaced when its VM dies."""
+
+    def __init__(self, metrics: MetricsRegistry) -> None:
         self._boxes: dict[int, Mailbox] = {}
-        self.sent = 0
+        self._m_sent = metrics.counter("kernel.ivc_sent")
+        self._m_dropped = metrics.counter("kernel.ivc_dropped")
 
     def register(self, vm_id: int) -> Mailbox:
         box = Mailbox(vm_id)
@@ -68,8 +73,7 @@ class IvcRouter:
         if box is None:
             return False
         ok = box.push(IvcMessage(src_vm=src_vm, payload=payload))
-        if ok:
-            self.sent += 1
+        (self._m_sent if ok else self._m_dropped).inc()
         return ok
 
     def recv(self, vm_id: int) -> IvcMessage | None:

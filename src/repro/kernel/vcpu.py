@@ -52,10 +52,6 @@ class Vcpu:
     guest_kernel_mode: bool = True
     #: Set once the VM has ever touched the VFP (lazy-switch candidate).
     used_vfp: bool = False
-    #: Active-switch save/restore tallies (Table I accounting; the switch
-    #: latency itself lands in the ``kernel.vm_switch_cycles`` histogram).
-    saves: int = 0
-    restores: int = 0
 
     #: Words moved by an active save or restore (registers + timer + vregs);
     #: Table I's "active switch" resources.
@@ -64,13 +60,11 @@ class Vcpu:
     def save_user_regs(self, regfile: RegisterFile) -> None:
         """Active switch-out: snapshot the user register bank (Table I)."""
         self.regs = regfile.snapshot_user()
-        self.saves += 1
 
     def restore_user_regs(self, regfile: RegisterFile) -> None:
         """Active switch-in: reload the user register bank (Table I)."""
         if self.regs:
             regfile.restore_user(self.regs)
-        self.restores += 1
 
     # -- checkpoint/restore (docs/RECOVERY.md §9) ---------------------------
 

@@ -8,8 +8,9 @@ the native baseline run on an identical ``Machine``.
 The machine also owns the one observability layer every component of it
 reports to: a :class:`~repro.obs.metrics.MetricsRegistry` and a
 :class:`~repro.obs.trace.Tracer` bound to the engine clock, handed to the
-engine, the memory system and the PCAP at construction and used by
-whichever system (kernel or native port) drives the machine.
+engine, the memory system, the PRR controller and the PCAP at
+construction and used by whichever system (kernel or native port) drives
+the machine.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class Machine:
                      for i, cap in enumerate(self.config.prr_capacities)]
         self.prr_controller = PrrController(
             self.sim, self.gic, self.mem.bus, self.prrs, params.fpga,
-            params.cpu.hz)
+            params.cpu.hz, self.metrics)
         self.pcap = Pcap(self.sim, self.gic, self.prr_controller,
                          params.fpga, params.cpu.hz, self.tracer,
                          self.metrics)

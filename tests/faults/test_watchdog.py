@@ -31,6 +31,11 @@ def env(machine):
     return machine, ctl, prr, base
 
 
+def count(machine, name, prr):
+    """Region ``prr``'s series of counter ``name``."""
+    return machine.metrics.total(name, prr=prr.prr_id)
+
+
 def arm(machine, specs):
     inj = FaultInjector(FaultPlan(specs))
     inj.attach(machine)
@@ -57,8 +62,8 @@ def test_hang_without_manager_recovers_locally(env):
     assert prr.status is PrrStatus.BUSY
     machine.sim.run_until(machine.now + 500_000_000)
     assert prr.status is PrrStatus.ERR_NOTASK
-    assert prr.hangs == 1
-    assert prr.runs == 0                      # the computation never landed
+    assert count(machine, "prr.hangs", prr) == 1
+    assert count(machine, "prr.runs", prr) == 0   # the computation never landed
     assert machine.sim.pending_count == 0     # watchdog disarmed itself
 
 
@@ -72,8 +77,8 @@ def test_hang_with_manager_hook(env):
     start_fft(machine, ctl, base)
     machine.sim.run_until(machine.now + 500_000_000)
     assert hung == [0]
-    assert prr.hangs == 1
-    assert prr.runs == 0
+    assert count(machine, "prr.hangs", prr) == 1
+    assert count(machine, "prr.runs", prr) == 0
     assert prr.status is PrrStatus.BUSY       # policy deferred to the hook
 
 
@@ -87,8 +92,8 @@ def test_watchdog_quiet_on_healthy_run(env):
     start_fft(machine, ctl, base)
     machine.sim.run_until(machine.now + 500_000_000)
     assert prr.status is PrrStatus.DONE
-    assert prr.runs == 1
-    assert prr.hangs == 0 and hung == []
+    assert count(machine, "prr.runs", prr) == 1
+    assert count(machine, "prr.hangs", prr) == 0 and hung == []
 
 
 def test_spurious_done_irq_mid_computation(env):
@@ -105,11 +110,11 @@ def test_spurious_done_irq_mid_computation(env):
     machine.sim.advance_to_next_event()
     assert machine.gic.pending[pl_irq(3)]
     assert ctl.mmio_read(REG_STATUS) == PrrStatus.BUSY
-    assert prr.runs == 0
+    assert count(machine, "prr.runs", prr) == 0
     # The genuine completion follows.
     machine.sim.run_until(machine.now + 500_000_000)
     assert prr.status is PrrStatus.DONE
-    assert prr.runs == 1
+    assert count(machine, "prr.runs", prr) == 1
 
 
 def test_second_start_after_reclaim_is_clean(env):
@@ -122,4 +127,5 @@ def test_second_start_after_reclaim_is_clean(env):
     start_fft(machine, ctl, base)
     machine.sim.run_until(machine.now + 500_000_000)
     assert prr.status is PrrStatus.DONE
-    assert prr.runs == 1 and prr.hangs == 1
+    assert count(machine, "prr.runs", prr) == 1
+    assert count(machine, "prr.hangs", prr) == 1

@@ -427,4 +427,5 @@ def test_brownout_demo_is_bit_identical():
     assert demo["checks"]["returned_to_hardware"]
     assert demo["checks"]["bit_identical"]
     assert demo["entries"] >= 1 and demo["exits"] >= 1
-    assert demo["reroutes"] == demo["reroutes_counted"]
+    # Every iteration that ran in software was a brownout reroute.
+    assert demo["reroutes"] == sum(it["software"] for it in demo["iters"])

@@ -68,7 +68,7 @@ def test_full_task_execution(env):
     got = np.frombuffer(machine.mem.bus.dram.read_bytes(base + 0x8_0000, outlen),
                         dtype=np.complex64)
     assert np.allclose(got, fft_golden.fft(x), rtol=1e-3, atol=1e-2)
-    assert prr.runs == 1
+    assert machine.metrics.total("prr.runs", prr=0) == 1
 
 
 def test_completion_takes_modelled_time(env):
@@ -106,9 +106,9 @@ def test_hwmmu_blocks_src_outside_window(env):
     ctl.mmio_write(regs(0) + REG_DST, base + 0x8_0000)
     ctl.mmio_write(regs(0) + REG_CTRL, CTRL_START)
     assert ctl.mmio_read(regs(0) + REG_STATUS) == PrrStatus.ERR_BOUNDS
-    assert prr.violations == 1
+    assert machine.metrics.total("prr.violations", prr=0) == 1
     # And nothing was scheduled.
-    assert prr.runs == 0
+    assert machine.metrics.total("prr.runs", prr=0) == 0
 
 
 def test_hwmmu_blocks_dst_overrun(env):
@@ -160,7 +160,7 @@ def test_reset_cancels_inflight_run(env):
     run_fft(machine, ctl, base)
     ctl.mmio_write(regs(0) + REG_CTRL, CTRL_RESET)
     machine.sim.run_until(machine.now + 100_000_000)
-    assert prr.runs == 0
+    assert machine.metrics.total("prr.runs", prr=0) == 0
     assert ctl.mmio_read(regs(0) + REG_STATUS) == PrrStatus.IDLE
 
 

@@ -55,7 +55,7 @@ def test_transfer_configures_prr_and_raises_irq(machine):
     assert machine.prrs[0].core.name == "fft1024"
     assert not machine.prrs[0].reconfiguring
     assert machine.gic.pending[IRQ_PCAP_DONE]
-    assert machine.prrs[0].reconfig_count == 1
+    assert machine.metrics.total("prr.reconfigs", prr=0) == 1
 
 
 def test_second_transfer_while_busy_rejected(machine):

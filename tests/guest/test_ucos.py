@@ -98,6 +98,29 @@ def test_highest_priority_runs_first(os_):
     assert order == ["hi", "lo"]
 
 
+def test_strict_priority_starves_lower_priority_across_ticks(os_):
+    """Ticks do not time-slice between priorities: a higher-priority
+    task that never blocks keeps the CPU and the lower one never runs."""
+    log = []
+
+    def spinner(tag, n):
+        def fn(os):
+            for _ in range(n):
+                log.append(tag)
+                yield Compute(5_000, 20, ((GL.USER_BASE, 8192),))
+            yield Finish()
+        return fn
+
+    os_.create_task("a", 5, spinner("a", 100))
+    os_.create_task("b", 6, spinner("b", 20))
+    for i in range(25):
+        if i % 2 == 0:
+            os_.pending_irqs.append(GL.TICK_IRQ)
+            os_.handle_pending_irqs()
+        os_.run_one_action()
+    assert log.count("a") > 0 and log.count("b") == 0
+
+
 def test_delay_blocks_until_ticks(os_):
     log = []
 

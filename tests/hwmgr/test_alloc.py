@@ -95,7 +95,8 @@ def alloc_env(machine):
     port = FakePort(machine)
     tasks = HardwareTaskTable.build(machine.bitstreams, machine.prrs,
                                     machine.pcap.transfer_cycles)
-    alloc = Allocator(port, tasks, PrrTable(machine.prrs), machine.prrs)
+    alloc = Allocator(port, tasks, PrrTable(machine.prrs), machine.prrs,
+                      machine.metrics)
     return machine, port, alloc, tasks
 
 
@@ -140,7 +141,7 @@ def test_busy_when_all_suitable_prrs_busy(alloc_env):
     machine.prrs[1].reconfiguring = True
     r = alloc.allocate(req(tasks, "fft256"))
     assert r.status == HcStatus.BUSY
-    assert alloc.stats["busy"] == 1
+    assert machine.metrics.total("hwmgr.allocations", outcome="busy") == 1
 
 
 def test_busy_when_pcap_in_flight_and_reconfig_needed(alloc_env):
@@ -170,7 +171,7 @@ def test_reclaim_runs_consistency_protocol(alloc_env):
     assert names.index("save") < names.index("unmap") < names.index("map")
     assert ("unmap", 1, r1.prr_id) in port.calls
     assert ("map", 2, r1.prr_id, 0x9000_0000) in port.calls
-    assert alloc.stats["reclaims"] == 1
+    assert machine.metrics.total("hwmgr.reclaims", reason="request") == 1
     # Task stays resident: same-task reclaim needs no PCAP.
     assert r2.status == HcStatus.SUCCESS
 

@@ -31,8 +31,7 @@ def test_closing_is_idempotent_and_terminal():
     # double-count the entry.
     j.abort(e)
     assert e.state == COMMITTED
-    assert j.stats == {"opened": 1, "committed": 1, "aborted": 0,
-                       "replayed": 0, "rolled_back": 0}
+    assert j.stats == {"opened": 1, "committed": 1, "aborted": 0}
     # note_act after close is a no-op too.
     j.note_act(e)
     assert e.state == COMMITTED

@@ -103,7 +103,7 @@ def env(machine):
                                     machine.pcap.transfer_cycles)
     journal = IntentJournal(row_base=0x5000)
     alloc = Allocator(port, tasks, PrrTable(machine.prrs), machine.prrs,
-                      journal=journal)
+                      machine.metrics, journal=journal)
     return machine, port, alloc, tasks, journal
 
 
@@ -132,7 +132,7 @@ def test_watchdog_kill_during_journaled_reconfig(env):
     assert not prr.reconfiguring
     assert prr.client_vm is None and row.client_vm is None
     assert row.task_name is None
-    assert row.reclaims == 1
+    assert machine.metrics.total("hwmgr.reclaims", reason="watchdog") == 1
     assert journal.balanced()
 
 
@@ -141,15 +141,16 @@ def test_second_reclaim_is_an_idempotent_noop(env):
     the second force_reclaim must not touch hardware or double-count."""
     machine, port, alloc, tasks, journal = env
     r = _cold_alloc(alloc, tasks)
-    row = alloc.prr_table.row(r.prr_id)
     alloc.force_reclaim(r.prr_id, reason="watchdog")
     calls_before = list(port.calls)
-    stats_before = dict(alloc.stats)
+    metrics_before = machine.metrics.as_dict()
 
     assert alloc.force_reclaim(r.prr_id, reason="recovery") is None
     assert port.calls == calls_before          # no hardware access at all
-    assert alloc.stats == stats_before
-    assert row.reclaims == 1                   # bumped exactly once
+    assert machine.metrics.as_dict() == metrics_before
+    # Bumped exactly once, by the reclaim that happened.
+    assert machine.metrics.total("hwmgr.reclaims") == 1
+    assert machine.metrics.total("hwmgr.reclaims", reason="watchdog") == 1
     assert journal.balanced()
 
 
@@ -168,4 +169,4 @@ def test_reclaim_of_committed_allocation_journals_once(env):
     assert journal.stats["opened"] == opened + 1
     assert journal.balanced()
     assert not journal.open_entries()
-    assert alloc.prr_table.row(r.prr_id).reclaims == 1
+    assert machine.metrics.total("hwmgr.reclaims", reason="watchdog") == 1

@@ -123,6 +123,29 @@ def test_cli_run_and_bench_share_the_slo_verdict(tmp_path, capsys):
         assert "switch-p99 (latency_p99) at cycle" in err
 
 
+def test_cli_run_and_bench_share_the_stream_setup(tmp_path, capsys):
+    """``run`` and ``bench`` build their stream and SLO engine one way: a
+    bad SLO config or an unwritable stream path exits 2 before anything
+    runs, and a bad SLO config leaves no stream file behind."""
+    from repro.__main__ import main
+    stream = tmp_path / "s.jsonl"
+    bad_slo = tmp_path / "bad.json"
+    bad_slo.write_text("{")
+    for cmd in (["run", "--flight-out", str(tmp_path / "f.json")],
+                ["bench", "--out", str(tmp_path / "b.json")]):
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, "--ms", "1", "--slo", str(bad_slo),
+                  "--stream-out", str(stream)])
+        assert exc.value.code == 2
+        assert "error: bad SLO config" in capsys.readouterr().err
+        assert not stream.exists()
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, "--ms", "1",
+                  "--stream-out", str(tmp_path / "missing" / "s.jsonl")])
+        assert exc.value.code == 2
+        assert "error: cannot write stream to" in capsys.readouterr().err
+
+
 def test_cli_record_bus_streams_start_with_a_header(tmp_path):
     """``fleet`` and ``explore`` record buses open with a ``header`` that
     carries the schema version, the source and the seed."""

@@ -54,7 +54,7 @@ def test_no_hwmmu_violations_in_honest_runs():
     sc = build_virtualized(2, seed=23, iterations=5, with_workloads=False,
                            task_set=("fft256", "qam64"))
     sc.run_until_completions(10, max_ms=10000)
-    assert all(p.violations == 0 for p in sc.machine.prrs)
+    assert sc.metrics.total("prr.violations") == 0
 
 
 def test_malicious_dma_out_of_section_is_blocked():
@@ -87,7 +87,7 @@ def test_malicious_dma_out_of_section_is_blocked():
     assert ctl.mmio_read(page + 4) == PrrStatus.ERR_BOUNDS  # REG_STATUS
     machine.sim.run_until(machine.now + 50_000_000)
     assert machine.mem.bus.dram.read_bytes(victim_secret, 64) == b"\x5A" * 64
-    assert prr.violations >= 1
+    assert machine.metrics.total("prr.violations", prr=prr.prr_id) >= 1
 
 
 def test_access_to_reclaimed_iface_faults_to_guest():
@@ -113,7 +113,7 @@ def test_consistency_flag_set_on_reclaim():
     sc = build_virtualized(2, seed=26, iterations=4, with_workloads=False,
                            task_set=("fft8192",))    # single-task contention
     sc.run_until_completions(6, max_ms=10000)
-    if sc.manager.allocator.stats["reclaims"] == 0:
+    if sc.metrics.total("hwmgr.reclaims", reason="request") == 0:
         pytest.skip("no reclaim occurred in this schedule")
     kernel = sc.kernel
     machine = sc.machine

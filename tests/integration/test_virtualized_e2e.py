@@ -28,7 +28,7 @@ def test_two_guests_share_the_fabric():
         assert g.thw_stats.completions == 3
         assert g.thw_stats.verified_bad == 0
     # Both guests really used the PRRs.
-    assert sum(p.runs for p in sc.machine.prrs) >= 6
+    assert sc.metrics.total("prr.runs") >= 6
 
 
 def test_reclaim_happens_under_contention():
@@ -36,7 +36,7 @@ def test_reclaim_happens_under_contention():
     sc = build_virtualized(2, seed=5, iterations=6, with_workloads=False,
                            task_set=("fft4096", "fft8192"))
     sc.run_until_completions(12, max_ms=8000)
-    assert sc.manager.allocator.stats["reclaims"] >= 1
+    assert sc.metrics.total("hwmgr.reclaims", reason="request") >= 1
     for g in sc.guests:
         assert g.thw_stats.errors == 0
 
@@ -48,7 +48,7 @@ def test_manager_preempts_guests():
                            task_set=("qam4",))
     sc.run_until_completions(4, max_ms=4000)
     assert sc.total_completions() == 4
-    assert sc.manager.requests_handled >= 4
+    assert sc.metrics.total("hwmgr.requests") >= 4
     # Manager parked itself again afterwards.
     from repro.kernel.pd import PdState
     assert sc.kernel.manager_pd.state is PdState.SUSPENDED

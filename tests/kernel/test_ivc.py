@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.kernel.ivc import IvcMessage, IvcRouter, MAILBOX_SLOTS, MSG_WORDS
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture
-def router():
-    r = IvcRouter()
+def router(metrics):
+    r = IvcRouter(metrics)
     r.register(1)
     r.register(2)
     return r
@@ -33,14 +34,16 @@ def test_unknown_destination(router):
     assert not router.send(1, 99, (1,))
 
 
-def test_mailbox_overflow_drops(router):
+def test_mailbox_overflow_drops(router, metrics):
     for i in range(MAILBOX_SLOTS):
         assert router.send(1, 2, (i,))
     assert not router.send(1, 2, (99,))
     assert router.pending(2) == MAILBOX_SLOTS
+    assert metrics.total("kernel.ivc_dropped") == 1
     # Draining makes room again.
     router.recv(2)
     assert router.send(1, 2, (99,))
+    assert metrics.total("kernel.ivc_sent") == MAILBOX_SLOTS + 1
 
 
 def test_payload_size_limit():
@@ -59,8 +62,10 @@ def test_pending_counts(router):
 @given(st.lists(st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 2])),
                 max_size=40))
 def test_conservation_property(ops):
-    """Messages delivered == messages accepted, per destination."""
-    r = IvcRouter()
+    """Messages delivered == messages accepted, per destination, and the
+    registry counts every accepted message as sent."""
+    metrics = MetricsRegistry()
+    r = IvcRouter(metrics)
     r.register(1)
     r.register(2)
     accepted = {1: 0, 2: 0}
@@ -72,3 +77,6 @@ def test_conservation_property(ops):
         while r.recv(dst) is not None:
             drained += 1
         assert drained == accepted[dst]
+    assert metrics.total("kernel.ivc_sent") == sum(accepted.values())
+    assert (metrics.total("kernel.ivc_sent")
+            + metrics.total("kernel.ivc_dropped")) == len(ops)

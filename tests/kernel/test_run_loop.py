@@ -121,6 +121,19 @@ def test_shutdown_removes_vm(kernel):
     assert pd.state is PdState.DEAD
 
 
+def test_irq_entries_count_spurious_acks_and_irqs_do_not(kernel):
+    """``kernel.irq_entries`` books every IRQ exception entry, and
+    ``kernel.irqs`` only those the GIC acknowledged with an ID."""
+    m = kernel.metrics
+    kernel._handle_physical_irq()         # nothing pending: a spurious ACK
+    assert m.total("kernel.irq_entries") == 1
+    assert m.total("kernel.irqs") == 0
+    kernel.create_vm("vm1", ChunkRunner())
+    kernel.run(until_cycles=ms_to_cycles(5))
+    assert m.total("kernel.irqs") >= 4    # the 1 ms quantum timer
+    assert m.total("kernel.irq_entries") == m.total("kernel.irqs") + 1
+
+
 def test_run_requires_boot(small_machine):
     from repro.common.errors import DeviceError
     k = MiniNova(small_machine)

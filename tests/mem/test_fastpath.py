@@ -49,7 +49,7 @@ def _scenario_state(sc):
         "accounting": k.acct.snapshot(),
         "switches": k.vm_switch_count,
         "hypercalls": k.hypercall_count,
-        "irqs": k.irq_count,
+        "irqs": k.metrics.total("kernel.irq_entries"),
     }
 
 
@@ -167,7 +167,7 @@ class TestIdleSpinEquivalence:
                 "caches": {n: vars(s) for n, s in caches.snapshot().items()},
                 "l1d_tags": [list(t) for t in caches.l1d._tags],
                 "tlb": vars(sc.machine.mem.mmu.tlb.stats.snapshot()),
-                "irqs": sc.system.irq_count,
+                "irqs": sc.metrics.total("kernel.irq_entries"),
                 "os": vars(sc.system.os.stats),
                 "trace": list(sc.tracer.events),
                 "completions": sc.total_completions(),
