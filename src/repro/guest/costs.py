@@ -20,9 +20,10 @@ class UcosCosts:
     isr_entry: int = 85           # OSIntEnter + vector to handler
     isr_exit: int = 60            # OSIntExit (may context-switch)
     hypercall_wrapper: int = 22   # paravirt patch: marshal args + SVC
-    idle_loop: int = 8000         # one idle-task spin chunk (coarse grain:
-                                  # keeps simulation overhead bounded while
-                                  # idling at ~12 us granularity)
+    idle_loop: int = 8000         # one pass of OS_TaskIdle around
+                                  # OSIdleCtr++ (coarse grain: an event
+                                  # that lands mid-pass is seen at its
+                                  # end, at most ~9 us later)
     api_glue: int = 35            # hardware-task API bookkeeping per call
     fault_handler: int = 150      # guest page-fault service (Section IV-E)
 

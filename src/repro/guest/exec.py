@@ -5,17 +5,19 @@ prohibitive, so :meth:`GuestExecutor.bulk` drives a 1/``bulk_sample``
 subsample of the task's memory stream through the *real* MMU/TLB/cache
 models — polluting them exactly like a real working set — and extrapolates
 the stream's total memory latency from the sampled mean.
-:meth:`GuestExecutor.spin` runs a one-address chunk (the uC/OS-II idle
-task's) back to back with the same draws and charges, in fewer host
-operations (docs/PERFORMANCE.md §2).
+:meth:`GuestExecutor.word` is one read-modify-write of a fixed word (the
+uC/OS-II idle task's ``OSIdleCtr++``), and :meth:`GuestExecutor.spin` runs
+that chunk back to back with the same charges, in one step
+(docs/PERFORMANCE.md §2).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 
 import numpy as np
 
+from ..common.errors import SimulationError
 from ..common.rng import make_rng
 from ..cpu.core import Cpu
 
@@ -28,20 +30,10 @@ class GuestExecutor:
         self.cpu = cpu
         self.addr_base = addr_base
         self.rng = make_rng(seed, stream=stream)
-        # The bit generator's own draws, through NumPy's documented ctypes
-        # interface (typed function pointers and a pointer to the state
-        # that ``self.rng`` keeps alive): a scalar ``rng.random()`` is one
-        # ``next_double`` and ``rng.integers(0, 3)`` one Lemire-reduced
-        # ``next_uint32``, from the same state, at a fraction of the cost.
-        bits = self.rng.bit_generator.ctypes
-        self._bits = bits.state
-        self._next_double = bits.next_double
-        self._next_uint32 = bits.next_uint32
         self.sample = cpu.params.bulk_sample
         self._line = cpu.params.l1d.line
-        # Per-regions-tuple precomputed region weights, as arrays for
-        # _gen_addrs and as lists for _gen_addr: region tuples are tiny
-        # and repeat for every chunk of the same task, and rebuilding
+        # Per-regions-tuple precomputed region weights: region tuples are
+        # tiny and repeat for every chunk of the same task, and rebuilding
         # them cost more than the draws they weight.
         self._region_cache: dict[tuple, tuple] = {}
 
@@ -63,105 +55,55 @@ class GuestExecutor:
         if mem_accesses <= 0 or not regions:
             return
         n_sample = max(1, mem_accesses // self.sample)
-        if n_sample == 1:
-            # Scalar draws take the same values from the same stream as
-            # size-1 arrays, without building any array.
-            vaddrs = [self._gen_addr(regions)]
-            writes = [self._next_double(self._bits) < write_frac]
-        else:
-            vaddrs = self._gen_addrs(n_sample, regions)
-            writes = self.rng.random(n_sample) < write_frac
+        vaddrs = self._gen_addrs(n_sample, regions)
+        writes = self.rng.random(n_sample) < write_frac
         extra = cpu.mem.sample_block(
             vaddrs, write_mask=writes, privileged=cpu.privileged,
             scale=max(1, mem_accesses // n_sample))
         # sample_block returns extrapolated latency for the whole stream.
         cpu._charge(extra)
 
-    def spin(self, instrs: int, mem_accesses: int,
-             regions: tuple[tuple[int, int], ...], write_frac: float,
+    def word(self, instrs: int, mem_accesses: int, va: int) -> None:
+        """One chunk of ``instrs`` instructions around one read-modify-write
+        of the word at ``va``, sampled as one write of scale
+        ``mem_accesses``.  It draws nothing."""
+        cpu = self.cpu
+        cpu.instr(instrs)
+        cpu._charge(cpu.mem.sample_block(
+            [self.addr_base + va], write_mask=[True],
+            privileged=cpu.privileged, scale=mem_accesses))
+
+    def spin(self, instrs: int, mem_accesses: int, va: int,
              until: int | float) -> int:
-        """Run the one-address chunk ``bulk(instrs, mem_accesses, regions,
-        write_frac)`` back to back, without the runner's poll in between;
-        returns how many chunks ran (at least one).
+        """Run the chunk ``word(instrs, mem_accesses, va)`` back to back,
+        without the runner's poll in between; returns how many chunks ran
+        (at least one).
 
-        A chunk whose address hits the MRU entry of its TLB set, with the
-        access permitted, and the MRU line of its L1D set changes exactly
-        what ``bulk`` would: one TLB and one L1D hit, the dirty bit on a
-        write, ``instr_cycles(instrs) + lat_l1 * scale`` cycles and
-        ``lat_l1 * scale`` batched cycles, flushed once on the way out.
-        Fill pressure, skipped here, is a no-op on such a chunk: with no
-        L2 or TLB miss it adds 0 to both accumulators, and both are below
-        their thresholds after every ``sample_block`` (a drop resets one
-        to ``-dropped * (scale - 1) <= 0``), so no drop can fire.
-
-        The loop ends after the chunk that reaches ``until`` or
+        The run ends after the chunk that reaches ``until`` or
         ``Simulator.next_due()``, so the caller's poll after it is the
-        first that could fire anything; after one chunk when an IRQ is
-        pending, since that poll returns; and after a chunk whose probe
-        misses, which is finished through ``sample_block``.  The loop
-        touches no device, so no event or IRQ can arise inside it.
+        first that could fire anything, or after one chunk when an IRQ is
+        pending, since that poll returns.  When the first chunk's write
+        hits (``MemorySystem.repeat_mru_hit``), every chunk up to there
+        changes the same state in the same way, so all ``k`` are booked in
+        one step; otherwise that one chunk runs through ``sample_block``.
         """
         cpu = self.cpu
         mem = cpu.mem
-        mmu = mem.mmu
-        if not (mem.fastpath and mmu.enabled and regions
-                and 0 < mem_accesses < 2 * self.sample):
-            self.bulk(instrs, mem_accesses, regions, write_frac)
-            return 1
-        scale = mem_accesses             # one sampled address per chunk
-        clock = cpu.sim.clock
-        stop = clock.now if cpu.irq_pending() else min(until, cpu.sim.next_due())
-        privileged = cpu.privileged
-        tlb = mmu.tlb
-        tlb_sets = tlb._sets
-        tlb_nsets = tlb._nsets
-        asid = mmu.asid
-        ar = mmu.allow_table(privileged=privileged, write=False)
-        aw = mmu.allow_table(privileged=privileged, write=True)
-        l1 = mem.caches.l1d
-        l1_tags = l1._tags
-        l1_dirty = l1._dirty
-        l1_nsets = l1._sets
-        l1_shift = l1._offset_bits
-        lat = mem.caches._lat_l1 * scale
-        cycles = cpu.timing.instr_cycles(instrs) + lat
-        gen_addr = self._gen_addr
-        next_double = self._next_double
-        bits = self._bits
-        now = clock.now
-        hits = 0
-        try:
-            while True:
-                va = gen_addr(regions)
-                w = next_double(bits) < write_frac
-                vpn = va >> 12
-                entries = tlb_sets[vpn % tlb_nsets]
-                if not entries:
-                    break
-                e = entries[0]
-                if not (e.vpn == vpn and (e.global_ or e.asid == asid)
-                        and (aw if w else ar)[e.perm]):
-                    break
-                tag = (e.pfn << 12 | (va & 0xFFF)) >> l1_shift
-                idx = tag % l1_nsets
-                s1 = l1_tags[idx]
-                if not (s1 and s1[0] == tag):
-                    break
-                if w:
-                    l1_dirty[idx].add(tag)
-                hits += 1
-                now += cycles
-                if now >= stop:
-                    return hits
-        finally:
-            if hits:
-                cpu._charge(hits * cycles)
-                mem.credit_mru_hits(hits, hits * lat)
-        # The probe missed: finish this chunk as bulk would.
-        cpu.instr(instrs)
-        cpu._charge(mem.sample_block([va], write_mask=[w],
-                                     privileged=privileged, scale=scale))
-        return hits + 1
+        now = cpu.sim.now
+        stop = now if cpu.irq_pending() else min(until, cpu.sim.next_due())
+        if stop == math.inf:
+            raise SimulationError("idle spin with no deadline and no event "
+                                  "pending: it would never end")
+        cycles = (cpu.timing.instr_cycles(instrs)
+                  + mem.caches._lat_l1 * mem_accesses)
+        k = max(1, -(-(stop - now) // cycles))
+        if mem.repeat_mru_hit(self.addr_base + va, k,
+                              privileged=cpu.privileged, write=True,
+                              scale=mem_accesses):
+            cpu._charge(k * cycles)
+            return k
+        self.word(instrs, mem_accesses, va)
+        return 1
 
     def _regions(self, regions: tuple[tuple[int, int], ...]) -> tuple:
         cached = self._region_cache.get(regions)
@@ -173,8 +115,7 @@ class GuestExecutor:
             cdf /= cdf[-1]
             # An offset spans the region minus one line.
             spans -= self._line
-            cached = ((bases, spans, cdf),
-                      (bases.tolist(), spans.tolist(), cdf.tolist()))
+            cached = (bases, spans, cdf)
             self._region_cache[regions] = cached
         return cached
 
@@ -185,7 +126,7 @@ class GuestExecutor:
         # ``rng.choice(k, size=n, p=weights)`` — one uniform draw searched
         # against the weight CDF — so it consumes the identical random
         # stream while the CDF is computed once per regions tuple.
-        bases, spans, cdf = self._regions(regions)[0]
+        bases, spans, cdf = self._regions(regions)
         region_idx = cdf.searchsorted(rng.random(n), side="right")
         offsets = (rng.random(n) * spans[region_idx]).astype(np.int64)
         # Sequential bias: walk 2 of every 3 samples forward a line.
@@ -193,24 +134,3 @@ class GuestExecutor:
         offsets = np.where(seq, (offsets // self._line) * self._line,
                            offsets & ~np.int64(3))
         return bases[region_idx] + offsets
-
-    def _gen_addr(self, regions: tuple[tuple[int, int], ...]) -> int:
-        """``_gen_addrs(1, regions)[0]`` from scalar draws: the same three
-        draws in the same order, which the bit generator serves from the
-        same stream as size-1 arrays, and the same float and integer
-        arithmetic on Python numbers (``bisect_right`` is
-        ``searchsorted(side="right")``, ``int`` truncates like
-        ``astype``)."""
-        bases, spans, cdf = self._regions(regions)[1]
-        next_double, bits = self._next_double, self._bits
-        i = bisect_right(cdf, next_double(bits))
-        offset = int(next_double(bits) * spans[i])
-        # integers(0, 3) is Lemire's reduction of a 32-bit word u: the
-        # high half of u * 3, with u redrawn while the low half is 0.
-        next_uint32 = self._next_uint32
-        m = next_uint32(bits) * 3
-        while not m & 0xFFFF_FFFF:
-            m = next_uint32(bits) * 3
-        if m >> 32:
-            return bases[i] + (offset // self._line) * self._line
-        return bases[i] + (offset & ~3)

@@ -26,5 +26,10 @@ HWDATA_VA = GUEST_HWDATA_VA
 HWDATA_SIZE = GUEST_HWDATA_SIZE
 PRR_IFACE_VA = GUEST_PRR_IFACE_VA
 
+#: uC/OS-II's ``OSIdleCtr``, the one word the idle task increments.  It
+#: sits below the TCB rows (``KERNEL_DATA + 0x100``) and the native port's
+#: rows (``+ 0x2000``, ``+ 0x3000``).
+OS_IDLE_CTR = KERNEL_DATA + 0x80
+
 #: Virtual IRQ number of the guest's timer tick (virtual timer, Table I).
 TICK_IRQ = 29

@@ -56,8 +56,9 @@ from .costs import (
 #: uC/OS-II convention: lower number = higher priority; 63 = idle.
 N_PRIOS = 64
 IDLE_PRIO = N_PRIOS - 1
-#: One idle-task spin chunk: its loop body and its one word of OS data.
-IDLE_CHUNK = Compute(UC.idle_loop, 4, ((GL.KERNEL_DATA, 4096),), 0.0)
+#: One pass of ``OS_TaskIdle``'s loop: its body and ``OSIdleCtr++``, one
+#: read-modify-write of one word (``GuestExecutor.word``, no draws).
+IDLE_CHUNK = Compute(UC.idle_loop, 4, ((GL.OS_IDLE_CTR, 4),), 1.0)
 
 
 class TaskState(Enum):
@@ -331,8 +332,7 @@ class Ucos:
         c = IDLE_CHUNK
         try:
             return ("ran", self.port.exec.spin(c.instrs, c.mem_accesses,
-                                               c.regions, c.write_frac,
-                                               until))
+                                               GL.OS_IDLE_CTR, until))
         except ArchFault as fault:
             idle.retry_action = c
             return ("fault", fault)
@@ -348,7 +348,9 @@ class Ucos:
         ex = self.port.exec
         port = self.port
 
-        if isinstance(action, Compute):
+        if action is IDLE_CHUNK:
+            ex.word(action.instrs, action.mem_accesses, GL.OS_IDLE_CTR)
+        elif isinstance(action, Compute):
             ex.bulk(action.instrs, action.mem_accesses, action.regions,
                     action.write_frac)
         elif isinstance(action, VfpCompute):

@@ -1031,17 +1031,19 @@ class MiniNova:
             cpu.instr(C.ivc_send)
             dst = arg(0)
             target = self.domains.get(dst)
-            if target is not None and target.state is PdState.DEAD:
+            if target is None or target.state is PdState.DEAD:
                 # A dead peer is indistinguishable from a missing one,
                 # but the attempted notification is epoch-accounted.
-                self._note_dead_epoch_virq(target, IVC_IRQ)
+                if target is not None:
+                    self._note_dead_epoch_virq(target, IVC_IRQ)
                 exit_.result = HcStatus.ERR_ARG
+            elif self.ivc.send(pd.vm_id, dst, tuple(a[1:5])):
+                target.vgic.register(IVC_IRQ)
+                target.vgic.pend(IVC_IRQ)
+                exit_.result = HcStatus.SUCCESS
             else:
-                ok = self.ivc.send(pd.vm_id, dst, tuple(a[1:5]))
-                if ok and target is not None:
-                    target.vgic.register(IVC_IRQ)
-                    target.vgic.pend(IVC_IRQ)
-                exit_.result = HcStatus.SUCCESS if ok else HcStatus.ERR_ARG
+                # The addressee's mailbox is full until it receives.
+                exit_.result = HcStatus.BUSY
         elif num is Hc.IVC_RECV:
             cpu.instr(C.ivc_recv)
             msg = self.ivc.recv(pd.vm_id)

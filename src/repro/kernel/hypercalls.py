@@ -67,7 +67,8 @@ class HcStatus(IntEnum):
 
     SUCCESS = 0
     RECONFIG = 1     # request accepted, PCAP transfer in flight
-    BUSY = 2         # no idle PRR can host the task right now
+    BUSY = 2         # transient: no idle PRR can host the task, or the
+                     # IVC addressee's mailbox is full; retry later
     ERR_ARG = 3
     ERR_PERM = 4
     ERR_NOTASK = 5

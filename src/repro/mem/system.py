@@ -342,18 +342,50 @@ class MemorySystem:
             dropped = self.mmu.tlb.clear_random_sets(0.5, self._press_rng)
             self._tlb_fill_acc = -dropped * (scale - 1)
         # Both accumulators now sit below their thresholds, so a block
-        # without L2 or TLB misses cannot drop anything: GuestExecutor.spin
-        # relies on that to skip this model for its MRU-hit chunks.
+        # without L2 or TLB misses cannot drop anything: repeat_mru_hit
+        # relies on that to skip this model.
         return total * scale
 
-    def credit_mru_hits(self, n: int, cycles: int) -> None:
-        """Record what ``sample_block`` would for ``n`` one-address blocks
-        that hit the MRU entry of their TLB set and the MRU line of their
-        L1D set (``GuestExecutor.spin``): the hits, and ``cycles`` of
-        extrapolated latency on the batched-cycle books."""
-        self.mmu.tlb.stats.hits += n
-        self.caches.l1d.stats.hits += n
-        self._m_batched.inc(cycles)
+    def repeat_mru_hit(self, va: int, n: int, *, privileged: bool,
+                       write: bool, scale: int) -> bool:
+        """Book ``n`` calls of ``sample_block([va], write_mask=[write],
+        privileged=privileged, scale=scale)`` in one step when the first
+        would hit the MRU entry of its TLB set, with the access permitted,
+        and the MRU line of its L1D set; return False, changing nothing,
+        when it would not, or when the fast path or the MMU is off.
+
+        Such a block moves no LRU order and walks nothing.  With no L2 or
+        TLB miss it adds nothing to the fill-pressure accumulators, which
+        are below their thresholds after every ``sample_block``, so it
+        drops nothing.  It changes only the TLB and L1D hit counts, the
+        line's dirty bit on a write and the batched cycles, and leaves the
+        next such block to hit in the same way (``GuestExecutor.spin``).
+        """
+        mmu = self.mmu
+        if not (self.fastpath and mmu.enabled):
+            return False
+        tlb = mmu.tlb
+        vpn = va >> 12
+        entries = tlb._sets[vpn % tlb._nsets]
+        if not entries:
+            return False
+        e = entries[0]
+        if not (e.vpn == vpn and (e.global_ or e.asid == mmu.asid)
+                and mmu.allow_table(privileged=privileged,
+                                    write=write)[e.perm]):
+            return False
+        l1 = self.caches.l1d
+        tag = (e.pfn << 12 | (va & 0xFFF)) >> l1._offset_bits
+        idx = tag % l1._sets
+        lines = l1._tags[idx]
+        if not (lines and lines[0] == tag):
+            return False
+        if write:
+            l1._dirty[idx].add(tag)
+        tlb.stats.hits += n
+        l1.stats.hits += n
+        self._m_batched.inc(n * self.caches._lat_l1 * scale)
+        return True
 
     def _sample_fast(self, vaddrs: list[int], write_mask: list[bool],
                      privileged: bool) -> int:

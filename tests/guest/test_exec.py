@@ -1,8 +1,10 @@
-"""GuestExecutor: bulk sampling behaviour."""
+"""GuestExecutor: bulk sampling, the one-word chunk and its closed-form spin."""
 
-import numpy as np
+import math
+
 import pytest
 
+from repro.common.errors import SimulationError
 from repro.common.params import DEFAULT_PARAMS
 from repro.cpu.core import Cpu
 from repro.guest.exec import GuestExecutor
@@ -89,51 +91,6 @@ def test_deterministic_stream(ex):
     assert (a == b).all()
 
 
-
-def _executor():
-    metrics = MetricsRegistry()
-    sim, mem = Simulator(metrics), MemorySystem(DEFAULT_PARAMS, metrics)
-    cpu = Cpu(sim, mem, DEFAULT_PARAMS)
-    return GuestExecutor(cpu, addr_base=0x1000_0000, seed=11, stream="pin")
-
-
-@pytest.mark.parametrize("regions", [
-    ((0x100, 0x1000),),
-    ((0x4000_0000, 0x3000), (0x4010_0000, 0x1000), (0x4020_0040, 0x8000)),
-])
-def test_scalar_draw_pins_the_size1_stream(regions):
-    """``_gen_addr`` is ``_gen_addrs(1, ...)[0]`` and consumes the same
-    stream: if a NumPy release ever serves scalar and size-1 draws from
-    different streams, this fails by name instead of as a baseline diff."""
-    a, b = _executor(), _executor()
-    for _ in range(1500):
-        assert a._gen_addr(regions) == int(b._gen_addrs(1, regions)[0])
-        assert a.rng.bit_generator.state == b.rng.bit_generator.state
-
-
-@pytest.mark.parametrize("word, sequential", [(0x8000_0000, True),
-                                              (1, False)],
-                         ids=["sequential", "word_aligned"])
-def test_range3_draw_redraws_a_zero_word(word, sequential):
-    """``integers(0, 3)`` redraws the 32-bit word while the low half of
-    ``word * 3`` is 0, which only ``word == 0`` gives (probability
-    2**-32), so the pins above never reach it: the draw must use the
-    second word."""
-    ex = _executor()
-    words = iter((0, word))
-    ex._next_uint32 = lambda bits: next(words)
-    ex._next_double = lambda bits: 0.5
-    regions = ((0x100, 0x1000),)
-    bases, spans, _ = ex._regions(regions)[1]
-    offset = int(0.5 * spans[0])
-    line = ex._line
-    assert offset % line and offset % 4 == 0    # the two paths differ
-    addr = ex._gen_addr(regions)
-    assert next(words, None) is None            # both words were drawn
-    assert addr == bases[0] + (offset // line * line if sequential
-                               else offset)
-
-
 def test_scalar_bulk_equals_size1_sample_block():
     """One-address ``bulk`` (``mem_accesses < bulk_sample``) leaves the
     clock, the cache/TLB stats and the RNG exactly as feeding the size-1
@@ -163,52 +120,103 @@ def test_scalar_bulk_equals_size1_sample_block():
     assert mem.mmu.tlb.stats.hits and mem.caches.l1d.stats.misses
 
 
-def test_spin_equals_bulk_chunk_for_chunk():
-    """``spin`` leaves exactly the state of as many ``bulk`` calls: the
-    clock, every stat, the L1D tags and dirty bits, the batched cycles
-    and the RNG.  A small region makes most chunks hit
-    the MRU TLB entry and L1D lines; writes exercise the dirty bit, and
-    the cold start exercises the hand-back on a miss."""
-    # Three pages; the third one's line shares an L1D set with the
-    # first one's, so some chunks hit a line that is not MRU.
-    regions = ((0x4000_0000, 256), (0x4000_2100, 128), (0x4000_4000, 64))
+# The idle chunk's shape: 6000 instructions around one word, scale 4.
+INSTRS, SCALE, WORD = 6000, 4, 0x4000_0080
+
+
+def _chunk_cycles(ex) -> int:
+    return (ex.cpu.timing.instr_cycles(INSTRS)
+            + ex.cpu.mem.caches._lat_l1 * SCALE)
+
+
+def _state(ex, metrics):
+    """Everything a chunk can change, plus the RNG, which it must not."""
+    cpu, mem = ex.cpu, ex.cpu.mem
+    l1 = mem.caches.l1d
+    return (cpu.sim.now,
+            {n: vars(s) for n, s in mem.caches.snapshot().items()},
+            vars(mem.mmu.tlb.stats.snapshot()),
+            metrics.total("sim.fastpath.batched_cycles"),
+            [list(t) for t in l1._tags], [set(d) for d in l1._dirty],
+            ex.rng.bit_generator.state)
+
+
+def test_word_draws_nothing_and_dirties_its_line(ex):
+    rng0 = ex.rng.bit_generator.state
+    ex.word(INSTRS, SCALE, WORD)
+    l1 = ex.cpu.mem.caches.l1d
+    idx, tag = l1._index(ex.cpu.mem.mmu.probe(WORD).pfn << 12
+                         | (WORD & 0xFFF))
+    assert l1._tags[idx][0] == tag and tag in l1._dirty[idx]
+    assert ex.rng.bit_generator.state == rng0
+
+
+def _refill_clean(ex):
+    """Drop the word's line and read it back: MRU in its set, not dirty."""
+    mem = ex.cpu.mem
+    mem.caches.l1d.invalidate_line(mem.mmu.probe(WORD).pfn << 12
+                                   | (WORD & 0xFFF))
+    ex.cpu.load(WORD)
+
+
+def test_spin_equals_word_chunk_for_chunk():
+    """A spin of ``k`` chunks leaves exactly the state of ``k`` calls of
+    ``word``: the clock, every stat, the L1D tags and dirty bits and the
+    batched cycles.  The cold first spin misses the probe and hands one
+    chunk back.  Between spins a bulk block moves other lines, or the
+    word's line comes back clean, so the spin must set its dirty bit.  No
+    spin draws."""
     books = MetricsRegistry(), MetricsRegistry()
     spun, ref = _mapped_executor(books[0]), _mapped_executor(books[1])
-
-    def state(e, metrics):
-        cpu, mem = e.cpu, e.cpu.mem
-        l1 = mem.caches.l1d
-        return (cpu.sim.now,
-                {n: vars(s) for n, s in mem.caches.snapshot().items()},
-                vars(mem.mmu.tlb.stats.snapshot()),
-                metrics.total("sim.fastpath.batched_cycles"),
-                [list(t) for t in l1._tags], [set(d) for d in l1._dirty],
-                e.rng.bit_generator.state)
-
-    calls = chunks = 0
-    while chunks < 400:
-        n = spun.spin(6000, 4, regions, 0.5, spun.cpu.sim.now + 50 * 6000)
+    chunk = _chunk_cycles(spun)
+    spins = []
+    for i, gap in enumerate((5 * chunk, 0, 37 * chunk + 11, chunk - 1,
+                             chunk, 3, 9 * chunk)):
+        n = spun.spin(INSTRS, SCALE, WORD, spun.cpu.sim.now + gap)
         for _ in range(n):
-            ref.bulk(6000, 4, regions, 0.5)
-        assert state(spun, books[0]) == state(ref, books[1])
-        calls += 1
-        chunks += n
-    assert 1 < calls < chunks / 2         # most chunks ran fused
-    assert any(spun.cpu.mem.caches.l1d._dirty)
+            ref.word(INSTRS, SCALE, WORD)
+        assert _state(spun, books[0]) == _state(ref, books[1])
+        spins.append(n)
+        for e in (spun, ref):
+            if i % 2:
+                _refill_clean(e)
+            else:
+                e.bulk(800, 40, ((0x4020_0000, 0x4000),), 0.5)
+    assert spins == [1, 1, 38, 1, 1, 1, 9]
+    assert spun.cpu.mem.mmu.tlb.stats.hits > 40
+
+
+def _warm():
+    ex = _mapped_executor()
+    ex.word(INSTRS, SCALE, WORD)
+    return ex
+
+
+@pytest.mark.parametrize("chunks, extra, k", [
+    (0, 0, 1), (0, -5, 1), (0, 1, 1), (10, 0, 10), (10, 1, 11)],
+    ids=["stop_now", "stop_past", "one_cycle", "exact_multiple",
+         "one_cycle_more"])
+def test_spin_k_at_its_boundaries(chunks, extra, k):
+    """``k = max(1, ceil((stop - now) / cycles))``: a stop an exact
+    multiple of the chunk's cycles away ends on the chunk that lands on
+    it, one cycle more takes one more chunk, and a stop at or before now
+    still runs one chunk."""
+    ex = _warm()
+    chunk = _chunk_cycles(ex)
+    t0 = ex.cpu.sim.now
+    assert ex.spin(INSTRS, SCALE, WORD, t0 + chunks * chunk + extra) == k
+    assert ex.cpu.sim.now == t0 + k * chunk
 
 
 def test_spin_stops_where_a_poll_could_act():
     """The spin ends after the chunk that reaches ``until`` or the next
     event, cancelled or not, and after one chunk with an IRQ pending."""
-    ex = _mapped_executor()
+    ex = _warm()
     cpu, sim = ex.cpu, ex.cpu.sim
-    regions = ((0x4000_0000, 256),)
-    for _ in range(20):                    # warm the TLB and L1D lines
-        ex.bulk(6000, 4, regions, 0.0)
-    chunk = 6000 * 3 // 4 + 4 * cpu.mem.caches._lat_l1
+    chunk = _chunk_cycles(ex)
 
     def spin(until):
-        return ex.spin(6000, 4, regions, 0.0, until)
+        return ex.spin(INSTRS, SCALE, WORD, until)
 
     assert spin(sim.now + 10 * chunk - 1) == 10
     sim.schedule(3 * chunk, lambda: None)
@@ -219,3 +227,47 @@ def test_spin_stops_where_a_poll_could_act():
     sim.dispatch_due()
     cpu.irq_line, cpu.irq_masked = True, False
     assert cpu.irq_pending() and spin(sim.now + 10 * chunk) == 1
+    assert spin(math.inf) == 1             # the IRQ ends it, not the stop
+
+
+@pytest.mark.parametrize("cold", ["tlb_miss", "line_not_mru",
+                                  "line_evicted"])
+def test_probe_miss_hands_back_one_chunk(cold, monkeypatch):
+    """Whatever the probe misses on, the spin runs exactly one chunk, and
+    runs it through ``sample_block``, however far the stop is."""
+    books = MetricsRegistry(), MetricsRegistry()
+    spun, ref = _mapped_executor(books[0]), _mapped_executor(books[1])
+    line = spun.cpu.params.l1d.line
+    l1 = spun.cpu.mem.caches.l1d
+    for e in (spun, ref):
+        if cold != "tlb_miss":
+            e.word(INSTRS, SCALE, WORD)
+        if cold == "line_not_mru":     # same L1D set, so the word's line
+            e.word(INSTRS, SCALE, WORD + l1._sets * line)   # is second
+        elif cold == "line_evicted":
+            e.cpu.mem.caches.l1d.invalidate_line(
+                e.cpu.mem.mmu.probe(WORD).pfn << 12 | (WORD & 0xFFF))
+    calls = []
+    sample_block = MemorySystem.sample_block
+
+    def spy(self, *args, **kw):
+        calls.append(args[0])
+        return sample_block(self, *args, **kw)
+
+    monkeypatch.setattr(MemorySystem, "sample_block", spy)
+    assert spun.spin(INSTRS, SCALE, WORD,
+                     spun.cpu.sim.now + 50 * _chunk_cycles(spun)) == 1
+    assert calls == [[WORD]]
+    ref.word(INSTRS, SCALE, WORD)
+    assert _state(spun, books[0]) == _state(ref, books[1])
+
+
+def test_spin_without_a_deadline_or_an_event_raises(ex):
+    """``until=inf`` and an empty event queue: nothing could end the
+    spin, so it raises instead of hanging."""
+    ex.word(INSTRS, SCALE, WORD)
+    t0 = ex.cpu.sim.now
+    assert ex.cpu.sim.next_due() == math.inf
+    with pytest.raises(SimulationError, match="never end"):
+        ex.spin(INSTRS, SCALE, WORD, math.inf)
+    assert ex.cpu.sim.now == t0

@@ -100,9 +100,9 @@ def test_one_registry_and_one_tracer_per_machine():
 
 def test_native_registry_books_fast_path_cycles():
     """The native baseline counts its fast-path bulk work too: 50 ms at
-    seed 1 batch 27,725,604 cycles, all of them in the machine's one
+    seed 1 batch 27,867,384 cycles, all of them in the machine's one
     registry."""
     sc = build_native(seed=1)
     sc.run_ms(50.0)
     assert sc.metrics is sc.machine.metrics
-    assert sc.metrics.total("sim.fastpath.batched_cycles") == 27_725_604
+    assert sc.metrics.total("sim.fastpath.batched_cycles") == 27_867_384

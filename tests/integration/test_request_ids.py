@@ -47,7 +47,7 @@ def test_pcap_retry_keeps_every_landed_reconfiguration(monkeypatch):
     bitstream = sc.machine.bitstreams.get(c.task)
     assert c.pcap >= (2 * pcap.transfer_cycles(bitstream.size)
                       + pcap.retry_backoff_cycles)
-    assert c.pcap == 1_456_585
+    assert c.pcap == 1_457_501
     for c in chains:
         assert c.entry + c.decide + c.pcap == c.ready
 

@@ -204,6 +204,20 @@ def test_ivc_send_to_unknown_vm_fails(env):
     assert call(k, pd, Hc.IVC_SEND, 99, 1) == HcStatus.ERR_ARG
 
 
+def test_ivc_send_to_a_full_mailbox_is_busy(env):
+    """A full mailbox is transient, so the sender gets the retry status;
+    a VM that does not exist still gets ``ERR_ARG``."""
+    from repro.kernel.ivc import MAILBOX_SLOTS
+    _, k, pd, _ = env
+    peer = k.create_vm("vm2", _Recorder())
+    for i in range(MAILBOX_SLOTS):
+        assert call(k, pd, Hc.IVC_SEND, peer.vm_id, i) == HcStatus.SUCCESS
+    assert call(k, pd, Hc.IVC_SEND, peer.vm_id, 16) == HcStatus.BUSY
+    assert call(k, pd, Hc.IVC_SEND, 99, 1) == HcStatus.ERR_ARG
+    assert k.metrics.total("kernel.ivc_dropped") == 1
+    assert k.metrics.total("kernel.ivc_sent") == MAILBOX_SLOTS
+
+
 def test_hwtask_request_without_section_fails_fast(env):
     from repro.hwmgr.service import ManagerService
     _, k, pd, r = env

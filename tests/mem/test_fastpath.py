@@ -1,8 +1,8 @@
 """Fast-path equivalence: fastpath on/off must be cycle-for-cycle identical.
 
 docs/PERFORMANCE.md §5 is the contract these tests pin: the fused bulk
-loop, the fused touch path, the fetch run and the walk memo are pure
-reformulations of the cost model.  Every simulated-cycle quantity —
+loop, the fused touch path, the fetch run, the closed-form idle spin and
+the walk memo are pure reformulations of the cost model.  Every simulated-cycle quantity —
 the clock, stats, accounting, fault-schedule results, bench series — must
 not move when ``PlatformParams.fastpath`` is flipped.  Plus unit tests for the
 walk-memo invalidation rules (TTBR/DACR writes, DRAM write epochs).
@@ -123,8 +123,9 @@ def _board_state(board):
 
 
 class TestIdleSpinEquivalence:
-    """The fused idle spin (docs/PERFORMANCE.md §2) against the reference
-    loop that ``fastpath=False`` runs, where the spin does its work."""
+    """The closed-form idle spin (docs/PERFORMANCE.md §2) against the
+    reference loop that ``fastpath=False`` runs: one idle chunk and one
+    poll per yield."""
 
     def test_fleet_with_crash_and_migration_identical(self, monkeypatch):
         """Tenants spin between frames; the crashed board's tenants are
@@ -225,50 +226,51 @@ class TestIdleSpinEquivalence:
 
     def test_spin_engages(self, monkeypatch):
         """Non-vacuity: the equality tests above prove nothing if the spin
-        never fuses a chunk.  A spy (not a product counter) counts idle
-        chunks that ran fused, i.e. inside ``spin`` without reaching
-        ``sample_block``, against every idle chunk run."""
+        never books chunks in closed form.  A spy (not a product counter)
+        counts idle chunks that ran inside ``spin`` without reaching
+        ``sample_block`` against every idle chunk run."""
         from repro.eval.scenarios import build_virtualized
+        from repro.guest import layout_guest as GL
         from repro.guest.exec import GuestExecutor
         from repro.guest.ucos import IDLE_CHUNK
 
-        idle = (IDLE_CHUNK.instrs, IDLE_CHUNK.mem_accesses,
-                IDLE_CHUNK.regions, IDLE_CHUNK.write_frac)
-        counts = {"fused": 0, "general": 0}
+        idle = (IDLE_CHUNK.instrs, IDLE_CHUNK.mem_accesses, GL.OS_IDLE_CTR)
+        counts = {"closed_form": 0, "one_by_one": 0}
         inside = []
-        spin, bulk = GuestExecutor.spin, GuestExecutor.bulk
+        spin, word = GuestExecutor.spin, GuestExecutor.word
         sample_block = MemorySystem.sample_block
 
         def spy_spin(self, *args):
-            assert args[:4] == idle
+            assert args[:3] == idle
             inside.append(True)
             try:
                 n = spin(self, *args)
             finally:
                 inside.pop()
-            counts["fused"] += n
+            counts["closed_form"] += n
             return n
 
-        def spy_bulk(self, *args):
-            if not inside and args == idle:
-                counts["general"] += 1
-            return bulk(self, *args)
+        def spy_word(self, *args):
+            assert args == idle
+            if not inside:
+                counts["one_by_one"] += 1
+            return word(self, *args)
 
         def spy_sample_block(self, *args, **kw):
             if inside:             # a chunk the spin handed back
-                counts["fused"] -= 1
-                counts["general"] += 1
+                counts["closed_form"] -= 1
+                counts["one_by_one"] += 1
             return sample_block(self, *args, **kw)
 
         monkeypatch.setattr(GuestExecutor, "spin", spy_spin)
-        monkeypatch.setattr(GuestExecutor, "bulk", spy_bulk)
+        monkeypatch.setattr(GuestExecutor, "word", spy_word)
         monkeypatch.setattr(MemorySystem, "sample_block", spy_sample_block)
         sc = build_virtualized(4, seed=1, with_workloads=False, verify=True,
                                tick_hz=1000)
         sc.run_ms(60.0)
-        total = counts["fused"] + counts["general"]
+        total = counts["closed_form"] + counts["one_by_one"]
         assert total > 1000
-        assert counts["fused"] >= 0.9 * total, counts
+        assert counts["closed_form"] >= 0.9 * total, counts
 
 
 HOLE_VA = 0x7000_0000
