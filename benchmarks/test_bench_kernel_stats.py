@@ -1,49 +1,32 @@
 """Section V-B prose metrics: kernel complexity, hypercall counts, patch size.
 
 The paper reports Mini-NOVA at 5,363 LOC / ~40 KB ELF with 25 hypercalls,
-of which the paravirtualized uC/OS-II uses 17 via a ~200-LOC patch.  This
-bench reports our analogues: the modelled image sizes, the real hypercall
-table, and the source-line counts of the corresponding packages.
+of which the paravirtualized uC/OS-II uses 17 via a ~200-LOC patch.
+This bench reports our analogues (``repro.eval.kernel_stats``, the
+function that also writes EXPERIMENTS.md's Section V-B rows).
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.kernel import layout as L
-from repro.kernel.hypercalls import PUBLIC_HYPERCALLS, UCOS_HYPERCALLS
-
-_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-
-
-def _loc(pkg: str) -> int:
-    total = 0
-    for path in (_SRC / pkg).rglob("*.py"):
-        total += sum(1 for line in path.read_text().splitlines()
-                     if line.strip() and not line.strip().startswith("#"))
-    return total
+from repro.eval.kernel_stats import kernel_stats
 
 
 def test_bench_kernel_stats(benchmark):
-    kernel_loc = _loc("kernel") + _loc("hwmgr")
-    patch_loc = _loc("guest/ports")
+    stats = kernel_stats()
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    benchmark.extra_info.update({
-        "hypercalls_public": len(PUBLIC_HYPERCALLS),
-        "hypercalls_ucos": len(UCOS_HYPERCALLS),
-        "kernel_image_bytes": L.KERNEL_CODE_SIZE,
-        "kernel_pkg_loc": kernel_loc,
-        "paravirt_patch_loc": patch_loc,
-    })
+    benchmark.extra_info.update(stats)
     print()
     print("KERNEL CHARACTERISTICS (paper -> this reproduction)")
-    print(f"  hypercalls:          25 -> {len(PUBLIC_HYPERCALLS)}")
-    print(f"  used by uCOS patch:  17 -> {len(UCOS_HYPERCALLS)}")
-    print(f"  kernel image:     ~40KB -> {L.KERNEL_CODE_SIZE // 1024}KB (modelled)")
-    print(f"  kernel complexity: 5363 LOC -> {kernel_loc} LOC (kernel+hwmgr pkgs)")
-    print(f"  porting patch:     ~200 LOC -> {patch_loc} LOC (both ports)")
+    print(f"  hypercalls:          25 -> {stats['hypercalls_public']}")
+    print(f"  used by uCOS patch:  17 -> {stats['hypercalls_ucos']}")
+    print(f"  kernel image:     ~40KB -> "
+          f"{stats['kernel_image_bytes'] // 1024}KB (modelled)")
+    print(f"  kernel complexity: 5363 LOC -> {stats['kernel_pkg_loc']} LOC "
+          f"(kernel+hwmgr pkgs)")
+    print(f"  porting patch:     ~200 LOC -> {stats['paravirt_patch_loc']} "
+          f"LOC (both ports)")
 
-    assert len(PUBLIC_HYPERCALLS) == 25
-    assert len(UCOS_HYPERCALLS) == 17
-    assert L.KERNEL_CODE_SIZE == 40 * 1024
-    assert kernel_loc > 1000           # the kernel is a real implementation
+    assert stats["hypercalls_public"] == 25
+    assert stats["hypercalls_ucos"] == 17
+    assert stats["kernel_image_bytes"] == 40 * 1024
+    assert stats["kernel_pkg_loc"] > 1000   # the kernel is a real implementation

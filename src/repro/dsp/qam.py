@@ -7,6 +7,8 @@ constellations with unit average energy.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 #: Constellation sizes offered as hardware tasks in the paper's evaluation.
@@ -16,10 +18,16 @@ QAM_ORDERS = (4, 16, 64)
 def constellation(order: int) -> np.ndarray:
     """Gray-mapped square constellation, unit average symbol energy.
 
-    Index = symbol value (bits), entry = complex point.
+    Index = symbol value (bits), entry = complex point.  Built once per
+    order and shared, so the array is read-only.
     """
     if order not in QAM_ORDERS:
         raise ValueError(f"unsupported QAM order {order}")
+    return _build_constellation(order)
+
+
+@cache
+def _build_constellation(order: int) -> np.ndarray:
     m = int(np.sqrt(order))          # points per axis (2, 4, 8)
     bits_axis = m.bit_length() - 1
     pam = 2 * np.arange(m) - (m - 1)          # e.g. [-3,-1,1,3] for m=4
@@ -32,7 +40,9 @@ def constellation(order: int) -> np.ndarray:
         q_idx = _gray_inverse(q_bits, bits_axis)
         points[sym] = pam[i_idx] + 1j * pam[q_idx]
     energy = np.mean(np.abs(points) ** 2)
-    return (points / np.sqrt(energy)).astype(np.complex64)
+    points = (points / np.sqrt(energy)).astype(np.complex64)
+    points.flags.writeable = False
+    return points
 
 
 def _gray_inverse(g: int, bits: int) -> int:

@@ -124,19 +124,24 @@ class BoardServer:
 
     # -- drain / migration -------------------------------------------------
 
-    def checkpoint(self, vm_id: int, fresh: bool = False) -> dict[str, Any]:
+    def checkpoint(self, vm_id: int, fresh: bool = False,
+                   since: int | None = None) -> dict[str, Any] | None:
         """Snapshot a tenant for the dispatcher's migration store.
 
         By default the guest's own latest periodic checkpoint (the
         VM_CHECKPOINT hypercalls its service loop issues) is reused —
         the pull then takes no snapshot and copies no guest memory.
-        ``fresh`` forces a synchronous snapshot (the planned-migration
-        drain), which copies only the pages written since the previous
-        one."""
+        ``since`` is the ``seq`` of the snapshot of this VM the caller
+        already holds: while it is still the latest, the reply is
+        ``None`` and nothing is encoded or shipped.  ``fresh`` forces a
+        synchronous snapshot (the planned-migration drain), which copies
+        only the pages written since the previous one."""
         pd = self.kernel.domains[vm_id]
         ckpt = None if fresh else self.kernel.lifecycle.latest(vm_id)
         if ckpt is None:
             ckpt = self.kernel.lifecycle.checkpoint(pd, reason="fleet")
+        elif ckpt.seq == since:
+            return None
         return encode_checkpoint(ckpt)
 
     def kill(self, vm_id: int, reason: str = "fleet") -> dict[str, Any]:

@@ -16,7 +16,8 @@ byte-identical:
 5. newly declared-dead boards are fenced and their tenants recovered:
    migrate from the latest pulled checkpoint, restart fresh if none,
    shedding best-effort tenants first when capacity runs out;
-6. periodic checkpoint pulls refresh the migration store;
+6. periodic checkpoint pulls refresh the migration store (a board
+   ships a snapshot only when it is newer than the one held);
 7. request queues are served against frame-progress deltas (high-water
    marked, so checkpoint-replayed frames never double-serve);
 8. fleet invariants F1-F6 are checked; the first violation dumps a
@@ -208,6 +209,9 @@ class Dispatcher:
         self.kills_fired: list[dict[str, Any]] = []
         #: Latest pulled checkpoint per tenant (the migration store).
         self.ckpts: dict[str, dict[str, Any]] = {}
+        #: Placement epoch each held checkpoint was pulled at: a pull at
+        #: the same epoch asks the board only for a newer snapshot.
+        self._ckpt_epoch: dict[str, int] = {}
         #: Every epoch each tenant was ever placed at, in order (F5).
         self.epoch_log: dict[str, list[int]] = {s.name: [] for s in specs}
         self.violations: list[str] = []
@@ -372,13 +376,18 @@ class Dispatcher:
             link = self.links[rec.board]
             if not link.reachable:
                 continue
+            since = (self.ckpts[name]["seq"]
+                     if self._ckpt_epoch.get(name) == rec.epoch else None)
             try:
-                ckpt = link.call("checkpoint", rec.vm_id)
+                ckpt = link.call("checkpoint", rec.vm_id, False, since)
             except BoardUnreachable:
                 continue
-            self.ckpts[name] = ckpt
-            state = ckpt.get("runner_state") or {}
-            rec.checkpointed = int(state.get("persist", {}).get("frame", 0))
+            if ckpt is not None:
+                self.ckpts[name] = ckpt
+                self._ckpt_epoch[name] = rec.epoch
+                state = ckpt.get("runner_state") or {}
+                rec.checkpointed = int(
+                    state.get("persist", {}).get("frame", 0))
             self.metrics.counter("fleet.checkpoints.pulled").inc()
 
     def _update_gauges(self) -> None:
@@ -502,6 +511,7 @@ class Dispatcher:
         src = self.links[rec.board]
         ckpt = src.call("checkpoint", rec.vm_id, True)
         self.ckpts[name] = ckpt
+        self._ckpt_epoch[name] = rec.epoch
         src.call("kill", rec.vm_id, "migrate")
         res = self.links[target_board].call("restore", rec.spec.as_dict(),
                                             ckpt)

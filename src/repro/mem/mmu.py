@@ -8,14 +8,17 @@ between kernel-view and user-view by rewriting DACR alone — no TLB flush —
 which is exactly the paper's Section III-C trick.
 
 Fast path (docs/PERFORMANCE.md): the DACR field decode is flattened into
-a 16-entry table (rebuilt on every DACR write), and successful walk
-results are memoized keyed on ``(ttbr, vpn)``.  A memo hit replays the
-walk's timed L2 accesses — so cache state and latency evolve exactly as
-on a real walk — and only skips the functional descriptor reads and
-decoding, which are pure.  The memo is invalidated on TTBR/DACR writes,
-on any functional DRAM write (page tables live in DRAM; see
-``Dram.write_epoch``), and explicitly on lifecycle epoch bumps via
-:meth:`invalidate_walk_memo`.
+a 16-entry table plus four 64-entry permission tables, built once per
+DACR value and looked up on later writes, and successful walk results
+are memoized keyed on ``(ttbr, vpn)``.  A memo hit replays the walk's
+timed L2 accesses — so cache state and latency evolve exactly as on a
+real walk — and only skips the functional descriptor reads and
+decoding, which are pure.  Like the ASID-tagged TLB, the memo survives
+a VM switch: TTBR and DACR writes leave it alone (its keys carry the
+TTBR, and it holds nothing derived from DACR).  An entry stays valid
+while neither of its descriptor pages carries a DRAM write stamp newer
+than the entry (``Dram.page_epoch``); :meth:`invalidate_walk_memo`
+drops every entry.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ class Mmu:
         self.tlb = Tlb(tlb_params)
         self.enabled = False
         self.ttbr = 0
-        self.dacr = 0
         self.asid = 0
         #: Walks performed (the paper's TLB-pressure story shows up here).
         self.walks = 0
@@ -56,28 +58,31 @@ class Mmu:
         #: descriptors.
         self.fastpath = True
         #: Walk memo: (ttbr, vpn) -> (l1_addr, l2_addr|None, pfn, ap,
-        #: domain, global_), valid while `_memo_epoch` matches the DRAM
-        #: write epoch.  Successful walks only; faults always re-walk.
+        #: domain, global_, made), where ``made`` is the DRAM write epoch
+        #: the descriptors were read at.  Valid while neither descriptor
+        #: page is stamped after ``made``.  Successful walks only; faults
+        #: always re-walk.
         self._walk_memo: dict[tuple[int, int], tuple] = {}
-        self._memo_epoch = -1
         self._m_walk_hits = metrics.counter("sim.fastpath.walk_cache_hits")
         self._m_walk_invals = metrics.counter(
             "sim.fastpath.walk_cache_invalidations")
-        # Flattened DACR decode (see _rebuild_dacr_tables).
-        self._dacr_types: list[int] = []
-        self._allow: dict[tuple[bool, bool], list[bool]] = {}
-        self._rebuild_dacr_tables()
+        #: DACR value -> its flattened tables (see _build_dacr_tables),
+        #: built on the value's first write and looked up on later ones.
+        self._dacr_tables: dict[int, tuple[list[int], dict]] = {}
+        self.set_dacr(0)
 
     # -- register interface (privileged; reached via CP15 or hypercalls) --
 
     def set_ttbr(self, ttbr: int) -> None:
         self.ttbr = ttbr & 0xFFFF_C000
-        self.invalidate_walk_memo()
 
     def set_dacr(self, dacr: int) -> None:
         self.dacr = dacr & 0xFFFF_FFFF
-        self._rebuild_dacr_tables()
-        self.invalidate_walk_memo()
+        tables = self._dacr_tables.get(self.dacr)
+        if tables is None:
+            tables = self._dacr_tables[self.dacr] = \
+                self._build_dacr_tables(self.dacr)
+        self._dacr_types, self._allow = tables
 
     def set_asid(self, asid: int) -> None:
         self.asid = asid & 0xFF
@@ -85,26 +90,25 @@ class Mmu:
     # -- fast-path support -------------------------------------------------
 
     def invalidate_walk_memo(self) -> None:
-        """Drop every memoized walk (TTBR/DACR write, lifecycle epoch bump)."""
+        """Drop every memoized walk."""
         if self._walk_memo:
             self._walk_memo.clear()
             self._m_walk_invals.inc()
-        self._memo_epoch = -1
 
-    def _rebuild_dacr_tables(self) -> None:
-        """Flatten the DACR into per-domain type and permission tables.
+    @staticmethod
+    def _build_dacr_tables(dacr: int) -> tuple[list[int], dict]:
+        """Flatten ``dacr`` into per-domain type and permission tables.
 
-        ``_dacr_types[d]`` is the raw 2-bit field (reserved 0b10 treated
-        as NO_ACCESS, matching ``dacr_get``).  ``_allow[(priv, write)]``
-        is a 64-entry table indexed ``domain*4 + ap`` that is True iff
-        the access is permitted — the exact truth table of ``_check``,
-        so the bulk fast path can test permission with one list index.
+        ``types[d]`` is the raw 2-bit field (reserved 0b10 treated as
+        NO_ACCESS, matching ``dacr_get``).  ``allow[(priv, write)]`` is a
+        64-entry table indexed ``domain*4 + ap`` that is True iff the
+        access is permitted — the exact truth table of ``_check``, so the
+        bulk fast path can test permission with one list index.
         """
         types = []
         for d in range(16):
-            raw = (self.dacr >> (d * 2)) & 0b11
+            raw = (dacr >> (d * 2)) & 0b11
             types.append(raw if raw in (0, 1, 3) else 0)
-        self._dacr_types = types
         allow = {}
         for priv in (False, True):
             for wr in (False, True):
@@ -126,10 +130,10 @@ class Mmu:
                             ok = True
                         tab.append(ok)
                 allow[(priv, wr)] = tab
-        self._allow = allow
+        return types, allow
 
     def allow_table(self, *, privileged: bool, write: bool) -> list[bool]:
-        """Permission table for one access class (see _rebuild_dacr_tables)."""
+        """Permission table for one access class (see _build_dacr_tables)."""
         return self._allow[(privileged, write)]
 
     @property
@@ -185,26 +189,29 @@ class Mmu:
     def _walk(self, vaddr: int, *, fetch: bool, write: bool,
               timed: bool = True) -> tuple[TlbEntry, int]:
         vpn = vaddr >> 12
+        dram = self.bus.dram
         use_memo = self.fastpath and timed
         if use_memo:
-            epoch = self.bus.dram.write_epoch
-            if epoch != self._memo_epoch:
-                if self._walk_memo:
-                    self._walk_memo.clear()
-                    self._m_walk_invals.inc()
-                self._memo_epoch = epoch
-            hit = self._walk_memo.get((self.ttbr, vpn))
+            key = (self.ttbr, vpn)
+            hit = self._walk_memo.get(key)
             if hit is not None:
-                # Replay the walk's timed cache traffic (identical state
-                # evolution); skip only the pure functional decode.
-                l1_addr, l2_addr, pfn, ap, domain, global_ = hit
-                self.walks += 1
-                self._m_walk_hits.inc()
-                cycles = self.caches.access(l1_addr, kind=AccessKind.WALK)
-                if l2_addr is not None:
-                    cycles += self.caches.access(l2_addr, kind=AccessKind.WALK)
-                return TlbEntry(vpn=vpn, pfn=pfn, asid=self.asid, ap=ap,
-                                domain=domain, global_=global_), cycles
+                l1_addr, l2_addr, pfn, ap, domain, global_, made = hit
+                stamp = dram.page_epoch
+                if stamp(l1_addr) <= made and (
+                        l2_addr is None or stamp(l2_addr) <= made):
+                    # Replay the walk's timed cache traffic (identical
+                    # state evolution); skip only the pure decode.
+                    self.walks += 1
+                    self._m_walk_hits.inc()
+                    cycles = self.caches.access(l1_addr, kind=AccessKind.WALK)
+                    if l2_addr is not None:
+                        cycles += self.caches.access(l2_addr,
+                                                     kind=AccessKind.WALK)
+                    return TlbEntry(vpn=vpn, pfn=pfn, asid=self.asid, ap=ap,
+                                    domain=domain, global_=global_), cycles
+                # A descriptor page was written since: walk it afresh.
+                del self._walk_memo[key]
+                self._m_walk_invals.inc()
 
         cycles = 0
         self.walks += timed
@@ -219,8 +226,8 @@ class Mmu:
         if l1.kind == L1Type.SECTION:
             pfn = (l1.base >> 12) + ((vaddr >> 12) & 0xFF)
             if use_memo:
-                self._walk_memo[(self.ttbr, vpn)] = (
-                    l1_addr, None, pfn, l1.ap, l1.domain, not l1.ng)
+                self._walk_memo[key] = (l1_addr, None, pfn, l1.ap, l1.domain,
+                                        not l1.ng, dram.write_epoch)
             return TlbEntry(vpn=vpn, pfn=pfn, asid=self.asid,
                             ap=l1.ap, domain=l1.domain,
                             global_=not l1.ng), cycles
@@ -233,8 +240,8 @@ class Mmu:
             self._fault(vaddr, "translation fault (L2)", fetch=fetch,
                         write=write, cycles=cycles)
         if use_memo:
-            self._walk_memo[(self.ttbr, vpn)] = (
-                l1_addr, l2_addr, l2.base >> 12, l2.ap, l1.domain, not l2.ng)
+            self._walk_memo[key] = (l1_addr, l2_addr, l2.base >> 12, l2.ap,
+                                    l1.domain, not l2.ng, dram.write_epoch)
         return TlbEntry(vpn=vpn, pfn=l2.base >> 12, asid=self.asid,
                         ap=l2.ap, domain=l1.domain,
                         global_=not l2.ng), cycles

@@ -35,17 +35,14 @@ class Dram:
         self.base = base
         self.size = size
         self._mem = np.zeros(size, dtype=np.uint8)
-        #: Bumped on every functional write (word or block).  Page-table
-        #: descriptors live in DRAM, so consumers that memoize decoded walk
-        #: results (Mmu) compare this epoch to detect that memory may have
-        #: changed under them.  Bumping on *every* write over-invalidates,
-        #: which is safe: the memo is a pure cache of descriptor decoding
-        #: (docs/PERFORMANCE.md §3).
+        #: Bumped on every functional write (word or block).
         self.write_epoch = 0
         #: Per 4 KB page, the ``write_epoch`` of the last write that
         #: touched it; 0 = not written since the array was zeroed.  VM
         #: checkpoints copy only the pages stamped after their previous
-        #: snapshot (docs/PERFORMANCE.md §7).
+        #: snapshot (docs/PERFORMANCE.md §7), and a memoized page walk
+        #: stays valid while its descriptor pages are stamped no later
+        #: than the walk (§3).
         self._page_epochs = np.zeros(-(-size // PAGE_SIZE), dtype=np.int64)
 
     def contains(self, paddr: int) -> bool:
@@ -56,6 +53,10 @@ class Dram:
         self.write_epoch += 1
         self._page_epochs[off // PAGE_SIZE:(off + n - 1) // PAGE_SIZE + 1] = \
             self.write_epoch
+
+    def page_epoch(self, paddr: int) -> int:
+        """Write stamp of the page holding ``paddr``."""
+        return self._page_epochs.item((paddr - self.base) // PAGE_SIZE)
 
     def page_epochs(self, paddr: int, n: int) -> np.ndarray:
         """Read-only write stamps of the pages of ``[paddr, paddr + n)``,

@@ -15,6 +15,16 @@ def test_constellation_unit_energy(order):
 
 
 @pytest.mark.parametrize("order", qam.QAM_ORDERS)
+def test_constellation_is_built_once_and_read_only(order):
+    c = qam.constellation(order)
+    assert qam.constellation(order) is c
+    assert np.array_equal(c, qam._build_constellation.__wrapped__(order))
+    assert not c.flags.writeable
+    with pytest.raises(ValueError):
+        c[0] = 0
+
+
+@pytest.mark.parametrize("order", qam.QAM_ORDERS)
 def test_constellation_points_distinct(order):
     c = qam.constellation(order)
     d = np.abs(c[:, None] - c[None, :])

@@ -58,6 +58,24 @@ def test_checkpoint_reuses_guest_snapshot_by_default():
     assert fresh["seq"] > lazy["seq"]       # a synchronous new snapshot
 
 
+def test_checkpoint_since_held_seq_ships_nothing():
+    b = BoardServer(0, seed=5)
+    vm = b.place(finite_spec().as_dict())["vm_id"]
+    now = 0
+    while b.kernel.lifecycle.latest(vm) is None:
+        now += 5_000_000
+        b.step(now)
+        assert now < 200_000_000
+    seq = b.kernel.lifecycle.latest(vm).seq
+    assert b.checkpoint(vm, False, seq) is None
+    assert b.checkpoint(vm, False, seq - 1)["seq"] == seq
+    taken = b.kernel.metrics.total("vm.lifecycle.checkpoints")
+    fresh = b.checkpoint(vm, True, seq)          # fresh always snapshots
+    assert fresh["seq"] == seq + 1
+    assert b.kernel.metrics.total("vm.lifecycle.checkpoints") == taken + 1
+    assert b.checkpoint(vm, False, seq) == fresh
+
+
 def test_restore_on_second_board_is_bit_exact():
     spec = finite_spec()
     golden = expected_output(spec.kind, frames=FRAMES, seed=spec.seed)

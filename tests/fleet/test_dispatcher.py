@@ -3,6 +3,7 @@
 import pytest
 
 from repro.faults.plan import BOARD_CRASH, BOARD_HANG
+from repro.fleet.board import BoardServer, encode_checkpoint
 from repro.fleet.dispatcher import (Dispatcher, FleetConfig, KillSpec,
                                     default_tenants)
 from repro.fleet.invariants import check_fleet_invariants
@@ -115,6 +116,57 @@ def test_planned_migration_mid_run():
             disp.tick(t)
         assert disp.violations == []
         assert rec.state == RUNNING and rec.progress >= res["resumed_at"]
+    finally:
+        disp.close()
+
+
+def test_unchanged_pulls_ship_nothing(monkeypatch):
+    """Versioned checkpoint pulls through a crash, a hang and a planned
+    migration: a board answers ``None`` only while the dispatcher already
+    holds the board's latest snapshot of the VM, and the first pull from
+    each new placement ships a snapshot in full."""
+    real = BoardServer.checkpoint
+    fleet = []
+    pulls = []          # (tenant, placement epoch, since, shipped)
+
+    def spy(self, vm_id, fresh=False, since=None):
+        out = real(self, vm_id, fresh, since)
+        if fresh:
+            return out
+        disp = fleet[0]
+        name = next(n for n, r in disp.tenants.items()
+                    if (r.board, r.vm_id) == (self.board_id, vm_id))
+        pulls.append((name, disp.tenants[name].epoch, since,
+                      out is not None))
+        if out is None:
+            latest = self.kernel.lifecycle.latest(vm_id)
+            assert encode_checkpoint(latest) == disp.ckpts[name]
+        return out
+
+    monkeypatch.setattr(BoardServer, "checkpoint", spy)
+    cfg = FleetConfig(boards=3, tenants_per_board=2, seed=1, ticks=120,
+                      rate_per_tick=0.05)
+    kills = (KillSpec(tick=36, board=1, site=BOARD_CRASH),
+             KillSpec(tick=72, board=2, site=BOARD_HANG, duration_ticks=2))
+    disp = Dispatcher(cfg, kills=kills)
+    fleet.append(disp)
+    try:
+        disp.place_initial()
+        for t in range(cfg.ticks):
+            if t == 90:
+                disp.migrate_planned("tn00", 2)
+            disp.tick(t)
+        assert disp.violations == []
+        assert disp.metrics.total("fleet.migrations") >= 3
+        assert disp.metrics.total("fleet.checkpoints.pulled") == len(pulls)
+        unchanged = sum(1 for *_, shipped in pulls if not shipped)
+        assert unchanged >= 0.8 * len(pulls), (unchanged, len(pulls))
+        first = {}
+        for name, epoch, since, shipped in pulls:
+            first.setdefault((name, epoch), (since, shipped))
+        assert any(epoch > 0 for _, epoch in first)
+        for key, (since, shipped) in first.items():
+            assert since is None and shipped, key
     finally:
         disp.close()
 

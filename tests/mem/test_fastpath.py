@@ -5,7 +5,8 @@ loop, the fused touch path, the fetch run, the closed-form idle spin and
 the walk memo are pure reformulations of the cost model.  Every simulated-cycle quantity —
 the clock, stats, accounting, fault-schedule results, bench series — must
 not move when ``PlatformParams.fastpath`` is flipped.  Plus unit tests for the
-walk-memo invalidation rules (TTBR/DACR writes, DRAM write epochs).
+walk memo's validity rule (TTBR and DACR writes keep it, a write to an
+entry's descriptor page drops that entry) and the per-DACR-value tables.
 """
 
 from __future__ import annotations
@@ -473,28 +474,58 @@ class TestWalkMemo:
         _, _, mmu = walked
         assert self._rewalk(mmu) == 1
 
-    def test_ttbr_write_invalidates(self, walked, metrics):
+    def test_ttbr_switch_away_and_back_keeps_memo(self, walked):
+        memsys, _, mmu = walked
+        home = mmu.ttbr
+        other = PageTable(memsys.bus, memsys.kernel_frames, name="other")
+        other.map_page(0x8000_0000, 0x0030_0000, ap=AP.FULL, domain=0)
+        mmu.set_ttbr(other.l1_base)
+        mmu.tlb.flush_all()
+        paddr, _ = mmu.translate(0x8000_0000, privileged=True, write=False)
+        assert paddr == 0x0030_0000       # keyed by TTBR: no cross-space hit
+        mmu.set_ttbr(home)
+        assert self._rewalk(mmu) == 1
+
+    def test_dacr_write_keeps_memo_and_checks_new_dacr(self, walked):
+        from repro.common.errors import DataAbort
+
         _, _, mmu = walked
+        client = mmu.dacr
+        mmu.set_dacr(dacr_set(client, 0, DomainType.NO_ACCESS))
+        mmu.tlb.flush_all()
+        hits = mmu.walk_memo_hits
+        with pytest.raises(DataAbort, match="domain fault"):
+            mmu.translate(0x8000_0000, privileged=True, write=False)
+        assert mmu.walk_memo_hits == hits + 1
+        mmu.set_dacr(client)
+        assert self._rewalk(mmu) == 1
 
-        def invalidations():
-            return metrics.total("sim.fastpath.walk_cache_invalidations")
+    def test_unrelated_dram_write_keeps_entry(self, walked, metrics):
+        memsys, _, mmu = walked
+        memsys.bus.dram.write32(0x0020_0000, 0xDEAD_BEEF)   # the data page
+        assert self._rewalk(mmu) == 1
+        assert metrics.total("sim.fastpath.walk_cache_invalidations") == 0
 
-        before = invalidations()
-        mmu.set_ttbr(mmu.ttbr)
-        assert invalidations() == before + 1
-        assert not mmu._walk_memo
-
-    def test_dacr_write_invalidates(self, walked):
-        _, _, mmu = walked
-        mmu.set_dacr(mmu.dacr)
-        assert not mmu._walk_memo
-        assert self._rewalk(mmu) == 0     # re-walked, not served from memo
+    @pytest.mark.parametrize("table", ["l1", "l2"])
+    def test_descriptor_page_write_rewalks(self, walked, metrics, table):
+        memsys, pt, mmu = walked
+        # A word on the same table page as the memoized descriptors, but
+        # not one of them: the walk's result is unchanged, yet it must
+        # re-read its descriptors once and memoize them afresh.
+        entry = (pt.l1_entry_addr(0x8000_0000) if table == "l1"
+                 else pt.l2_entry_addr(0x8000_0000))
+        neighbour = entry ^ 0x8
+        memsys.bus.dram.write32(neighbour,
+                                memsys.bus.dram.read32(neighbour))
+        assert self._rewalk(mmu) == 0
+        assert metrics.total("sim.fastpath.walk_cache_invalidations") == 1
+        assert self._rewalk(mmu) == 1
 
     def test_dram_write_epoch_invalidates(self, walked):
         memsys, pt, mmu = walked
-        # Any functional DRAM write (here: unmapping the page) bumps the
-        # epoch; the next timed walk must re-read the descriptors and
-        # fault instead of replaying the stale memoized translation.
+        # Unmapping the page writes its L2 descriptor; the next timed
+        # walk must re-read the descriptors and fault instead of
+        # replaying the stale memoized translation.
         pt.unmap_page(0x8000_0000)
         from repro.common.errors import DataAbort
 
@@ -505,7 +536,7 @@ class TestWalkMemo:
     def test_explicit_invalidate(self, walked):
         _, _, mmu = walked
         mmu.invalidate_walk_memo()
-        assert not mmu._walk_memo and mmu._memo_epoch == -1
+        assert not mmu._walk_memo
 
     def test_faulting_walks_never_memoized(self, walked):
         memsys, _, mmu = walked
@@ -529,6 +560,20 @@ class TestWalkMemo:
 
 
 class TestFlattenedTables:
+    def test_tables_per_dacr_value_equal_a_fresh_build(self, memsys):
+        mmu = memsys.mmu
+        values = [dacr_set(0, 0, DomainType.CLIENT),
+                  dacr_set(dacr_set(0, 0, DomainType.CLIENT),
+                           1, DomainType.MANAGER),
+                  dacr_set(0, 2, DomainType.NO_ACCESS) | 0b10 << 6,
+                  0xFFFF_FFFF]
+        for order in (values, values[::-1], values[1::2] + values[::2]):
+            for dacr in order:
+                mmu.set_dacr(dacr)
+                fresh = type(mmu)._build_dacr_tables(dacr)
+                assert (mmu._dacr_types, mmu._allow) == fresh
+                assert mmu._dacr_types is mmu._dacr_tables[dacr][0]
+
     def test_tlb_entry_perm_key(self):
         for domain in (0, 3, 15):
             for ap in AP:
