@@ -36,6 +36,9 @@ class Cpu:
         self.sysregs = SystemRegisters(mem.mmu)
         self.vfp = Vfp()
         self.mode = Mode.SVC
+        #: ``mode.privileged``, kept by :meth:`set_mode`, through which
+        #: every mode change goes: every timed access reads it.
+        self.privileged = True
         #: CPSR.I equivalent: True while IRQs must not be taken.
         self.irq_masked = True
         #: Asserted by the GIC CPU interface when an enabled IRQ is pending.
@@ -46,12 +49,9 @@ class Cpu:
 
     # -- privilege ----------------------------------------------------------
 
-    @property
-    def privileged(self) -> bool:
-        return self.mode.privileged
-
     def set_mode(self, mode: Mode) -> None:
         self.mode = mode
+        self.privileged = mode.privileged
         self.regs.mode = mode
 
     # -- timing -------------------------------------------------------------

@@ -21,6 +21,11 @@ STEP_TABLE = np.array([
 
 INDEX_TABLE = np.array([-1, -1, -1, -1, 2, 4, 6, 8], dtype=np.int32)
 
+# The tables as plain ints, for the per-sample encode loop; the index
+# adjustment is repeated so the full 4-bit code indexes it.
+_STEPS = tuple(STEP_TABLE.tolist())
+_INDEX_ADJUST = tuple(INDEX_TABLE.tolist()) * 2
+
 
 def _clamp(v: int, lo: int, hi: int) -> int:
     return lo if v < lo else (hi if v > hi else v)
@@ -39,16 +44,18 @@ class AdpcmState:
 def encode(pcm: np.ndarray, state: AdpcmState | None = None) -> np.ndarray:
     """Encode int16 PCM samples into 4-bit codes (one code per uint8 slot)."""
     st = state or AdpcmState()
-    pcm = np.asarray(pcm, dtype=np.int64)
-    codes = np.empty(len(pcm), dtype=np.uint8)
+    samples = np.asarray(pcm, dtype=np.int64).tolist()
+    codes = bytearray(len(samples))
+    steps, adjust = _STEPS, _INDEX_ADJUST
     pred, index = st.predictor, st.index
-    for i, sample in enumerate(pcm.tolist()):
-        step = int(STEP_TABLE[index])
+    for i, sample in enumerate(samples):
+        step = steps[index]
         diff = sample - pred
-        code = 0
         if diff < 0:
             code = 8
             diff = -diff
+        else:
+            code = 0
         # Successive-approximation of diff/step into 3 magnitude bits.
         delta = step >> 3
         if diff >= step:
@@ -64,13 +71,19 @@ def encode(pcm: np.ndarray, state: AdpcmState | None = None) -> np.ndarray:
         if diff >= step:
             code |= 1
             delta += step
-        pred = _clamp(pred - delta if code & 8 else pred + delta, -32768, 32767)
-        index = _clamp(index + int(INDEX_TABLE[code & 7]), 0, 88)
+        pred = pred - delta if code & 8 else pred + delta
+        if pred > 32767:
+            pred = 32767
+        elif pred < -32768:
+            pred = -32768
+        index += adjust[code]
+        if index > 88:
+            index = 88
+        elif index < 0:
+            index = 0
         codes[i] = code
     st.predictor, st.index = pred, index
-    if state is None:
-        return codes
-    return codes
+    return np.frombuffer(codes, dtype=np.uint8)
 
 
 def decode(codes: np.ndarray, state: AdpcmState | None = None) -> np.ndarray:

@@ -12,9 +12,11 @@ error on synthetic speech.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 FRAME = 160          # samples per frame (20 ms @ 8 kHz)
 SUBFRAME = 40
@@ -81,13 +83,13 @@ def dequantize_lar(lar_q: np.ndarray) -> np.ndarray:
 
 
 def lpc_residual(frame: np.ndarray, a: np.ndarray, hist: np.ndarray) -> np.ndarray:
-    """Short-term analysis filter A(z) applied with carry-over history."""
+    """Short-term analysis filter A(z) applied with carry-over history:
+    ``res[n] = x[p + n] + sum(a[k] * x[p + n - 1 - k] for k in range(p))``
+    over ``x = hist ++ frame``, one windowed product for all n."""
     x = np.concatenate((hist, frame.astype(np.float64)))
     p = len(a)
-    res = np.empty(len(frame))
-    for n in range(len(frame)):
-        res[n] = x[p + n] + np.dot(a, x[n:p + n][::-1])
-    return res
+    # Row n of the reversed windows is x[p + n - 1], ..., x[n].
+    return x[p:] + sliding_window_view(x[:-1], p)[:, ::-1] @ a
 
 
 def lpc_synthesis(res: np.ndarray, a: np.ndarray, hist: np.ndarray) -> np.ndarray:
@@ -124,6 +126,22 @@ class GsmFrameCode:
 _LTP_GAINS = np.array([0.1, 0.35, 0.65, 1.0])
 
 
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The analysis window, the lag window that regularizes the
+    autocorrelation, and the LTP search's gather indices: row k holds
+    the indices into the residual history (``LTP_MAX + SUBFRAME`` long)
+    of the subframe-long stretch that starts ``LTP_MIN + k`` samples
+    back.  Built on first use rather than at import: a process's first
+    NumPy computations cost about 0.5 MB of resident memory, which every
+    process importing this module would pay, most of them never
+    encoding."""
+    return (np.hamming(FRAME),
+            np.exp(-0.5 * (0.01 * np.arange(LPC_ORDER + 1)) ** 2),
+            (LTP_MAX + SUBFRAME - np.arange(LTP_MIN, LTP_MAX + 1))[:, None]
+            + np.arange(SUBFRAME))
+
+
 class GsmEncoder:
     """Stateful frame encoder (short-term + long-term predictor memories)."""
 
@@ -135,11 +153,12 @@ class GsmEncoder:
         if len(frame) != FRAME:
             raise ValueError(f"frame must be {FRAME} samples")
         frame = np.asarray(frame, dtype=np.float64)
-        windowed = frame * np.hamming(FRAME)
+        hamming, lag_window, _ = _tables()
+        windowed = frame * hamming
         r = autocorrelate(windowed, LPC_ORDER)
         # Mild lag-windowing regularizes r so the filter stays well away
         # from the unit circle even on pure tones.
-        r = r * np.exp(-0.5 * (0.01 * np.arange(LPC_ORDER + 1)) ** 2)
+        r = r * lag_window
         _, ks, _ = levinson_durbin(r, LPC_ORDER)
         lar_q = quantize_lar(ks)
         a_q = reflection_to_lpc(dequantize_lar(lar_q))
@@ -152,16 +171,23 @@ class GsmEncoder:
             code.subframes.append(self._encode_subframe(sub))
         return code
 
+    def _ltp_search(self, sub: np.ndarray) -> tuple[int, float, float]:
+        """LTP: exhaustive lag search over the reconstructed-residual
+        history.  Returns the first lag in ``[LTP_MIN, LTP_MAX]`` of
+        greatest corr² / energy with its correlation and energy, or
+        ``(LTP_MIN, 0.0, 1.0)`` when no lag scores above 0."""
+        pasts = self._res_hist[_tables()[2]]
+        corr = pasts @ sub
+        energy = np.einsum("ij,ij->i", pasts, pasts) + 1e-9
+        score = corr * corr / energy
+        k = int(score.argmax())
+        if score[k] > 0.0:
+            return LTP_MIN + k, float(corr[k]), float(energy[k])
+        return LTP_MIN, 0.0, 1.0
+
     def _encode_subframe(self, sub: np.ndarray) -> GsmSubframeCode:
         hist = self._res_hist
-        # LTP: exhaustive lag search over the reconstructed-residual history.
-        best_lag, best_corr, best_energy = LTP_MIN, 0.0, 1.0
-        for lag in range(LTP_MIN, LTP_MAX + 1):
-            past = hist[len(hist) - lag:len(hist) - lag + SUBFRAME]
-            c = float(np.dot(sub, past))
-            e = float(np.dot(past, past)) + 1e-9
-            if c * c / e > best_corr * best_corr / best_energy:
-                best_lag, best_corr, best_energy = lag, c, e
+        best_lag, best_corr, best_energy = self._ltp_search(sub)
         gain = max(0.0, min(1.2, best_corr / best_energy))
         gain_q = int(np.argmin(np.abs(_LTP_GAINS - gain)))
         past = hist[len(hist) - best_lag:len(hist) - best_lag + SUBFRAME]

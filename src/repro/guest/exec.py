@@ -32,6 +32,9 @@ class GuestExecutor:
         self.rng = make_rng(seed, stream=stream)
         self.sample = cpu.params.bulk_sample
         self._line = cpu.params.l1d.line
+        #: Offset alignment mask per draw of 0..2 (see _gen_addrs).
+        self._align_masks = np.array([-4, -self._line, -self._line],
+                                     dtype=np.int64)
         # Per-regions-tuple precomputed region weights: region tuples are
         # tiny and repeat for every chunk of the same task, and rebuilding
         # them cost more than the draws they weight.
@@ -46,9 +49,11 @@ class GuestExecutor:
              write_frac: float = 0.3) -> None:
         """One workload chunk: issue cost + sampled memory stream.
 
-        The sampled addresses mix sequential runs (2/3) with uniform
-        accesses (1/3) across the regions, approximating the locality of
-        DSP inner loops over their buffers.
+        Each sampled address falls in a region picked with probability
+        proportional to its size, at a uniform offset aligned to a line
+        start (2 samples in 3) or to a word (the rest).  Samples are
+        independent: none continues from the one before, so the sampled
+        stream has no spatial locality beyond the regions' sizes.
         """
         cpu = self.cpu
         cpu.instr(instrs)
@@ -58,7 +63,8 @@ class GuestExecutor:
         vaddrs = self._gen_addrs(n_sample, regions)
         writes = self.rng.random(n_sample) < write_frac
         extra = cpu.mem.sample_block(
-            vaddrs, write_mask=writes, privileged=cpu.privileged,
+            vaddrs.tolist(), write_mask=writes.tolist(),
+            privileged=cpu.privileged,
             scale=max(1, mem_accesses // n_sample))
         # sample_block returns extrapolated latency for the whole stream.
         cpu._charge(extra)
@@ -125,12 +131,16 @@ class GuestExecutor:
         # inlines numpy's own replace=True implementation of
         # ``rng.choice(k, size=n, p=weights)`` — one uniform draw searched
         # against the weight CDF — so it consumes the identical random
-        # stream while the CDF is computed once per regions tuple.
+        # stream while the CDF is computed once per regions tuple.  The
+        # region and offset draws come from one call: the generator fills
+        # an array in order, so this equals two draws of n.
         bases, spans, cdf = self._regions(regions)
-        region_idx = cdf.searchsorted(rng.random(n), side="right")
-        offsets = (rng.random(n) * spans[region_idx]).astype(np.int64)
-        # Sequential bias: walk 2 of every 3 samples forward a line.
-        seq = rng.integers(0, 3, size=n) != 0
-        offsets = np.where(seq, (offsets // self._line) * self._line,
-                           offsets & ~np.int64(3))
-        return bases[region_idx] + offsets
+        u = rng.random(2 * n)
+        region_idx = cdf.searchsorted(u[:n], side="right")
+        offsets = (u[n:] * spans[region_idx]).astype(np.int64)
+        # Align an offset to a word when its draw of 0..2 is 0, else to a
+        # line start: for o >= 0 and a power-of-two line, o & -line is
+        # (o // line) * line and o & -4 is o & ~3.
+        offsets &= self._align_masks[rng.integers(0, 3, size=n)]
+        offsets += bases[region_idx]
+        return offsets

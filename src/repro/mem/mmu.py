@@ -17,8 +17,8 @@ decoding, which are pure.  Like the ASID-tagged TLB, the memo survives
 a VM switch: TTBR and DACR writes leave it alone (its keys carry the
 TTBR, and it holds nothing derived from DACR).  An entry stays valid
 while neither of its descriptor pages carries a DRAM write stamp newer
-than the entry (``Dram.page_epoch``); :meth:`invalidate_walk_memo`
-drops every entry.
+than the entry (``Dram.page_epoch``); a lookup drops a stale entry and
+walks afresh, and that drop is the only one.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ class Mmu:
         self.asid = asid & 0xFF
 
     # -- fast-path support -------------------------------------------------
-
-    def invalidate_walk_memo(self) -> None:
-        """Drop every memoized walk."""
-        if self._walk_memo:
-            self._walk_memo.clear()
-            self._m_walk_invals.inc()
 
     @staticmethod
     def _build_dacr_tables(dacr: int) -> tuple[list[int], dict]:

@@ -8,7 +8,7 @@ only *touches* addresses for cache/TLB timing.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Protocol
 
 import numpy as np
@@ -96,13 +96,20 @@ class _Region:
 
 
 class Bus:
-    """Physical-address router: DRAM plus registered MMIO windows."""
+    """Physical-address router: DRAM plus registered MMIO windows.
+
+    ``device_pages`` holds the number of every 4 KB page that any window
+    overlaps.  Windows need only be word-aligned, so such a page can also
+    hold addresses no window covers; the fused access paths test the set
+    first and send every page in it to the exact per-address check.
+    """
 
     def __init__(self, memmap: MemoryMapParams) -> None:
         self.memmap = memmap
         self.dram = Dram(memmap.dram_base, memmap.dram_size)
         self._regions: list[_Region] = []
         self._starts: list[int] = []
+        self.device_pages: set[int] = set()
 
     def map_device(self, base: int, size: int, device: MmioDevice, name: str) -> None:
         """Register an MMIO window; windows must not overlap DRAM or each other."""
@@ -117,6 +124,8 @@ class Bus:
         idx = bisect_right(self._starts, base)
         self._starts.insert(idx, base)
         self._regions.insert(idx, _Region(base, size, device, name))
+        self.device_pages.update(range(base // PAGE_SIZE,
+                                       (end - 1) // PAGE_SIZE + 1))
 
     def _find(self, paddr: int) -> _Region | None:
         idx = bisect_right(self._starts, paddr) - 1
@@ -128,18 +137,6 @@ class Bus:
 
     def is_device(self, paddr: int) -> bool:
         return self._find(paddr) is not None
-
-    def overlaps_device(self, base: int, size: int) -> bool:
-        """True when any MMIO window intersects ``[base, base + size)``.
-
-        Windows are sorted and disjoint, so of those starting below the
-        range's end the last one ends furthest: if none reaches into the
-        range, it does not either."""
-        idx = bisect_left(self._starts, base + size) - 1
-        if idx < 0:
-            return False
-        r = self._regions[idx]
-        return r.base + r.size > base
 
     def read32(self, paddr: int) -> int:
         if self.dram.contains(paddr):

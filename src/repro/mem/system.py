@@ -15,6 +15,8 @@ Two access styles:
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from ..cache.hierarchy import AccessKind, CacheHierarchy
@@ -52,6 +54,8 @@ class MemorySystem:
         self.mmu.fastpath = params.fastpath
         # Cycles charged through the batched bulk path (fast path only).
         self._m_batched = metrics.counter("sim.fastpath.batched_cycles")
+        # fetch_run's static references, per prefetch-cover value.
+        self._fetch_bindings: dict[int, tuple] = {}
 
     # -- trace-accurate accesses -------------------------------------------
 
@@ -73,56 +77,58 @@ class MemorySystem:
                 if cand.vpn == vpn and (cand.global_ or cand.asid == mmu.asid):
                     e = cand
                     break
-            if e is not None and mmu._allow[(privileged, write)][e.perm]:
+            # A page that an MMIO window overlaps takes the slow path,
+            # which checks the exact address.
+            if (e is not None and e.pfn not in self.bus.device_pages
+                    and mmu._allow[(privileged, write)][e.perm]):
                 paddr = e.pfn << 12 | (vaddr & 0xFFF)
-                if not self.bus.is_device(paddr):
-                    tlb.stats.hits += 1
-                    if i:
-                        entries.pop(i)
-                        entries.insert(0, e)
-                    caches = self.caches
-                    l1 = caches.l1i if fetch else caches.l1d
-                    tag = paddr >> l1._offset_bits
-                    idx1 = tag % l1._sets
-                    s1 = l1._tags[idx1]
-                    st1 = l1.stats
-                    if tag in s1:
-                        st1.hits += 1
-                        if s1[0] != tag:
-                            s1.remove(tag)
-                            s1.insert(0, tag)
-                        if write:
-                            l1._dirty[idx1].add(tag)
-                        return caches._lat_l1
-                    st1.misses += 1
-                    victim_wb = None
-                    if len(s1) >= l1._ways:
-                        victim = s1.pop()
-                        st1.evictions += 1
-                        l1._resident -= 1
-                        d = l1._dirty[idx1]
-                        if victim in d:
-                            d.discard(victim)
-                            st1.writebacks += 1
-                            victim_wb = victim
-                    s1.insert(0, tag)
-                    l1._resident += 1
+                tlb.stats.hits += 1
+                if i:
+                    entries.pop(i)
+                    entries.insert(0, e)
+                caches = self.caches
+                l1 = caches.l1i if fetch else caches.l1d
+                tag = paddr >> l1._offset_bits
+                idx1 = tag % l1._sets
+                s1 = l1._tags[idx1]
+                st1 = l1.stats
+                if tag in s1:
+                    st1.hits += 1
+                    if s1[0] != tag:
+                        s1.remove(tag)
+                        s1.insert(0, tag)
                     if write:
                         l1._dirty[idx1].add(tag)
-                    lat = caches._lat_l1 + caches._lat_l2
-                    if victim_wb is not None:
-                        # Victim address reconstruction uses the L1D line
-                        # size for both L1s, as CacheHierarchy.access does.
-                        caches.l2.fill(
-                            victim_wb << (self.params.l1d.line.bit_length() - 1),
-                            write=True)
-                    hit2, victim2 = caches.l2.lookup(paddr, write=False)
-                    if not hit2:
-                        caches.dram_accesses += 1
-                        lat += caches._lat_dram
-                        if victim2 is not None:
-                            lat += caches._lat_dram // 4
-                    return lat
+                    return caches._lat_l1
+                st1.misses += 1
+                victim_wb = None
+                if len(s1) >= l1._ways:
+                    victim = s1.pop()
+                    st1.evictions += 1
+                    l1._resident -= 1
+                    d = l1._dirty[idx1]
+                    if victim in d:
+                        d.discard(victim)
+                        st1.writebacks += 1
+                        victim_wb = victim
+                s1.insert(0, tag)
+                l1._resident += 1
+                if write:
+                    l1._dirty[idx1].add(tag)
+                lat = caches._lat_l1 + caches._lat_l2
+                if victim_wb is not None:
+                    # Victim address reconstruction uses the L1D line
+                    # size for both L1s, as CacheHierarchy.access does.
+                    caches.l2.fill(
+                        victim_wb << (self.params.l1d.line.bit_length() - 1),
+                        write=True)
+                hit2, victim2 = caches.l2.lookup(paddr, write=False)
+                if not hit2:
+                    caches.dram_accesses += 1
+                    lat += caches._lat_dram
+                    if victim2 is not None:
+                        lat += caches._lat_dram // 4
+                return lat
         paddr, cycles = self.mmu.translate(vaddr, privileged=privileged,
                                            write=write, fetch=fetch)
         kind = AccessKind.FETCH if fetch else AccessKind.DATA
@@ -140,47 +146,29 @@ class MemorySystem:
         The first line pays its latency, each later one at most
         ``covered`` (``Cpu.code``'s prefetch model).  The reference is one
         ``touch`` per line, which runs with the fast path or the MMU off
-        and on any page that an MMIO window overlaps.  Otherwise only a
-        page's first line goes through ``touch`` (TLB miss, walk, prefetch
-        abort), and the page's other lines, which would hit the TLB entry
-        that ``touch`` left MRU, walk L1I and L2 inline with batched stats
+        and on any page that an MMIO window overlaps
+        (``Bus.device_pages``).  Otherwise only a page's first line goes
+        through ``touch`` (TLB miss, walk, prefetch abort), and the page's
+        other lines, which would hit the TLB entry that ``touch`` left
+        MRU, walk L1I and L2 inline with batched stats
         (docs/PERFORMANCE.md §2).
         """
         touch = self.touch
         step = self.params.l1i.line
         end = vaddr + lines * step
-        mmu = self.mmu
-        if not (self.fastpath and mmu.enabled):
+        if not (self.fastpath and self.mmu.enabled):
             cyc = touch(vaddr, privileged=privileged, fetch=True)
             for va in range(vaddr + step, end, step):
                 cyc += min(touch(va, privileged=privileged, fetch=True),
                            covered)
             return cyc
-        tlb = mmu.tlb
-        tlb_sets = tlb._sets
-        tlb_nsets = tlb._nsets
-        overlaps_device = self.bus.overlaps_device
-        caches = self.caches
-        l1 = caches.l1i
-        l1_tags = l1._tags
-        l1_nsets = l1._sets
-        l1_ways = l1._ways
-        l1_shift = l1._offset_bits
-        l2 = caches.l2
-        l2_tags = l2._tags
-        l2_dirty = l2._dirty
-        l2_nsets = l2._sets
-        l2_ways = l2._ways
-        l2_shift = l2._offset_bits
-        # What each inline line can cost, prefetch cover applied: an L1I
-        # hit, an L2 hit, an L2 miss, and one that writes a victim back.
-        lat = caches._lat_l1
-        c_hit = min(lat, covered)
-        lat += caches._lat_l2
-        c_l2 = min(lat, covered)
-        lat += caches._lat_dram
-        c_dram = min(lat, covered)
-        c_wb = min(lat + caches._lat_dram // 4, covered)
+        binding = self._fetch_bindings.get(covered)
+        if binding is None:
+            binding = self._fetch_bindings[covered] = \
+                self._bind_fetch(covered)
+        (caches, tlb, tlb_sets, tlb_nsets, device_pages, l1, l1_tags,
+         l1_nsets, l1_ways, l1_shift, l2, l2_tags, l2_dirty, l2_nsets,
+         l2_ways, l2_shift, c_hit, c_l2, c_dram, c_wb) = binding
         h1 = ev1 = h2 = m2 = ev2 = wb2 = 0
         cyc = touch(vaddr, privileged=privileged, fetch=True)
         va = vaddr                    # the line ``touch`` just fetched
@@ -191,15 +179,15 @@ class MemorySystem:
                 page_end = min(end, (va | 0xFFF) + 1)
                 va += step
                 if va < page_end:
-                    base = tlb_sets[(va >> 12) % tlb_nsets][0].pfn << 12
-                    if overlaps_device(base, 4096):
+                    pfn = tlb_sets[(va >> 12) % tlb_nsets][0].pfn
+                    if pfn in device_pages:
                         while va < page_end:
                             cyc += min(touch(va, privileged=privileged,
                                              fetch=True), covered)
                             va += step
                     else:
                         n = (page_end - va + step - 1) // step
-                        p0 = base | (va & 0xFFF)
+                        p0 = pfn << 12 | (va & 0xFFF)
                         va += n * step
                         for paddr in range(p0, p0 + n * step, step):
                             # L1I lines are never dirty: fetches never
@@ -260,6 +248,27 @@ class MemorySystem:
         return (cyc + h1 * c_hit + h2 * c_l2 + (m2 - wb2) * c_dram
                 + wb2 * c_wb)
 
+    def _bind_fetch(self, covered: int) -> tuple:
+        """What ``fetch_run`` reads besides the access state itself: the
+        caches, the TLB, L1I and L2 objects and their set lists, which are
+        never rebound, their geometry, the device-page set, and what each
+        inline line costs once the prefetch cover applies: an L1I hit, an
+        L2 hit, an L2 miss, and one that writes a victim back."""
+        tlb = self.mmu.tlb
+        caches = self.caches
+        l1, l2 = caches.l1i, caches.l2
+        lat = caches._lat_l1
+        c_hit = min(lat, covered)
+        lat += caches._lat_l2
+        c_l2 = min(lat, covered)
+        lat += caches._lat_dram
+        c_dram = min(lat, covered)
+        c_wb = min(lat + caches._lat_dram // 4, covered)
+        return (caches, tlb, tlb._sets, tlb._nsets, self.bus.device_pages,
+                l1, l1._tags, l1._sets, l1._ways, l1._offset_bits,
+                l2, l2._tags, l2._dirty, l2._sets, l2._ways, l2._offset_bits,
+                c_hit, c_l2, c_dram, c_wb)
+
     def read32(self, vaddr: int, *, privileged: bool) -> tuple[int, int]:
         """Functional timed read; returns (value, cycles)."""
         paddr, cycles = self.mmu.translate(vaddr, privileged=privileged,
@@ -296,11 +305,12 @@ class MemorySystem:
             return 0
         if isinstance(vaddrs, np.ndarray):
             vaddrs, write_mask = vaddrs.tolist(), write_mask.tolist()
-        l2_misses0 = self.caches.l2.stats.misses
-        tlb_misses0 = self.mmu.tlb.stats.misses
-        if self.fastpath:
+        l2 = self.caches.l2
+        tlb = self.mmu.tlb
+        l2_misses0 = l2.stats.misses
+        tlb_misses0 = tlb.stats.misses
+        if self.fastpath and self.mmu.enabled:
             total = self._sample_fast(vaddrs, write_mask, privileged)
-            self._m_batched.inc(total * scale)
         else:
             total = 0
             translate = self.mmu.translate
@@ -309,6 +319,16 @@ class MemorySystem:
                 paddr, c = translate(va, privileged=privileged, write=w)
                 c += caches_access(paddr, write=w, kind=AccessKind.DATA)
                 total += c
+        if self.fastpath:
+            self._m_batched.inc(total * scale)
+        l2_new = l2.stats.misses - l2_misses0
+        tlb_new = tlb.stats.misses - tlb_misses0
+        if not (l2_new or tlb_new):
+            # Both accumulators sit below their thresholds after every
+            # block (see below), and this block would add 0 to each, so
+            # the model below could drop nothing.  repeat_mru_hit relies
+            # on the same invariant.
+            return total * scale
         # Fill-pressure amplification: the 1/scale sample produced some L2
         # fills and TLB walks; the *unsampled* remainder of the stream
         # produced ~(scale-1)x more.  Model their eviction effect
@@ -321,29 +341,24 @@ class MemorySystem:
         # the polluter itself.  Gate the amplification on occupancy so a
         # cache-fitting footprint (1 guest) exerts no pressure while an
         # over-subscribed one (3-4 guests) exerts full pressure.
-        l2 = self.caches.l2
         occ = l2.resident_lines / (l2.params.sets * l2.params.ways)
         l2_gate = min(1.0, max(0.0, (occ - 0.6) / 0.35))
-        tlb = self.mmu.tlb
         tlb_occ = tlb.resident / tlb.params.entries
         tlb_gate = min(1.0, max(0.0, (tlb_occ - 0.6) / 0.35))
-        self._l2_fill_acc += int(
-            (self.caches.l2.stats.misses - l2_misses0) * (scale - 1) * l2_gate)
-        self._tlb_fill_acc += int(
-            (self.mmu.tlb.stats.misses - tlb_misses0) * (scale - 1) * tlb_gate)
+        self._l2_fill_acc += int(l2_new * (scale - 1) * l2_gate)
+        self._tlb_fill_acc += int(tlb_new * (scale - 1) * tlb_gate)
         if self._l2_fill_acc >= self._l2_press_threshold:
-            dropped = self.caches.l2.clear_random_sets(0.5, self._press_rng)
+            dropped = l2.clear_random_sets(0.5, self._press_rng)
             # Pre-credit the refill of the dropped lines: their re-fetch
             # misses are a *consequence* of this modelled eviction, not new
             # pressure — otherwise the model feeds back into permanent
             # thrash even for cache-fitting footprints.
             self._l2_fill_acc = -dropped * (scale - 1)
         if self._tlb_fill_acc >= self._tlb_press_threshold:
-            dropped = self.mmu.tlb.clear_random_sets(0.5, self._press_rng)
+            dropped = tlb.clear_random_sets(0.5, self._press_rng)
             self._tlb_fill_acc = -dropped * (scale - 1)
-        # Both accumulators now sit below their thresholds, so a block
-        # without L2 or TLB misses cannot drop anything: repeat_mru_hit
-        # relies on that to skip this model.
+        # Both accumulators now sit below their thresholds: a drop resets
+        # one to -dropped * (scale - 1) <= 0.
         return total * scale
 
     def repeat_mru_hit(self, va: int, n: int, *, privileged: bool,
@@ -389,26 +404,35 @@ class MemorySystem:
 
     def _sample_fast(self, vaddrs: list[int], write_mask: list[bool],
                      privileged: bool) -> int:
-        """Fused reformulation of the per-access translate+access loop.
+        """Fused reformulation of the per-access translate+access loop,
+        for the MMU on.
 
-        One Python loop body performs the TLB lookup, the flattened DACR/AP
-        permission test and the L1D/L2 cache walk inline, mutating the
-        exact same model state (LRU order, dirty bits, stats, occupancy) in
+        One Python loop body performs the TLB lookup, the flattened
+        DACR/AP permission test and the L1D/L2 cache walk inline, mutating
+        the exact same model state (LRU order, dirty bits, occupancy) in
         the exact same order as ``Mmu.translate`` + ``CacheHierarchy.access``
-        would.  Per-level stats are accumulated in locals and flushed once
-        per block (or on a fault unwinding mid-block), which is
-        unobservable: nothing can run between the accesses of one block.
-        Uncommon work — TLB misses, permission faults — falls back to the
-        regular MMU paths so faults carry identical reasons and costs.
+        would (docs/PERFORMANCE.md §2):
+
+        * ``mru`` maps the vpn of TLB entries that are the front of their
+          set, match the ASID (or are global) and permit both a read and
+          a write at this privilege to their page base: all of them for
+          a block longer than the TLB has sets, none at first for a
+          shorter one.  An access to a mapped page is a TLB hit that
+          moves nothing: one dict probe.  Any other access takes the
+          lookup, walk and insert path, after which its entry is the
+          front of its set, so ``mru`` drops the set's old front and
+          takes the new one if it permits both.
+        * Only misses are counted in the loop.  The hits follow once, in
+          the ``finally``: every translated access is a TLB hit or miss,
+          every one that reached L1D is an L1D hit or miss, and every L1D
+          miss is an L2 hit or miss.  An access whose translation raises
+          reached no cache.  Nothing can run between the accesses of one
+          block, so batching the counts is unobservable.
+        * Faults replay ``Mmu._check``, so they carry identical reasons
+          and costs.
         """
         mmu = self.mmu
         caches = self.caches
-        total = 0
-        th = tm = 0                          # TLB hit/miss deltas
-        h1 = m1 = ev1 = wb1 = res1 = 0       # L1D stat deltas
-        h2 = m2 = ev2 = wb2 = res2 = 0       # L2 stat deltas
-        dram_acc = 0
-        enabled = mmu.enabled
         asid = mmu.asid
         walk = mmu._walk
         tlb = mmu.tlb
@@ -417,6 +441,17 @@ class MemorySystem:
         tlb_insert = tlb.insert
         ar = mmu.allow_table(privileged=privileged, write=False)
         aw = mmu.allow_table(privileged=privileged, write=True)
+        mru = {}
+        if len(vaddrs) > tlb_nsets:
+            # Filling the map visits every TLB set; a shorter block
+            # learns its pages through the lookup path instead.
+            for entries in tlb_sets:
+                if entries:
+                    e = entries[0]
+                    if ((e.global_ or e.asid == asid)
+                            and ar[e.perm] and aw[e.perm]):
+                        mru[e.vpn] = e.pfn << 12
+        mru_get = mru.get
         l1 = caches.l1d
         l1_tags = l1._tags
         l1_dirty = l1._dirty
@@ -429,146 +464,135 @@ class MemorySystem:
         l2_nsets = l2._sets
         l2_ways = l2._ways
         l2_shift = l2._offset_bits
-        lat1 = caches._lat_l1
-        lat2 = caches._lat_l2
-        lat_dram = caches._lat_dram
-        wb_cost = lat_dram // 4
+        # Misses, allocations into a set with a free way (every other
+        # allocation evicts) and dirty victims.
+        tm = walk_cycles = 0                 # TLB misses, their walks
+        m1 = free1 = wb1 = 0                 # L1D
+        m2 = free2 = wb2 = 0                 # L2 lookups
+        fill = freef = wbf = 0               # L1D victims filling L2
+        done = min(len(vaddrs), len(write_mask))   # accesses translated
+        faulted = 0
+        addrs = iter(vaddrs)
         try:
-            for va, w in zip(vaddrs, write_mask):
-                c = 0
-                if enabled:
-                    vpn = va >> 12
+            for va, w in zip(addrs, write_mask):
+                vpn = va >> 12
+                base = mru_get(vpn)
+                if base is None:
                     entries = tlb_sets[vpn % tlb_nsets]
-                    e = None
-                    if entries:
-                        e0 = entries[0]
-                        if e0.vpn == vpn and (e0.global_ or e0.asid == asid):
-                            e = e0
-                            th += 1
-                        else:
-                            for i in range(1, len(entries)):
-                                cand = entries[i]
-                                if cand.vpn == vpn and (cand.global_
-                                                        or cand.asid == asid):
-                                    e = cand
-                                    th += 1
-                                    entries.pop(i)
-                                    entries.insert(0, cand)
-                                    break
-                    if e is None:
+                    front = entries[0].vpn if entries else None
+                    c = 0
+                    for i, e in enumerate(entries):
+                        if e.vpn == vpn and (e.global_ or e.asid == asid):
+                            if i:
+                                del entries[i]
+                                entries.insert(0, e)
+                            break
+                    else:
                         tm += 1
                         e, c = walk(va, fetch=False, write=w)
                         tlb_insert(e)
-                    if not (aw if w else ar)[e.perm]:
+                    perm = e.perm
+                    if not (aw if w else ar)[perm]:
                         # Replicate the exact fault (reason string, cost).
                         mmu._check(va, e, privileged=privileged, write=w,
                                    fetch=False, cycles=c)
                         raise SimulationError(
                             "fastpath allow table out of sync with Mmu._check")
-                    paddr = e.pfn << 12 | (va & 0xFFF)
-                else:
-                    paddr = va
+                    walk_cycles += c
+                    base = e.pfn << 12
+                    mru.pop(front, None)
+                    if ar[perm] and aw[perm]:
+                        mru[vpn] = base
+                paddr = base | (va & 0xFFF)
                 tag = paddr >> l1_shift
                 idx1 = tag % l1_nsets
                 s1 = l1_tags[idx1]
-                if s1 and s1[0] == tag:
-                    h1 += 1
-                    total += c + lat1
-                    if w:
-                        l1_dirty[idx1].add(tag)
-                    continue
                 if tag in s1:
-                    h1 += 1
-                    s1.remove(tag)
-                    s1.insert(0, tag)
-                    total += c + lat1
+                    if s1[0] != tag:
+                        s1.remove(tag)
+                        s1.insert(0, tag)
                     if w:
                         l1_dirty[idx1].add(tag)
                     continue
                 m1 += 1
-                victim_wb = None
-                if len(s1) >= l1_ways:
+                d = l1_dirty[idx1]
+                if len(s1) < l1_ways:
+                    free1 += 1
+                else:
                     victim = s1.pop()
-                    ev1 += 1
-                    res1 -= 1
-                    d = l1_dirty[idx1]
                     if victim in d:
                         d.discard(victim)
                         wb1 += 1
-                        victim_wb = victim
-                s1.insert(0, tag)
-                res1 += 1
-                if w:
-                    l1_dirty[idx1].add(tag)
-                lat = c + lat1 + lat2
-                if victim_wb is not None:
-                    # L1 victim writeback lands in L2 (fill, write=True);
-                    # a dirty L2 victim displaced by it is dropped, exactly
-                    # like CacheLevel.fill with its return value unused.
-                    tagv = (victim_wb << l1_shift) >> l2_shift
-                    idxv = tagv % l2_nsets
-                    sv = l2_tags[idxv]
-                    if tagv in sv:
-                        if sv[0] != tagv:
-                            sv.remove(tagv)
+                        # The victim's writeback lands in L2 (fill,
+                        # write=True); a dirty L2 victim it displaces is
+                        # dropped, as CacheLevel.fill's unused return
+                        # value is.  L1D and L2 share no state, so this
+                        # fill may precede the L1D insert below.
+                        tagv = (victim << l1_shift) >> l2_shift
+                        idxv = tagv % l2_nsets
+                        sv = l2_tags[idxv]
+                        if tagv in sv:
+                            if sv[0] != tagv:
+                                sv.remove(tagv)
+                                sv.insert(0, tagv)
+                        else:
+                            fill += 1
+                            if len(sv) < l2_ways:
+                                freef += 1
+                            else:
+                                v2 = sv.pop()
+                                dv = l2_dirty[idxv]
+                                if v2 in dv:
+                                    dv.discard(v2)
+                                    wbf += 1
                             sv.insert(0, tagv)
-                    else:
-                        if len(sv) >= l2_ways:
-                            v2 = sv.pop()
-                            ev2 += 1
-                            res2 -= 1
-                            dv = l2_dirty[idxv]
-                            if v2 in dv:
-                                dv.discard(v2)
-                                wb2 += 1
-                        sv.insert(0, tagv)
-                        res2 += 1
-                    l2_dirty[idxv].add(tagv)
+                        l2_dirty[idxv].add(tagv)
+                s1.insert(0, tag)
+                if w:
+                    d.add(tag)
                 tag2 = paddr >> l2_shift
                 idx2 = tag2 % l2_nsets
                 s2 = l2_tags[idx2]
-                if s2 and s2[0] == tag2:
-                    h2 += 1
-                elif tag2 in s2:
-                    h2 += 1
-                    s2.remove(tag2)
-                    s2.insert(0, tag2)
+                if tag2 in s2:
+                    if s2[0] != tag2:
+                        s2.remove(tag2)
+                        s2.insert(0, tag2)
+                    continue
+                m2 += 1
+                if len(s2) < l2_ways:
+                    free2 += 1
                 else:
-                    m2 += 1
-                    victim2_wb = None
-                    if len(s2) >= l2_ways:
-                        v2 = s2.pop()
-                        ev2 += 1
-                        res2 -= 1
-                        d2 = l2_dirty[idx2]
-                        if v2 in d2:
-                            d2.discard(v2)
-                            wb2 += 1
-                            victim2_wb = v2
-                    s2.insert(0, tag2)
-                    res2 += 1
-                    dram_acc += 1
-                    lat += lat_dram
-                    if victim2_wb is not None:
-                        lat += wb_cost
-                total += lat
+                    v2 = s2.pop()
+                    d2 = l2_dirty[idx2]
+                    if v2 in d2:
+                        d2.discard(v2)
+                        wb2 += 1
+                s2.insert(0, tag2)
+        except BaseException:
+            # ``addrs`` has yielded the access that raised and every one
+            # before it.  That access was translated (a TLB hit or miss)
+            # but reached no cache.
+            done = len(vaddrs) - operator.length_hint(addrs)
+            faulted = 1
+            raise
         finally:
-            # Flush the batched stat deltas even when a fault unwinds the
-            # loop, so the visible state matches the slow path exactly.
-            ts = tlb.stats
-            ts.hits += th
-            ts.misses += tm
+            reached = done - faulted        # accesses that reached L1D
+            s = tlb.stats
+            s.hits += done - tm
+            s.misses += tm
             s = l1.stats
-            s.hits += h1
+            s.hits += reached - m1
             s.misses += m1
-            s.evictions += ev1
+            s.evictions += m1 - free1
             s.writebacks += wb1
-            l1._resident += res1
+            l1._resident += free1
             s = l2.stats
-            s.hits += h2
+            s.hits += m1 - m2
             s.misses += m2
-            s.evictions += ev2
-            s.writebacks += wb2
-            l2._resident += res2
-            caches.dram_accesses += dram_acc
-        return total
+            s.evictions += m2 - free2 + fill - freef
+            s.writebacks += wb2 + wbf
+            l2._resident += free2 + freef
+            caches.dram_accesses += m2
+        return (reached * caches._lat_l1 + m1 * caches._lat_l2
+                + m2 * caches._lat_dram + wb2 * (caches._lat_dram // 4)
+                + walk_cycles)

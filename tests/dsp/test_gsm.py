@@ -98,3 +98,87 @@ def test_decoder_never_blows_up(seed):
     rec = roundtrip(sig)
     assert np.isfinite(rec).all()
     assert np.abs(rec).max() < 1e6
+
+
+def _loop_residual(frame, a, hist):
+    """The short-term analysis filter as one dot product per sample: the
+    reference for ``gsm.lpc_residual``."""
+    x = np.concatenate((hist, frame.astype(np.float64)))
+    p = len(a)
+    res = np.empty(len(frame))
+    for n in range(len(frame)):
+        res[n] = x[p + n] + np.dot(a, x[n:p + n][::-1])
+    return res
+
+
+class _LoopEncoder(gsm.GsmEncoder):
+    """The encoder with the LTP search as one lag at a time, strictly
+    greater scores winning: the reference for the windowed search."""
+
+    def _ltp_search(self, sub):
+        hist = self._res_hist
+        best_lag, best_corr, best_energy = gsm.LTP_MIN, 0.0, 1.0
+        for lag in range(gsm.LTP_MIN, gsm.LTP_MAX + 1):
+            past = hist[len(hist) - lag:len(hist) - lag + gsm.SUBFRAME]
+            c = float(np.dot(sub, past))
+            e = float(np.dot(past, past)) + 1e-9
+            if c * c / e > best_corr * best_corr / best_energy:
+                best_lag, best_corr, best_energy = lag, c, e
+        return best_lag, best_corr, best_energy
+
+
+def _codes(code):
+    return (code.lar_q.tolist(),
+            [(sf.ltp_lag, sf.ltp_gain_q, sf.rpe_phase, sf.rpe_scale_q,
+              sf.rpe_pulses.tolist()) for sf in code.subframes])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_windowed_kernels_give_the_loop_codes(seed, monkeypatch):
+    """300 frames of the workload's input: ``lar_q`` and every subframe
+    code equal the loop forms' (the residual's last bits may differ,
+    since its products are summed in another order)."""
+    rng = np.random.default_rng(seed)
+    frames = [rng.standard_normal(gsm.FRAME) * 800 for _ in range(300)]
+    enc = gsm.GsmEncoder()
+    got = [_codes(enc.encode_frame(f)) for f in frames]
+    monkeypatch.setattr(gsm, "lpc_residual", _loop_residual)
+    ref = _LoopEncoder()
+    assert got == [_codes(ref.encode_frame(f)) for f in frames]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**31 - 1))
+def test_residual_matches_the_loop_to_rounding(seed):
+    """The windowed residual sums the same products as the loop; the
+    bound is a few ulps of the sum of their magnitudes."""
+    rng = np.random.default_rng(seed)
+    frame = rng.standard_normal(gsm.FRAME) * 8000
+    hist = rng.standard_normal(gsm.LPC_ORDER) * 8000
+    a = rng.uniform(-2, 2, gsm.LPC_ORDER)
+    x = np.abs(np.concatenate((hist, frame)))
+    p = gsm.LPC_ORDER
+    magnitude = x[p:] + np.array([np.abs(a) @ x[n:p + n][::-1]
+                                  for n in range(gsm.FRAME)])
+    err = np.abs(gsm.lpc_residual(frame, a, hist)
+                 - _loop_residual(frame, a, hist))
+    assert (err <= 2 * (p + 1) * np.finfo(np.float64).eps * magnitude).all()
+
+
+@pytest.mark.parametrize("period, first", [(20, 40), (41, 78), (1000, 41)])
+def test_ltp_search_ties_take_the_first_lag(period, first):
+    """A history that repeats (every ``period`` samples, and a ramp
+    modulo 7 inside) repeats its windows, so several lags tie exactly;
+    small integers make every product and sum exact in both forms.  The
+    first tied lag wins, as in the strict-greater scan: for the oldest
+    subframe-long stretch as ``sub`` that is ``first``.  An all-zero
+    subframe scores 0 at every lag."""
+    n = gsm.LTP_MAX + gsm.SUBFRAME
+    hist = np.resize(np.arange(period) % 7 - 3.0, n)
+    enc, ref = gsm.GsmEncoder(), _LoopEncoder()
+    enc._res_hist = ref._res_hist = hist
+    for sub in (hist[-gsm.SUBFRAME:], hist[:gsm.SUBFRAME],
+                np.zeros(gsm.SUBFRAME)):
+        assert enc._ltp_search(sub) == ref._ltp_search(sub)
+    assert enc._ltp_search(hist[:gsm.SUBFRAME])[0] == first
+    assert enc._ltp_search(np.zeros(gsm.SUBFRAME)) == (gsm.LTP_MIN, 0.0, 1.0)

@@ -12,8 +12,10 @@ entry's descriptor page drops that entry) and the per-DACR-value tables.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.machine as machine_mod
+from repro.common.errors import DataAbort
 from repro.common.params import DEFAULT_PARAMS
 from repro.machine import MachineConfig
 from repro.mem.descriptors import AP, DomainType, dacr_set
@@ -449,6 +451,235 @@ class TestFetchRunEquivalence:
         assert inline >= 0.9 * counts["lines"], counts
 
 
+# The bulk address space: 4 KB pages whose frames lie 64 KB apart, so
+# the same line of every page falls in one L1D set and one L2 set.  The
+# first four RW pages and RO share TLB set 0 (a 2-way set).
+RW = (0x4000_0000, 0x4004_0000, 0x4008_0000, 0x400C_0000,
+      0x4000_1000, 0x4000_2000)
+RO = 0x4010_0000                  # user read-only
+PRIV = 0x4000_3000                # privileged only
+GLOBAL = 0x4000_4000              # a global (nG = 0) mapping
+HOLE_L2 = 0x4000_5000             # unmapped, in a mapped megabyte
+HOLE_L1 = 0x5000_0000             # unmapped megabyte
+BULK_PAGES = RW + (RO, PRIV, GLOBAL, HOLE_L2, HOLE_L1)
+FRAME_BASE = 0x0400_0000
+
+
+def _bulk_space(fast):
+    """A memory system with the MMU on over the bulk pages, at ASID 1,
+    and its registry.  ``fast=False`` keeps the walk memo but runs
+    ``sample_block``'s per-access reference loop, which is the loop
+    ``fastpath=False`` runs, so every walk-memo counter compares too."""
+    metrics = MetricsRegistry()
+    mem = MemorySystem(DEFAULT_PARAMS, metrics)
+    mem.fastpath = fast
+    pt = PageTable(mem.bus, mem.kernel_frames)
+    aps = {RO: AP.PRIV_RW_USER_RO, PRIV: AP.PRIV_ONLY}
+    for k, va in enumerate(RW + (RO, PRIV, GLOBAL)):
+        pt.map_page(va, FRAME_BASE + k * 0x1_0000, ap=aps.get(va, AP.FULL),
+                    domain=0, ng=va != GLOBAL)
+    mmu = mem.mmu
+    mmu.set_ttbr(pt.l1_base)
+    mmu.set_dacr(dacr_set(0, 0, DomainType.CLIENT))
+    mmu.set_asid(1)
+    mmu.enabled = True
+    return mem, metrics
+
+
+def _bulk_state(mem, metrics):
+    """Everything a bulk block can change except the batched-cycles
+    counter, which only the fast path keeps.  The TLB sets, tags and
+    dirty sets are the live lists: compare before the next block."""
+    caches, mmu = mem.caches, mem.mmu
+    tlb = mmu.tlb
+    return {
+        "tlb": (vars(tlb.stats.snapshot()), tlb._resident, tlb._sets),
+        **{name: (vars(level.stats.snapshot()), level._resident,
+                  level._tags, level._dirty)
+           for name, level in (("l1d", caches.l1d), ("l2", caches.l2))},
+        "dram_accesses": caches.dram_accesses,
+        "walks": mmu.walks,
+        "memo": (dict(mmu._walk_memo),
+                 metrics.total("sim.fastpath.walk_cache_hits"),
+                 metrics.total("sim.fastpath.walk_cache_invalidations")),
+        "pressure": (mem._l2_fill_acc, mem._tlb_fill_acc),
+    }
+
+
+def _run_block(mem, vaddrs, writes, privileged=False, scale=64):
+    """``sample_block``'s cycles, or the fault it raised."""
+    try:
+        return mem.sample_block(vaddrs, write_mask=writes,
+                                privileged=privileged, scale=scale)
+    except DataAbort as exc:
+        return (type(exc), exc.vaddr, exc.reason, exc.write, exc.cycles)
+
+
+# One access per line of RW[4], far from every other page's TLB set: it
+# makes a block longer than the TLB has sets without touching the sets
+# under test.
+PAD = [RW[4] + 0x20 * i for i in range(80)]
+
+
+class TestSampleBlockEquivalence:
+    """The fused bulk loop (docs/PERFORMANCE.md §2) against the
+    per-access loop, on the same MMU."""
+
+    @staticmethod
+    def _both(blocks, prepare=None):
+        """Run each ``(vaddrs, writes, privileged)`` block on both paths;
+        return both runs' outcomes and final states."""
+        out = []
+        for fast in (True, False):
+            mem, metrics = _bulk_space(fast)
+            if prepare is not None:
+                prepare(mem)
+            results = [_run_block(mem, *b) for b in blocks]
+            out.append((results, _bulk_state(mem, metrics)))
+        assert out[0] == out[1]
+        return out[0]
+
+    @pytest.mark.parametrize("pad", [[], PAD], ids=["short", "long"])
+    def test_insert_displaces_a_front_entry_used_again(self, pad):
+        """RW[1] is the front of TLB set 0 when the block starts.  The
+        walk for RW[2] evicts RW[0] and moves RW[1] behind RW[2], so the
+        later accesses to RW[1] and RW[0] must be an LRU-moving hit and
+        a miss, not free hits."""
+        warm = ([RW[0], RW[1]], [False, False], False)
+        block = [RW[1], RW[2], RW[1] + 8, RW[2] + 4, RW[0], RW[1]]
+        results, state = self._both(
+            [warm, (pad + block, [False] * len(pad) + [True] * 6, False)])
+        tlb = state["tlb"][0]
+        # The block misses on RW[2], RW[0] and, evicted by RW[0], RW[1].
+        assert tlb["misses"] == 2 + (pad != []) + 3
+        assert tlb["hits"] == len(pad) - (pad != []) + 3
+        assert [e.vpn for e in state["tlb"][2][0]] == [RW[1] >> 12,
+                                                      RW[0] >> 12]
+
+    @pytest.mark.parametrize("pad", [[], PAD], ids=["short", "long"])
+    def test_hit_behind_the_front_moves_it(self, pad):
+        warm = ([RW[0], RW[1]], [False, False], False)
+        block = pad + [RW[0], RW[0] + 4, RW[1]]
+        results, state = self._both([warm, (block, [True] * len(block),
+                                            False)])
+        assert [e.vpn for e in state["tlb"][2][0]] == [RW[1] >> 12,
+                                                      RW[0] >> 12]
+
+    @pytest.mark.parametrize("hole, reason", [
+        (HOLE_L2, "translation fault (L2)"),
+        (HOLE_L1, "translation fault (L1)")], ids=["l2", "l1"])
+    @pytest.mark.parametrize("pad", [[], PAD], ids=["short", "long"])
+    def test_translation_fault_mid_block(self, pad, hole, reason):
+        """Accesses before the hole are booked; the hole counts as a
+        TLB miss and reaches no cache; nothing after it runs."""
+        block = pad + [RW[0], RW[1] + 0x40, hole + 8, RW[2]]
+        results, state = self._both([(block, [True] * len(block), False)])
+        assert results[0][:3] == (DataAbort, hole + 8, reason)
+        assert results[0][4] > 0                  # the walk's cycles
+        assert state["tlb"][0]["misses"] == (pad != []) + 3
+        assert state["l1d"][0]["hits"] + state["l1d"][0]["misses"] == \
+            len(pad) + 2
+
+    @pytest.mark.parametrize("pad", [[], PAD], ids=["short", "long"])
+    def test_permission_faults(self, pad):
+        """A user write to the read-only page after reads of it, with
+        its entry at the front of its TLB set (no walk cycles), and a
+        user read of the privileged page on a TLB miss (the walk's
+        cycles)."""
+        ro_write = (pad + [RO, RO + 4, RW[5], RO + 8],
+                    [False] * (len(pad) + 3) + [True], False)
+        priv_read = ([RW[0], PRIV], [False, False], False)
+        results, state = self._both([ro_write, priv_read])
+        assert results[0] == (DataAbort, RO + 8,
+                              "permission fault (user read-only)", True, 0)
+        assert results[1][:3] == (DataAbort, PRIV,
+                                  "permission fault (privileged only)")
+        assert results[1][4] > 0
+        # Privileged, both pages are fine.
+        results, _ = self._both([(ro_write[0], ro_write[1], True),
+                                 (priv_read[0], priv_read[1], True)])
+        assert all(isinstance(r, int) for r in results)
+
+    def test_dirty_victims_into_a_full_l2_set_with_a_dirty_lru_line(self):
+        """A write miss evicts a dirty L1D line, whose fill lands in a full
+        L2 set with a dirty least-recently-used line and writes it back;
+        the block's own L2 lookups then miss in that set and evict dirty
+        lines too."""
+        # Line 1 of every bulk frame lies in L1D set 1 and L2 set 1.
+        frame = [FRAME_BASE + k * 0x1_0000 + 32 for k in range(17)]
+
+        def prepare(mem):
+            for va in RW[4:6]:                   # walk them beforehand
+                mem.mmu.translate(va, privileged=True, write=False)
+            l1, l2 = mem.caches.l1d, mem.caches.l2
+            for f in frame[9:]:                  # L2: 8 dirty lines of
+                l2.fill(f, write=True)           # frames no page maps
+            for f in frame[:4]:                  # L1D: 4 lines, the LRU
+                l1.fill(f, write=f == frame[0])  # one dirty
+        block = [RW[4] + 32, RW[5] + 32]
+        results, state = self._both([(block, [True, True], True)], prepare)
+        l1, l2 = state["l1d"][0], state["l2"][0]
+        assert (l1["misses"], l1["evictions"], l1["writebacks"]) == (2, 2, 1)
+        # Two L2 misses are the walks' beforehand.
+        assert (l2["misses"], l2["writebacks"]) == (2 + 2, 3)
+        assert state["l2"][2][1][:4] == [frame[5] >> 5, frame[4] >> 5,
+                                         frame[0] >> 5, frame[16] >> 5]
+
+    def test_mmu_off(self):
+        def prepare(mem):
+            mem.mmu.enabled = False
+        block = [FRAME_BASE + 0x40 * i for i in range(100)] * 2
+        results, state = self._both(
+            [(block, [i % 3 == 0 for i in range(200)], False)], prepare)
+        assert state["l1d"][0]["hits"] and not state["tlb"][0]["hits"]
+
+    def test_one_address_and_empty_blocks(self):
+        results, state = self._both([([], [], False), ([RW[0]], [True],
+                                                       False),
+                                     ([RW[0] + 4], [False], False),
+                                     ([], [], True)])
+        assert results[0] == results[3] == 0
+        assert state["tlb"][0] == {"hits": 1, "misses": 1, "flushes": 0}
+
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("block"), st.booleans(), st.booleans(),
+                  st.lists(st.tuples(st.sampled_from(BULK_PAGES),
+                                     st.integers(0, 7), st.integers(0, 7),
+                                     st.booleans()), max_size=30)),
+        st.tuples(st.just("asid"), st.integers(1, 3)),
+        st.tuples(st.just("mmu"), st.booleans())), min_size=1, max_size=12))
+    def test_random_blocks_on_a_warm_system(self, steps):
+        """Random blocks (holes, read-only and privileged-only pages, the
+        global page; a long one repeats its accesses past the TLB's set
+        count) between ASID switches and MMU toggles, on a system warmed
+        by a block over every mapped line."""
+        warm = [va + 32 * i for va in RW + (RO, PRIV, GLOBAL)
+                for i in range(8)]
+        sides = [_bulk_space(fast) for fast in (True, False)]
+        for mem, _ in sides:
+            mem.sample_block(warm, write_mask=[True] * len(warm),
+                             privileged=True, scale=64)
+        for step in steps:
+            results = []
+            for mem, _ in sides:
+                if step[0] == "asid":
+                    mem.mmu.set_asid(step[1])
+                elif step[0] == "mmu":
+                    mem.mmu.enabled = step[1]
+                else:
+                    _, priv, long, accesses = step
+                    if long and accesses:
+                        accesses = accesses * (len(PAD) // len(accesses) + 1)
+                    vaddrs = [va + 32 * ln + 4 * wd
+                              for va, ln, wd, _ in accesses]
+                    writes = [w for *_, w in accesses]
+                    results.append(_run_block(mem, vaddrs, writes, priv))
+            assert results[:1] == results[1:]
+            assert _bulk_state(*sides[0]) == _bulk_state(*sides[1])
+
+
 @pytest.fixture
 def walked(memsys):
     """A memo-warm MMU: one mapped page, one completed timed walk."""
@@ -532,11 +763,6 @@ class TestWalkMemo:
         mmu.tlb.flush_all()
         with pytest.raises(DataAbort):
             mmu.translate(0x8000_0000, privileged=True, write=False)
-
-    def test_explicit_invalidate(self, walked):
-        _, _, mmu = walked
-        mmu.invalidate_walk_memo()
-        assert not mmu._walk_memo
 
     def test_faulting_walks_never_memoized(self, walked):
         memsys, _, mmu = walked

@@ -79,20 +79,26 @@ def test_two_disjoint_windows(bus):
     assert d1.regs[0] == 1 and d2.regs[0] == 2
 
 
-@pytest.mark.parametrize("base, size, hit", [
-    (0xF000_0000, 0x1000, True),      # the page the first window starts
-    (0xF000_1000, 0x1000, False),     # between the windows
-    (0xF000_2000, 0x1000, True),      # a window starts mid-page
-    (0xF000_2200, 0x100, True),       # inside a window
-    (0xF000_2300, 0xD00, False),      # from a window's end
-    (0xF000_2100, 0x100, False),      # up to a window's start
-    (0xEFFF_F000, 0x4000, True),      # spans both windows
+@pytest.mark.parametrize("page, hit", [
+    (0xF0000, True),      # the page the first window starts
+    (0xF0001, False),     # between the windows
+    (0xF0002, True),      # a window starts mid-page
+    (0xF0003, True),      # inside a window
+    (0xF0005, False),     # from a window's end, on a page boundary
+    (0xEFFFF, False),     # up to a window's start, on a page boundary
+    (0xF0004, True),      # the last page a window spans
 ], ids=["first_page", "between", "mid_page_start", "inside", "from_end",
         "to_start", "spanning"])
-def test_overlaps_device(bus, base, size, hit):
+def test_overlaps_device(bus, page, hit):
+    """A page overlaps a device when its number is in
+    ``Bus.device_pages``."""
     bus.map_device(0xF000_0000, 0x40, FakeDevice(), "a")
-    bus.map_device(0xF000_2200, 0x100, FakeDevice(), "b")
-    assert bus.overlaps_device(base, size) is hit
+    bus.map_device(0xF000_2200, 0x2E00, FakeDevice(), "b")
+    assert (page in bus.device_pages) is hit
+    # The set is exactly the pages some device address lies on.
+    assert bus.device_pages == {0xF0000, 0xF0002, 0xF0003, 0xF0004}
+    # A page in the set can hold addresses no window covers.
+    assert not bus.is_device(0xF000_2100) and bus.is_device(0xF000_2200)
 
 
 def test_frame_allocator_alignment():
