@@ -260,16 +260,15 @@ def _open_record_bus(path: str | None, *, source: str, seed: int):
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
-    import json
-
     from .faults.explore import incident_exit_code
     from .fleet.dispatcher import FleetConfig
     from .fleet.harness import (make_kill_schedule, run_fleet,
                                 run_fleet_bench, run_migration_demo)
 
     if args.migration_demo:
-        demo = run_migration_demo(seed=args.seed, workers=args.workers)
-        print(json.dumps(demo, indent=2, sort_keys=True))
+        demo = run_migration_demo(seed=args.seed)
+        if not _write_json(demo, args.out):
+            return 1
         if not demo["ok"]:
             print("MIGRATION DEMO: resumed output not bit-exact or "
                   "tenant did not finish", file=sys.stderr)
@@ -278,7 +277,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     if args.bench:
         from .eval.bench import default_artifact_path, write_bench
 
-        payload = run_fleet_bench(seed=args.seed, workers=args.workers)
+        payload = run_fleet_bench(seed=args.seed)
         out = args.out or default_artifact_path(payload["name"])
         try:
             write_bench(payload, out)
@@ -295,7 +294,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         cfg = FleetConfig(boards=args.boards, seed=args.seed,
                           ticks=args.ticks, tick_ms=args.tick_ms,
                           tenants_per_board=args.tenants_per_board,
-                          rate_per_tick=args.rate, workers=args.workers)
+                          rate_per_tick=args.rate)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -573,10 +572,6 @@ def main(argv: list[str] | None = None) -> int:
     p_fleet.add_argument("--kills", type=int, default=0, metavar="N",
                          help="schedule N seeded board faults in this run "
                               "(crash/hang/partition)")
-    p_fleet.add_argument("--workers", choices=("inline", "process"),
-                         default="inline",
-                         help="board hosting: in-process (deterministic "
-                              "default) or one worker process per board")
     p_fleet.add_argument("--migration-demo", action="store_true",
                          help="run the live-migration acceptance proof: "
                               "crash a board mid-workload, finish on a "

@@ -25,7 +25,7 @@ site                    effect at the site
 ``service.crash``        the manager service dies at a named crashpoint
 ``service.hang``         the manager service stops draining its mailbox
 ``vm.kill``              a guest VM is killed outright (lifecycle recovery)
-``board.crash``          a fleet board's worker dies outright (docs/FLEET.md)
+``board.crash``          a fleet board dies outright (docs/FLEET.md)
 ``board.hang``           a fleet board freezes: alive but makes no progress
 ``board.partition``      a fleet board is isolated from the dispatcher
 ``traffic.surge``        offered load multiplies for a window (flash crowd)

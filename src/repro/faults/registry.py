@@ -202,7 +202,7 @@ SITES: dict[str, FaultSite] = {s.name: s for s in (
               ("vm_containment", "vm_restart", "restart_from_checkpoint"),
               targets=VM_POLICIES, target_param="policy"),
     FaultSite(BOARD_CRASH, "fleet",
-              "a fleet board's worker dies outright (docs/FLEET.md)",
+              "a fleet board dies outright (docs/FLEET.md)",
               ("fencing", "migration_adopt")),
     FaultSite(BOARD_HANG, "fleet",
               "a fleet board freezes: alive but makes no progress",

@@ -4,11 +4,11 @@ A :class:`BoardServer` owns one simulated Zynq — machine, kernel,
 Hardware Task Manager — and exposes the small operation set the
 dispatcher drives it with (docs/FLEET.md §3).  Every operation takes and
 returns **plain data** (ints, strings, bytes, dicts, lists, and a
-checkpoint's immutable :class:`~repro.kernel.lifecycle.PageImage`), so
-the same server runs unmodified in-process (:class:`~repro.fleet.workers.
-InlineHost`) or inside a worker process (:class:`~repro.fleet.workers.
-ProcessHost`) — and a fleet run produces byte-identical results either
-way, which is what keeps whole-fleet chaos runs reproducible.
+checkpoint's immutable :class:`~repro.kernel.lifecycle.PageImage`): the
+dispatcher holds no reference into a board, and a test holds every
+result equal to its pickle round trip.  Each board installs
+:data:`BOARD_TASKS` and runs its tenants' uC/OS-II at
+:data:`BOARD_TICK_HZ`.
 
 Boards are independent fault domains: each builds its own engine clock,
 RNG streams and metrics registry from ``(board_id, seed)``, shares no
@@ -38,9 +38,12 @@ from ..obs.flight import FlightRecorder
 from ..workloads.restartable import make_restartable_task
 from .tenant import TenantSpec
 
-#: Default task library installed on every fleet board (small: board
+#: Task library installed on every fleet board (small: board
 #: construction is the dominant cost of a many-board run).
-DEFAULT_BOARD_TASKS = ("fft256", "qam16")
+BOARD_TASKS = ("fft256", "qam16")
+
+#: OS tick rate of every tenant's uC/OS-II.
+BOARD_TICK_HZ = 100
 
 
 def encode_checkpoint(ckpt: VmCheckpoint) -> dict[str, Any]:
@@ -60,13 +63,10 @@ def decode_checkpoint(d: dict[str, Any]) -> VmCheckpoint:
 class BoardServer:
     """One board's operation endpoint.  All ops take/return plain data."""
 
-    def __init__(self, board_id: int, *, seed: int = 1,
-                 tasks: tuple[str, ...] = DEFAULT_BOARD_TASKS,
-                 tick_hz: int = 100) -> None:
+    def __init__(self, board_id: int, *, seed: int = 1) -> None:
         self.board_id = board_id
         self.seed = seed
-        self.tick_hz = tick_hz
-        self.machine = Machine(MachineConfig(tasks=tuple(tasks)))
+        self.machine = Machine(MachineConfig(tasks=BOARD_TASKS))
         self.kernel = MiniNova(self.machine)
         self.kernel.boot()
         self.kernel.attach_manager(ManagerService())
@@ -78,7 +78,7 @@ class BoardServer:
     # -- placement ---------------------------------------------------------
 
     def _build_vm(self, spec: TenantSpec, *, runnable: bool):
-        os_ = Ucos(spec.name, tick_hz=self.tick_hz)
+        os_ = Ucos(spec.name, tick_hz=BOARD_TICK_HZ)
         os_.create_task(f"svc-{spec.kind}", 5, make_restartable_task(
             spec.kind, frames=spec.frames, seed=spec.seed,
             checkpoint_every=spec.checkpoint_every))

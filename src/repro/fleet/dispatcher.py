@@ -49,7 +49,7 @@ from .rpc import BoardLink, BoardUnreachable
 from .tenant import (BESTEFFORT, CRITICAL, DEAD, MIGRATING, RUNNING, SHED,
                      TenantRecord, TenantSpec)
 from .traffic import TrafficModel
-from .workers import HOST_KINDS
+from .workers import InlineHost
 
 #: Sites applied to one board's link (``retry.storm`` included: the
 #: board stays nominally up but its link eats every call).
@@ -82,22 +82,22 @@ class KillSpec:
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """Shape of one fleet run (all knobs the CLI exposes)."""
+    """Shape of one fleet run.  Boards install
+    :data:`~repro.fleet.board.BOARD_TASKS` and arrivals follow
+    :class:`~repro.fleet.traffic.TrafficModel`'s default burst wave."""
 
     boards: int = 4
     tenants_per_board: int = 2
     seed: int = 1
     ticks: int = 32
     tick_ms: float = 2.0
-    tick_hz: int = 100
-    tasks: tuple[str, ...] = ("fft256", "qam16")
     deadline_ticks: int = DEFAULT_DEADLINE_TICKS
     checkpoint_every_ticks: int = 4
     max_tenants_per_board: int = 4
-    workers: str = "inline"             # "inline" | "process"
+    #: Board hosting; ``"inline"`` (:class:`InlineHost`) is the only
+    #: value.  Kept, out of the payload, for callers that still name it.
+    workers: str = "inline"
     rate_per_tick: float = 0.1
-    burst_period_ticks: int = 16
-    burst_factor: float = 2.0
     #: The overload control plane's limits (docs/FLEET.md §11); None
     #: arms :data:`~repro.fleet.overload.NO_LIMITS`, which never binds.
     overload: OverloadConfig | None = None
@@ -112,8 +112,6 @@ class FleetConfig:
                  f"{self.tenants_per_board}")
         _require(self.ticks >= 0, f"ticks must be >= 0, got {self.ticks}")
         _require(self.tick_ms > 0, f"tick_ms must be > 0, got {self.tick_ms}")
-        _require(self.tick_hz >= 1, f"tick_hz must be >= 1, got "
-                 f"{self.tick_hz}")
         _require(self.deadline_ticks > 0,
                  f"deadline_ticks must be > 0, got {self.deadline_ticks}")
         _require(self.checkpoint_every_ticks >= 0,
@@ -122,30 +120,20 @@ class FleetConfig:
         _require(self.max_tenants_per_board >= 1,
                  f"max_tenants_per_board must be >= 1, got "
                  f"{self.max_tenants_per_board}")
-        _require(self.workers in HOST_KINDS,
-                 f"unknown workers kind {self.workers!r} "
-                 f"(valid: {', '.join(HOST_KINDS)})")
+        _require(self.workers == "inline",
+                 f"workers must be 'inline', got {self.workers!r}")
         _require(self.rate_per_tick >= 0,
                  f"rate_per_tick must be >= 0, got {self.rate_per_tick}")
-        _require(self.burst_period_ticks >= 1,
-                 f"burst_period_ticks must be >= 1, got "
-                 f"{self.burst_period_ticks}")
-        _require(self.burst_factor >= 0,
-                 f"burst_factor must be >= 0, got {self.burst_factor}")
 
     def as_dict(self) -> dict[str, Any]:
         return {"boards": self.boards,
                 "tenants_per_board": self.tenants_per_board,
                 "seed": self.seed, "ticks": self.ticks,
-                "tick_ms": self.tick_ms, "tick_hz": self.tick_hz,
-                "tasks": list(self.tasks),
+                "tick_ms": self.tick_ms,
                 "deadline_ticks": self.deadline_ticks,
                 "checkpoint_every_ticks": self.checkpoint_every_ticks,
                 "max_tenants_per_board": self.max_tenants_per_board,
-                "workers": self.workers,
                 "rate_per_tick": self.rate_per_tick,
-                "burst_period_ticks": self.burst_period_ticks,
-                "burst_factor": self.burst_factor,
                 "overload": (None if self.overload is None
                              else self.overload.as_dict())}
 
@@ -179,10 +167,8 @@ class Dispatcher:
         #: The overload plane's limits (docs/FLEET.md §11).
         ov = self.overload = cfg.overload or NO_LIMITS
         self.retry_budget = ov.retry_budget()
-        host_cls = HOST_KINDS[cfg.workers]
         self.links = [
-            BoardLink(b, host_cls(b, seed=cfg.seed * 1000 + b,
-                                  tasks=cfg.tasks, tick_hz=cfg.tick_hz),
+            BoardLink(b, InlineHost(b, seed=cfg.seed * 1000 + b),
                       self.metrics, breaker=ov.breaker(),
                       retry_budget=self.retry_budget)
             for b in range(cfg.boards)]
@@ -191,11 +177,8 @@ class Dispatcher:
         specs = default_tenants(cfg) if tenants is None else tenants
         self.tenants: dict[str, TenantRecord] = {
             s.name: TenantRecord(spec=s) for s in specs}
-        self.traffic = TrafficModel(
-            [s.name for s in specs], seed=cfg.seed,
-            rate_per_tick=cfg.rate_per_tick,
-            burst_period_ticks=cfg.burst_period_ticks,
-            burst_factor=cfg.burst_factor)
+        self.traffic = TrafficModel([s.name for s in specs], seed=cfg.seed,
+                                    rate_per_tick=cfg.rate_per_tick)
         self.admission = AdmissionController(ov, self.metrics,
                                              [s.name for s in specs])
         self.shedder = LoadShedder(ov, self.metrics)
@@ -264,11 +247,7 @@ class Dispatcher:
             self.metrics.counter("fleet.boards.declared_dead").inc()
             self._recover_board(board_id, t)
         self._pull_checkpoints(t)
-        # Last resort only: a best-effort tenant that stayed fully
-        # degraded with a backlog for kill_after_ticks straight.
-        for name in self.shedder.step(t, self.tenants):
-            self._shed(self.tenants[name], reason="overload")
-            self.metrics.counter("fleet.admission.overload_kills").inc()
+        self.shedder.step(t, self.tenants)
         self._update_gauges()
         vs = check_fleet_invariants(self) + check_overload_invariants(self)
         if vs:

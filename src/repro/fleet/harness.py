@@ -8,11 +8,13 @@ Entry points behind ``python -m repro fleet``:
   same-seed reruns — the CI gate diffs two of them).
 * :func:`run_migration_demo` — the acceptance proof: a restartable
   FFT/QAM tenant is killed mid-run with its board and must finish on
-  another board with **bit-exact** final output.
+  another board with **bit-exact** final output, resuming from a frame
+  no later than the one it had reached.
 
 The fault-schedule runner (:mod:`repro.faults.explore`) drives board
 chaos and the surge series through :func:`run_fleet`, with the
-:data:`EXPLORE_OVERLOAD` / :data:`SOAK_OVERLOAD` planes defined here.
+:data:`EXPLORE_OVERLOAD` / :data:`SOAK_OVERLOAD` planes defined here;
+the surge series also gates on :func:`run_brownout_demo` (O5).
 
 :func:`run_fleet_bench` produces the ``BENCH_fleet_quick.json`` bench
 artifact, which a tier-1 test holds equal to its committed baseline.
@@ -34,7 +36,7 @@ from .overload import OverloadConfig
 from .tenant import CRITICAL, DEAD, RUNNING, SHED, TenantSpec
 
 #: Payload schema for fleet runs (independent of the bench schema).
-FLEET_SCHEMA_VERSION = 2
+FLEET_SCHEMA_VERSION = 3
 
 
 def make_kill_schedule(cfg: FleetConfig, *, kills: int,
@@ -155,7 +157,6 @@ def _payload(disp: Dispatcher, cfg: FleetConfig,
             "admission_dropped": m.total("fleet.admission.dropped"),
             "admission_degraded": m.total("fleet.admission.degraded"),
             "admission_restored": m.total("fleet.admission.restored"),
-            "overload_kills": m.total("fleet.admission.overload_kills"),
             "rpc_retries_denied": m.total("fleet.rpc.retries_denied"),
             "breaker_opens": m.total("fleet.breaker.opens"),
             "breaker_half_opens": m.total("fleet.breaker.half_opens"),
@@ -219,7 +220,6 @@ def _emit_overload_transitions(stream, disp: Dispatcher) -> None:
 EXPLORE_OVERLOAD = OverloadConfig(
     admit_rate=1.0, admit_burst=4.0, queue_bound=6, deadline_ticks=4,
     degrade_high_water=3, degrade_low_water=1, degrade_hysteresis_ticks=1,
-    degrade_levels=3, kill_after_ticks=0,
     retry_ratio=0.0, retry_floor=1,
     breaker_threshold=2, breaker_cooldown_ticks=1,
     surge_factor=40.0, surge_duration_ticks=6)
@@ -229,8 +229,7 @@ EXPLORE_OVERLOAD = OverloadConfig(
 
 
 def run_migration_demo(*, seed: int = 7, kind: str = "fft",
-                       frames: int = 6,
-                       workers: str = "inline") -> dict[str, Any]:
+                       frames: int = 6) -> dict[str, Any]:
     """Kill a restartable tenant's board mid-run; it must finish on the
     surviving board with bit-exact output (docs/FLEET.md §7)."""
     from ..workloads.restartable import expected_output
@@ -238,8 +237,7 @@ def run_migration_demo(*, seed: int = 7, kind: str = "fft",
                       seed=seed, frames=frames, checkpoint_every=2)
     cfg = FleetConfig(boards=2, tenants_per_board=1, seed=seed,
                       ticks=0, tick_ms=2.0, checkpoint_every_ticks=2,
-                      deadline_ticks=2, workers=workers,
-                      rate_per_tick=0.0)
+                      deadline_ticks=2, rate_per_tick=0.0)
     disp = Dispatcher(cfg, tenants=[spec])
     try:
         disp.place_initial()
@@ -256,9 +254,15 @@ def run_migration_demo(*, seed: int = 7, kind: str = "fft",
         # Phase 2: the board dies for real; the detector declares it and
         # the dispatcher migrates the tenant from its checkpoint.
         disp.links[source].inject(BOARD_CRASH)
+        resumed_from = None
         while rec.progress < frames and t < 500:
+            held = rec.checkpointed
             disp.tick(t)
             t += 1
+            if resumed_from is None and rec.migrations:
+                # The frame of the checkpoint the migration restored:
+                # later pulls from the target replace rec.checkpointed.
+                resumed_from = held
         finished = rec.progress >= frames
         output = b""
         if rec.state == RUNNING and rec.board is not None:
@@ -272,7 +276,7 @@ def run_migration_demo(*, seed: int = 7, kind: str = "fft",
             "source_board": source,
             "target_board": rec.board,
             "progress_at_kill": progress_at_kill,
-            "resumed_from_frame": rec.checkpointed,
+            "resumed_from_frame": resumed_from,
             "migrations": rec.migrations,
             "epochs": disp.epoch_log["demo"],
             "finished": finished,
@@ -287,12 +291,10 @@ def run_migration_demo(*, seed: int = 7, kind: str = "fft",
 # -- bench --------------------------------------------------------------------
 
 
-def run_fleet_bench(*, seed: int = 1,
-                    workers: str = "inline") -> dict[str, Any]:
+def run_fleet_bench(*, seed: int = 1) -> dict[str, Any]:
     """The ``fleet_quick`` bench artifact: a small fleet with one board
     crash mid-run, summarised by its request-latency percentiles."""
-    cfg = FleetConfig(boards=3, tenants_per_board=2, seed=seed, ticks=32,
-                      workers=workers)
+    cfg = FleetConfig(boards=3, tenants_per_board=2, seed=seed, ticks=32)
     kills = (KillSpec(tick=10, board=1, site=BOARD_CRASH),)
     payload = run_fleet(cfg, kills=kills)
     lat = payload["requests"]["latency"]
@@ -335,7 +337,6 @@ def run_fleet_bench(*, seed: int = 1,
 SOAK_OVERLOAD = OverloadConfig(
     admit_rate=0.1, admit_burst=2.0, queue_bound=6, deadline_ticks=6,
     degrade_high_water=2, degrade_low_water=1, degrade_hysteresis_ticks=2,
-    degrade_levels=3, kill_after_ticks=0,
     retry_ratio=0.02, retry_floor=2,
     breaker_threshold=2, breaker_cooldown_ticks=1,
     surge_factor=8.0, surge_duration_ticks=12)

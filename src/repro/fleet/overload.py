@@ -14,10 +14,10 @@ goodput equals served.
   the queue head (``deadline_exceeded``) instead of rotting; queues can
   never exceed ``queue_bound`` (invariant O1).
 * **Progressive load shedding** (:class:`LoadShedder`) — queue pressure
-  on a *best-effort* tenant first halves its admitted rate level by
-  level (×1 → ×1/2 → ×1/4 → ×0) before the dispatcher may kill its VM
-  as a last resort; critical tenants are never degraded or shed by the
-  overload plane (invariant O2: priority-ordered shedding).
+  on a *best-effort* tenant halves its admitted rate level by level
+  (×1 → ×1/2 → ×1/4 → ×0, :data:`DEGRADE_LEVELS`); the final level
+  admits nothing but never kills the VM.  Critical tenants are never
+  degraded (invariant O2: priority-ordered shedding).
 * **Retry budget** (:class:`RetryBudget`) — fleet-wide, retries may
   never exceed ``floor + ratio × fresh`` calls: the metastable-failure
   guard (a surge cannot turn into a self-sustaining retry storm).
@@ -45,6 +45,10 @@ DROP_RATE_LIMITED = "rate_limited"
 DROP_QUEUE_FULL = "queue_full"
 DROP_DEADLINE = "deadline_exceeded"
 DROP_REASONS = (DROP_DEADLINE, DROP_QUEUE_FULL, DROP_RATE_LIMITED)
+
+#: Shedder degrade levels: level k admits at rate × 2^-k; the final
+#: level admits nothing (multiplier 0.0).
+DEGRADE_LEVELS = 3
 
 #: Circuit-breaker states (O4's alphabet).
 BREAKER_CLOSED = "closed"
@@ -83,13 +87,6 @@ class OverloadConfig:
     degrade_high_water: int = 4
     degrade_low_water: int = 1
     degrade_hysteresis_ticks: int = 2
-    #: Degrade levels: level k admits at rate × 2^-k; the final level
-    #: admits nothing (multiplier 0.0).
-    degrade_levels: int = 3
-    #: Ticks a best-effort tenant must sit fully degraded (level ==
-    #: degrade_levels, queue still backed up) before its VM is killed;
-    #: 0 disables the kill path entirely (degrading is then terminal).
-    kill_after_ticks: int = 0
     #: Fleet-wide retry budget: retries <= floor + ratio × fresh calls.
     retry_ratio: float = 0.1
     retry_floor: int = 4
@@ -117,11 +114,6 @@ class OverloadConfig:
         _require(self.degrade_hysteresis_ticks >= 1,
                  f"degrade_hysteresis_ticks must be >= 1, got "
                  f"{self.degrade_hysteresis_ticks}")
-        _require(self.degrade_levels >= 1,
-                 f"degrade_levels must be >= 1, got {self.degrade_levels}")
-        _require(self.kill_after_ticks >= 0,
-                 f"kill_after_ticks must be >= 0, got "
-                 f"{self.kill_after_ticks}")
         _require(self.retry_ratio >= 0,
                  f"retry_ratio must be >= 0, got {self.retry_ratio}")
         _require(self.retry_floor >= 0,
@@ -147,8 +139,6 @@ class OverloadConfig:
             "degrade_high_water": self.degrade_high_water,
             "degrade_low_water": self.degrade_low_water,
             "degrade_hysteresis_ticks": self.degrade_hysteresis_ticks,
-            "degrade_levels": self.degrade_levels,
-            "kill_after_ticks": self.kill_after_ticks,
             "retry_ratio": self.retry_ratio,
             "retry_floor": self.retry_floor,
             "breaker_threshold": self.breaker_threshold,
@@ -352,11 +342,9 @@ class LoadShedder:
     """Progressive, priority-ordered degradation of best-effort tenants.
 
     Sustained queue depth >= ``degrade_high_water`` bumps a best-effort
-    tenant one degrade level (its admitted rate halves); sustained depth
-    <= ``degrade_low_water`` steps it back.  Only at the final level
-    (admitting nothing), and only after ``kill_after_ticks`` more ticks
-    of backlog, may the dispatcher kill the VM — the last resort the
-    tentpole demands.  Critical tenants are never touched (O2)."""
+    tenant one degrade level (its admitted rate halves, down to zero at
+    :data:`DEGRADE_LEVELS`); sustained depth <= ``degrade_low_water``
+    steps it back.  Critical tenants are never touched (O2)."""
 
     def __init__(self, cfg: OverloadConfig, metrics) -> None:
         self.cfg = cfg
@@ -364,7 +352,6 @@ class LoadShedder:
         self.levels: dict[str, int] = {}
         self._over: dict[str, int] = {}
         self._under: dict[str, int] = {}
-        self._starved: dict[str, int] = {}
         #: Transition log for the telemetry stream + payload.
         self.events: list[dict[str, Any]] = []
         self._c_degraded = metrics.counter("fleet.admission.degraded")
@@ -375,15 +362,13 @@ class LoadShedder:
         if rec.spec.tclass == CRITICAL:
             return 1.0
         level = self.levels.get(rec.spec.name, 0)
-        if level >= self.cfg.degrade_levels:
+        if level >= DEGRADE_LEVELS:
             return 0.0
         return 2.0 ** -level
 
-    def step(self, t: int, tenants: dict[str, Any]) -> list[str]:
-        """Advance the watermark state machines; returns the names of
-        best-effort tenants whose VM should now be killed (last resort)."""
+    def step(self, t: int, tenants: dict[str, Any]) -> None:
+        """Advance every best-effort tenant's watermark state machine."""
         from .tenant import BESTEFFORT, RUNNING
-        kills: list[str] = []
         for name, rec in sorted(tenants.items()):
             if rec.spec.tclass != BESTEFFORT or rec.state != RUNNING:
                 continue
@@ -393,7 +378,7 @@ class LoadShedder:
                 self._over[name] = self._over.get(name, 0) + 1
                 self._under[name] = 0
                 if (self._over[name] >= self.cfg.degrade_hysteresis_ticks
-                        and level < self.cfg.degrade_levels):
+                        and level < DEGRADE_LEVELS):
                     level += 1
                     self.levels[name] = level
                     self._over[name] = 0
@@ -414,17 +399,6 @@ class LoadShedder:
             else:
                 self._over[name] = 0
                 self._under[name] = 0
-            if (self.cfg.kill_after_ticks > 0
-                    and level >= self.cfg.degrade_levels and rec.queue):
-                self._starved[name] = self._starved.get(name, 0) + 1
-                if self._starved[name] >= self.cfg.kill_after_ticks:
-                    kills.append(name)
-                    self._starved[name] = 0
-                    self.events.append({"tick": t, "kind": "overload_kill",
-                                        "tenant": name, "level": level})
-            else:
-                self._starved[name] = 0
-        return kills
 
 
 # -- invariants O1-O5 ---------------------------------------------------------
@@ -438,8 +412,8 @@ def check_overload_invariants(disp) -> list[str]:
     O1  **Queues always bounded.**  No tenant queue ever exceeds
         ``queue_bound``.
     O2  **Priority-ordered shedding.**  The overload plane never
-        degrades or kills a critical tenant — best-effort traffic is
-        always degraded (down to zero admission) first.
+        degrades a critical tenant — best-effort traffic is always
+        degraded (down to zero admission) first.
     O3  **Exact admission accounting.**  Per tenant:
         arrived == admitted + pre-queue drops + arrival-shed, and
         admitted == served + expired + queue-shed + queued.
@@ -455,18 +429,11 @@ def check_overload_invariants(disp) -> list[str]:
             out.append(f"O1: tenant {name} queue {len(rec.queue)} "
                        f"exceeds bound {bound}")
 
-    shedder = disp.shedder
+    levels = disp.shedder.levels
     for name, rec in sorted(disp.tenants.items()):
-        if rec.spec.tclass != CRITICAL:
-            continue
-        if shedder.levels.get(name, 0) != 0:
+        if rec.spec.tclass == CRITICAL and levels.get(name, 0) != 0:
             out.append(f"O2: critical tenant {name} degraded to "
-                       f"level {shedder.levels[name]}")
-    for ev in shedder.events:
-        if ev["kind"] == "overload_kill" \
-                and disp.tenants[ev["tenant"]].spec.tclass == CRITICAL:
-            out.append(f"O2: critical tenant {ev['tenant']} killed "
-                       f"by the overload shedder at t{ev['tick']}")
+                       f"level {levels[name]}")
 
     for name, rec in sorted(disp.tenants.items()):
         dropped = sum(rec.dropped.values())

@@ -1,11 +1,11 @@
 """Dispatcher→board RPC: fault state, fencing, bounded retry+backoff.
 
 A :class:`BoardLink` is the dispatcher's only way to talk to a board.
-It layers the board fault domain over the hosting backend:
+It layers the board fault domain over the board's host:
 
-* ``board.crash``      — the host is killed (a :class:`~repro.fleet.
-  workers.ProcessHost` worker is terminated for real); every later call
-  raises :class:`BoardUnreachable` immediately.
+* ``board.crash``      — the link is marked crashed, then the host is
+  killed (its board dropped); every later call raises
+  :class:`BoardUnreachable` without touching the host.
 * ``board.hang``       — the board freezes: the link refuses calls until
   the hang expires, modelling a deadline timeout on every attempt.  The
   board makes no progress while hung (it is only ever advanced by
@@ -15,12 +15,10 @@ It layers the board fault domain over the hosting backend:
   in rejoin semantics (a healed partition rejoins silently, a healed
   hang is indistinguishable from a slow board).
 
-Unreachability is modelled **deterministically**: a hung worker process
-would block the pipe for real wall-clock time and make run results
-timing-dependent, so the link short-circuits the call instead and
-charges the configured deadline to the retry budget.  Same-seed fleet
-runs therefore produce byte-identical outcomes with inline or process
-hosting.
+Unreachability is modelled **deterministically**: rather than wait out
+a real timeout, the link short-circuits the call and charges the
+configured deadline to the retry budget, so same-seed fleet runs produce
+byte-identical outcomes.
 
 Every dispatcher call goes through :meth:`BoardLink.call`, which retries
 up to :data:`RETRY_LIMIT` times with exponential backoff (modelled
@@ -38,7 +36,6 @@ from typing import Any
 from ..faults.plan import (BOARD_CRASH, BOARD_HANG, BOARD_PARTITION,
                            RETRY_STORM)
 from .overload import NO_LIMITS
-from .workers import HostDead
 
 #: Attempts per logical RPC before the failure escapes to the detector.
 RETRY_LIMIT = 3
@@ -171,17 +168,9 @@ class BoardLink:
             self.m.counter("fleet.rpc.calls").inc()
             reason = self._unreachable_reason()
             if reason is None:
-                try:
-                    result = self.host.call(op, *args)
-                except HostDead:
-                    # The backend died without a fault being injected
-                    # first (possible under process hosting): treat it
-                    # as a crash from now on.
-                    self.crashed = True
-                    reason = "crash"
-                else:
-                    self._breaker_success()
-                    return result
+                result = self.host.call(op, *args)
+                self._breaker_success()
+                return result
             self.m.counter("fleet.rpc.failures").inc()
             last_reason = reason
             if reason in ("hang", "partition", "storm"):

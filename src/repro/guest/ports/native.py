@@ -123,7 +123,7 @@ class NativeSystem:
                 self._handle_irq()
                 continue
             if self.halted:
-                if not self.sim.advance_to_next_event():
+                if not self.sim.advance_to_next_event(until_cycles):
                     return
                 continue
             if self.os.pending_irqs:

@@ -342,7 +342,7 @@ class MiniNova:
                 continue
             pd = self.sched.pick()
             if pd is None:
-                if not self.sim.advance_to_next_event():
+                if not self.sim.advance_to_next_event(deadline):
                     return
                 continue
             if pd is not self.current:

@@ -172,9 +172,8 @@ class TelemetryStream:
 
     def emit_overload_transition(self, kind: str, *, tick: int,
                                  **info: Any) -> None:
-        """One overload-plane state change: a tenant degrade/restore/
-        overload_kill, a breaker open/half_open/close, or a brownout
-        enter/exit (docs/FLEET.md §11)."""
+        """One overload-plane state change: a tenant degrade/restore or
+        a breaker transition (docs/FLEET.md §11)."""
         self._emit("overload_transition",
                    {"kind": kind, "tick": tick, "info": info})
 

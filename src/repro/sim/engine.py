@@ -192,14 +192,26 @@ class Simulator:
             heapq.heappop(self._queue)
         return self._queue[0].time if self._queue else None
 
-    def advance_to_next_event(self) -> bool:
+    def advance_to_next_event(self, limit: int | None = None) -> bool:
         """Idle fast-forward: jump the clock to the next event and fire it.
 
         Returns False when no events remain (simulation is quiescent).
+        With a ``limit`` (a run's deadline) the jump never passes it:
+        when no event is due by ``limit``, the clock idles up to it, no
+        event fires, and the call returns False.
         """
         t = self.next_event_time()
+        if limit is not None and (t is None or t > limit):
+            self._idle_until(limit)
+            return False
         if t is None:
             return False
+        self._idle_until(t)
+        self.dispatch_due()
+        return True
+
+    def _idle_until(self, t: int) -> None:
+        """Book the gap up to ``t`` as idle and move the clock there."""
         self._m_idle.inc()
         skipped = max(0, t - self.clock.now)
         if skipped:
@@ -209,8 +221,6 @@ class Simulator:
                 # context first and books the gap as idle.
                 self._accounting.charge_idle(skipped)
         self.clock.advance_to(max(t, self.clock.now))
-        self.dispatch_due()
-        return True
 
     def run_until(self, t: int) -> None:
         """Fire events in order up to absolute cycle ``t`` (clock ends at t)."""

@@ -36,6 +36,25 @@ def test_healthy_fleet_has_zero_violations():
         disp.close()
 
 
+def test_empty_board_steps_to_each_tick_boundary():
+    """A board with no tenant idles exactly to the tick boundary, like
+    its busy peers, instead of stalling or jumping ticks ahead."""
+    cfg = FleetConfig(boards=2, tenants_per_board=0, seed=3, ticks=6)
+    spec = TenantSpec(name="only", tclass=CRITICAL, kind="fft", seed=3)
+    disp = Dispatcher(cfg, tenants=[spec])
+    try:
+        disp.place_initial()
+        assert disp.tenants["only"].board == 0
+        for t in range(cfg.ticks):
+            disp.tick(t)
+            hb = disp.links[1].call("heartbeat")
+            assert hb["progress"] == {}
+            assert hb["now"] == (t + 1) * disp.tick_cycles
+        assert disp.violations == []
+    finally:
+        disp.close()
+
+
 def test_crash_migrates_tenant_with_checkpoint():
     cfg = FleetConfig(boards=2, tenants_per_board=1, seed=3, ticks=14,
                       checkpoint_every_ticks=2, deadline_ticks=2)

@@ -48,19 +48,6 @@ def test_run_fleet_under_crash_stays_clean():
                                               for t in p["tenants"].values()))
 
 
-def test_process_hosting_matches_inline():
-    """Same seed, same kills: worker-process boards must reproduce the
-    inline payload byte-for-byte (modulo the config's workers field)."""
-    kills = (KillSpec(tick=4, board=0, site=BOARD_CRASH),)
-    cfg_proc = FleetConfig(**{**SMALL.as_dict(), "workers": "process",
-                              "tasks": tuple(SMALL.tasks)})
-    a = run_fleet(SMALL, kills=kills)
-    b = run_fleet(cfg_proc, kills=kills)
-    a["config"].pop("workers")
-    b["config"].pop("workers")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
-
 def _board_chaos(target, max_runs=None):
     """Random mode over the board sites (the fleet chaos soak)."""
     return run_explore(budget=0, seed=2, random_target=target,

@@ -10,8 +10,9 @@ from repro.fleet.dispatcher import Dispatcher, FleetConfig, KillSpec
 from repro.fleet.harness import run_brownout_demo, run_fleet
 from repro.fleet.overload import (BREAKER_CLOSED, BREAKER_HALF_OPEN,
                                   BREAKER_OPEN, BREAKER_TRANSITIONS,
-                                  DROP_DEADLINE, DROP_QUEUE_FULL,
-                                  DROP_RATE_LIMITED, NO_LIMITS,
+                                  DEGRADE_LEVELS, DROP_DEADLINE,
+                                  DROP_QUEUE_FULL, DROP_RATE_LIMITED,
+                                  NO_LIMITS,
                                   AdmissionController, CircuitBreaker,
                                   LoadShedder, OverloadConfig, RetryBudget,
                                   TokenBucket, check_overload_invariants)
@@ -38,8 +39,6 @@ class TestOverloadConfig:
         {"deadline_ticks": -3},
         {"degrade_high_water": 1, "degrade_low_water": 1},
         {"degrade_hysteresis_ticks": 0},
-        {"degrade_levels": 0},
-        {"kill_after_ticks": -1},
         {"retry_ratio": -0.5},
         {"retry_floor": -1},
         {"breaker_threshold": 0},
@@ -58,15 +57,12 @@ class TestFleetConfigValidation:
         {"tenants_per_board": -1},
         {"ticks": -1},
         {"tick_ms": 0.0},
-        {"tick_hz": 0},
         {"deadline_ticks": 0},
         {"deadline_ticks": -2},
         {"checkpoint_every_ticks": -1},
         {"max_tenants_per_board": 0},
         {"workers": "threads"},
         {"rate_per_tick": -0.1},
-        {"burst_period_ticks": 0},
-        {"burst_factor": -1.0},
     ])
     def test_fail_fast_on_bad_knobs(self, bad):
         with pytest.raises(ValueError):
@@ -77,6 +73,8 @@ class TestFleetConfigValidation:
             FleetConfig(deadline_ticks=-1)
         with pytest.raises(ValueError, match="workers"):
             FleetConfig(workers="bogus")
+        with pytest.raises(ValueError, match="workers"):
+            FleetConfig(workers="process")      # no second board host
 
 
 class TestTokenBucket:
@@ -203,23 +201,29 @@ class TestAdmissionController:
 
 
 class TestLoadShedder:
-    def _shedder(self, **kw):
+    def _shedder(self):
         cfg = OverloadConfig(degrade_high_water=2, degrade_low_water=1,
-                             degrade_hysteresis_ticks=2, degrade_levels=2,
-                             **kw)
+                             degrade_hysteresis_ticks=2)
         return LoadShedder(cfg, MetricsRegistry())
 
     def test_degrade_needs_sustained_pressure(self):
         sh = self._shedder()
         rec = _rec()
         rec.queue.extend([0, 0, 0])
-        assert sh.step(0, {rec.spec.name: rec}) == []
+        sh.step(0, {rec.spec.name: rec})
         assert sh.multiplier(rec) == 1.0    # one hot tick: not yet
         sh.step(1, {rec.spec.name: rec})
         assert sh.multiplier(rec) == 0.5    # two hysteresis ticks: level 1
         sh.step(2, {rec.spec.name: rec})
         sh.step(3, {rec.spec.name: rec})
-        assert sh.multiplier(rec) == 0.0    # final level admits nothing
+        assert sh.multiplier(rec) == 0.25   # level 2
+        for t in range(4, 10):
+            sh.step(t, {rec.spec.name: rec})
+        # The final level (DEGRADE_LEVELS) admits nothing, and stays:
+        # a backed-up tenant is never killed by the shedder.
+        assert sh.levels[rec.spec.name] == DEGRADE_LEVELS == 3
+        assert sh.multiplier(rec) == 0.0
+        assert [e["kind"] for e in sh.events] == ["degrade"] * 3
 
     def test_restore_on_sustained_calm(self):
         sh = self._shedder()
@@ -236,26 +240,9 @@ class TestLoadShedder:
         rec = _rec(tclass=CRITICAL)
         rec.queue.extend([0] * 10)
         for t in range(6):
-            assert sh.step(t, {rec.spec.name: rec}) == []
+            sh.step(t, {rec.spec.name: rec})
         assert sh.multiplier(rec) == 1.0
         assert sh.events == []              # O2: no degrade, ever
-
-    def test_kill_is_the_last_resort(self):
-        sh = self._shedder(kill_after_ticks=2)
-        rec = _rec()
-        sh.levels[rec.spec.name] = 2        # fully degraded already
-        rec.queue.extend([0, 0])
-        assert sh.step(0, {rec.spec.name: rec}) == []
-        assert sh.step(1, {rec.spec.name: rec}) == [rec.spec.name]
-        assert sh.events[-1]["kind"] == "overload_kill"
-
-    def test_kill_disabled_by_default(self):
-        sh = self._shedder()                # kill_after_ticks=0
-        rec = _rec()
-        sh.levels[rec.spec.name] = 2
-        rec.queue.extend([0, 0, 0])
-        for t in range(20):
-            assert sh.step(t, {rec.spec.name: rec}) == []
 
 
 ARMED = OverloadConfig(admit_rate=0.2, admit_burst=2.0, queue_bound=4,
@@ -361,7 +348,7 @@ class TestNoLimits:
         rec = _rec()
         rec.queue.extend([0] * self.CALLS)
         for t in range(self.CALLS // 10):
-            assert sh.step(t, {rec.spec.name: rec}) == []
+            sh.step(t, {rec.spec.name: rec})
         assert sh.multiplier(rec) == 1.0
         assert sh.levels == {} and sh.events == []
 

@@ -5,7 +5,6 @@ import pytest
 from repro.faults.plan import BOARD_CRASH, BOARD_HANG, BOARD_PARTITION
 from repro.fleet.rpc import (BACKOFF_BASE_CYCLES, DEADLINE_CYCLES,
                              RETRY_LIMIT, BoardLink, BoardUnreachable)
-from repro.fleet.workers import HostDead
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -15,8 +14,7 @@ class FakeHost:
         self.dead = False
 
     def call(self, op, *args):
-        if self.dead:
-            raise HostDead("fake host dead")
+        assert not self.dead, "a call reached a killed host"
         self.ops.append((op, args))
         return {"op": op}
 
@@ -59,15 +57,6 @@ def test_crash_kills_host_and_exhausts_retries():
                            for a in range(RETRY_LIMIT - 1))
     assert m.total("fleet.rpc.backoff_cycles") == expected_backoff
     assert not link.reachable
-
-
-def test_host_death_without_fault_becomes_crash():
-    link, host, _ = make_link()
-    host.dead = True                        # process died on its own
-    with pytest.raises(BoardUnreachable) as exc:
-        link.call("heartbeat")
-    assert exc.value.reason == "crash"
-    assert link.crashed
 
 
 def test_hang_heals_and_board_rejoins():

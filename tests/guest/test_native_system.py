@@ -91,6 +91,9 @@ def test_native_halts_when_tasks_done(native):
     os_.create_task("t", 5, task)
     sys_.run(until_cycles=ms_to_cycles(30))
     assert sys_.halted
+    # Halted, it idles exactly to the deadline, between two 10 ms ticks.
+    sys_.run(until_cycles=ms_to_cycles(35))
+    assert sys_.sim.now == ms_to_cycles(35)
 
 
 def test_iface_addr_is_physical(native):

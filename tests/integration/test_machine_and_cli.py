@@ -169,3 +169,22 @@ def test_cli_record_bus_streams_start_with_a_header(tmp_path):
         assert [r["type"] for r in records].count("header") == 1
         assert records[-1]["type"] == "end"
         assert records[-1]["records"] == len(records)
+
+
+def test_cli_migration_demo_writes_out(tmp_path, capsys):
+    import json
+
+    from repro.__main__ import main
+    out = tmp_path / "demo.json"
+    assert main(["fleet", "--migration-demo", "--out", str(out)]) == 0
+    demo = json.loads(out.read_text())
+    assert demo["ok"] and demo["bit_exact"]
+    assert capsys.readouterr().out == f"wrote {out}\n"
+
+
+def test_cli_fleet_has_one_board_host(capsys):
+    from repro.__main__ import main
+    with pytest.raises(SystemExit) as exc:
+        main(["fleet", "--workers", "process"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err

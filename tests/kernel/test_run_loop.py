@@ -197,3 +197,27 @@ def test_fault_forwarded_to_guest_handler(kernel):
     kernel.run(until_cycles=ms_to_cycles(2))
     assert len(r.faulted) == 1
     assert r.steps > 0      # VM survived and kept running
+
+
+def test_idle_kernel_stops_at_its_deadline():
+    """With nothing runnable the run idles up to ``until_cycles`` — it
+    neither stops short nor jumps to a later event — and books the whole
+    stretch as idle."""
+    from repro.eval.scenarios import build_virtualized
+    sc = build_virtualized(0, seed=1)
+    sc.run_ms(5)
+    k = sc.kernel
+    assert k.sim.now == ms_to_cycles(5) == 3_300_000
+    assert k.metrics.total("sim.idle_cycles") == 3_300_000
+    k.acct.settle()
+    assert k.acct.idle_cycles == 3_300_000
+    assert k.acct.total_accounted() == k.sim.now - k.acct.start_cycle
+
+    k = build_virtualized(0, seed=1).kernel
+    fired = []
+    k.sim.schedule_at(10_000_000, fired.append, "late")
+    k.run(until_cycles=1_000_000)
+    assert k.sim.now == 1_000_000
+    assert fired == [] and k.sim.pending_count == 1
+    k.run(until_cycles=12_000_000)
+    assert fired == ["late"] and k.sim.now == 12_000_000

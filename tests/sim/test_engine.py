@@ -92,6 +92,23 @@ def test_advance_to_next_event():
     assert not sim.advance_to_next_event()
 
 
+def test_advance_to_next_event_stops_at_limit():
+    m = MetricsRegistry()
+    sim = Simulator(m)
+    fired = []
+    sim.schedule(500, fired.append, "x")
+    # Nothing due by the limit: idle up to it, fire nothing.
+    assert not sim.advance_to_next_event(limit=200)
+    assert sim.now == 200 and fired == [] and sim.pending_count == 1
+    assert m.total("sim.idle_cycles") == 200
+    # An event due exactly at the limit still fires.
+    assert sim.advance_to_next_event(limit=500)
+    assert sim.now == 500 and fired == ["x"]
+    # An empty queue idles to the limit too.
+    assert not sim.advance_to_next_event(limit=800)
+    assert sim.now == 800 and m.total("sim.idle_cycles") == 800
+
+
 def test_cannot_schedule_in_past():
     sim = Simulator(MetricsRegistry())
     sim.clock.advance(100)
