@@ -52,7 +52,9 @@ class CacheLevel:
         self._ways = params.ways
         # Per set: list of line tags, most-recently-used first.
         self._tags: list[list[int]] = [[] for _ in range(self._sets)]
-        self._dirty: list[set[int]] = [set() for _ in range(self._sets)]
+        # The dirty lines' tags.  A tag is the whole line number, so it
+        # names its set too: one set per level, not one per cache set.
+        self._dirty: set[int] = set()
         # Incrementally-maintained line count; the occupancy ratio is read
         # on every sampled access (MemorySystem.sample_block), so it must
         # not cost an O(sets) scan.
@@ -86,14 +88,14 @@ class CacheLevel:
                 victim = ways.pop()
                 self.stats.evictions += 1
                 self._resident -= 1
-                if victim in self._dirty[setidx]:
-                    self._dirty[setidx].discard(victim)
+                if victim in self._dirty:
+                    self._dirty.discard(victim)
                     self.stats.writebacks += 1
                     victim_wb = victim
             ways.insert(0, tag)
             self._resident += 1
         if write:
-            self._dirty[setidx].add(tag)
+            self._dirty.add(tag)
         return victim_wb
 
     def lookup(self, paddr: int, *, write: bool = False) -> tuple[bool, int | None]:
@@ -120,14 +122,14 @@ class CacheLevel:
                 victim = ways.pop()
                 self.stats.evictions += 1
                 self._resident -= 1
-                if victim in self._dirty[setidx]:
-                    self._dirty[setidx].discard(victim)
+                if victim in self._dirty:
+                    self._dirty.discard(victim)
                     self.stats.writebacks += 1
                     victim_wb = victim
             ways.insert(0, tag)
             self._resident += 1
         if write:
-            self._dirty[setidx].add(tag)
+            self._dirty.add(tag)
         return hit, victim_wb
 
     # -- maintenance -------------------------------------------------------
@@ -136,13 +138,12 @@ class CacheLevel:
         """Drop every line without writing back (as after a reset)."""
         for s in self._tags:
             s.clear()
-        for d in self._dirty:
-            d.clear()
+        self._dirty.clear()
         self._resident = 0
 
     def clean_invalidate_all(self) -> int:
         """Write back all dirty lines and drop everything; returns WB count."""
-        wb = sum(len(d) for d in self._dirty)
+        wb = len(self._dirty)
         self.stats.writebacks += wb
         self.invalidate_all()
         return wb
@@ -153,7 +154,7 @@ class CacheLevel:
         ways = self._tags[setidx]
         if tag in ways:
             ways.remove(tag)
-            self._dirty[setidx].discard(tag)
+            self._dirty.discard(tag)
             self._resident -= 1
             return True
         return False
@@ -165,10 +166,12 @@ class CacheLevel:
         the number of lines dropped."""
         n_sets = max(1, int(self._sets * frac))
         dropped = 0
+        dirty = self._dirty
         for idx in rng.choice(self._sets, size=n_sets, replace=False):
-            dropped += len(self._tags[idx])
-            self._tags[idx].clear()
-            self._dirty[idx].clear()
+            ways = self._tags[idx]
+            dropped += len(ways)
+            dirty.difference_update(ways)
+            ways.clear()
         self.stats.evictions += dropped
         self._resident -= dropped
         return dropped

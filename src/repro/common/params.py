@@ -118,6 +118,13 @@ class PlatformParams:
     #: path; off exists for differential testing, not as a safety valve.
     fastpath: bool = True
 
+    def __post_init__(self) -> None:
+        # The bulk loop (MemorySystem._sample_fast) takes an L2 tag from an
+        # L1D tag by a right shift.
+        if self.l2.line < self.l1d.line:
+            raise DeviceError(f"L2 line ({self.l2.line} B) is shorter than "
+                              f"the L1D line ({self.l1d.line} B)")
+
     def with_(self, **kw) -> "PlatformParams":
         """Return a copy with top-level fields replaced."""
         return replace(self, **kw)

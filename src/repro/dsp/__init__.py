@@ -1,8 +1,8 @@
 """Signal-processing golden models shared by hardware-task IP cores and
-software baselines: FFT, QAM, IMA-ADPCM, GSM-style speech encoding."""
+software baselines: FFT, QAM and IMA-ADPCM."""
 
-from . import adpcm, fft, gsm, qam
+from . import adpcm, fft, qam
 from .fft import FFT_SIZES
 from .qam import QAM_ORDERS
 
-__all__ = ["adpcm", "fft", "gsm", "qam", "FFT_SIZES", "QAM_ORDERS"]
+__all__ = ["adpcm", "fft", "qam", "FFT_SIZES", "QAM_ORDERS"]

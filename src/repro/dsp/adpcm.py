@@ -1,8 +1,10 @@
-"""IMA ADPCM codec (the 'ADPCM compression' guest workload of Section V).
+"""IMA ADPCM codec (the producer of ``examples/ivc_pipeline.py``).
 
 A complete, standard IMA/DVI ADPCM implementation: 16-bit PCM in, 4-bit
 codes out, 4:1 compression.  Encoder and decoder round-trip within the
-usual ADPCM quantization error, which the tests bound.
+usual ADPCM quantization error, which the tests bound.  The guests'
+"ADPCM compression" load of Section V does not run it: its simulated
+cost comes from ``workloads.profiles.ADPCM_BLOCK``.
 """
 
 from __future__ import annotations

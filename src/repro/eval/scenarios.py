@@ -50,10 +50,9 @@ def _populate_guest(os_: Ucos, directory: dict[str, int], *, seed: int,
     if with_workloads:
         setup.gsm_stats = WorkloadStats()
         setup.adpcm_stats = WorkloadStats()
-        os_.create_task("gsm", PRIO_GSM,
-                        make_gsm_task(seed=seed, stats=setup.gsm_stats))
+        os_.create_task("gsm", PRIO_GSM, make_gsm_task(stats=setup.gsm_stats))
         os_.create_task("adpcm", PRIO_ADPCM,
-                        make_adpcm_task(seed=seed, stats=setup.adpcm_stats))
+                        make_adpcm_task(stats=setup.adpcm_stats))
     return setup
 
 

@@ -44,8 +44,10 @@ class MemorySystem:
         self._press_rng = np.random.default_rng(0xF111)
         self._l2_fill_acc = 0
         self._tlb_fill_acc = 0
-        self._l2_press_threshold = params.l2.sets * params.l2.ways // 2
-        self._tlb_press_threshold = params.tlb.entries // 2
+        self._l2_lines = params.l2.sets * params.l2.ways
+        self._tlb_entries = params.tlb.entries
+        self._l2_press_threshold = self._l2_lines // 2
+        self._tlb_press_threshold = self._tlb_entries // 2
         # Fast-path toggle (docs/PERFORMANCE.md): when on, sample_block
         # runs a fused single-loop reformulation of translate+access and
         # the MMU memoizes walk results.  Cycle-for-cycle identical to the
@@ -98,7 +100,7 @@ class MemorySystem:
                         s1.remove(tag)
                         s1.insert(0, tag)
                     if write:
-                        l1._dirty[idx1].add(tag)
+                        l1._dirty.add(tag)
                     return caches._lat_l1
                 st1.misses += 1
                 victim_wb = None
@@ -106,7 +108,7 @@ class MemorySystem:
                     victim = s1.pop()
                     st1.evictions += 1
                     l1._resident -= 1
-                    d = l1._dirty[idx1]
+                    d = l1._dirty
                     if victim in d:
                         d.discard(victim)
                         st1.writebacks += 1
@@ -114,7 +116,7 @@ class MemorySystem:
                 s1.insert(0, tag)
                 l1._resident += 1
                 if write:
-                    l1._dirty[idx1].add(tag)
+                    l1._dirty.add(tag)
                 lat = caches._lat_l1 + caches._lat_l2
                 if victim_wb is not None:
                     # Victim address reconstruction uses the L1D line
@@ -205,8 +207,7 @@ class MemorySystem:
                                 ev1 += 1
                             s1.insert(0, tag)
                             tag2 = paddr >> l2_shift
-                            idx2 = tag2 % l2_nsets
-                            s2 = l2_tags[idx2]
+                            s2 = l2_tags[tag2 % l2_nsets]
                             if tag2 in s2:
                                 h2 += 1
                                 if s2[0] != tag2:
@@ -217,9 +218,8 @@ class MemorySystem:
                             if len(s2) >= l2_ways:
                                 v2 = s2.pop()
                                 ev2 += 1
-                                d2 = l2_dirty[idx2]
-                                if v2 in d2:
-                                    d2.discard(v2)
+                                if v2 in l2_dirty:
+                                    l2_dirty.discard(v2)
                                     wb2 += 1
                             s2.insert(0, tag2)
                 if va >= end:
@@ -292,19 +292,16 @@ class MemorySystem:
 
     # -- bulk workload traffic ---------------------------------------------
 
-    def sample_block(self, vaddrs: list[int] | np.ndarray, *,
-                     write_mask: list[bool] | np.ndarray,
+    def sample_block(self, vaddrs: list[int], *, write_mask: list[bool],
                      privileged: bool, scale: int) -> int:
         """Push sampled accesses through MMU+caches; extrapolate total cycles.
 
-        ``vaddrs``: sampled virtual addresses (1/scale of the real stream),
-        as a list or a NumPy array, with ``write_mask`` in the same form.
+        ``vaddrs``: the list of sampled virtual addresses (1/scale of the
+        real stream); ``write_mask``: the list of their write flags.
         Returns extrapolated cycles for the *full* stream's memory latency.
         """
-        if len(vaddrs) == 0:
+        if not vaddrs:
             return 0
-        if isinstance(vaddrs, np.ndarray):
-            vaddrs, write_mask = vaddrs.tolist(), write_mask.tolist()
         l2 = self.caches.l2
         tlb = self.mmu.tlb
         l2_misses0 = l2.stats.misses
@@ -341,9 +338,9 @@ class MemorySystem:
         # the polluter itself.  Gate the amplification on occupancy so a
         # cache-fitting footprint (1 guest) exerts no pressure while an
         # over-subscribed one (3-4 guests) exerts full pressure.
-        occ = l2.resident_lines / (l2.params.sets * l2.params.ways)
+        occ = l2.resident_lines / self._l2_lines
         l2_gate = min(1.0, max(0.0, (occ - 0.6) / 0.35))
-        tlb_occ = tlb.resident / tlb.params.entries
+        tlb_occ = tlb.resident / self._tlb_entries
         tlb_gate = min(1.0, max(0.0, (tlb_occ - 0.6) / 0.35))
         self._l2_fill_acc += int(l2_new * (scale - 1) * l2_gate)
         self._tlb_fill_acc += int(tlb_new * (scale - 1) * tlb_gate)
@@ -391,12 +388,11 @@ class MemorySystem:
             return False
         l1 = self.caches.l1d
         tag = (e.pfn << 12 | (va & 0xFFF)) >> l1._offset_bits
-        idx = tag % l1._sets
-        lines = l1._tags[idx]
+        lines = l1._tags[tag % l1._sets]
         if not (lines and lines[0] == tag):
             return False
         if write:
-            l1._dirty[idx].add(tag)
+            l1._dirty.add(tag)
         tlb.stats.hits += n
         l1.stats.hits += n
         self._m_batched.inc(n * self.caches._lat_l1 * scale)
@@ -422,12 +418,16 @@ class MemorySystem:
           lookup, walk and insert path, after which its entry is the
           front of its set, so ``mru`` drops the set's old front and
           takes the new one if it permits both.
-        * Only misses are counted in the loop.  The hits follow once, in
-          the ``finally``: every translated access is a TLB hit or miss,
-          every one that reached L1D is an L1D hit or miss, and every L1D
-          miss is an L2 hit or miss.  An access whose translation raises
-          reached no cache.  Nothing can run between the accesses of one
-          block, so batching the counts is unobservable.
+        * Only L1D hits and misses past L1D are counted in the loop; the
+          rest follow once, in the ``finally``: every translated access is
+          a TLB hit or miss, every one that reached L1D is an L1D hit or
+          miss, and every L1D miss is an L2 hit or miss.  An access whose
+          translation raises reached no cache.  Nothing can run between
+          the accesses of one block, so batching the counts is
+          unobservable.
+        * An L1D miss takes its L2 tag, and a dirty L1D victim its L2 tag,
+          from the L1D tag by a right shift, which needs L2 lines at least
+          as long as L1D lines (``PlatformParams`` rejects the rest).
         * Faults replay ``Mmu._check``, so they carry identical reasons
           and costs.
         """
@@ -463,11 +463,11 @@ class MemorySystem:
         l2_dirty = l2._dirty
         l2_nsets = l2._sets
         l2_ways = l2._ways
-        l2_shift = l2._offset_bits
-        # Misses, allocations into a set with a free way (every other
-        # allocation evicts) and dirty victims.
+        up = l2._offset_bits - l1_shift      # L1D tag -> L2 tag
+        # Hits and misses as above, allocations into a set with a free way
+        # (every other allocation evicts) and dirty victims.
         tm = walk_cycles = 0                 # TLB misses, their walks
-        m1 = free1 = wb1 = 0                 # L1D
+        h1 = free1 = wb1 = 0                 # L1D
         m2 = free2 = wb2 = 0                 # L2 lookups
         fill = freef = wbf = 0               # L1D victims filling L2
         done = min(len(vaddrs), len(write_mask))   # accesses translated
@@ -475,9 +475,9 @@ class MemorySystem:
         addrs = iter(vaddrs)
         try:
             for va, w in zip(addrs, write_mask):
-                vpn = va >> 12
-                base = mru_get(vpn)
+                base = mru_get(va >> 12)
                 if base is None:
+                    vpn = va >> 12
                     entries = tlb_sets[vpn % tlb_nsets]
                     front = entries[0].vpn if entries else None
                     c = 0
@@ -503,71 +503,64 @@ class MemorySystem:
                     mru.pop(front, None)
                     if ar[perm] and aw[perm]:
                         mru[vpn] = base
-                paddr = base | (va & 0xFFF)
-                tag = paddr >> l1_shift
-                idx1 = tag % l1_nsets
-                s1 = l1_tags[idx1]
+                tag = (base | (va & 0xFFF)) >> l1_shift
+                s1 = l1_tags[tag % l1_nsets]
                 if tag in s1:
+                    h1 += 1
                     if s1[0] != tag:
                         s1.remove(tag)
                         s1.insert(0, tag)
                     if w:
-                        l1_dirty[idx1].add(tag)
+                        l1_dirty.add(tag)
                     continue
-                m1 += 1
-                d = l1_dirty[idx1]
                 if len(s1) < l1_ways:
                     free1 += 1
                 else:
                     victim = s1.pop()
-                    if victim in d:
-                        d.discard(victim)
+                    if victim in l1_dirty:
+                        l1_dirty.discard(victim)
                         wb1 += 1
                         # The victim's writeback lands in L2 (fill,
                         # write=True); a dirty L2 victim it displaces is
                         # dropped, as CacheLevel.fill's unused return
                         # value is.  L1D and L2 share no state, so this
                         # fill may precede the L1D insert below.
-                        tagv = (victim << l1_shift) >> l2_shift
-                        idxv = tagv % l2_nsets
-                        sv = l2_tags[idxv]
-                        if tagv in sv:
-                            if sv[0] != tagv:
-                                sv.remove(tagv)
-                                sv.insert(0, tagv)
+                        victim >>= up               # its L2 tag
+                        s2 = l2_tags[victim % l2_nsets]
+                        if victim in s2:
+                            if s2[0] != victim:
+                                s2.remove(victim)
+                                s2.insert(0, victim)
                         else:
                             fill += 1
-                            if len(sv) < l2_ways:
+                            if len(s2) < l2_ways:
                                 freef += 1
                             else:
-                                v2 = sv.pop()
-                                dv = l2_dirty[idxv]
-                                if v2 in dv:
-                                    dv.discard(v2)
+                                v2 = s2.pop()
+                                if v2 in l2_dirty:
+                                    l2_dirty.discard(v2)
                                     wbf += 1
-                            sv.insert(0, tagv)
-                        l2_dirty[idxv].add(tagv)
+                            s2.insert(0, victim)
+                        l2_dirty.add(victim)
                 s1.insert(0, tag)
                 if w:
-                    d.add(tag)
-                tag2 = paddr >> l2_shift
-                idx2 = tag2 % l2_nsets
-                s2 = l2_tags[idx2]
-                if tag2 in s2:
-                    if s2[0] != tag2:
-                        s2.remove(tag2)
-                        s2.insert(0, tag2)
+                    l1_dirty.add(tag)
+                tag >>= up                          # the L2 tag
+                s2 = l2_tags[tag % l2_nsets]
+                if tag in s2:
+                    if s2[0] != tag:
+                        s2.remove(tag)
+                        s2.insert(0, tag)
                     continue
                 m2 += 1
                 if len(s2) < l2_ways:
                     free2 += 1
                 else:
                     v2 = s2.pop()
-                    d2 = l2_dirty[idx2]
-                    if v2 in d2:
-                        d2.discard(v2)
+                    if v2 in l2_dirty:
+                        l2_dirty.discard(v2)
                         wb2 += 1
-                s2.insert(0, tag2)
+                s2.insert(0, tag)
         except BaseException:
             # ``addrs`` has yielded the access that raised and every one
             # before it.  That access was translated (a TLB hit or miss)
@@ -577,11 +570,12 @@ class MemorySystem:
             raise
         finally:
             reached = done - faulted        # accesses that reached L1D
+            m1 = reached - h1
             s = tlb.stats
             s.hits += done - tm
             s.misses += tm
             s = l1.stats
-            s.hits += reached - m1
+            s.hits += h1
             s.misses += m1
             s.evictions += m1 - free1
             s.writebacks += wb1

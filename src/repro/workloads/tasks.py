@@ -1,34 +1,27 @@
 """Guest application tasks: the heavy workloads of Section V.
 
-Each factory returns a task function for :meth:`Ucos.create_task`.  Tasks
-charge simulated time through :class:`Compute` actions sized by the
-profiles in :mod:`repro.workloads.profiles`, and periodically run the real
-codec kernels (host-side) so their data path stays honest — the cadence is
-controlled by ``fidelity`` ("timing": every 16th unit, "full": every unit).
+Each factory returns a task function for :meth:`Ucos.create_task`.  In the
+paper, GSM encoding and ADPCM compression run in each guest only as
+cache-polluting background load for Table III.  Here a task is the
+simulated load alone: one :class:`Compute` per work unit, sized by the
+profiles in :mod:`repro.workloads.profiles`, whose working sets
+``GuestExecutor.bulk`` drives through the MMU and caches.  No codec runs
+on the host and no task draws random numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from ..common.rng import make_rng
-from ..dsp import adpcm, gsm
 from ..guest import layout_guest as GL
 from ..guest.actions import Compute, Delay, Finish
 from ..guest.ucos import Ucos
 from .profiles import ADPCM_BLOCK, GSM_FRAME, WorkProfile
 
-_FIDELITY_PERIOD = {"timing": 16, "full": 1}
-
 
 @dataclass
 class WorkloadStats:
     units: int = 0
-    real_units: int = 0
-    #: Rolling checksum of real outputs (tests assert it moves).
-    checksum: int = 0
 
 
 def _regions(ws_base: int, profile: WorkProfile) -> tuple[tuple[int, int], ...]:
@@ -36,60 +29,36 @@ def _regions(ws_base: int, profile: WorkProfile) -> tuple[tuple[int, int], ...]:
             (GL.KERNEL_DATA, 8 * 1024))          # OS structures it touches
 
 
-def make_gsm_task(*, seed: int = 0, ws_base: int = GL.USER_BASE,
-                  frames: int | None = None, rest_every: int = 8,
-                  fidelity: str = "timing",
-                  stats: WorkloadStats | None = None):
-    """GSM-style speech encoding: one 20 ms frame per work unit."""
-    period = _FIDELITY_PERIOD[fidelity]
+def _unit_task(profile: WorkProfile, ws_base: int, units: int | None,
+               rest_every: int, stats: WorkloadStats | None):
+    """One ``Compute`` of ``profile`` per unit, a ``Delay(1)`` after every
+    ``rest_every`` units, and ``Finish`` after ``units`` (never when
+    ``None``)."""
     st = stats if stats is not None else WorkloadStats()
+    unit = Compute(profile.instrs, profile.mem_accesses,
+                   _regions(ws_base, profile), profile.write_frac)
 
     def fn(os: Ucos):
-        rng = make_rng(seed, stream=f"gsm-{os.name}")
-        enc = gsm.GsmEncoder()
         n = 0
-        while frames is None or n < frames:
-            if n % period == 0:
-                pcm = rng.standard_normal(gsm.FRAME) * 800
-                code = enc.encode_frame(pcm)
-                st.real_units += 1
-                st.checksum = (st.checksum + int(np.sum(code.lar_q))) & 0xFFFF_FFFF
-            yield Compute(GSM_FRAME.instrs, GSM_FRAME.mem_accesses,
-                          _regions(ws_base, GSM_FRAME), GSM_FRAME.write_frac)
+        while units is None or n < units:
+            yield unit
             st.units += 1
             n += 1
             if n % rest_every == 0:
-                yield Delay(1)       # wait for the next audio buffer
+                yield Delay(1)       # wait for the next input buffer
         yield Finish()
 
     return fn
 
 
-def make_adpcm_task(*, seed: int = 0, ws_base: int = GL.USER_BASE + 0x40000,
+def make_gsm_task(*, ws_base: int = GL.USER_BASE, frames: int | None = None,
+                  rest_every: int = 8, stats: WorkloadStats | None = None):
+    """GSM-style speech encoding: one 20 ms frame per work unit."""
+    return _unit_task(GSM_FRAME, ws_base, frames, rest_every, stats)
+
+
+def make_adpcm_task(*, ws_base: int = GL.USER_BASE + 0x40000,
                     blocks: int | None = None, rest_every: int = 12,
-                    fidelity: str = "timing",
                     stats: WorkloadStats | None = None):
     """IMA-ADPCM compression: one 1024-sample block per work unit."""
-    period = _FIDELITY_PERIOD[fidelity]
-    st = stats if stats is not None else WorkloadStats()
-
-    def fn(os: Ucos):
-        rng = make_rng(seed, stream=f"adpcm-{os.name}")
-        state = adpcm.AdpcmState()
-        n = 0
-        while blocks is None or n < blocks:
-            if n % period == 0:
-                pcm = (rng.standard_normal(1024) * 4000).astype(np.int16)
-                codes = adpcm.encode(pcm, state)
-                st.real_units += 1
-                st.checksum = (st.checksum + int(codes.sum())) & 0xFFFF_FFFF
-            yield Compute(ADPCM_BLOCK.instrs, ADPCM_BLOCK.mem_accesses,
-                          _regions(ws_base, ADPCM_BLOCK),
-                          ADPCM_BLOCK.write_frac)
-            st.units += 1
-            n += 1
-            if n % rest_every == 0:
-                yield Delay(1)
-        yield Finish()
-
-    return fn
+    return _unit_task(ADPCM_BLOCK, ws_base, blocks, rest_every, stats)

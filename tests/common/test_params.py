@@ -51,3 +51,15 @@ def test_with_override():
     assert p.bulk_sample == 8
     assert DEFAULT_PARAMS.bulk_sample == 64   # original untouched
     assert isinstance(p, PlatformParams)
+
+
+def test_l2_line_shorter_than_l1d_line_rejected():
+    """The bulk loop takes an L2 tag from an L1D tag by a right shift."""
+    with pytest.raises(DeviceError, match="L2 line"):
+        DEFAULT_PARAMS.with_(l2=CacheParams(size=512 * 1024, ways=8,
+                                            line=16))
+    with pytest.raises(DeviceError, match="L2 line"):
+        PlatformParams(l1d=CacheParams(size=32 * 1024, ways=4, line=64))
+    longer = DEFAULT_PARAMS.with_(l2=CacheParams(size=512 * 1024, ways=8,
+                                                 line=64))
+    assert longer.l2.line == 2 * longer.l1d.line

@@ -137,7 +137,7 @@ def _state(ex, metrics):
             {n: vars(s) for n, s in mem.caches.snapshot().items()},
             vars(mem.mmu.tlb.stats.snapshot()),
             metrics.total("sim.fastpath.batched_cycles"),
-            [list(t) for t in l1._tags], [set(d) for d in l1._dirty],
+            [list(t) for t in l1._tags], set(l1._dirty),
             ex.rng.bit_generator.state)
 
 
@@ -147,7 +147,7 @@ def test_word_draws_nothing_and_dirties_its_line(ex):
     l1 = ex.cpu.mem.caches.l1d
     idx, tag = l1._index(ex.cpu.mem.mmu.probe(WORD).pfn << 12
                          | (WORD & 0xFFF))
-    assert l1._tags[idx][0] == tag and tag in l1._dirty[idx]
+    assert l1._tags[idx][0] == tag and tag in l1._dirty
     assert ex.rng.bit_generator.state == rng0
 
 

@@ -59,9 +59,11 @@ def test_workloads_make_progress_alongside_hw_tasks():
                            task_set=("qam16",))
     sc.run_until_completions(3, max_ms=4000)
     g = sc.guests[0]
-    assert g.gsm_stats.units > 0
-    assert g.adpcm_stats.units > 0
-    assert g.gsm_stats.checksum != 0 or g.gsm_stats.real_units == 0
+    # Each task sleeps a tick after every 8 (GSM) or 12 (ADPCM) units, so
+    # neither runs more than that many units per OS tick.
+    ticks = g.os.stats.ticks
+    assert 0 < g.gsm_stats.units <= 8 * (ticks + 1)
+    assert 0 < g.adpcm_stats.units <= 12 * (ticks + 1)
 
 
 def test_guest_ticks_advance_for_all_vms():

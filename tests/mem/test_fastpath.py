@@ -11,6 +11,8 @@ entry's descriptor page drops that entry) and the per-DACR-value tables.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -311,7 +313,7 @@ def _fetch_state(cpu):
                 [list(s) for s in tlb._sets]),
         **{name: (vars(level.stats.snapshot()), level._resident,
                   [list(t) for t in level._tags],
-                  [set(d) for d in level._dirty])
+                  set(level._dirty))
            for name, level in (("l1i", caches.l1i), ("l2", caches.l2))},
         "dram_accesses": caches.dram_accesses,
         "walks": mem.mmu.walks,
@@ -464,14 +466,21 @@ HOLE_L1 = 0x5000_0000             # unmapped megabyte
 BULK_PAGES = RW + (RO, PRIV, GLOBAL, HOLE_L2, HOLE_L1)
 FRAME_BASE = 0x0400_0000
 
+#: Cache geometries for the bulk loop: the default, whose L1D and L2 lines
+#: are both 32 B, and one with 64 B L2 lines, on which an L2 tag differs
+#: from the L1D tag it is taken from.
+GEOMETRIES = {"l2_32": DEFAULT_PARAMS,
+              "l2_64": DEFAULT_PARAMS.with_(l2=replace(DEFAULT_PARAMS.l2,
+                                                       line=64))}
 
-def _bulk_space(fast):
-    """A memory system with the MMU on over the bulk pages, at ASID 1,
-    and its registry.  ``fast=False`` keeps the walk memo but runs
-    ``sample_block``'s per-access reference loop, which is the loop
+
+def _bulk_space(fast, params=DEFAULT_PARAMS):
+    """A memory system on ``params`` with the MMU on over the bulk pages,
+    at ASID 1, and its registry.  ``fast=False`` keeps the walk memo but
+    runs ``sample_block``'s per-access reference loop, which is the loop
     ``fastpath=False`` runs, so every walk-memo counter compares too."""
     metrics = MetricsRegistry()
-    mem = MemorySystem(DEFAULT_PARAMS, metrics)
+    mem = MemorySystem(params, metrics)
     mem.fastpath = fast
     pt = PageTable(mem.bus, mem.kernel_frames)
     aps = {RO: AP.PRIV_RW_USER_RO, PRIV: AP.PRIV_ONLY}
@@ -641,6 +650,8 @@ class TestSampleBlockEquivalence:
         assert results[0] == results[3] == 0
         assert state["tlb"][0] == {"hits": 1, "misses": 1, "flushes": 0}
 
+    @pytest.mark.parametrize("params", GEOMETRIES.values(),
+                             ids=GEOMETRIES.keys())
     @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(st.one_of(
@@ -650,14 +661,14 @@ class TestSampleBlockEquivalence:
                                      st.booleans()), max_size=30)),
         st.tuples(st.just("asid"), st.integers(1, 3)),
         st.tuples(st.just("mmu"), st.booleans())), min_size=1, max_size=12))
-    def test_random_blocks_on_a_warm_system(self, steps):
+    def test_random_blocks_on_a_warm_system(self, params, steps):
         """Random blocks (holes, read-only and privileged-only pages, the
         global page; a long one repeats its accesses past the TLB's set
         count) between ASID switches and MMU toggles, on a system warmed
-        by a block over every mapped line."""
+        by a block over every mapped line, on each geometry."""
         warm = [va + 32 * i for va in RW + (RO, PRIV, GLOBAL)
                 for i in range(8)]
-        sides = [_bulk_space(fast) for fast in (True, False)]
+        sides = [_bulk_space(fast, params) for fast in (True, False)]
         for mem, _ in sides:
             mem.sample_block(warm, write_mask=[True] * len(warm),
                              privileged=True, scale=64)

@@ -37,18 +37,16 @@ def test_read_write_functional(sys_flat):
 
 
 def test_sample_block_charges_and_extrapolates(sys_flat):
-    vaddrs = np.array([0x4000_0000 + i * 64 for i in range(32)], dtype=np.int64)
-    writes = np.zeros(32, dtype=bool)
-    total = sys_flat.sample_block(vaddrs, write_mask=writes, privileged=False,
-                                  scale=64)
+    vaddrs = [0x4000_0000 + i * 64 for i in range(32)]
+    total = sys_flat.sample_block(vaddrs, write_mask=[False] * 32,
+                                  privileged=False, scale=64)
     # Extrapolated: at least 32 cold accesses' worth times the scale.
     assert total >= 32 * 64
 
 
 def test_sample_block_empty(sys_flat):
-    out = sys_flat.sample_block(np.array([], dtype=np.int64),
-                                write_mask=np.array([], dtype=bool),
-                                privileged=False, scale=64)
+    out = sys_flat.sample_block([], write_mask=[], privileged=False,
+                                scale=64)
     assert out == 0
 
 
@@ -59,8 +57,7 @@ def test_fill_pressure_inert_below_occupancy_gate(sys_flat):
     for _ in range(200):
         vaddrs = (0x4000_0000
                   + (rng.integers(0, 64 * 1024, size=64) & ~np.int64(31)))
-        sys_flat.sample_block(vaddrs.astype(np.int64),
-                              write_mask=np.zeros(64, dtype=bool),
+        sys_flat.sample_block(vaddrs.tolist(), write_mask=[False] * 64,
                               privileged=False, scale=64)
     # 64 KB working set = 12% of L2: below the gate, no pressure evictions.
     assert sys_flat.caches.l2.stats.evictions == evictions_before
@@ -72,8 +69,7 @@ def test_fill_pressure_active_when_oversubscribed(sys_flat):
     for _ in range(400):
         vaddrs = (0x4000_0000
                   + (rng.integers(0, 12 << 20, size=64) & ~np.int64(31)))
-        sys_flat.sample_block(vaddrs.astype(np.int64),
-                              write_mask=np.zeros(64, dtype=bool),
+        sys_flat.sample_block(vaddrs.tolist(), write_mask=[False] * 64,
                               privileged=False, scale=64)
     # 12 MB over 512 KB L2: wipes must have happened.
     assert sys_flat.caches.l2.stats.evictions > 1000

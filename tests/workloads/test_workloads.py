@@ -1,10 +1,12 @@
-"""Workload factories: profiles, real-kernel cadence, T_hw helpers."""
+"""Workload factories: profiles, task action streams, T_hw helpers."""
 
 import numpy as np
 import pytest
 
 from repro.dsp import fft as fft_golden
 from repro.dsp import qam as qam_golden
+from repro.guest import layout_guest as GL
+from repro.guest.actions import Compute, Delay, Finish
 from repro.workloads.profiles import (
     ADPCM_BLOCK,
     GSM_FRAME,
@@ -34,38 +36,41 @@ class _FakeOs:
     name = "fake"
 
 
-def _drain(fn, n):
-    gen = fn(_FakeOs())
-    out = []
-    for _ in range(n):
-        out.append(next(gen))
-    return out
+def _drain_without_rng(monkeypatch, fn):
+    """Every action of the task ``fn``; creating a generator fails."""
+    def no_rng(*args, **kwargs):
+        raise AssertionError("a workload task created an RNG")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    monkeypatch.setattr(np.random, "SeedSequence", no_rng)
+    return list(fn(_FakeOs()))
 
 
-def test_gsm_task_yields_compute_and_rests():
+def _unit(profile, ws_base):
+    return Compute(profile.instrs, profile.mem_accesses,
+                   ((ws_base, profile.ws_bytes), (GL.KERNEL_DATA, 8 * 1024)),
+                   profile.write_frac)
+
+
+def test_gsm_task_yields_compute_and_rests(monkeypatch):
     stats = WorkloadStats()
-    fn = make_gsm_task(seed=1, frames=20, rest_every=4, stats=stats)
-    actions = _drain(fn, 10)
-    from repro.guest.actions import Compute, Delay
-    kinds = [type(a).__name__ for a in actions]
-    assert "Compute" in kinds and "Delay" in kinds
-    assert stats.units >= 5
-    assert stats.real_units >= 1          # fidelity="timing": every 16th
+    fn = make_gsm_task(frames=10, rest_every=4, stats=stats)
+    frame = _unit(GSM_FRAME, GL.USER_BASE)
+    assert _drain_without_rng(monkeypatch, fn) == (
+        [frame] * 4 + [Delay(1)] + [frame] * 4 + [Delay(1)] + [frame] * 2
+        + [Finish()])
+    assert stats.units == 10
 
 
-def test_gsm_task_full_fidelity_encodes_every_frame():
+def test_adpcm_task_yields_compute_and_rests(monkeypatch):
     stats = WorkloadStats()
-    fn = make_gsm_task(seed=1, frames=4, fidelity="full", stats=stats)
-    list(fn(_FakeOs()))
-    assert stats.real_units == 4
-    assert stats.checksum != 0
-
-
-def test_adpcm_task_state_carries_between_blocks():
-    stats = WorkloadStats()
-    fn = make_adpcm_task(seed=2, blocks=3, fidelity="full", stats=stats)
-    list(fn(_FakeOs()))
-    assert stats.real_units == 3
+    fn = make_adpcm_task(ws_base=0x10_0000, blocks=7, rest_every=3,
+                         stats=stats)
+    block = _unit(ADPCM_BLOCK, 0x10_0000)
+    assert _drain_without_rng(monkeypatch, fn) == (
+        [block] * 3 + [Delay(1)] + [block] * 3 + [Delay(1)] + [block]
+        + [Finish()])
+    assert stats.units == 7
 
 
 def test_make_input_shapes():
