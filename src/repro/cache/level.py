@@ -32,14 +32,6 @@ class CacheStats:
     def snapshot(self) -> "CacheStats":
         return CacheStats(self.hits, self.misses, self.evictions, self.writebacks)
 
-    def delta(self, earlier: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            self.hits - earlier.hits,
-            self.misses - earlier.misses,
-            self.evictions - earlier.evictions,
-            self.writebacks - earlier.writebacks,
-        )
-
 
 class CacheLevel:
     """LRU set-associative cache with write-back / write-allocate policy."""

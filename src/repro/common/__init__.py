@@ -6,7 +6,6 @@ from .errors import (
     DeviceBusy,
     DeviceError,
     GuestPanic,
-    HwMmuFault,
     HypercallError,
     PrefetchAbort,
     ReproError,
@@ -27,27 +26,23 @@ from .rng import make_rng
 from .units import (
     KB,
     MB,
-    align_down,
-    align_up,
     cycles_to_ms,
     cycles_to_us,
     fpga_cycles_to_cpu_cycles,
     hexaddr,
     is_aligned,
     ms_to_cycles,
-    us_to_cycles,
 )
 
 __all__ = [
     "ArchFault", "DataAbort", "DeviceBusy", "DeviceError",
-    "GuestPanic", "HwMmuFault", "HypercallError", "PrefetchAbort",
+    "GuestPanic", "HypercallError", "PrefetchAbort",
     "ReproError", "ServiceCrashed", "SimulationError",
     "UndefinedInstruction",
     "DEFAULT_PARAMS", "CacheParams", "CpuTiming", "FpgaParams",
     "MemoryMapParams", "PlatformParams", "TlbParams",
     "make_rng",
-    "KB", "MB", "align_down", "align_up", "cycles_to_ms", "cycles_to_us",
+    "KB", "MB", "cycles_to_ms", "cycles_to_us",
     "fpga_cycles_to_cpu_cycles", "hexaddr", "is_aligned", "ms_to_cycles",
-    "us_to_cycles",
 ]
 

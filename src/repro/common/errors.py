@@ -82,24 +82,6 @@ class UndefinedInstruction(ArchFault):
         self.what = what
 
 
-class HwMmuFault(ReproError):
-    """A hardware task's DMA access fell outside its client's data section.
-
-    Raised by the PRR controller's hwMMU (Section IV-C of the paper); the
-    PRR controller converts it into an error status + blocked transfer, so
-    it never reaches the CPU as an exception.
-    """
-
-    def __init__(self, prr_id: int, paddr: int, lo: int, hi: int) -> None:
-        super().__init__(
-            f"hwMMU: PRR{prr_id} access @ {paddr:#010x} outside section [{lo:#010x}, {hi:#010x})"
-        )
-        self.prr_id = prr_id
-        self.paddr = paddr
-        self.lo = lo
-        self.hi = hi
-
-
 class HypercallError(ReproError):
     """Malformed hypercall (bad number / arguments); maps to an error status."""
 

@@ -27,11 +27,6 @@ def cycles_to_ms(cycles: int, hz: int = CPU_HZ_DEFAULT) -> float:
     return cycles * 1e3 / hz
 
 
-def us_to_cycles(us: float, hz: int = CPU_HZ_DEFAULT) -> int:
-    """Convert microseconds to (rounded) CPU cycles."""
-    return round(us * hz / 1e6)
-
-
 def ms_to_cycles(ms: float, hz: int = CPU_HZ_DEFAULT) -> int:
     """Convert milliseconds to (rounded) CPU cycles."""
     return round(ms * hz / 1e3)
@@ -41,16 +36,6 @@ def fpga_cycles_to_cpu_cycles(fpga_cycles: int, cpu_hz: int = CPU_HZ_DEFAULT,
                               fpga_hz: int = FPGA_HZ_DEFAULT) -> int:
     """Convert PL-clock cycles into the CPU-cycle timebase (rounded up)."""
     return -(-fpga_cycles * cpu_hz // fpga_hz)
-
-
-def align_down(addr: int, align: int) -> int:
-    """Round ``addr`` down to a multiple of ``align`` (power of two)."""
-    return addr & ~(align - 1)
-
-
-def align_up(addr: int, align: int) -> int:
-    """Round ``addr`` up to a multiple of ``align`` (power of two)."""
-    return (addr + align - 1) & ~(align - 1)
 
 
 def is_aligned(addr: int, align: int) -> bool:

@@ -1,10 +1,11 @@
 """Banked general-purpose register file.
 
-We do not interpret an ISA, but register *state* matters: hypercall
-arguments travel in r0-r3, vCPU switches save/restore this file, and the
-FIQ mode banks r8-r12 exactly as the architecture does.  Keeping the
-banking faithful lets the vCPU switch-cost model count the real number of
-words moved (Table I).
+We do not interpret an ISA, so no run writes a general register (a
+hypercall's arguments travel in ``ExitHypercall.args``), but register
+*state* matters: vCPU switches save/restore this file, exception entry
+banks the CPSR into the SPSR, and the FIQ mode banks r8-r12 exactly as
+the architecture does.  Keeping the banking faithful lets the vCPU
+switch-cost model count the real number of words moved (Table I).
 """
 
 from __future__ import annotations

@@ -108,20 +108,3 @@ def decode(codes: np.ndarray, state: AdpcmState | None = None) -> np.ndarray:
         pcm[i] = pred
     st.predictor, st.index = pred, index
     return pcm
-
-
-def pack_codes(codes: np.ndarray) -> bytes:
-    """Pack 4-bit codes two-per-byte (low nibble first)."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    if len(codes) % 2:
-        codes = np.append(codes, 0)
-    return (codes[0::2] | (codes[1::2] << 4)).astype(np.uint8).tobytes()
-
-
-def unpack_codes(data: bytes, n: int) -> np.ndarray:
-    """Inverse of :func:`pack_codes` for ``n`` codes."""
-    b = np.frombuffer(data, dtype=np.uint8)
-    out = np.empty(len(b) * 2, dtype=np.uint8)
-    out[0::2] = b & 0xF
-    out[1::2] = b >> 4
-    return out[:n]

@@ -113,31 +113,24 @@ class BoardServer:
             self.kernel.run(until_cycles=until_cycle)
         return {"now": self.kernel.sim.now, "progress": self._progress()}
 
-    def heartbeat(self) -> dict[str, Any]:
-        """Liveness probe: clock + per-VM progress, no simulation work."""
-        return {"board": self.board_id, "now": self.kernel.sim.now,
-                "progress": self._progress()}
-
     def _progress(self) -> dict[int, int]:
         return {vm_id: int(os_.persist.get("frame", 0))
                 for vm_id, os_ in sorted(self._oses.items())}
 
-    # -- drain / migration -------------------------------------------------
+    # -- migration store ---------------------------------------------------
 
-    def checkpoint(self, vm_id: int, fresh: bool = False,
+    def checkpoint(self, vm_id: int,
                    since: int | None = None) -> dict[str, Any] | None:
         """Snapshot a tenant for the dispatcher's migration store.
 
-        By default the guest's own latest periodic checkpoint (the
-        VM_CHECKPOINT hypercalls its service loop issues) is reused —
-        the pull then takes no snapshot and copies no guest memory.
-        ``since`` is the ``seq`` of the snapshot of this VM the caller
-        already holds: while it is still the latest, the reply is
-        ``None`` and nothing is encoded or shipped.  ``fresh`` forces a
-        synchronous snapshot (the planned-migration drain), which copies
-        only the pages written since the previous one."""
+        The guest's own latest checkpoint (the VM_CHECKPOINT hypercalls
+        its service loop issues) is reused — the pull then takes no
+        snapshot and copies no guest memory; only a VM that has none yet
+        is snapshotted here.  ``since`` is the ``seq`` of the snapshot
+        of this VM the caller already holds: while it is still the
+        latest, the reply is ``None`` and nothing is encoded or shipped."""
         pd = self.kernel.domains[vm_id]
-        ckpt = None if fresh else self.kernel.lifecycle.latest(vm_id)
+        ckpt = self.kernel.lifecycle.latest(vm_id)
         if ckpt is None:
             ckpt = self.kernel.lifecycle.checkpoint(pd, reason="fleet")
         elif ckpt.seq == since:
@@ -145,7 +138,7 @@ class BoardServer:
         return encode_checkpoint(ckpt)
 
     def kill(self, vm_id: int, reason: str = "fleet") -> dict[str, Any]:
-        """Kill a tenant VM (planned migration source, or a shed)."""
+        """Kill a tenant VM (a shed)."""
         pd = self.kernel.domains[vm_id]
         if pd.state is not PdState.DEAD:
             self.kernel.kill_vm(pd, reason=reason)
@@ -186,6 +179,3 @@ class BoardServer:
                             "tenants": dict(sorted(self._tenants.items())),
                             **info})
         return flight.dump(reason)
-
-    def shutdown(self) -> dict[str, Any]:
-        return {"ok": True}

@@ -358,7 +358,7 @@ class Dispatcher:
             since = (self.ckpts[name]["seq"]
                      if self._ckpt_epoch.get(name) == rec.epoch else None)
             try:
-                ckpt = link.call("checkpoint", rec.vm_id, False, since)
+                ckpt = link.call("checkpoint", rec.vm_id, since)
             except BoardUnreachable:
                 continue
             if ckpt is not None:
@@ -477,30 +477,6 @@ class Dispatcher:
         self.metrics.counter("fleet.tenants.dead").inc()
         if dropped:
             self.metrics.counter("fleet.requests.shed").inc(dropped)
-
-    # -- planned migration (docs/FLEET.md §7) ------------------------------
-
-    def migrate_planned(self, name: str, target_board: int) -> dict[str, Any]:
-        """Synchronous live migration of a healthy tenant: checkpoint on
-        the source, kill the source VM, adopt on the target.  Returns
-        the restore result (including the frame resumed at)."""
-        rec = self.tenants[name]
-        if rec.state != RUNNING:
-            raise ValueError(f"tenant {name} is not running")
-        src = self.links[rec.board]
-        ckpt = src.call("checkpoint", rec.vm_id, True)
-        self.ckpts[name] = ckpt
-        self._ckpt_epoch[name] = rec.epoch
-        src.call("kill", rec.vm_id, "migrate")
-        res = self.links[target_board].call("restore", rec.spec.as_dict(),
-                                            ckpt)
-        rec.board, rec.vm_id = target_board, res["vm_id"]
-        rec.epoch += 1
-        rec.migrations += 1
-        self.epoch_log[name].append(rec.epoch)
-        self.metrics.counter("fleet.migrations").inc()
-        self.metrics.counter("fleet.placements").inc()
-        return res
 
     # -- telemetry + teardown ----------------------------------------------
 

@@ -33,7 +33,6 @@ flight-recorder dump on the first reachable board (docs/FLEET.md §6).
 
 from __future__ import annotations
 
-from .rpc import BoardUnreachable
 from .tenant import DEAD, MIGRATING, RUNNING, SHED
 
 #: ``attach_manager`` always takes the first VM id on a board.
@@ -72,14 +71,13 @@ def check_fleet_invariants(disp) -> list[str]:
 
     # F3: no orphaned PRR grants (reachable boards only — an unreachable
     # board's fabric cannot be observed, and a fenced one is out of the
-    # fleet by F6).
+    # fleet by F6).  The oracle reads the host directly: a probe through
+    # ``BoardLink.call`` would count as fleet traffic, feed the retry
+    # budget and close a half-open breaker.
     for link in disp.links:
         if not link.reachable:
             continue
-        try:
-            grants = link.call("prr_grants")
-        except BoardUnreachable:            # raced with a fresh fault
-            continue
+        grants = link.host.call("prr_grants")
         vm_ids = {rec.vm_id for rec in disp.tenants.values()
                   if rec.state == RUNNING and rec.board == link.board_id}
         for prr_id, client in grants:

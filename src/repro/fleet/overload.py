@@ -147,10 +147,6 @@ class OverloadConfig:
             "surge_duration_ticks": self.surge_duration_ticks,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "OverloadConfig":
-        return cls(**d)
-
     def scaled_surge(self, factor: float) -> "OverloadConfig":
         """The same plane with a different surge multiplier (the surge
         series escalates loads this way)."""

@@ -45,43 +45,6 @@ class SemPend:
 
 
 @dataclass
-class SemPost:
-    sem: "object"
-
-
-@dataclass
-class MboxPend:
-    """OSMboxPend: wait for a message in a single-slot mailbox."""
-
-    mbox: "object"
-    timeout_ticks: int = 0
-
-
-@dataclass
-class MboxPost:
-    """OSMboxPost: deposit a message (fails if the slot is full)."""
-
-    mbox: "object"
-    msg: object = None
-
-
-@dataclass
-class QueuePend:
-    """OSQPend: wait for a message in a FIFO queue."""
-
-    queue: "object"
-    timeout_ticks: int = 0
-
-
-@dataclass
-class QueuePost:
-    """OSQPost: append a message (fails when the queue is full)."""
-
-    queue: "object"
-    msg: object = None
-
-
-@dataclass
 class Hypercall:
     """Paravirt: SVC into Mini-NOVA; native: the port emulates directly."""
 

@@ -202,30 +202,6 @@ def _program_and_wait(os: Ucos, iface: int, data_in: bytes, *,
     return (status, output)
 
 
-def console_print(os: Ucos, text: str) -> Generator:
-    """Print through the kernel-supervised UART (DEV_ACCESS hypercall).
-
-    Characters are packed 8 per hypercall (two argument words); a trailing
-    newline is added, closing the line in the kernel's per-VM transcript.
-    """
-    from ..kernel.hypercalls import Hc
-    from .actions import Hypercall
-
-    data = (text + "\n").encode("latin-1").replace(b"\x00", b"?")
-    for i in range(0, len(data), 8):
-        chunk = data[i:i + 8].ljust(8, b"\x00")
-        w0 = int.from_bytes(chunk[:4], "little")
-        w1 = int.from_bytes(chunk[4:], "little")
-        yield Hypercall(int(Hc.DEV_ACCESS), (0, 0, w0, w1))
-
-
-def hw_data_flag(os: Ucos) -> Generator:
-    """Read the consistency state flag of the VM's data section (0 =
-    consistent, 1 = the task was reclaimed and its registers saved)."""
-    raw = yield SectionRead(0, 4)
-    return int.from_bytes(raw[:4], "little")
-
-
 def _note_client_rewait(os: Ucos) -> None:
     """Book a spurious-wake re-wait (woken while the task is still BUSY)
     in the kernel's obs layer — the ``client_rewait`` recovery path of

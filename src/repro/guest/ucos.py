@@ -2,8 +2,9 @@
 
 Faithful to the uC/OS-II programming model where the paper depends on it:
 64 strict priority levels with one task per level, a ready-list scheduler,
-semaphores with priority-ordered wakeup, OSTimeDly tick-based delays, and
-ISR enter/exit paths.  Application tasks are Python generators yielding
+semaphores that tasks pend on and ISRs post (``BindIrqSem``) with
+priority-ordered wakeup, OSTimeDly tick-based delays, and ISR enter/exit
+paths.  Application tasks are Python generators yielding
 :mod:`repro.guest.actions` records.
 
 The same core runs under two *ports* (as the paper's uCOS runs natively
@@ -29,16 +30,11 @@ from .actions import (
     HwRelease,
     HwRequest,
     Hypercall,
-    MboxPend,
-    MboxPost,
     MmioRead,
     MmioWrite,
-    QueuePend,
-    QueuePost,
     SectionRead,
     SectionWrite,
     SemPend,
-    SemPost,
     VfpCompute,
 )
 from .costs import (
@@ -75,31 +71,6 @@ class Semaphore:
     waiters: list["Tcb"] = field(default_factory=list)
     posts: int = 0
     pends: int = 0
-
-
-@dataclass(eq=False)
-class OsMailbox:
-    """OSMbox: a single-slot message exchange."""
-
-    name: str
-    msg: object = None
-    full: bool = False
-    waiters: list["Tcb"] = field(default_factory=list)
-    posts: int = 0
-    pends: int = 0
-
-
-@dataclass(eq=False)
-class OsQueue:
-    """OSQ: a bounded FIFO message queue."""
-
-    name: str
-    capacity: int = 8
-    msgs: list = field(default_factory=list)
-    waiters: list["Tcb"] = field(default_factory=list)
-    posts: int = 0
-    pends: int = 0
-    overruns: int = 0
 
 
 @dataclass(eq=False)
@@ -169,12 +140,6 @@ class Ucos:
         self.sems.append(sem)
         return sem
 
-    def create_mailbox(self, name: str) -> OsMailbox:
-        return OsMailbox(name=name)
-
-    def create_queue(self, name: str, capacity: int = 8) -> OsQueue:
-        return OsQueue(name=name, capacity=capacity)
-
     def lifecycle_fresh(self) -> "Ucos":
         """A factory-fresh copy of this OS image for VM resurrection:
         same task set (re-created from their generator factories, so no
@@ -238,14 +203,10 @@ class Ucos:
                 if tcb.delay <= 0:       # semaphore timeout
                     self._sem_unwait(tcb, timeout=True)
 
-    def _sem_post_isr(self, sem: Semaphore) -> None:
-        ex = self.port.exec
-        ex.code(GL.KERNEL_CODE + CODE_SEM, UC.sem_post)
-        self._sem_post(sem)
-
     # -- semaphore internals ------------------------------------------------------
 
-    def _sem_post(self, sem: Semaphore) -> None:
+    def _sem_post_isr(self, sem: Semaphore) -> None:
+        self.port.exec.code(GL.KERNEL_CODE + CODE_SEM, UC.sem_post)
         sem.posts += 1
         if sem.waiters:
             sem.waiters.sort(key=lambda t: t.prio)
@@ -371,65 +332,6 @@ class Ucos:
                 tcb.pending_sem = sem
                 tcb.delay = action.timeout_ticks
                 sem.waiters.append(tcb)
-        elif isinstance(action, SemPost):
-            ex.code(GL.KERNEL_CODE + CODE_SEM, UC.sem_post)
-            self._sem_post(action.sem)
-        elif isinstance(action, MboxPend):
-            ex.code(GL.KERNEL_CODE + CODE_SEM, UC.sem_pend)
-            mbox = action.mbox
-            mbox.pends += 1
-            if mbox.full:
-                msg, mbox.msg, mbox.full = mbox.msg, None, False
-                tcb.inbox, tcb.has_inbox = msg, True
-            else:
-                tcb.state = TaskState.PENDING
-                tcb.pending_sem = mbox
-                tcb.delay = action.timeout_ticks
-                mbox.waiters.append(tcb)
-        elif isinstance(action, MboxPost):
-            ex.code(GL.KERNEL_CODE + CODE_SEM, UC.sem_post)
-            mbox = action.mbox
-            mbox.posts += 1
-            if mbox.waiters:
-                mbox.waiters.sort(key=lambda t: t.prio)
-                waiter = mbox.waiters.pop(0)
-                waiter.pending_sem = None
-                waiter.state = TaskState.READY
-                waiter.inbox, waiter.has_inbox = action.msg, True
-                tcb.inbox, tcb.has_inbox = True, True
-            elif not mbox.full:
-                mbox.msg, mbox.full = action.msg, True
-                tcb.inbox, tcb.has_inbox = True, True
-            else:
-                tcb.inbox, tcb.has_inbox = False, True    # OS_MBOX_FULL
-        elif isinstance(action, QueuePend):
-            ex.code(GL.KERNEL_CODE + CODE_SEM, UC.sem_pend)
-            q = action.queue
-            q.pends += 1
-            if q.msgs:
-                tcb.inbox, tcb.has_inbox = q.msgs.pop(0), True
-            else:
-                tcb.state = TaskState.PENDING
-                tcb.pending_sem = q
-                tcb.delay = action.timeout_ticks
-                q.waiters.append(tcb)
-        elif isinstance(action, QueuePost):
-            ex.code(GL.KERNEL_CODE + CODE_SEM, UC.sem_post)
-            q = action.queue
-            q.posts += 1
-            if q.waiters:
-                q.waiters.sort(key=lambda t: t.prio)
-                waiter = q.waiters.pop(0)
-                waiter.pending_sem = None
-                waiter.state = TaskState.READY
-                waiter.inbox, waiter.has_inbox = action.msg, True
-                tcb.inbox, tcb.has_inbox = True, True
-            elif len(q.msgs) < q.capacity:
-                q.msgs.append(action.msg)
-                tcb.inbox, tcb.has_inbox = True, True
-            else:
-                q.overruns += 1
-                tcb.inbox, tcb.has_inbox = False, True    # OS_Q_FULL
         elif isinstance(action, BindIrqSem):
             ex.code(GL.KERNEL_CODE + CODE_API, UC.api_glue)
             self.irq_bindings[action.irq_id] = action.sem

@@ -95,8 +95,5 @@ class PrrTable:
     def row(self, prr_id: int) -> PrrRow:
         return self.rows[prr_id]
 
-    def rows_hosting(self, task_name: str) -> list[PrrRow]:
-        return [r for r in self.rows if r.task_name == task_name]
-
     def rows_of_client(self, vm_id: int) -> list[PrrRow]:
         return [r for r in self.rows if r.client_vm == vm_id]

@@ -159,8 +159,8 @@ class MiniNova:
         #: Health-checks the manager PD and drives crash recovery.
         self.supervisor = ManagerSupervisor(self)
         #: Checkpoint store + per-VM death policies (restart / restore /
-        #: halt — docs/RECOVERY.md §9).  Schedules nothing until a policy
-        #: arms periodic checkpoints or a VM actually dies.
+        #: halt — docs/RECOVERY.md §9).  Schedules nothing until a VM
+        #: actually dies.
         self.lifecycle = VmLifecycle(self)
         #: Per-VM console transcript: (vm_id, line) in emission order.
         self.console_log: list[tuple[int, str]] = []

@@ -13,8 +13,8 @@ pending vIRQs — leaked or went stale.  This module closes the loop
   (a :class:`PageImage` that shares every page not written since the
   VM's previous snapshot).
   Snapshots are versioned per VM and kept in a bounded in-memory store;
-  they are taken on demand via ``HC_VM_CHECKPOINT`` or periodically when
-  a policy asks for it.
+  they are taken through ``HC_VM_CHECKPOINT``, a fleet pull
+  (``BoardServer.checkpoint``) or fault injection.
 * :class:`VmPolicy` — what to do when the VM dies: ``halt`` (the old
   behaviour, and the default when no policy is set), ``restart`` (fresh
   boot in the same address space) or ``restart_from_checkpoint``
@@ -36,10 +36,10 @@ restored virtual timer and PL/PCAP completions refer to hardware state
 that was force-reclaimed at kill time, so replaying them would signal
 work the fabric no longer holds.
 
-Timing neutrality: constructing the lifecycle schedules nothing.  Events
-only enter the simulation when a policy with a checkpoint period is set
-or a VM actually dies, so fault-free runs — including every benchmark
-profile — are cycle-identical to a kernel without this module.
+Timing neutrality: constructing the lifecycle or setting a policy
+schedules nothing.  Events only enter the simulation when a VM actually
+dies, so fault-free runs — including every benchmark profile — are
+cycle-identical to a kernel without this module.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ class VmPolicy:
     max_restarts: int = 3
     #: Base delay before the first resurrection; doubles per attempt.
     backoff_cycles: int = 50_000
-    #: >0 arms periodic checkpoints every this many cycles (0 = on-demand
-    #: only — the default, so merely setting a policy stays event-free
-    #: until the VM dies).
-    checkpoint_period_cycles: int = 0
 
     def __post_init__(self) -> None:
         if self.action not in POLICY_ACTIONS:
@@ -202,28 +198,9 @@ class VmLifecycle:
     # -- policy -----------------------------------------------------------
 
     def set_policy(self, vm_id: int, policy: VmPolicy) -> None:
-        """Install ``policy`` for ``vm_id``; arms the periodic checkpoint
-        timer when the policy asks for one (the only way this module
-        schedules an event before a VM dies)."""
+        """Install ``policy`` for ``vm_id``."""
         self.policies[vm_id] = policy
         self.halted.discard(vm_id)
-        if policy.checkpoint_period_cycles > 0:
-            self.k.sim.schedule(policy.checkpoint_period_cycles,
-                                lambda: self._periodic_fire(vm_id),
-                                label=f"vm-ckpt-{vm_id}")
-
-    def _periodic_fire(self, vm_id: int) -> None:
-        policy = self.policies.get(vm_id)
-        if (policy is None or policy.checkpoint_period_cycles <= 0
-                or vm_id in self.halted):
-            return
-        pd = self.k.domains.get(vm_id)
-        if pd is not None and pd.state is not PdState.DEAD \
-                and not self._checkpointing:
-            self.checkpoint(pd, reason="periodic")
-        self.k.sim.schedule(policy.checkpoint_period_cycles,
-                            lambda: self._periodic_fire(vm_id),
-                            label=f"vm-ckpt-{vm_id}")
 
     # -- checkpoint -------------------------------------------------------
 
@@ -243,9 +220,9 @@ class VmLifecycle:
         """Snapshot ``pd``'s software-visible state (cost-charged through
         the ordinary context-save paths).
 
-        Like a kill, a periodic checkpoint event can interrupt guest
-        user code, so the timed work runs under a saved/restored
-        privileged context."""
+        Like a kill, a fleet pull or an injected fault can take a
+        snapshot while guest user code is live, so the timed work runs
+        under a saved/restored privileged context."""
         k = self.k
         cpu = k.cpu
         mode, masked = cpu.mode, cpu.irq_masked

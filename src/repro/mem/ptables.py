@@ -88,13 +88,6 @@ class PageTable:
         self.words_written += 1
         return had
 
-    def unmap_section(self, va: int) -> bool:
-        idx1 = l1_index(va)
-        had = self.bus.read32(self.l1_base + idx1 * 4) != L1_FAULT
-        self._write_l1(idx1, L1_FAULT)
-        self._l2_tables.pop(idx1, None)
-        return had
-
     # -- addresses the kernel touches for timing --------------------------
 
     def l1_entry_addr(self, va: int) -> int:

@@ -50,10 +50,6 @@ class TlbStats:
     def snapshot(self) -> "TlbStats":
         return TlbStats(self.hits, self.misses, self.flushes)
 
-    def delta(self, earlier: "TlbStats") -> "TlbStats":
-        return TlbStats(self.hits - earlier.hits, self.misses - earlier.misses,
-                        self.flushes - earlier.flushes)
-
 
 class Tlb:
     """LRU, set-associative, ASID-aware."""

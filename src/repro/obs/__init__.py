@@ -6,9 +6,9 @@ the CLI's ``--trace-out``/``--metrics`` flags are built on:
 * :mod:`repro.obs.trace`   — the bounded-ring :class:`Tracer` with
   name-indexed lookup, span context managers and per-event categories;
 * :mod:`repro.obs.metrics` — the always-on :class:`MetricsRegistry` of
-  counters, gauges and fixed-bucket histograms;
-* :mod:`repro.obs.export`  — Chrome trace-event JSON (``chrome://tracing``
-  / Perfetto) and plain-text metrics exporters;
+  counters, gauges and fixed-bucket histograms, with its plain-text dump;
+* :mod:`repro.obs.export`  — the Chrome trace-event JSON exporter
+  (``chrome://tracing`` / Perfetto);
 * :mod:`repro.obs.analytics`  — percentile summaries (p50/p90/p99) over
   histograms and trace-span samples, DPR critical-path chains;
 * :mod:`repro.obs.accounting` — per-VM cycle attribution (kernel /
@@ -39,7 +39,6 @@ from .trace import (
 )
 from .export import (
     chrome_trace_events,
-    render_metrics,
     write_chrome_trace,
 )
 from .analytics import (
@@ -88,6 +87,6 @@ __all__ = [
     "chrome_trace_events", "delta_between", "dpr_chains",
     "dpr_stage_summaries", "load_bundle", "load_slo_config", "maybe_dump",
     "merge_all", "parse_slo_config", "percentile_of_samples",
-    "plirq_latency_samples", "render_bundle", "render_metrics", "summarize",
+    "plirq_latency_samples", "render_bundle", "summarize",
     "validate_bundle", "write_bundle", "write_chrome_trace",
 ]

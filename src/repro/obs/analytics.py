@@ -166,12 +166,6 @@ class DprChain:
     resume: int
     ready: int
 
-    def as_dict(self) -> dict[str, Any]:
-        return {"vm": self.vm, "prr": self.prr, "task": self.task,
-                "t_request": self.t_request, "entry": self.entry,
-                "decide": self.decide, "pcap": self.pcap,
-                "resume": self.resume, "ready": self.ready}
-
 
 def dpr_chains(tracer: Tracer) -> list[DprChain]:
     """One chain per landed reconfiguration, in landing order: the PCAP

@@ -1,4 +1,4 @@
-"""Exporters: Chrome trace-event JSON and plain-text metrics dumps.
+"""Exporter: Chrome trace-event JSON.
 
 ``write_chrome_trace`` converts a :class:`~repro.obs.trace.Tracer`'s ring
 into the Trace Event Format understood by ``chrome://tracing`` and
@@ -19,7 +19,6 @@ import json
 from typing import Any
 
 from ..common.units import CPU_HZ_DEFAULT, cycles_to_us
-from .metrics import MetricsRegistry
 from .trace import SPAN_END_SUFFIX, SPAN_START_SUFFIX, TraceEvent, Tracer
 
 #: info key that distinguishes concurrent instances of each span (see the
@@ -107,8 +106,3 @@ def write_chrome_trace(tracer: Tracer, path: str,
     with open(path, "w", encoding="utf-8") as f:
         f.write(doc)
     return len(json.loads(doc)["traceEvents"])
-
-
-def render_metrics(metrics: MetricsRegistry) -> str:
-    """Plain-text metrics dump (counters, gauges, histograms)."""
-    return metrics.render()

@@ -73,9 +73,6 @@ class Gauge:
     def inc(self, n=1) -> None:
         self.value += n
 
-    def dec(self, n=1) -> None:
-        self.value -= n
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Gauge {self.name}{_labels_str(self.labels)}={self.value}>"
 

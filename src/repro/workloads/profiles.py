@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..dsp.fft import fft_butterfly_count
+
 
 @dataclass(frozen=True)
 class WorkProfile:
@@ -58,9 +60,7 @@ def qam_sw_profile(order: int, n_bytes: int) -> WorkProfile:
 def fft_sw_profile(n: int) -> WorkProfile:
     """Software FFT profile for an N-point transform: ~10 instructions and
     4 accesses per butterfly, (N/2)log2(N) butterflies."""
-    if n <= 0 or n & (n - 1):
-        raise ValueError(f"FFT size {n} is not a power of two")
-    butterflies = (n // 2) * (n.bit_length() - 1)
+    butterflies = fft_butterfly_count(n)
     return WorkProfile(f"fft-sw-{n}", instrs=butterflies * 10,
                        mem_accesses=butterflies * 4,
                        ws_bytes=min(256 * 1024, n * 16 + 16 * 1024),

@@ -27,13 +27,6 @@ def test_data_abort_message_carries_context():
     assert e.vaddr == 0x9000_0000 and e.write
 
 
-def test_hwmmu_fault_fields():
-    e = errors.HwMmuFault(2, 0x1234, 0x1000, 0x2000)
-    assert e.prr_id == 2
-    assert "PRR2" in str(e)
-    assert not isinstance(e, errors.ArchFault)   # never traps the CPU
-
-
 def test_rng_same_seed_same_stream():
     a = make_rng(42, stream="x").random(8)
     b = make_rng(42, stream="x").random(8)

@@ -11,11 +11,6 @@ def test_cycles_to_us_at_660mhz():
     assert units.cycles_to_us(660_000_000) == pytest.approx(1e6)
 
 
-def test_us_cycles_roundtrip():
-    assert units.us_to_cycles(15.01) == round(15.01 * 660)
-    assert units.cycles_to_us(units.us_to_cycles(33.0)) == pytest.approx(33.0, rel=1e-3)
-
-
 def test_ms_to_cycles_quantum():
     # The paper's 33 ms quantum at 660 MHz.
     assert units.ms_to_cycles(33.0) == 21_780_000
@@ -28,20 +23,8 @@ def test_fpga_cycle_conversion_rounds_up():
 
 
 def test_align_helpers():
-    assert units.align_down(0x1234, 0x1000) == 0x1000
-    assert units.align_up(0x1234, 0x1000) == 0x2000
-    assert units.align_up(0x1000, 0x1000) == 0x1000
     assert units.is_aligned(0x2000, 0x1000)
     assert not units.is_aligned(0x2004, 0x1000)
-
-
-@given(st.integers(min_value=0, max_value=2**40), st.sampled_from([4, 32, 4096, 1 << 20]))
-def test_align_properties(addr, align):
-    down = units.align_down(addr, align)
-    up = units.align_up(addr, align)
-    assert down <= addr <= up
-    assert down % align == 0 and up % align == 0
-    assert up - down in (0, align)
 
 
 @given(st.integers(min_value=0, max_value=10**12))

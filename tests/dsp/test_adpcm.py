@@ -16,8 +16,6 @@ def test_roundtrip_error_bounded_on_speechlike():
     dec = adpcm.decode(adpcm.encode(pcm))
     err = np.abs(dec.astype(np.int32) - pcm.astype(np.int32))
     assert err.mean() < 200          # well under 1% of full scale
-    # 4:1 compression: 4 bits per 16-bit sample.
-    assert len(adpcm.pack_codes(adpcm.encode(pcm))) == len(pcm) // 2
 
 
 def test_silence_stays_silent():
@@ -48,12 +46,6 @@ def test_decode_state_continuity():
     parts = np.concatenate([adpcm.decode(codes[:500], st_d),
                             adpcm.decode(codes[500:], st_d)])
     assert (whole == parts).all()
-
-
-def test_pack_unpack_roundtrip():
-    codes = adpcm.encode(sine(501))       # odd length exercises padding
-    packed = adpcm.pack_codes(codes)
-    assert (adpcm.unpack_codes(packed, 501) == codes).all()
 
 
 def test_step_table_monotone():

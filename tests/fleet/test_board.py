@@ -20,9 +20,8 @@ def test_place_step_heartbeat_and_invariants():
     res = b.step(40_000_000)
     assert res["now"] >= 40_000_000 or res["progress"][vm] == FRAMES
     assert res["progress"][vm] > 0
-    hb = b.heartbeat()
-    assert hb["board"] == 0
-    assert hb["progress"] == res["progress"]
+    # A step to a past cycle runs nothing: the reply is the heartbeat.
+    assert b.step(0) == res
     assert b.invariants() == []
     assert b.prr_grants() == [] or all(
         len(g) == 2 for g in b.prr_grants())
@@ -32,7 +31,7 @@ def test_checkpoint_wire_roundtrip():
     b = BoardServer(0, seed=5)
     vm = b.place(finite_spec().as_dict())["vm_id"]
     b.step(10_000_000)
-    wire = b.checkpoint(vm, True)
+    wire = b.checkpoint(vm)
     assert isinstance(wire, dict)
     ckpt = decode_checkpoint(wire)
     assert isinstance(ckpt.hw_data, tuple)
@@ -52,10 +51,10 @@ def test_checkpoint_reuses_guest_snapshot_by_default():
         if b.kernel.lifecycle.latest(vm) is not None:
             break
         assert now < 200_000_000
+    taken = b.kernel.metrics.total("vm.lifecycle.checkpoints")
     lazy = b.checkpoint(vm)
     assert lazy == encode_checkpoint(b.kernel.lifecycle.latest(vm))
-    fresh = b.checkpoint(vm, True)
-    assert fresh["seq"] > lazy["seq"]       # a synchronous new snapshot
+    assert b.kernel.metrics.total("vm.lifecycle.checkpoints") == taken
 
 
 def test_checkpoint_since_held_seq_ships_nothing():
@@ -67,13 +66,8 @@ def test_checkpoint_since_held_seq_ships_nothing():
         b.step(now)
         assert now < 200_000_000
     seq = b.kernel.lifecycle.latest(vm).seq
-    assert b.checkpoint(vm, False, seq) is None
-    assert b.checkpoint(vm, False, seq - 1)["seq"] == seq
-    taken = b.kernel.metrics.total("vm.lifecycle.checkpoints")
-    fresh = b.checkpoint(vm, True, seq)          # fresh always snapshots
-    assert fresh["seq"] == seq + 1
-    assert b.kernel.metrics.total("vm.lifecycle.checkpoints") == taken + 1
-    assert b.checkpoint(vm, False, seq) == fresh
+    assert b.checkpoint(vm, seq) is None
+    assert b.checkpoint(vm, seq - 1)["seq"] == seq
 
 
 def test_restore_on_second_board_is_bit_exact():
@@ -85,7 +79,7 @@ def test_restore_on_second_board_is_bit_exact():
     while src.step(now)["progress"][vm] < 2:
         now += 2_000_000
         assert now < 200_000_000
-    wire = src.checkpoint(vm, True)
+    wire = src.checkpoint(vm)
     frame = wire["runner_state"]["persist"]["frame"]
     assert 0 < frame < FRAMES
 
@@ -103,7 +97,7 @@ def test_kill_removes_tenant_from_progress():
     vm = b.place(finite_spec().as_dict())["vm_id"]
     b.step(5_000_000)
     assert b.kill(vm, "shed:test") == {"ok": True}
-    assert vm not in b.heartbeat()["progress"]
+    assert vm not in b.step(0)["progress"]
     assert b.invariants() == []             # kill reclaimed everything
 
 

@@ -7,6 +7,7 @@ from repro.fleet.board import BoardServer, encode_checkpoint
 from repro.fleet.dispatcher import (Dispatcher, FleetConfig, KillSpec,
                                     default_tenants)
 from repro.fleet.invariants import check_fleet_invariants
+from repro.fleet.overload import BREAKER_HALF_OPEN, CircuitBreaker
 from repro.fleet.rpc import BoardUnreachable
 from repro.fleet.tenant import (BESTEFFORT, CRITICAL, DEAD, RUNNING, SHED,
                                 TenantSpec)
@@ -47,7 +48,9 @@ def test_empty_board_steps_to_each_tick_boundary():
         assert disp.tenants["only"].board == 0
         for t in range(cfg.ticks):
             disp.tick(t)
-            hb = disp.links[1].call("heartbeat")
+            # A step to a past cycle runs nothing; its reply is the
+            # board's clock and progress.
+            hb = disp.links[1].call("step", 0)
             assert hb["progress"] == {}
             assert hb["now"] == (t + 1) * disp.tick_cycles
         assert disp.violations == []
@@ -119,39 +122,17 @@ def test_hang_heal_rejoins_without_declaration():
         disp.close()
 
 
-def test_planned_migration_mid_run():
-    cfg = FleetConfig(boards=2, tenants_per_board=1, seed=3, ticks=6)
-    disp = Dispatcher(cfg)
-    try:
-        disp.place_initial()
-        for t in range(3):
-            disp.tick(t)
-        rec = disp.tenants["tn00"]
-        assert rec.board == 0
-        res = disp.migrate_planned("tn00", 1)
-        assert res["resumed_at"] == rec.progress    # fresh drain snapshot
-        assert rec.board == 1 and rec.epoch == 1 and rec.migrations == 1
-        for t in range(3, 6):
-            disp.tick(t)
-        assert disp.violations == []
-        assert rec.state == RUNNING and rec.progress >= res["resumed_at"]
-    finally:
-        disp.close()
-
-
 def test_unchanged_pulls_ship_nothing(monkeypatch):
-    """Versioned checkpoint pulls through a crash, a hang and a planned
-    migration: a board answers ``None`` only while the dispatcher already
-    holds the board's latest snapshot of the VM, and the first pull from
-    each new placement ships a snapshot in full."""
+    """Versioned checkpoint pulls through a crash and a hang: a board
+    answers ``None`` only while the dispatcher already holds the board's
+    latest snapshot of the VM, and the first pull from each new placement
+    ships a snapshot in full."""
     real = BoardServer.checkpoint
     fleet = []
     pulls = []          # (tenant, placement epoch, since, shipped)
 
-    def spy(self, vm_id, fresh=False, since=None):
-        out = real(self, vm_id, fresh, since)
-        if fresh:
-            return out
+    def spy(self, vm_id, since=None):
+        out = real(self, vm_id, since)
         disp = fleet[0]
         name = next(n for n, r in disp.tenants.items()
                     if (r.board, r.vm_id) == (self.board_id, vm_id))
@@ -172,11 +153,9 @@ def test_unchanged_pulls_ship_nothing(monkeypatch):
     try:
         disp.place_initial()
         for t in range(cfg.ticks):
-            if t == 90:
-                disp.migrate_planned("tn00", 2)
             disp.tick(t)
         assert disp.violations == []
-        assert disp.metrics.total("fleet.migrations") >= 3
+        assert disp.metrics.total("fleet.migrations") >= 2
         assert disp.metrics.total("fleet.checkpoints.pulled") == len(pulls)
         unchanged = sum(1 for *_, shipped in pulls if not shipped)
         assert unchanged >= 0.8 * len(pulls), (unchanged, len(pulls))
@@ -220,13 +199,40 @@ def test_fleet_invariant_checks_catch_corruption():
         disp.close()
 
 
+def test_invariant_sweep_is_not_fleet_traffic():
+    """The F3 probe reads every reachable board's PRR grants without the
+    link's books: a sweep counts no RPC, raises no retry allowance and
+    moves no breaker, not even a half-open one a real call would close."""
+    cfg = FleetConfig(boards=2, tenants_per_board=1, seed=3, ticks=4)
+    disp = run_fleet_ticks(cfg)
+    try:
+        link = disp.links[1]
+        link.breaker = CircuitBreaker(threshold=1, cooldown_ticks=1)
+        link.breaker.on_failure(disp.now_tick)
+        link.breaker.on_tick(disp.now_tick + 1)
+        assert link.breaker.state == BREAKER_HALF_OPEN and link.reachable
+
+        def books():
+            budget = disp.retry_budget
+            return (disp.metrics.total("fleet.rpc.calls"),
+                    (budget.fresh, budget.retries, budget.denied),
+                    [(ln.breaker.state, ln.breaker.failures,
+                      list(ln.breaker.transitions)) for ln in disp.links])
+
+        before = books()
+        assert check_fleet_invariants(disp) == []
+        assert books() == before
+    finally:
+        disp.close()
+
+
 def test_fencing_violation_detected_as_f6():
     cfg = FleetConfig(boards=2, tenants_per_board=1, seed=3, ticks=4)
     disp = run_fleet_ticks(cfg)
     try:
         disp.links[0].fence()
         with pytest.raises(BoardUnreachable):
-            disp.links[0].call("heartbeat")         # the dispatcher bug
+            disp.links[0].call("prr_grants")        # the dispatcher bug
         vs = check_fleet_invariants(disp)
         assert any(v.startswith("F6") for v in vs)
     finally:

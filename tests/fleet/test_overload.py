@@ -23,7 +23,7 @@ from repro.obs.metrics import MetricsRegistry
 class TestOverloadConfig:
     def test_defaults_valid_and_round_trip(self):
         cfg = OverloadConfig()
-        assert OverloadConfig.from_dict(cfg.as_dict()) == cfg
+        assert OverloadConfig(**cfg.as_dict()) == cfg
 
     def test_scaled_surge_changes_only_the_factor(self):
         cfg = OverloadConfig(surge_factor=4.0)

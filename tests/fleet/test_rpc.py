@@ -33,8 +33,8 @@ def make_link(board_id=0):
 
 def test_healthy_call_passes_through_and_counts():
     link, host, m = make_link()
-    assert link.call("heartbeat") == {"op": "heartbeat"}
-    assert host.ops == [("heartbeat", ())]
+    assert link.call("prr_grants") == {"op": "prr_grants"}
+    assert host.ops == [("prr_grants", ())]
     assert m.total("fleet.rpc.calls") == 1
     assert m.total("fleet.rpc.failures") == 0
     assert link.reachable
@@ -65,7 +65,7 @@ def test_hang_heals_and_board_rejoins():
     link.inject(BOARD_HANG, duration_ticks=2)
     assert not link.reachable
     with pytest.raises(BoardUnreachable) as exc:
-        link.call("heartbeat")
+        link.call("prr_grants")
     assert exc.value.reason == "hang"
     # Each failed attempt charges the modelled deadline.
     assert m.total("fleet.rpc.backoff_cycles") >= \
@@ -74,7 +74,7 @@ def test_hang_heals_and_board_rejoins():
     assert link.tick(1) is False
     assert link.tick(2) is True             # healed: rejoin
     assert link.reachable
-    assert link.call("heartbeat") == {"op": "heartbeat"}
+    assert link.call("prr_grants") == {"op": "prr_grants"}
     assert m.total("fleet.boards.hung") == 1
 
 
@@ -83,7 +83,7 @@ def test_partition_is_distinct_from_hang_in_accounting():
     link.tick(0)
     link.inject(BOARD_PARTITION, duration_ticks=1)
     with pytest.raises(BoardUnreachable) as exc:
-        link.call("heartbeat")
+        link.call("prr_grants")
     assert exc.value.reason == "partition"
     assert m.total("fleet.boards.partitioned") == 1
     assert m.total("fleet.boards.hung") == 0
@@ -93,7 +93,7 @@ def test_fenced_link_refuses_and_counts_f6():
     link, host, m = make_link()
     link.fence()
     with pytest.raises(BoardUnreachable) as exc:
-        link.call("heartbeat")
+        link.call("prr_grants")
     assert exc.value.reason == "fenced"
     assert m.total("fleet.fencing_violations") == 1
     assert host.ops == []                   # fencing never touches the host

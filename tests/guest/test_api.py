@@ -200,8 +200,3 @@ def test_fft_compute_software_fallback():
     assert np.allclose(got, fft_golden.fft(x), rtol=1e-3, atol=1e-2)
 
 
-def test_hw_data_flag_reader():
-    os_ = ScriptedOs()
-    gen = api.hw_data_flag(os_)
-    flag, _ = drive(gen, [_expect(SectionRead, (1).to_bytes(4, "little"))])
-    assert flag == 1

@@ -15,7 +15,6 @@ from repro.guest.actions import (
     Delay,
     Finish,
     SemPend,
-    SemPost,
 )
 from repro.guest.exec import GuestExecutor
 from repro.guest.ucos import IDLE_PRIO, TaskState, Ucos
@@ -145,30 +144,6 @@ def test_delay_blocks_until_ticks(os_):
     assert os_.stats.ticks == 3
 
 
-def test_sem_pend_post_between_tasks(os_):
-    sem = os_.create_semaphore("s")
-    log = []
-
-    def consumer(os):
-        got = yield SemPend(sem)
-        log.append(("consumed", got))
-        yield Finish()
-
-    def producer(os):
-        yield Compute(100, 0)
-        yield SemPost(sem)
-        log.append(("posted",))
-        yield Finish()
-
-    os_.create_task("consumer", 5, consumer)     # higher priority
-    os_.create_task("producer", 10, producer)
-    drain(os_, 20)
-    assert ("consumed", True) in log
-    # Preemption: the higher-priority consumer runs at the post, *before*
-    # the producer gets to continue past it.
-    assert log.index(("consumed", True)) < log.index(("posted",))
-
-
 def test_sem_with_initial_count_doesnt_block(os_):
     sem = os_.create_semaphore("s", count=1)
     log = []
@@ -217,7 +192,7 @@ def test_sem_wakes_highest_priority_waiter(os_):
     os_.create_task("lo", 20, mk("lo"))
     os_.create_task("hi", 4, mk("hi"))
     drain(os_, 4)          # both pend
-    os_._sem_post(sem)
+    os_._sem_post_isr(sem)
     drain(os_, 4)
     assert woken == ["hi"]
 

@@ -52,10 +52,7 @@ def test_unfittable_task_rejected(machine):
 def test_prr_table_queries(machine):
     t = PrrTable(machine.prrs, row_base=0x2000)
     t.row(0).client_vm = 1
-    t.row(0).task_name = "fft256"
     t.row(2).client_vm = 1
-    t.row(2).task_name = "qam4"
     t.row(3).client_vm = 2
     assert [r.prr_id for r in t.rows_of_client(1)] == [0, 2]
-    assert [r.prr_id for r in t.rows_hosting("fft256")] == [0]
     assert t.row(1).row_addr == 0x2000 + 64

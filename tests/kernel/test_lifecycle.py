@@ -59,15 +59,6 @@ def test_checkpoint_seq_monotonic_and_store_bounded():
     assert snap.epoch == 0 and snap.vm_id == GUEST_VM
 
 
-def test_periodic_checkpoints_fire_on_policy():
-    machine, kernel, _ = build()
-    kernel.lifecycle.set_policy(GUEST_VM, VmPolicy(
-        action="restart_from_checkpoint", checkpoint_period_cycles=400_000))
-    kernel.run(until_cycles=machine.sim.now + 2_000_000)
-    assert kernel.metrics.total("vm.lifecycle.checkpoints") >= 3
-    assert kernel.lifecycle.latest(GUEST_VM).reason == "periodic"
-
-
 def test_policy_validation():
     with pytest.raises(ValueError):
         VmPolicy(action="reincarnate")

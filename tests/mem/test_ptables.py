@@ -60,12 +60,6 @@ def test_unmap_page(pt, memsys):
     assert not pt.unmap_page(0x9000_0000)        # never mapped
 
 
-def test_unmap_section(pt):
-    pt.map_section(0x4010_0000, 0x0010_0000, ap=AP.FULL, domain=0)
-    assert pt.unmap_section(0x4010_0000)
-    assert not pt.unmap_section(0x4010_0000)
-
-
 def test_remap_page_overwrites(pt, memsys):
     pt.map_page(0x8000_0000, 0x0020_0000, ap=AP.FULL, domain=1)
     pt.map_page(0x8000_0000, 0x0030_0000, ap=AP.PRIV_ONLY, domain=1)

@@ -37,7 +37,7 @@ class TestGauge:
         g = Gauge("g")
         g.set(10)
         g.inc(5)
-        g.dec(2)
+        g.inc(-2)
         assert g.value == 13
 
 
