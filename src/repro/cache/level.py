@@ -7,7 +7,7 @@ writebacks — which is what Table III's trends are made of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..common.params import CacheParams
 

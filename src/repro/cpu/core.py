@@ -46,6 +46,11 @@ class Cpu:
         #: Vector table base (VBAR); kernel installs it at boot.
         self.vbar = 0
         self._mode_stack: list[tuple[Mode, bool]] = []
+        #: Advance the clock; the kernel's accountant attributes the
+        #: cycles to a context (:mod:`repro.obs.accounting`).
+        self._charge = sim.clock.advance
+        #: Block size -> (I-lines, issue cycles), for :meth:`code`.
+        self._code_costs: dict[int, tuple[int, int]] = {}
 
     # -- privilege ----------------------------------------------------------
 
@@ -53,14 +58,6 @@ class Cpu:
         self.mode = mode
         self.privileged = mode.privileged
         self.regs.mode = mode
-
-    # -- timing -------------------------------------------------------------
-
-    def _charge(self, cycles: int) -> None:
-        """Advance the clock; the kernel's accountant attributes the cycles
-        to a context (:mod:`repro.obs.accounting`)."""
-        if cycles:
-            self.sim.clock.advance(cycles)
 
     # -- timed execution helpers ---------------------------------------------
 
@@ -79,10 +76,15 @@ class Cpu:
         *sequential* lines are prefetch-covered, so long straight-line
         routines don't pay a full miss per 8 instructions.
         """
-        lines = max(1, (n_instr + _INSTR_PER_LINE - 1) // _INSTR_PER_LINE)
-        cyc = self.mem.fetch_run(va, lines, privileged=self.privileged,
-                                 covered=self._PREFETCH_COVERED)
-        self._charge(cyc + self.timing.instr_cycles(n_instr))
+        cost = self._code_costs.get(n_instr)
+        if cost is None:
+            cost = self._code_costs[n_instr] = (
+                max(1, (n_instr + _INSTR_PER_LINE - 1) // _INSTR_PER_LINE),
+                self.timing.instr_cycles(n_instr))
+        lines, issue = cost
+        self._charge(self.mem.fetch_run(va, lines, privileged=self.privileged,
+                                        covered=self._PREFETCH_COVERED)
+                     + issue)
 
     def load(self, va: int) -> None:
         """Timed load (timing only)."""
@@ -91,6 +93,18 @@ class Cpu:
     def store(self, va: int) -> None:
         """Timed store (timing only)."""
         self._charge(self.mem.touch(va, write=True, privileged=self.privileged))
+
+    def load_words(self, va: int, n: int) -> None:
+        """Timed loads of the ``n`` consecutive words from ``va``: the
+        same as ``n`` calls of :meth:`load`."""
+        self.mem.touch_words(va, n, write=False, privileged=self.privileged,
+                             charge=self._charge)
+
+    def store_words(self, va: int, n: int) -> None:
+        """Timed stores to the ``n`` consecutive words from ``va``: the
+        same as ``n`` calls of :meth:`store`."""
+        self.mem.touch_words(va, n, write=True, privileged=self.privileged,
+                             charge=self._charge)
 
     def stream_range(self, base: int, size: int, *, write: bool = False) -> None:
         """Streaming access to an *uncached* buffer (e.g. a DMA staging

@@ -8,7 +8,7 @@ handy in notebooks/tests.
 
 from __future__ import annotations
 
-from ..common.units import cycles_to_ms, cycles_to_us
+from ..common.units import cycles_to_ms
 from ..hwmgr.alloc import ALLOC_OUTCOMES, RECLAIM_REASONS
 from .measures import extract_overheads
 from .scenarios import NativeScenario, VirtScenario

@@ -8,7 +8,7 @@ OS image and manager logic directly on the machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..guest.ports.native import NativeSystem
 from ..guest.ports.paravirt import ParavirtUcos

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .measures import OverheadSamples, extract_overheads
+from .measures import extract_overheads
 from .scenarios import build_native, build_virtualized
 
 #: Paper Table III (µs).

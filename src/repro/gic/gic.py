@@ -103,6 +103,9 @@ class Gic:
     def _best_pending(self) -> int | None:
         if not (self.dist_on and self.cpu_iface_on):
             return None
+        # Most calls follow an ACK or an EOI with nothing left pending.
+        if True not in self.pending:
+            return None
         best: int | None = None
         for i in range(self.n_irqs):
             if self.pending[i] and self.enabled[i] \

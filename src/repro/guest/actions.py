@@ -9,7 +9,7 @@ diverge (direct operation vs. hypercall / trap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

@@ -16,7 +16,7 @@ from itertools import count
 from ...common.errors import DeviceError, GuestPanic
 from ...fpga.controller import CTL_STRIDE
 from ...gic import gic as gicdev
-from ...gic.irqs import IRQ_PCAP_DONE, IRQ_PRIVATE_TIMER, SPURIOUS_IRQ, pl_line
+from ...gic.irqs import IRQ_PCAP_DONE, IRQ_PRIVATE_TIMER, SPURIOUS_IRQ
 from ...kernel import layout as KL
 from ...kernel.hypercalls import Hc, HcStatus
 from ...machine import GIC_BASE, Machine

@@ -10,7 +10,7 @@ paper isolates the porting code in a patch package.
 from __future__ import annotations
 
 from ...common.errors import GuestPanic
-from ...kernel.exits import ExitFault, ExitHypercall, ExitIdle, ExitShutdown
+from ...kernel.exits import ExitFault, ExitHypercall, ExitShutdown
 from ...kernel.hypercalls import Hc
 from .. import layout_guest as GL
 from ..costs import CODE_API, CODE_HC_WRAPPER, UCOS_COSTS as UC

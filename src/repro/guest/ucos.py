@@ -41,7 +41,6 @@ from .costs import (
     CODE_API,
     CODE_CTXSW,
     CODE_FAULT,
-    CODE_IDLE,
     CODE_ISR,
     CODE_SCHED,
     CODE_SEM,
@@ -200,8 +199,8 @@ class Ucos:
                     tcb.state = TaskState.READY
             elif tcb.state is TaskState.PENDING and tcb.delay > 0:
                 tcb.delay -= 1
-                if tcb.delay <= 0:       # semaphore timeout
-                    self._sem_unwait(tcb, timeout=True)
+                if tcb.delay <= 0:
+                    self._sem_timeout(tcb)
 
     # -- semaphore internals ------------------------------------------------------
 
@@ -218,13 +217,15 @@ class Ucos:
         else:
             sem.count += 1
 
-    def _sem_unwait(self, tcb: Tcb, *, timeout: bool) -> None:
+    def _sem_timeout(self, tcb: Tcb) -> None:
+        """A pend's timeout ran out: the task leaves the semaphore's
+        waiters and its pend returns False."""
         sem = tcb.pending_sem
         if sem is not None and tcb in sem.waiters:
             sem.waiters.remove(tcb)
         tcb.pending_sem = None
         tcb.state = TaskState.READY
-        tcb.inbox = not timeout
+        tcb.inbox = False
         tcb.has_inbox = True
 
     # -- the dispatcher ------------------------------------------------------------

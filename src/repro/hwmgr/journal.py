@@ -19,7 +19,7 @@ stay cycle-identical to the pre-journal codebase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Byte offset of the journal inside the manager data area.
 JOURNAL_OFF = 0x5000

@@ -12,7 +12,7 @@ VM count to this bookkeeping getting colder).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..common.errors import DeviceError
 from ..fpga.bitstream import Bitstream, BitstreamStore

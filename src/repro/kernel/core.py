@@ -14,12 +14,11 @@ produced, not scripted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable
 
 from ..common.errors import (
-    ArchFault,
     DeviceError,
     GuestPanic,
     HypercallError,
@@ -408,15 +407,14 @@ class MiniNova:
         if prev is not None:
             # Active save: user registers + virtual state into the save area.
             prev.vcpu.save_user_regs(cpu.regs)
-            for w in range(Vcpu.ACTIVE_CONTEXT_WORDS):
-                cpu.store(L.kva(prev.vcpu.save_area + 4 * w))
+            cpu.store_words(L.kva(prev.vcpu.save_area),
+                            Vcpu.ACTIVE_CONTEXT_WORDS)
             self._gic_mask_set(prev, enable=False)
 
         # Unmask the successor's enabled IRQs, restore its context.
         self._gic_mask_set(to, enable=True)
         to.vcpu.restore_user_regs(cpu.regs)
-        for w in range(Vcpu.ACTIVE_CONTEXT_WORDS):
-            cpu.load(L.kva(to.vcpu.save_area + 4 * w))
+        cpu.load_words(L.kva(to.vcpu.save_area), Vcpu.ACTIVE_CONTEXT_WORDS)
 
         # TTBR/ASID/DACR reload (the cheap switch Section III-C argues for).
         sysregs = cpu.sysregs
@@ -437,11 +435,10 @@ class MiniNova:
         else:
             if prev is not None and cpu.vfp.owner == prev.vm_id:
                 cpu.vfp.save_bank()
-                for w in range(VFP_CONTEXT_WORDS):
-                    cpu.store(L.kva(prev.vcpu.save_area + 0x100 + 4 * w))
+                cpu.store_words(L.kva(prev.vcpu.save_area + 0x100),
+                                VFP_CONTEXT_WORDS)
             cpu.vfp.restore_bank(to.vm_id)
-            for w in range(VFP_CONTEXT_WORDS):
-                cpu.load(L.kva(to.vcpu.save_area + 0x100 + 4 * w))
+            cpu.load_words(L.kva(to.vcpu.save_area + 0x100), VFP_CONTEXT_WORDS)
             cpu.vfp.enable()
 
         self._program_timer(to)
@@ -810,12 +807,12 @@ class MiniNova:
             old = self.domains.get(old_owner)
             if old is not None:
                 cpu.vfp.save_bank()
-                for w in range(VFP_CONTEXT_WORDS):
-                    cpu.store(L.kva(old.vcpu.save_area + 0x100 + 4 * w))
+                cpu.store_words(L.kva(old.vcpu.save_area + 0x100),
+                                VFP_CONTEXT_WORDS)
         if cpu.vfp.owner != pd.vm_id:
             cpu.vfp.restore_bank(pd.vm_id)
-            for w in range(VFP_CONTEXT_WORDS):
-                cpu.load(L.kva(pd.vcpu.save_area + 0x100 + 4 * w))
+            cpu.load_words(L.kva(pd.vcpu.save_area + 0x100),
+                           VFP_CONTEXT_WORDS)
         cpu.vfp.enable()
         pd.vcpu.used_vfp = True
         self.metrics.counter("kernel.vfp_lazy_switches").inc()
@@ -870,8 +867,8 @@ class MiniNova:
                              hc=int(num), rid=rid)
         cpu.take_exception("svc")
         cpu.code(syms.svc_entry, C.svc_entry_stub)
-        for w in range(4):                     # spill r0-r3 into the PD frame
-            cpu.store(L.kva(pd.kobj_addr + 0x20 + 4 * w))
+        # Spill r0-r3 into the PD frame.
+        cpu.store_words(L.kva(pd.kobj_addr + 0x20), 4)
         cpu.code(syms.hypercall_dispatch, C.hypercall_dispatch)
         cpu.load(L.kva(pd.kobj_addr))    # PD capability/portal lookup
         cpu.code(syms.handler(int(num)), 8)    # handler prologue fetch
@@ -1163,8 +1160,7 @@ class MiniNova:
                              task_id=a[0] if a else 0)
         # Copy the request into the manager's mailbox (its data area).
         mbox = self.manager_pd.phys_base + L.MANAGER_DATA_VA
-        for w in range(6):
-            cpu.store(L.kva(mbox + 4 * w))
+        cpu.store_words(L.kva(mbox), 6)
         self.manager_queue.append(req)
         cpu.code(self.syms.hwreq_glue + 0x100, C.hwreq_wakeup_manager)
         self.sched.resume(self.manager_pd,

@@ -8,7 +8,7 @@ these exit reasons, mirroring the trap classes of Section III.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Protocol
 
 from ..common.errors import ArchFault

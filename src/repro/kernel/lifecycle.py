@@ -45,7 +45,7 @@ cycle-identical to a kernel without this module.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -235,8 +235,8 @@ class VmLifecycle:
             # area, one record-list store per vIRQ entry, then a
             # descriptor-driven copy of the guest chunk (per-page setup).
             cpu.code(k.syms.vm_switch, C.vm_switch_fixed)
-            for w in range(Vcpu.ACTIVE_CONTEXT_WORDS):
-                cpu.store(L.kva(pd.vcpu.save_area + 4 * w))
+            cpu.store_words(L.kva(pd.vcpu.save_area),
+                            Vcpu.ACTIVE_CONTEXT_WORDS)
             for irq_id in pd.vgic.all_irqs():
                 cpu.store(L.kva(pd.kobj_addr + 0x100 + 4 * irq_id))
             cpu.instr(max(1, pd.phys_size // 4096))
@@ -444,8 +444,7 @@ class VmLifecycle:
         cpu.instr(max(1, len(ckpt.memory_image) // PAGE_SIZE))
         # Active context: registers, vregs, timer, privilege view.
         pd.vcpu.restore(ckpt.vcpu)
-        for w in range(Vcpu.ACTIVE_CONTEXT_WORDS):
-            cpu.load(L.kva(pd.vcpu.save_area + 4 * w))
+        cpu.load_words(L.kva(pd.vcpu.save_area), Vcpu.ACTIVE_CONTEXT_WORDS)
         # vGIC record list; pending vIRQs replay or drop by class.
         pd.vgic.irq_entry_va = ckpt.vgic["irq_entry_va"]
         for irq_id, enabled, _pending, guest_word in ckpt.vgic["records"]:

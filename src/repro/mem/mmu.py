@@ -23,6 +23,8 @@ walks afresh, and that drop is the only one.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..cache.hierarchy import AccessKind, CacheHierarchy
 from ..common.errors import DataAbort, PrefetchAbort
 from ..common.params import TlbParams
@@ -57,11 +59,11 @@ class Mmu:
         #: MemorySystem).  Off = every walk re-reads and re-decodes its
         #: descriptors.
         self.fastpath = True
-        #: Walk memo: (ttbr, vpn) -> (l1_addr, l2_addr|None, pfn, ap,
-        #: domain, global_, made), where ``made`` is the DRAM write epoch
-        #: the descriptors were read at.  Valid while neither descriptor
-        #: page is stamped after ``made``.  Successful walks only; faults
-        #: always re-walk.
+        #: Walk memo: (ttbr, vpn) -> (l1_addr, l2_addr|None, entry, made),
+        #: where ``entry`` is the last TlbEntry the walk returned and
+        #: ``made`` the DRAM write epoch the descriptors were read at.
+        #: Valid while neither descriptor page is stamped after ``made``.
+        #: Successful walks only; faults always re-walk.
         self._walk_memo: dict[tuple[int, int], tuple] = {}
         self._m_walk_hits = metrics.counter("sim.fastpath.walk_cache_hits")
         self._m_walk_invals = metrics.counter(
@@ -189,7 +191,7 @@ class Mmu:
             key = (self.ttbr, vpn)
             hit = self._walk_memo.get(key)
             if hit is not None:
-                l1_addr, l2_addr, pfn, ap, domain, global_, made = hit
+                l1_addr, l2_addr, entry, made = hit
                 stamp = dram.page_epoch
                 if stamp(l1_addr) <= made and (
                         l2_addr is None or stamp(l2_addr) <= made):
@@ -201,8 +203,14 @@ class Mmu:
                     if l2_addr is not None:
                         cycles += self.caches.access(l2_addr,
                                                      kind=AccessKind.WALK)
-                    return TlbEntry(vpn=vpn, pfn=pfn, asid=self.asid, ap=ap,
-                                    domain=domain, global_=global_), cycles
+                    # Entries are frozen, so the TLB may share this one.
+                    # Another ASID under the same TTBR gets its own (a
+                    # global entry too: the TLB keeps its ``asid``).
+                    if entry.asid != self.asid:
+                        entry = replace(entry, asid=self.asid)
+                        self._walk_memo[key] = (l1_addr, l2_addr, entry,
+                                                made)
+                    return entry, cycles
                 # A descriptor page was written since: walk it afresh.
                 del self._walk_memo[key]
                 self._m_walk_invals.inc()
@@ -218,13 +226,14 @@ class Mmu:
             self._fault(vaddr, "translation fault (L1)", fetch=fetch,
                         write=write, cycles=cycles)
         if l1.kind == L1Type.SECTION:
-            pfn = (l1.base >> 12) + ((vaddr >> 12) & 0xFF)
+            entry = TlbEntry(vpn=vpn,
+                             pfn=(l1.base >> 12) + ((vaddr >> 12) & 0xFF),
+                             asid=self.asid, ap=l1.ap, domain=l1.domain,
+                             global_=not l1.ng)
             if use_memo:
-                self._walk_memo[key] = (l1_addr, None, pfn, l1.ap, l1.domain,
-                                        not l1.ng, dram.write_epoch)
-            return TlbEntry(vpn=vpn, pfn=pfn, asid=self.asid,
-                            ap=l1.ap, domain=l1.domain,
-                            global_=not l1.ng), cycles
+                self._walk_memo[key] = (l1_addr, None, entry,
+                                        dram.write_epoch)
+            return entry, cycles
 
         l2_addr = l1.base + l2_index(vaddr) * 4
         if timed:
@@ -233,12 +242,12 @@ class Mmu:
         if not l2.valid:
             self._fault(vaddr, "translation fault (L2)", fetch=fetch,
                         write=write, cycles=cycles)
+        entry = TlbEntry(vpn=vpn, pfn=l2.base >> 12, asid=self.asid,
+                         ap=l2.ap, domain=l1.domain, global_=not l2.ng)
         if use_memo:
-            self._walk_memo[key] = (l1_addr, l2_addr, l2.base >> 12, l2.ap,
-                                    l1.domain, not l2.ng, dram.write_epoch)
-        return TlbEntry(vpn=vpn, pfn=l2.base >> 12, asid=self.asid,
-                        ap=l2.ap, domain=l1.domain,
-                        global_=not l2.ng), cycles
+            self._walk_memo[key] = (l1_addr, l2_addr, entry,
+                                    dram.write_epoch)
+        return entry, cycles
 
     def _check(self, vaddr: int, entry: TlbEntry, *, privileged: bool,
                write: bool, fetch: bool, cycles: int) -> None:

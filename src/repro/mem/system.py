@@ -2,11 +2,13 @@
 
 Two access styles:
 
-* **trace** accesses (`touch`, `fetch_run`, `read32`, `write32`): every
-  kernel-path load/store/fetch goes through TLB, walker and caches
-  individually — this is what makes the Table III entry/exit costs
-  emerge from cache state.  `fetch_run` takes a code block's I-lines a
-  page at a time, with the same effect as one `touch` per line.
+* **trace** accesses (`touch`, `fetch_run`, `touch_words`, `read32`,
+  `write32`): every kernel-path load/store/fetch goes through TLB,
+  walker and caches individually — this is what makes the Table III
+  entry/exit costs emerge from cache state.  `fetch_run` takes a code
+  block's I-lines a page at a time, with the same effect as one `touch`
+  per line, and `touch_words` a run of words a cache line at a time,
+  with the same effect as one `touch` per word.
 * **bulk** accesses (`sample_block`): guest workloads execute millions of
   instructions; we push a 1/N sample of their memory stream through the
   real cache/TLB models (polluting them realistically) and extrapolate the
@@ -16,6 +18,7 @@ Two access styles:
 from __future__ import annotations
 
 import operator
+from typing import Callable
 
 import numpy as np
 
@@ -56,8 +59,10 @@ class MemorySystem:
         self.mmu.fastpath = params.fastpath
         # Cycles charged through the batched bulk path (fast path only).
         self._m_batched = metrics.counter("sim.fastpath.batched_cycles")
-        # fetch_run's static references, per prefetch-cover value.
+        # fetch_run's static references, per prefetch-cover value, and its
+        # plans, per (physical address of a run's first line, line count).
         self._fetch_bindings: dict[int, tuple] = {}
+        self._fetch_plans: dict[tuple[int, int], tuple] = {}
 
     # -- trace-accurate accesses -------------------------------------------
 
@@ -149,16 +154,19 @@ class MemorySystem:
         ``covered`` (``Cpu.code``'s prefetch model).  The reference is one
         ``touch`` per line, which runs with the fast path or the MMU off
         and on any page that an MMIO window overlaps
-        (``Bus.device_pages``).  Otherwise only a page's first line goes
-        through ``touch`` (TLB miss, walk, prefetch abort), and the page's
-        other lines, which would hit the TLB entry that ``touch`` left
-        MRU, walk L1I and L2 inline with batched stats
-        (docs/PERFORMANCE.md §2).
+        (``Bus.device_pages``).  Otherwise a page's first line goes
+        through ``touch`` (TLB miss, a hit behind the front, walk,
+        prefetch abort) unless the page's TLB entry is already the front
+        of its set and permits the fetch; then it is a one-line run of its
+        own.  The page's other lines walk L1I and L2 inline against that
+        entry, from a cached plan of their sets and tags, with batched
+        stats (docs/PERFORMANCE.md §2).
         """
         touch = self.touch
         step = self.params.l1i.line
         end = vaddr + lines * step
-        if not (self.fastpath and self.mmu.enabled):
+        mmu = self.mmu
+        if not (self.fastpath and mmu.enabled):
             cyc = touch(vaddr, privileged=privileged, fetch=True)
             for va in range(vaddr + step, end, step):
                 cyc += min(touch(va, privileged=privileged, fetch=True),
@@ -168,106 +176,195 @@ class MemorySystem:
         if binding is None:
             binding = self._fetch_bindings[covered] = \
                 self._bind_fetch(covered)
-        (caches, tlb, tlb_sets, tlb_nsets, device_pages, l1, l1_tags,
-         l1_nsets, l1_ways, l1_shift, l2, l2_tags, l2_dirty, l2_nsets,
-         l2_ways, l2_shift, c_hit, c_l2, c_dram, c_wb) = binding
-        h1 = ev1 = h2 = m2 = ev2 = wb2 = 0
-        cyc = touch(vaddr, privileged=privileged, fetch=True)
-        va = vaddr                    # the line ``touch`` just fetched
+        (caches, tlb, tlb_sets, tlb_nsets, device_pages, l1, l1_ways, l2,
+         l2_dirty, l2_ways, plans, full, capped) = binding
+        allow = mmu._allow[(privileged, False)]
+        asid = mmu.asid
+        costs = full                  # the block's first line is uncapped
+        cyc = inline = free1 = h2 = m2 = free2 = wb2 = 0
+        va = vaddr
+        page_end = va                 # no page started
         try:
-            while True:
-                # The rest of va's page, against the entry ``touch`` left
-                # at the front of its TLB set.
-                page_end = min(end, (va | 0xFFF) + 1)
-                va += step
+            while va < end:
                 if va < page_end:
-                    pfn = tlb_sets[(va >> 12) % tlb_nsets][0].pfn
-                    if pfn in device_pages:
-                        while va < page_end:
-                            cyc += min(touch(va, privileged=privileged,
-                                             fetch=True), covered)
-                            va += step
-                    else:
-                        n = (page_end - va + step - 1) // step
-                        p0 = pfn << 12 | (va & 0xFFF)
-                        va += n * step
-                        for paddr in range(p0, p0 + n * step, step):
-                            # L1I lines are never dirty: fetches never
-                            # write, so an L1I victim needs no writeback.
-                            tag = paddr >> l1_shift
-                            s1 = l1_tags[tag % l1_nsets]
-                            if tag in s1:
-                                h1 += 1
-                                if s1[0] != tag:
-                                    s1.remove(tag)
-                                    s1.insert(0, tag)
-                                continue
-                            if len(s1) >= l1_ways:
-                                s1.pop()
-                                ev1 += 1
+                    # The rest of the page, against the entry at the front.
+                    n = (page_end - va + step - 1) // step
+                else:
+                    # A page's first line, a run of its own: the block's
+                    # first line alone pays its full latency.
+                    page_end = min(end, (va | 0xFFF) + 1)
+                    vpn = va >> 12
+                    entries = tlb_sets[vpn % tlb_nsets]
+                    e = entries[0] if entries else None
+                    if not (e is not None and e.vpn == vpn
+                            and (e.global_ or e.asid == asid)
+                            and e.pfn not in device_pages
+                            and allow[e.perm]):
+                        c = touch(va, privileged=privileged, fetch=True)
+                        cyc += c if costs is full else min(c, covered)
+                        costs = capped
+                        va += step
+                        # ``touch`` left the page's entry at the front.
+                        e = entries[0]
+                        if e.pfn in device_pages:
+                            while va < page_end:
+                                cyc += min(touch(va, privileged=privileged,
+                                                 fetch=True), covered)
+                                va += step
+                        continue
+                    # ``touch`` would book one TLB hit and move nothing.
+                    n = 1
+                k_hit, k_l2, k_miss, k_wb = costs
+                costs = capped
+                p0 = e.pfn << 12 | (va & 0xFFF)
+                plan = plans.get((p0, n))
+                if plan is None:
+                    plan = plans[p0, n] = self._fetch_plan(p0, n)
+                inline += n
+                va += n * step
+                cyc += n * k_hit
+                for s1, tag, s2, tag2 in plan:
+                    if tag in s1:
+                        if s1[0] != tag:
+                            s1.remove(tag)
                             s1.insert(0, tag)
-                            tag2 = paddr >> l2_shift
-                            s2 = l2_tags[tag2 % l2_nsets]
-                            if tag2 in s2:
-                                h2 += 1
-                                if s2[0] != tag2:
-                                    s2.remove(tag2)
-                                    s2.insert(0, tag2)
-                                continue
-                            m2 += 1
-                            if len(s2) >= l2_ways:
-                                v2 = s2.pop()
-                                ev2 += 1
-                                if v2 in l2_dirty:
-                                    l2_dirty.discard(v2)
-                                    wb2 += 1
+                        continue
+                    # L1I lines are never dirty: fetches never write, so
+                    # an L1I victim needs no writeback.
+                    if len(s1) < l1_ways:
+                        free1 += 1
+                    else:
+                        s1.pop()
+                    s1.insert(0, tag)
+                    if tag2 in s2:
+                        h2 += 1
+                        cyc += k_l2
+                        if s2[0] != tag2:
+                            s2.remove(tag2)
                             s2.insert(0, tag2)
-                if va >= end:
-                    break
-                # The first line on the next page.
-                cyc += min(touch(va, privileged=privileged, fetch=True),
-                           covered)
+                        continue
+                    m2 += 1
+                    cyc += k_miss
+                    if len(s2) < l2_ways:
+                        free2 += 1
+                    else:
+                        v2 = s2.pop()
+                        if v2 in l2_dirty:
+                            l2_dirty.discard(v2)
+                            wb2 += 1
+                            cyc += k_wb
+                    s2.insert(0, tag2)
         finally:
             # Flush the batched deltas even when a later page's fault
             # unwinds the run, as the per-line loop would have left them.
-            # Every inline line is one TLB hit and one L1I access.
+            # Every inline line is one TLB hit and one L1I access, every
+            # L1I miss one L2 access, and every allocation into a full set
+            # evicts.
             m1 = h2 + m2
-            tlb.stats.hits += h1 + m1
+            tlb.stats.hits += inline
             s = l1.stats
-            s.hits += h1
-            s.misses += m1
-            s.evictions += ev1
-            l1._resident += m1 - ev1
-            s = l2.stats
-            s.hits += h2
-            s.misses += m2
-            s.evictions += ev2
-            s.writebacks += wb2
-            l2._resident += m2 - ev2
-            caches.dram_accesses += m2
-        return (cyc + h1 * c_hit + h2 * c_l2 + (m2 - wb2) * c_dram
-                + wb2 * c_wb)
+            s.hits += inline - m1
+            if m1:
+                s.misses += m1
+                s.evictions += m1 - free1
+                l1._resident += free1
+                s = l2.stats
+                s.hits += h2
+                s.misses += m2
+                s.evictions += m2 - free2
+                s.writebacks += wb2
+                l2._resident += free2
+                caches.dram_accesses += m2
+        return cyc
 
     def _bind_fetch(self, covered: int) -> tuple:
         """What ``fetch_run`` reads besides the access state itself: the
-        caches, the TLB, L1I and L2 objects and their set lists, which are
-        never rebound, their geometry, the device-page set, and what each
-        inline line costs once the prefetch cover applies: an L1I hit, an
-        L2 hit, an L2 miss, and one that writes a victim back."""
+        caches, the TLB, L1I and L2 objects, the TLB's set lists, which are
+        never rebound, the geometry, the device-page set, the plans, and
+        what an inline line costs, in full and once the prefetch cover
+        applies.  A cost is an L1I hit's latency, what an L2 hit and an
+        L2 miss add to it, and what a dirty L2 victim adds to the miss."""
         tlb = self.mmu.tlb
         caches = self.caches
         l1, l2 = caches.l1i, caches.l2
-        lat = caches._lat_l1
-        c_hit = min(lat, covered)
-        lat += caches._lat_l2
-        c_l2 = min(lat, covered)
-        lat += caches._lat_dram
-        c_dram = min(lat, covered)
-        c_wb = min(lat + caches._lat_dram // 4, covered)
+        hit = caches._lat_l1
+        l2_hit = hit + caches._lat_l2
+        miss = l2_hit + caches._lat_dram
+        wb = miss + caches._lat_dram // 4
+
+        def costs(hit, l2_hit, miss, wb):
+            return (hit, l2_hit - hit, miss - hit, wb - miss)
+        full = costs(hit, l2_hit, miss, wb)
+        capped = costs(*(min(c, covered) for c in (hit, l2_hit, miss, wb)))
         return (caches, tlb, tlb._sets, tlb._nsets, self.bus.device_pages,
-                l1, l1._tags, l1._sets, l1._ways, l1._offset_bits,
-                l2, l2._tags, l2._dirty, l2._sets, l2._ways, l2._offset_bits,
-                c_hit, c_l2, c_dram, c_wb)
+                l1, l1._ways, l2, l2._dirty, l2._ways, self._fetch_plans,
+                full, capped)
+
+    def _fetch_plan(self, paddr: int, n: int) -> tuple:
+        """The fetch plan of ``n`` I-lines from ``paddr``: each line's L1I
+        set list and tag and its L2 set list and tag.  These are pure
+        functions of the address and the geometry, and set lists are only
+        ever mutated in place, so a plan never goes stale."""
+        l1, l2 = self.caches.l1i, self.caches.l2
+        l1_tags, l1_sets, l1_shift = l1._tags, l1._sets, l1._offset_bits
+        l2_tags, l2_sets, l2_shift = l2._tags, l2._sets, l2._offset_bits
+        plan = []
+        for p in range(paddr, paddr + n * self.params.l1i.line,
+                       self.params.l1i.line):
+            tag, tag2 = p >> l1_shift, p >> l2_shift
+            plan.append((l1_tags[tag % l1_sets], tag,
+                         l2_tags[tag2 % l2_sets], tag2))
+        return tuple(plan)
+
+    def touch_words(self, vaddr: int, n: int, *, write: bool,
+                    privileged: bool, charge: Callable[[int], object]
+                    ) -> None:
+        """Access the ``n`` consecutive words from ``vaddr`` (timing only),
+        passing their cycles to ``charge``: the state and the charged
+        cycles of ``n`` ``touch`` calls whose cycles are each charged.
+
+        With the fast path and the MMU on, the first word of each L1D line
+        goes through ``touch``.  That leaves the page's TLB entry at the
+        front of its set and the line at the front of its L1D set, with
+        its dirty bit set on a write, so each further word on the line is
+        one TLB hit and one L1D hit at ``lat_l1`` that moves nothing; they
+        are booked in one step.  Lines on a page that an MMIO window
+        overlaps, and every word with the fast path or the MMU off, take
+        one ``touch`` each.  A fault charges the words before it, not the
+        faulting one, as the per-word loop would (docs/PERFORMANCE.md §2).
+        """
+        touch = self.touch
+        end = vaddr + 4 * n
+        cyc = booked = 0
+        try:
+            if not (self.fastpath and self.mmu.enabled):
+                for va in range(vaddr, end, 4):
+                    cyc += touch(va, write=write, privileged=privileged)
+                return
+            last = self.params.l1d.line - 1
+            tlb_sets, tlb_nsets = self.mmu.tlb._sets, self.mmu.tlb._nsets
+            device_pages = self.bus.device_pages
+            va = vaddr
+            while va < end:
+                cyc += touch(va, write=write, privileged=privileged)
+                line_end = min(end, (va | last) + 1)
+                va += 4
+                if va >= line_end:
+                    continue
+                if tlb_sets[(va >> 12) % tlb_nsets][0].pfn in device_pages:
+                    while va < line_end:
+                        cyc += touch(va, write=write, privileged=privileged)
+                        va += 4
+                else:
+                    k = (line_end - va + 3) // 4
+                    booked += k
+                    va += 4 * k
+        finally:
+            if booked:
+                self.mmu.tlb.stats.hits += booked
+                self.caches.l1d.stats.hits += booked
+                cyc += booked * self.caches._lat_l1
+            charge(cyc)
 
     def read32(self, vaddr: int, *, privileged: bool) -> tuple[int, int]:
         """Functional timed read; returns (value, cycles)."""

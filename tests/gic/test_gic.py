@@ -1,6 +1,7 @@
 """GIC distributor + CPU interface behaviour."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import DeviceError
 from repro.gic import gic as G
@@ -132,3 +133,55 @@ def test_pl_irq_mapping_roundtrip():
     assert pl_line(40) is None
     with pytest.raises(ValueError):
         pl_irq(16)
+
+
+class _FullScanGic(Gic):
+    """The reference: ``_best_pending`` scans every ID, pending or not."""
+
+    def _best_pending(self):
+        if not (self.dist_on and self.cpu_iface_on):
+            return None
+        best = None
+        for i in range(self.n_irqs):
+            if self.pending[i] and self.enabled[i] \
+                    and self.priority[i] < self.priority_mask:
+                if best is None or self.priority[i] < self.priority[best]:
+                    best = i
+        return best
+
+
+_IDS = st.sampled_from([0, 5, 29, 40, 41, 63, 64, 95])
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("assert"), _IDS),
+    st.tuples(st.just("enable"), _IDS, st.booleans()),
+    st.tuples(st.just("priority"), _IDS, st.sampled_from([0x10, 0x80, 0xF0])),
+    st.tuples(st.just("mask"), st.sampled_from([0x00, 0x20, 0x90, 0xFF])),
+    st.tuples(st.just("ack")),
+    st.tuples(st.just("eoi"), _IDS)), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPS)
+def test_empty_pending_shortcut_matches_the_full_scan(ops):
+    """Mixed assert, enable, priority, priority-mask, ACK and EOI
+    sequences, with IDs left pending while disabled or masked by
+    priority: the same line levels and ACK order as the full scan."""
+    seen = []
+    for gic in (Gic(), _FullScanGic()):
+        levels, acks = [], []
+        gic.irq_line_cb = levels.append
+        for op in ops:
+            if op[0] == "assert":
+                gic.assert_irq(op[1])
+            elif op[0] == "enable":
+                gic.set_enable(op[1], op[2])
+            elif op[0] == "priority":
+                gic.set_priority(op[1], op[2])
+            elif op[0] == "mask":
+                gic.mmio_write(G.ICCPMR, op[1])
+            elif op[0] == "ack":
+                acks.append(gic.ack())
+            else:
+                gic.eoi(op[1])
+        seen.append((levels, acks, list(gic.pending), list(gic.active)))
+    assert seen[0] == seen[1]

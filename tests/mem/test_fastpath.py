@@ -1,8 +1,9 @@
 """Fast-path equivalence: fastpath on/off must be cycle-for-cycle identical.
 
 docs/PERFORMANCE.md §5 is the contract these tests pin: the fused bulk
-loop, the fused touch path, the fetch run, the closed-form idle spin and
-the walk memo are pure reformulations of the cost model.  Every simulated-cycle quantity —
+loop, the fused touch path, the fetch run and its plans, word runs, the
+closed-form idle spin and the walk memo are pure reformulations of the
+cost model.  Every simulated-cycle quantity —
 the clock, stats, accounting, fault-schedule results, bench series — must
 not move when ``PlatformParams.fastpath`` is flipped.  Plus unit tests for the
 walk memo's validity rule (TTBR and DACR writes keep it, a write to an
@@ -301,10 +302,10 @@ def _kernel_space_cpu(params):
     return cpu
 
 
-def _fetch_state(cpu):
-    """Everything a code block can change: the clock, the TLB, L1I and
-    L2 stats, tags, occupancy and dirty lines, the DRAM access count and
-    the walk count."""
+def _trace_state(cpu):
+    """Everything a code block or a word run can change: the clock, the
+    TLB, L1I, L1D and L2 stats, tags, occupancy and dirty lines, the DRAM
+    access count and the walk count."""
     mem = cpu.mem
     caches, tlb = mem.caches, mem.mmu.tlb
     return {
@@ -314,7 +315,8 @@ def _fetch_state(cpu):
         **{name: (vars(level.stats.snapshot()), level._resident,
                   [list(t) for t in level._tags],
                   set(level._dirty))
-           for name, level in (("l1i", caches.l1i), ("l2", caches.l2))},
+           for name, level in (("l1i", caches.l1i), ("l1d", caches.l1d),
+                               ("l2", caches.l2))},
         "dram_accesses": caches.dram_accesses,
         "walks": mem.mmu.walks,
     }
@@ -331,7 +333,7 @@ class TestFetchRunEquivalence:
         for params in (DEFAULT_PARAMS, SLOW_PARAMS):
             cpu = _kernel_space_cpu(params)
             script(cpu)
-            out.append(_fetch_state(cpu))
+            out.append(_trace_state(cpu))
         return out
 
     @pytest.mark.parametrize("offset, n_instr", [
@@ -419,24 +421,156 @@ class TestFetchRunEquivalence:
         assert fast == slow
         assert fast["l1i"][0]["hits"] and not fast["tlb"][0]["hits"]
 
+    def test_plans_reused_after_flushes(self):
+        """A plan holds set lists, not their contents: reused after every
+        level is cleaned and invalidated, and after half the L2 sets are
+        dropped, it walks the emptied sets."""
+        import numpy as np
+        from repro.kernel import layout as L
+
+        va = L.KERNEL_BASE + 0x840
+        plans = []
+
+        def script(cpu):
+            mem = cpu.mem
+            cpu.code(va, 400)                       # a TLB miss
+            cpu.code(va, 400)                       # the front entry
+            built = dict(mem._fetch_plans)
+            cpu.sim.clock.advance(mem.caches.flush_all())
+            cpu.code(va, 400)
+            mem.caches.l2.clear_random_sets(0.5, np.random.default_rng(3))
+            mem.caches.l1i.invalidate_all()
+            cpu.code(va, 400)
+            plans.append((built, dict(mem._fetch_plans)))
+
+        fast, slow = self._both(script)
+        assert fast == slow
+        built, final = plans[0]
+        assert built and final == built         # reused, none rebuilt
+        assert not plans[1][1]                  # the reference builds none
+
+    def test_one_code_va_under_two_asids(self):
+        """One code VA, not global, mapped to a different frame in each of
+        two address spaces: plans are keyed by physical address, so each
+        space's fetches walk its own frame's lines."""
+        from repro.kernel import layout as L
+
+        va = 0x6000_0000
+
+        def script(cpu):
+            mem = cpu.mem
+            spaces = []
+            for asid in (1, 2):
+                pt = PageTable(mem.bus, mem.kernel_frames, name=f"as{asid}")
+                pt.map_page(va, mem.guest_frames.alloc(4096),
+                            ap=AP.PRIV_ONLY, domain=L.DOMAIN_HK, ng=True)
+                spaces.append((pt.l1_base, asid))
+            for ttbr, asid in spaces * 2:
+                cpu.sysregs.write("TTBR0", ttbr, privileged=True)
+                cpu.sysregs.write("CONTEXTIDR", asid, privileged=True)
+                cpu.code(va + 0x100, 64)
+
+        fast, slow = self._both(script)
+        assert fast == slow
+        # Both frames' 8 lines are resident; the second visits all hit.
+        assert (fast["l1i"][0]["misses"], fast["l1i"][0]["hits"]) == (16, 16)
+
+    def test_first_line_behind_the_front(self):
+        """The code page's TLB entry sits behind a data page's in its
+        2-way set: the block's first line goes through ``touch``, which
+        moves it to the front."""
+        from repro.kernel import layout as L
+
+        va = L.KERNEL_BASE + 0x840
+        data = L.KERNEL_LINEAR_BASE + 0x40_0000     # the same TLB set
+        assert (va >> 12) % 64 == (data >> 12) % 64
+
+        def script(cpu):
+            cpu.code(va, 64)
+            cpu.load(data)
+            entries = cpu.mem.mmu.tlb._sets[(va >> 12) % 64]
+            assert [e.vpn for e in entries] == [data >> 12, va >> 12]
+            cpu.code(va, 64)
+            assert [e.vpn for e in entries] == [va >> 12, data >> 12]
+
+        fast, slow = self._both(script)
+        assert fast == slow
+
+    def test_first_line_l2_miss_with_a_dirty_victim(self):
+        """The block's first line is on a page whose entry is the front of
+        its set, misses L1I, and misses L2 in a full set whose LRU line is
+        dirty: it pays its full latency, writeback included."""
+        from repro.kernel import layout as L
+
+        va = L.KERNEL_BASE + 0x2840
+        costs = []
+
+        def script(cpu):
+            mem = cpu.mem
+            cpu.code(va - 0x800, 8)                 # the page's entry
+            paddr = mem.mmu.probe(va).pfn << 12 | (va & 0xFFF)
+            l2 = mem.caches.l2
+            stride = l2._sets * l2.params.line
+            for k in range(1, l2._ways + 1):        # a full set, all dirty
+                l2.fill(paddr + k * stride, write=True)
+            wb, t0 = l2.stats.writebacks, cpu.sim.now
+            cpu.code(va, 40)
+            costs.append((cpu.sim.now - t0, l2.stats.writebacks - wb))
+
+        fast, slow = self._both(script)
+        assert fast == slow
+        assert costs[0] == costs[1]
+        t = DEFAULT_PARAMS.cpu
+        first = t.l1_hit + t.l2_hit + t.dram + t.dram // 4
+        assert costs[0] == (first + 4 * 10 + t.instr_cycles(40), 1)
+
+    def test_first_line_forbidden_raises_touchs_abort(self):
+        """A user-mode fetch from a privileged-only page whose entry is
+        the front of its set: ``touch`` raises the prefetch abort, and
+        nothing is charged."""
+        from repro.common.errors import PrefetchAbort
+        from repro.cpu.modes import Mode
+
+        faults = []
+
+        def script(cpu):
+            cpu.code(HOLE_VA, 8)                    # privileged: the front
+            cpu.set_mode(Mode.USR)
+            t0 = cpu.sim.now
+            with pytest.raises(PrefetchAbort) as info:
+                cpu.code(HOLE_VA + 0x100, 16)
+            assert cpu.sim.now == t0
+            faults.append((info.value.vaddr, info.value.reason,
+                           info.value.cycles))
+
+        fast, slow = self._both(script)
+        assert fast == slow
+        assert faults[0] == faults[1] == (
+            HOLE_VA + 0x100, "permission fault (privileged only)", 0)
+
     def test_fetch_run_engages(self, monkeypatch):
         """Non-vacuity: the tests above prove nothing if every line still
         goes through ``touch``.  A spy (not a product counter) counts the
         lines fetched against the ``touch`` calls made inside
-        ``fetch_run``."""
+        ``fetch_run``: every other line comes from a plan.  Most blocks
+        start on a page whose entry is already the front of its set, so
+        they make no ``touch`` at all."""
         from repro.eval.scenarios import build_virtualized
 
-        counts = {"lines": 0, "touched": 0}
+        counts = {"lines": 0, "touched": 0, "calls": 0, "untouched": 0}
         inside = []
         fetch_run, touch = MemorySystem.fetch_run, MemorySystem.touch
 
         def spy_fetch_run(self, vaddr, lines, **kw):
             counts["lines"] += lines
+            counts["calls"] += 1
+            touched = counts["touched"]
             inside.append(True)
             try:
                 return fetch_run(self, vaddr, lines, **kw)
             finally:
                 inside.pop()
+                counts["untouched"] += counts["touched"] == touched
 
         def spy_touch(self, *args, **kw):
             if inside:
@@ -449,8 +583,166 @@ class TestFetchRunEquivalence:
                                tick_hz=1000)
         sc.run_ms(60.0)
         assert counts["lines"] > 20_000
-        inline = counts["lines"] - counts["touched"]
-        assert inline >= 0.9 * counts["lines"], counts
+        planned = counts["lines"] - counts["touched"]
+        assert planned >= 0.9 * counts["lines"], counts
+        assert counts["untouched"] >= 0.8 * counts["calls"], counts
+
+
+def _mover(cpu, runs):
+    """``move(va, n, write)``: one word run, or ``n`` calls of ``load``
+    or ``store``, the reference."""
+    def move(va, n, write):
+        if runs:
+            (cpu.store_words if write else cpu.load_words)(va, n)
+        else:
+            one = cpu.store if write else cpu.load
+            for w in range(n):
+                one(va + 4 * w)
+    return move
+
+
+class TestWordRunEquivalence:
+    """``Cpu.load_words``/``store_words`` (``MemorySystem.touch_words``,
+    docs/PERFORMANCE.md §2) against one ``load`` or ``store`` per word."""
+
+    @staticmethod
+    def _both(script, params=DEFAULT_PARAMS):
+        """Run ``script(cpu, move)`` with word runs and with single words;
+        assert equal final states and return one."""
+        out = []
+        for runs in (True, False):
+            cpu = _kernel_space_cpu(params)
+            script(cpu, _mover(cpu, runs))
+            out.append(_trace_state(cpu))
+        assert out[0] == out[1]
+        return out[0]
+
+    @pytest.mark.parametrize("write", [False, True], ids=["load", "store"])
+    @pytest.mark.parametrize("offset", [0, 4, 28])
+    def test_runs_identical(self, offset, write):
+        """Runs of 1, 7, 8, 9, 27 and 66 words from a line offset, cold
+        (the first word of a page misses the TLB) and warm; a run across
+        a page boundary; a run of the other kind over the same words;
+        and runs 8 KB apart that evict each other's L1D lines."""
+        from repro.kernel import layout as L
+
+        base = L.KERNEL_LINEAR_BASE + 0x40_0000 + offset
+
+        def script(cpu, move):
+            for k, n in enumerate((1, 7, 8, 9, 27, 66)):
+                va = base + k * 0x400
+                move(va, n, write)
+                move(va, n, write)
+            move(base + 0x3000 - 64, 27, write)
+            move(base + 0x1400, 66, not write)
+            for k in range(6):
+                move(base + 0x8000 + k * 8192, 9, write)
+
+        state = self._both(script)
+        assert state["tlb"][0]["misses"] >= 4
+        assert state["l1d"][0]["evictions"]
+        if write:
+            assert state["l1d"][3]
+
+    @pytest.mark.parametrize("va", [0xF8F0_0100, 0xF8F0_21F0],
+                             ids=["gic", "into_timer_window"])
+    def test_device_pages_identical(self, va):
+        """The GIC's page, and a run into the timer window that starts
+        mid-page: every word takes ``touch``."""
+        def script(cpu, move):
+            for write in (False, True, False):
+                move(va, 27, write)
+
+        self._both(script)
+
+    @pytest.mark.parametrize("params, mmu", [(SLOW_PARAMS, True),
+                                             (DEFAULT_PARAMS, False),
+                                             (SLOW_PARAMS, False)],
+                             ids=["fastpath_off", "mmu_off", "both_off"])
+    def test_reference_loop_cases_identical(self, params, mmu):
+        from repro.kernel import layout as L
+
+        def script(cpu, move):
+            cpu.sysregs.write("SCTLR", int(mmu), privileged=True)
+            va = (L.KERNEL_LINEAR_BASE if mmu else L.KERNEL_BASE) + 0x40_0004
+            for write in (False, True, False):
+                move(va, 27, write)
+                move(va + 0x1000 - 40, 66, write)
+
+        state = self._both(script, params)
+        assert state["l1d"][0]["hits"]
+
+    def test_fault_on_a_later_line(self):
+        """The run's third line is on an unmapped page: the words on the
+        first two lines are charged and booked, the faulting word is not,
+        and the abort carries the walk's cycles."""
+        faults = []
+
+        def script(cpu, move):
+            cpu.load(HOLE_VA + 0x800)               # the page's walk
+            t0 = cpu.sim.now
+            with pytest.raises(DataAbort) as info:
+                move(HOLE_VA + 0xFDC, 12, True)
+            faults.append((cpu.sim.now - t0, info.value.vaddr,
+                           info.value.reason, info.value.cycles))
+
+        state = self._both(script)
+        assert faults[0] == faults[1]
+        t = DEFAULT_PARAMS.cpu
+        # Two cold lines (L1D and L2 misses), then seven L1D hits.
+        assert faults[0][:3] == (2 * (t.l1_hit + t.l2_hit + t.dram)
+                                 + 7 * t.l1_hit, HOLE_VA + 0x1000,
+                                 "translation fault (L2)")
+        assert faults[0][3] > 0
+        assert state["tlb"][0] == {"hits": 9, "misses": 2, "flushes": 0}
+
+    def test_word_runs_engage(self, monkeypatch):
+        """Non-vacuity, in the 4-guest run of the fetch spy: a spy counts
+        the context words that ``_vm_switch`` moves as word runs and the
+        ``touch`` calls those runs make.  Only each line's first word may
+        go through ``touch`` (so at most 7 in 8 words are booked in one
+        step, at 8 words a line); every other word must be."""
+        from repro.eval.scenarios import build_virtualized
+        from repro.kernel.core import MiniNova
+
+        counts = {"words": 0, "lines": 0, "touched": 0}
+        in_switch, in_run = [], []
+        vm_switch = MiniNova._vm_switch
+        touch_words, touch = MemorySystem.touch_words, MemorySystem.touch
+        last = DEFAULT_PARAMS.l1d.line.bit_length() - 1
+
+        def spy_switch(self, *args, **kw):
+            in_switch.append(True)
+            try:
+                return vm_switch(self, *args, **kw)
+            finally:
+                in_switch.pop()
+
+        def spy_touch_words(self, vaddr, n, **kw):
+            if in_switch:
+                counts["words"] += n
+                counts["lines"] += ((vaddr + 4 * n - 1) >> last) \
+                    - (vaddr >> last) + 1
+            in_run.append(True)
+            try:
+                return touch_words(self, vaddr, n, **kw)
+            finally:
+                in_run.pop()
+
+        def spy_touch(self, *args, **kw):
+            if in_switch and in_run:
+                counts["touched"] += 1
+            return touch(self, *args, **kw)
+
+        monkeypatch.setattr(MiniNova, "_vm_switch", spy_switch)
+        monkeypatch.setattr(MemorySystem, "touch_words", spy_touch_words)
+        monkeypatch.setattr(MemorySystem, "touch", spy_touch)
+        sc = build_virtualized(4, seed=1, with_workloads=False, verify=True,
+                               tick_hz=1000)
+        sc.run_ms(60.0)
+        assert counts["words"] > 1_000
+        assert counts["touched"] == counts["lines"], counts
+        assert counts["words"] - counts["touched"] >= 0.8 * counts["words"]
 
 
 # The bulk address space: 4 KB pages whose frames lie 64 KB apart, so
@@ -774,6 +1066,33 @@ class TestWalkMemo:
         mmu.tlb.flush_all()
         with pytest.raises(DataAbort):
             mmu.translate(0x8000_0000, privileged=True, write=False)
+
+    def test_hit_returns_the_entry_it_built(self, walked):
+        _, _, mmu = walked
+        first, _ = mmu._walk(0x8000_0000, fetch=False, write=False)
+        again, _ = mmu._walk(0x8000_0000, fetch=False, write=False)
+        assert again is first and first.asid == mmu.asid
+
+    @pytest.mark.parametrize("ng", [True, False], ids=["asid", "global"])
+    def test_hit_after_an_asid_change_carries_the_new_asid(self, walked,
+                                                           ng):
+        """Under the same TTBR, a memo hit after an ASID change returns
+        an entry tagged with the new ASID, global or not, and the memo
+        keeps that one."""
+        _, pt, mmu = walked
+        va = 0x8000_1000
+        pt.map_page(va, 0x0021_0000, ap=AP.FULL, domain=0, ng=ng)
+        mmu.translate(va, privileged=True, write=False)     # memoized
+        for asid in (5, 0, 5):
+            mmu.set_asid(asid)
+            mmu.tlb.flush_all()
+            hits = mmu.walk_memo_hits
+            mmu.translate(va, privileged=True, write=False)
+            assert mmu.walk_memo_hits == hits + 1
+            front = mmu.tlb._sets[(va >> 12) % mmu.tlb._nsets][0]
+            assert (front.vpn, front.asid, front.global_) == (
+                va >> 12, asid, not ng)
+            assert mmu._walk_memo[(mmu.ttbr, va >> 12)][2] is front
 
     def test_faulting_walks_never_memoized(self, walked):
         memsys, _, mmu = walked
