@@ -179,7 +179,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                              default_artifact_path, write_bench)
     from .obs.analytics import SeriesSummary
 
-    name = "quick" if args.quick else args.name
+    name = "quick" if args.quick else "paper"
     sc, ms = bench_scenario(name, guests=args.guests, ms=args.ms,
                             seed=args.seed)
     _, engine = _run_observed(sc, args, ms, source=f"bench:{name}",
@@ -532,11 +532,11 @@ def main(argv: list[str] | None = None) -> int:
     p_t3.set_defaults(fn=cmd_table3)
 
     p_bench = sub.add_parser(
-        "bench", help="run the paper scenario, write BENCH_<name>.json")
-    p_bench.add_argument("--name", default="paper",
-                         help="bench profile / artifact name (default: paper)")
+        "bench", help="run the paper scenario, write BENCH_paper.json "
+                      "(BENCH_quick.json with --quick)")
     p_bench.add_argument("--quick", action="store_true",
-                         help="CI smoke profile (fewer guests, shorter run)")
+                         help="CI smoke profile (fewer guests, shorter run) "
+                              "instead of the paper profile")
     p_bench.add_argument("--guests", type=int, default=None,
                          help="override the profile's guest count")
     p_bench.add_argument("--ms", type=float, default=None,
@@ -620,8 +620,7 @@ def main(argv: list[str] | None = None) -> int:
                                 "sites must always fire)")
     p_explore.add_argument("--mutate", default=None, metavar="NAME",
                            help="disable one recovery path before every "
-                                "inline run (self-test mode; also via "
-                                "REPRO_EXPLORE_MUTATE)")
+                                "inline run (self-test mode)")
     p_explore.add_argument("--no-fleet", action="store_true",
                            help="skip the fleet schedules in exploration "
                                 "and 'surge' in --named all")

@@ -16,13 +16,12 @@ from .units import CPU_HZ_DEFAULT, FPGA_HZ_DEFAULT, KB, MB
 
 @dataclass(frozen=True)
 class CacheParams:
-    """Geometry and hit latency of one cache level."""
+    """Geometry of one cache level (hit latencies live in
+    :class:`CpuTiming`)."""
 
     size: int
     ways: int
     line: int = 32
-    #: Extra cycles charged when the access *hits* at this level.
-    hit_cycles: int = 1
 
     def __post_init__(self) -> None:
         if self.size % (self.ways * self.line):
@@ -78,9 +77,6 @@ class MemoryMapParams:
     dram_size: int = 512 * MB
     #: PRR controller register window (AXI_GP mapped), one 4 KB page per PRR.
     prr_reg_base: int = 0x4000_0000
-    #: Device registers (GIC, timer, UART, DevC/PCAP).
-    dev_base: int = 0xF800_0000
-    dev_size: int = 16 * MB
 
 
 @dataclass(frozen=True)
@@ -92,8 +88,6 @@ class FpgaParams:
     pcap_bytes_per_sec: int = 145 * MB
     #: AXI_HP burst bandwidth, bytes per FPGA cycle.
     axi_hp_bytes_per_cycle: int = 8
-    #: Number of PL->PS interrupt lines reserved for hardware tasks (paper: 16).
-    pl_irq_lines: int = 16
     #: DMA setup latency per transfer, FPGA cycles.
     dma_setup_cycles: int = 20
     #: hwMMU bounds check, FPGA cycles per transfer (ablation knob).
@@ -107,7 +101,7 @@ class PlatformParams:
     cpu: CpuTiming = field(default_factory=CpuTiming)
     l1i: CacheParams = field(default_factory=lambda: CacheParams(size=32 * KB, ways=4))
     l1d: CacheParams = field(default_factory=lambda: CacheParams(size=32 * KB, ways=4))
-    l2: CacheParams = field(default_factory=lambda: CacheParams(size=512 * KB, ways=8, hit_cycles=8))
+    l2: CacheParams = field(default_factory=lambda: CacheParams(size=512 * KB, ways=8))
     tlb: TlbParams = field(default_factory=TlbParams)
     memmap: MemoryMapParams = field(default_factory=MemoryMapParams)
     fpga: FpgaParams = field(default_factory=FpgaParams)

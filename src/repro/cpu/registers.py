@@ -72,8 +72,9 @@ class RegisterFile:
 
     # -- SPSR --------------------------------------------------------------
 
-    def spsr(self, mode: Mode | None = None) -> int:
-        m = mode or self.mode
+    def spsr(self) -> int:
+        """The current mode's saved PSR."""
+        m = self.mode
         if m not in self._spsr:
             raise KeyError(f"mode {m} has no SPSR")
         return self._spsr[m]

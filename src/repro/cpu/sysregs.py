@@ -46,13 +46,3 @@ class SystemRegisters:
             self._mmu.set_dacr(value)
         elif name == "CONTEXTIDR":
             self._mmu.set_asid(value & 0xFF)
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self._regs)
-
-    def restore(self, snap: dict[str, int], *, privileged: bool = True) -> None:
-        for name, value in snap.items():
-            self.write(name, value, privileged=privileged)
-
-    #: Words moved by an active CP15 save+restore in a vCPU switch.
-    CONTEXT_WORDS = len(NAMES)

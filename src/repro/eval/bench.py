@@ -76,19 +76,19 @@ def collect_series(sc: VirtScenario) -> dict[str, SeriesSummary]:
     return series
 
 
-def bench_scenario(name: str = "paper", *, guests: int | None = None,
+def bench_scenario(name: str, *, guests: int | None = None,
                    ms: float | None = None,
                    seed: int = 1) -> tuple[VirtScenario, float]:
     """Build bench profile ``name`` (``guests``/``ms`` override it);
     returns the scenario and the simulated milliseconds to run it for."""
-    profile = PROFILES.get(name, PROFILES["paper"])
+    profile = PROFILES[name]
     guests = profile["guests"] if guests is None else guests
     ms = profile["ms"] if ms is None else ms
     return build_virtualized(guests, seed=seed), ms
 
 
-def run_bench(name: str = "paper", *, guests: int | None = None,
-              ms: float | None = None, seed: int = 1) -> dict[str, Any]:
+def run_bench(name: str, *, seed: int, guests: int | None = None,
+              ms: float | None = None) -> dict[str, Any]:
     """Run one bench profile and return the artifact payload."""
     sc, ms = bench_scenario(name, guests=guests, ms=ms, seed=seed)
     sc.run_ms(ms)

@@ -8,7 +8,7 @@ virtual machines"; execution and total use the true native baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .table3 import ROW_LABELS, ROW_ORDER, Table3Result
 
@@ -30,7 +30,6 @@ ONE_VM_BASELINE = ("entry", "exit", "plirq")
 class Fig9Result:
     guest_counts: list[int]
     ratios: dict[str, dict[int, float]]
-    paper: dict = field(default_factory=lambda: PAPER_FIG9)
 
     def format(self) -> str:
         head = "DEGRADATION RATIO R_D = t_virt / t_native (Fig. 9)"

@@ -46,13 +46,13 @@ class OverheadSamples:
     total: list[int] = field(default_factory=list)
     plirq: list[int] = field(default_factory=list)
 
-    def summary_us(self, hz: int, *, trim: float = 0.05) -> dict[str, float]:
-        """Trimmed means in microseconds (PL IRQ defaults to 0 when the
+    def summary_us(self, hz: int) -> dict[str, float]:
+        """5%-trimmed means in microseconds (PL IRQ defaults to 0 when the
         configuration never produced one, e.g. the native port)."""
         out = {}
         for name in ("entry", "execution", "exit", "total", "plirq"):
             samples = getattr(self, name)
-            out[name] = cycles_to_us(_trimmed_mean(samples, trim), hz) \
+            out[name] = cycles_to_us(_trimmed_mean(samples, 0.05), hz) \
                 if samples else 0.0
         return out
 

@@ -9,7 +9,7 @@ is the reproduction contract (our substrate is a simulator).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .measures import extract_overheads
 from .scenarios import build_native, build_virtualized
@@ -43,7 +43,6 @@ class Table3Result:
     columns: list[str]                       # "native", "1", "2", ...
     measured: dict[str, dict[str, float]]    # col -> class -> µs
     n_requests: dict[str, int]
-    paper: dict = field(default_factory=lambda: PAPER_TABLE3)
 
     def format(self) -> str:
         head = "OVERHEAD OF HARDWARE TASK MANAGEMENT (us)"
@@ -63,31 +62,31 @@ class Table3Result:
         return "\n".join(lines)
 
 
-def run_table3(*, guest_counts: tuple[int, ...] = (1, 2, 3, 4),
-               completions_per_config: int = 60,
-               seed: int = 1, use_irq: bool = True,
-               max_ms: float = 30_000.0,
-               trim: float = 0.05) -> Table3Result:
+def run_table3(*, completions_per_config: int = 60, seed: int = 1,
+               max_ms: float = 30_000.0) -> Table3Result:
+    """The native column and 1..4 guests, each run until
+    ``completions_per_config`` T_hw requests completed (PL IRQ
+    completion)."""
     columns: list[str] = []
     measured: dict[str, dict[str, float]] = {}
     n_requests: dict[str, int] = {}
 
-    native = build_native(seed=seed, use_irq=use_irq)
+    native = build_native(seed=seed)
     native.run_until_completions(completions_per_config, max_ms=max_ms)
     hz = native.machine.params.cpu.hz
     samples = extract_overheads(native.tracer)
     columns.append("native")
-    measured["native"] = samples.summary_us(hz, trim=trim)
+    measured["native"] = samples.summary_us(hz)
     n_requests["native"] = samples.n_requests
 
-    for n in guest_counts:
-        sc = build_virtualized(n, seed=seed, use_irq=use_irq)
+    for n in (1, 2, 3, 4):
+        sc = build_virtualized(n, seed=seed)
         # Scale the target so per-VM request counts stay comparable.
         sc.run_until_completions(completions_per_config, max_ms=max_ms)
         samples = extract_overheads(sc.tracer)
         col = str(n)
         columns.append(col)
-        measured[col] = samples.summary_us(hz, trim=trim)
+        measured[col] = samples.summary_us(hz)
         n_requests[col] = samples.n_requests
 
     return Table3Result(columns=columns, measured=measured,

@@ -29,7 +29,7 @@ whose metrics moved (:func:`~repro.faults.coverage.paths_fired`);
 failures are handed to :mod:`repro.faults.shrink` for a minimal,
 twice-revalidated, byte-identical reproducer.
 
-``REPRO_EXPLORE_MUTATE=<name>`` (or ``--mutate``) disables one hardened
+``run_explore(mutate=<name>)`` (``--mutate``) disables one hardened
 recovery path before every inline run — the self-test proving the
 runner actually *finds* regressions and shrinks them.
 
@@ -40,7 +40,6 @@ byte-identical payload (CI runs every mode twice and ``cmp``\\ s).
 from __future__ import annotations
 
 import itertools
-import os as _os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
@@ -154,7 +153,7 @@ def _mutate_watchdog_reclaim(sc) -> None:
     sc.machine.prr_controller._arm_watchdog = lambda *a, **k: None
 
 
-#: Named recovery-path regressions ``REPRO_EXPLORE_MUTATE`` can plant.
+#: Named recovery-path regressions ``mutate`` can plant.
 MUTATIONS: dict[str, Callable[[Any], None]] = {
     "watchdog_reclaim": _mutate_watchdog_reclaim,
 }
@@ -770,16 +769,22 @@ def _besteffort_fraction(res: dict[str, Any]) -> float | None:
     return round(be["goodput"] / be["arrived"], 6) if be["arrived"] else None
 
 
+#: The surge gates' critical-p99 slack over the baseline run, and the
+#: critical goodput floor relative to the baseline's own ratio.
+SURGE_P99_SLACK = 1.10
+SURGE_GOODPUT_FLOOR = 0.55
+
+
 def surge_gates(base: dict[str, Any], runs: list[dict[str, Any]],
-                demo: dict[str, Any], *, p99_slack: float = 1.10,
-                goodput_floor: float = 0.55) -> dict[str, Any]:
+                demo: dict[str, Any]) -> dict[str, Any]:
     """The surge series' SLO gates over fleet-executor results: the
     unloaded ``base`` run, the loaded ``runs`` in escalating order and
     the brownout ``demo``.  A gate whose ``ok`` is false is an
     ``slo_breach`` (exit 3):
 
-    * critical p99 of every loaded run within ``p99_slack`` × baseline;
-    * critical goodput/admitted at least ``goodput_floor`` × the
+    * critical p99 of every loaded run within :data:`SURGE_P99_SLACK` ×
+      baseline;
+    * critical goodput/admitted at least :data:`SURGE_GOODPUT_FLOOR` × the
       *baseline's own* ratio (the absolute ratio is pinned by
       deadline-vs-frame-period geometry, identical in every run);
     * best-effort goodput fraction non-increasing as load escalates,
@@ -792,8 +797,8 @@ def surge_gates(base: dict[str, Any], runs: list[dict[str, Any]],
     crit = base["classes"]["critical"]
     base_ratio = (round(crit["goodput"] / crit["admitted"], 6)
                   if crit["admitted"] else None)
-    min_ratio = (round(goodput_floor * base_ratio, 6)
-                 if base_ratio is not None else goodput_floor)
+    min_ratio = (round(SURGE_GOODPUT_FLOOR * base_ratio, 6)
+                 if base_ratio is not None else SURGE_GOODPUT_FLOOR)
     ratios = [evaluate_rate_floor(
         r["classes"]["critical"]["goodput"],
         r["classes"]["critical"]["admitted"],
@@ -816,11 +821,13 @@ def surge_gates(base: dict[str, Any], runs: list[dict[str, Any]],
     }
     return {
         "critical_p99": {
-            "baseline": base_p99, "worst": worst_p99, "slack": p99_slack,
+            "baseline": base_p99, "worst": worst_p99,
+            "slack": SURGE_P99_SLACK,
             "ok": (base_p99 is not None and worst_p99 is not None
-                   and worst_p99 <= p99_slack * base_p99)},
+                   and worst_p99 <= SURGE_P99_SLACK * base_p99)},
         "critical_goodput_floor": {
-            "baseline_ratio": base_ratio, "relative_floor": goodput_floor,
+            "baseline_ratio": base_ratio,
+            "relative_floor": SURGE_GOODPUT_FLOOR,
             "min_ratio": min_ratio, "worst": worst_ratio,
             "ok": worst_ratio is not None and worst_ratio >= min_ratio},
         "besteffort_degrades": {
@@ -934,8 +941,6 @@ def run_explore(*, budget: int = 150, seed: int = 7, floor: float = 0.9,
     post-mortem bundle: the first failing schedule's, otherwise the
     first inline schedule in which a fault fired."""
     from .shrink import failed_checks, result_fingerprint, shrink_schedule
-    if mutate is None:
-        mutate = _os.environ.get("REPRO_EXPLORE_MUTATE") or None
     if mutate is not None and mutate not in MUTATIONS:
         raise ValueError(f"unknown mutation {mutate!r} "
                          f"(known: {', '.join(sorted(MUTATIONS))})")
@@ -1049,14 +1054,17 @@ def run_explore(*, budget: int = 150, seed: int = 7, floor: float = 0.9,
     all_violations = [f"{sched.sid}: {v}" for sched, res in failures
                       for v in res.get("violations", ())]
     repros: list[dict[str, Any]] = []
-    for sched, res in failures[:max_shrinks]:
-        def runner(faults, _s=sched):
-            c_shrink.inc()
-            return execute_schedule(_s.kind, faults, seed=_s.seed,
-                                    mutate=mutate, setup=_s.setup,
-                                    expect=_s.expect)
 
-        shrunk = shrink_schedule(sched.faults, runner=runner,
+    def shrink_runner(sched: Schedule):
+        def runner(faults):
+            c_shrink.inc()
+            return execute_schedule(sched.kind, faults, seed=sched.seed,
+                                    mutate=mutate, setup=sched.setup,
+                                    expect=sched.expect)
+        return runner
+
+    for sched, res in failures[:max_shrinks]:
+        shrunk = shrink_schedule(sched.faults, runner=shrink_runner(sched),
                                  reasons=failed_checks(res))
         repro = {
             "schema_version": EXPLORE_SCHEMA_VERSION,

@@ -98,19 +98,19 @@ def make_bad_hypercall_task(*, stats: RogueStats, seed: int = 0,
 
 
 def make_wild_dma_task(task_directory: dict[str, int], *, stats: RogueStats,
-                       task_name: str = "qam4", injector=None):
-    """Build a guest task that programs wild DMA pointers.
+                       injector=None):
+    """Build a guest task that programs wild DMA pointers through a
+    ``qam4`` region.
 
     The request itself is legitimate (the manager allocates a PRR and maps
     the interface); the guest then writes source/destination addresses far
     outside its data section.  The hwMMU refuses the transfer: the guest
     reads ``ERR_BOUNDS`` back, the rest of the machine never notices.
     """
-    expected_id = None
+    task_name = "qam4"
 
     def fn(os: Ucos):
         from ..fpga.controller import task_id_of
-        nonlocal expected_id
         expected_id = task_id_of(task_name)
         if injector is not None:
             injector.fire(GUEST_WILD_POINTER, task=task_name)
@@ -153,15 +153,11 @@ class WildRunner:
     """A domain runner that dereferences a wild pointer and has no fault
     handler — the canonical victim of the kernel's containment policy.
 
-    Runs ``warmup_steps`` normal compute chunks first (so the kill happens
+    Runs two 20,000-instruction compute chunks first (so the kill happens
     mid-run, not at boot), then data-aborts on every subsequent step.
     """
 
-    def __init__(self, *, wild_addr: int = 0xBAD0_0000,
-                 warmup_steps: int = 2, chunk_instr: int = 20_000) -> None:
-        self.wild_addr = wild_addr
-        self.warmup_steps = warmup_steps
-        self.chunk_instr = chunk_instr
+    def __init__(self) -> None:
         self.steps = 0
         self.kernel = None
         self.pd = None
@@ -171,10 +167,10 @@ class WildRunner:
 
     def step(self, budget: int):
         self.steps += 1
-        if self.steps <= self.warmup_steps:
-            self.kernel.cpu.instr(self.chunk_instr)
+        if self.steps <= 2:
+            self.kernel.cpu.instr(20_000)
             return None
-        return ExitFault(DataAbort(self.wild_addr, "wild guest pointer"))
+        return ExitFault(DataAbort(0xBAD0_0000, "wild guest pointer"))
 
     def deliver_virq(self, irq_id: int) -> None:
         pass

@@ -42,7 +42,6 @@ def failed_checks(result: dict[str, Any]) -> list[str]:
 
 def shrink_schedule(faults, *,
                     runner: Callable[[tuple], dict[str, Any]],
-                    revalidations: int = 2,
                     reasons=None) -> dict[str, Any]:
     """Reduce ``faults`` (a tuple of JSON-stable fault dicts) to a
     minimal still-failing schedule; see the module docstring.  With
@@ -95,11 +94,11 @@ def shrink_schedule(faults, *,
                 f = cand_f
 
     # 3. Re-validate: the minimal schedule must fail byte-identically
-    #    ``revalidations`` times over.
+    #    twice over.
     fingerprints: list[str] = []
     final: dict[str, Any] = {}
     still_failing = True
-    for _ in range(max(2, revalidations)):
+    for _ in range(2):
         runs += 1
         final = runner(cur)
         fingerprints.append(result_fingerprint(final))

@@ -40,13 +40,12 @@ FLEET_SCHEMA_VERSION = 3
 
 
 def make_kill_schedule(cfg: FleetConfig, *, kills: int,
-                       seed: int | None = None,
                        sites: tuple[str, ...] = (BOARD_CRASH, BOARD_HANG,
                                                  BOARD_PARTITION)
                        ) -> tuple[KillSpec, ...]:
-    """A seeded board-fault schedule: ``kills`` candidate events, fixed
-    draw count each, spread over the run's middle ticks."""
-    rng = make_rng(cfg.seed if seed is None else seed, stream="fleet-kills")
+    """A board-fault schedule seeded by ``cfg.seed``: ``kills`` candidate
+    events, fixed draw count each, spread over the run's middle ticks."""
+    rng = make_rng(cfg.seed, stream="fleet-kills")
     hi = max(3, cfg.ticks - cfg.deadline_ticks - 2)
     out = []
     for _ in range(kills):
@@ -60,7 +59,6 @@ def make_kill_schedule(cfg: FleetConfig, *, kills: int,
 
 
 def run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
-              tenants: list[TenantSpec] | None = None,
               stream=None, flight_path: str | None = None) -> dict[str, Any]:
     """One fleet run; returns the JSON-stable payload.
 
@@ -69,7 +67,7 @@ def run_fleet(cfg: FleetConfig, *, kills: tuple[KillSpec, ...] = (),
     ``aggregate`` view (the PR 8 merge law).  ``flight_path`` writes the
     first invariant-violation bundle, if any.
     """
-    disp = Dispatcher(cfg, tenants=tenants, kills=kills)
+    disp = Dispatcher(cfg, kills=kills)
     try:
         disp.place_initial()
         for t in range(cfg.ticks):
@@ -228,11 +226,12 @@ EXPLORE_OVERLOAD = OverloadConfig(
 # -- migration proof ----------------------------------------------------------
 
 
-def run_migration_demo(*, seed: int = 7, kind: str = "fft",
-                       frames: int = 6) -> dict[str, Any]:
-    """Kill a restartable tenant's board mid-run; it must finish on the
-    surviving board with bit-exact output (docs/FLEET.md §7)."""
+def run_migration_demo(*, seed: int = 7) -> dict[str, Any]:
+    """Kill a restartable six-frame FFT tenant's board mid-run; it must
+    finish on the surviving board with bit-exact output (docs/FLEET.md
+    §7)."""
     from ..workloads.restartable import expected_output
+    kind, frames = "fft", 6
     spec = TenantSpec(name="demo", tclass=CRITICAL, kind=kind,
                       seed=seed, frames=frames, checkpoint_every=2)
     cfg = FleetConfig(boards=2, tenants_per_board=1, seed=seed,

@@ -148,8 +148,9 @@ class BoardLink:
 
     # -- calls -------------------------------------------------------------
 
-    def call(self, op: str, *args: Any, retries: int = RETRY_LIMIT) -> Any:
-        """One logical RPC: bounded attempts with exponential backoff."""
+    def call(self, op: str, *args: Any) -> Any:
+        """One logical RPC: at most :data:`RETRY_LIMIT` attempts with
+        exponential backoff."""
         if self.fenced:
             # Fenced boards must never be contacted; this is accounted as
             # a fencing violation (F6) and refused without touching the
@@ -164,7 +165,7 @@ class BoardLink:
         self.retry_budget.note_fresh()
         last_reason = "unknown"
         attempt = 0
-        while attempt < retries:
+        while attempt < RETRY_LIMIT:
             self.m.counter("fleet.rpc.calls").inc()
             reason = self._unreachable_reason()
             if reason is None:
@@ -177,7 +178,7 @@ class BoardLink:
                 self.m.counter("fleet.rpc.backoff_cycles").inc(
                     DEADLINE_CYCLES)
             attempt += 1
-            if attempt >= retries:
+            if attempt >= RETRY_LIMIT:
                 break
             if not self.retry_budget.try_retry():
                 # Budget exhausted: retries may not exceed their fixed

@@ -36,14 +36,13 @@ GIC_WINDOW_SIZE = 0x2000
 class Gic:
     """Single-CPU-target GIC with ``N_IRQS`` interrupt IDs."""
 
-    def __init__(self, n_irqs: int = N_IRQS) -> None:
-        if n_irqs % 32:
-            raise DeviceError("n_irqs must be a multiple of 32")
-        self.n_irqs = n_irqs
-        self.enabled = [False] * n_irqs
-        self.pending = [False] * n_irqs
-        self.active = [False] * n_irqs
-        self.priority = [0x80] * n_irqs       # lower value = higher priority
+    n_irqs = N_IRQS
+
+    def __init__(self) -> None:
+        self.enabled = [False] * N_IRQS
+        self.pending = [False] * N_IRQS
+        self.active = [False] * N_IRQS
+        self.priority = [0x80] * N_IRQS       # lower value = higher priority
         self.dist_on = True
         self.cpu_iface_on = True
         self.priority_mask = 0xFF

@@ -67,8 +67,7 @@ class HwTaskHandle:
 
 
 def hw_task_run(os: Ucos, task_table_id: int, task_name: str,
-                data_in: bytes, *, iface_va: int = GL.PRR_IFACE_VA,
-                sem: Semaphore | None = None,
+                data_in: bytes, *, sem: Semaphore | None = None,
                 max_retries: int = 8) -> Generator:
     """Request + execute one hardware task over ``data_in``.
 
@@ -82,7 +81,8 @@ def hw_task_run(os: Ucos, task_table_id: int, task_name: str,
     handle = HwTaskHandle(status=HcStatus.BUSY)
 
     for attempt in range(max_retries):
-        res = yield HwRequest(task_id=task_table_id, iface_va=iface_va,
+        res = yield HwRequest(task_id=task_table_id,
+                              iface_va=GL.PRR_IFACE_VA,
                               data_va=GL.HWDATA_VA, want_irq=want_irq)
         status, prr_id, irq_id = res
         if status in (HcStatus.BUSY, HcStatus.MANAGER_RESTARTING):
@@ -96,7 +96,7 @@ def hw_task_run(os: Ucos, task_table_id: int, task_name: str,
             return handle
         handle.prr_id, handle.irq_id = prr_id, irq_id
         handle.reconfigured = status == HcStatus.RECONFIG
-        iface = os.port.iface_addr(prr_id, iface_va)
+        iface = os.port.iface_addr(prr_id, GL.PRR_IFACE_VA)
 
         # Wait out a PCAP reconfiguration (stage 6: poll or PCAP IRQ —
         # polling REG_TASKID doubles as the completion signal).
@@ -132,12 +132,17 @@ def hw_task_run(os: Ucos, task_table_id: int, task_name: str,
     return handle
 
 
-def _wait_taskid(iface: int, expected_id: int, *, max_ticks: int = 4000):
+#: Ticks a client polls (or pends) for a reconfiguration or a completion
+#: before it gives up on the region.
+MAX_WAIT_TICKS = 4000
+
+
+def _wait_taskid(iface: int, expected_id: int):
     """Poll REG_TASKID until the target bitstream is resident.
 
     Returns :data:`RECONFIG_FAILED` when the register reads all-ones —
     the controller's way of reporting an aborted reconfiguration."""
-    for _ in range(max_ticks):
+    for _ in range(MAX_WAIT_TICKS):
         v = yield MmioRead(iface + REG_TASKID)
         if v is FAULTED:
             return FAULTED
@@ -150,8 +155,7 @@ def _wait_taskid(iface: int, expected_id: int, *, max_ticks: int = 4000):
 
 
 def _program_and_wait(os: Ucos, iface: int, data_in: bytes, *,
-                      sem: Semaphore | None, irq_id: int | None,
-                      max_ticks: int = 4000):
+                      sem: Semaphore | None, irq_id: int | None):
     """Stage data, program the register group, start, await completion."""
     yield SectionWrite(DATA_IN_OFF, data_in)
     src_pa = os.hwdata_pa + DATA_IN_OFF
@@ -176,7 +180,7 @@ def _program_and_wait(os: Ucos, iface: int, data_in: bytes, *,
             # Bounded re-pend loop: a *spurious* DONE IRQ (fault injection,
             # or a shared line) wakes us while the task is still BUSY — a
             # correct client re-waits instead of reading garbage.
-            yield SemPend(sem, timeout_ticks=max_ticks)
+            yield SemPend(sem, timeout_ticks=MAX_WAIT_TICKS)
             status = yield MmioRead(iface + REG_STATUS)
             if status is FAULTED:
                 return FAULTED
@@ -185,7 +189,7 @@ def _program_and_wait(os: Ucos, iface: int, data_in: bytes, *,
             _note_client_rewait(os)
     else:
         status = int(PrrStatus.BUSY)
-        for _ in range(max_ticks):
+        for _ in range(MAX_WAIT_TICKS):
             status = yield MmioRead(iface + REG_STATUS)
             if status is FAULTED:
                 return FAULTED
@@ -238,22 +242,21 @@ def _brownout_reroute(os: Ucos, kind: str) -> bool:
 
 
 def _adaptive_run(os: Ucos, kind: str, task_table_id: int, task_name: str,
-                  data_in: bytes, software, *, sem: Semaphore | None,
-                  allow_software: bool, besteffort: bool,
-                  hw_retries: int) -> Generator:
+                  data_in: bytes, software, *,
+                  besteffort: bool) -> Generator:
     """Fabric first, CPU fallback: the body of every adaptive API.
 
-    ``software()`` returns the fallback's ``(WorkProfile, output)``; the
-    profile's CPU cost is charged before the output is handed back."""
-    if besteffort and allow_software and _brownout_reroute(os, kind):
+    The fabric gets two polled attempts.  ``software()`` returns the
+    fallback's ``(WorkProfile, output)``; the profile's CPU cost is
+    charged before the output is handed back."""
+    if besteffort and _brownout_reroute(os, kind):
         # Brownout: the fabric is saturated, so best-effort work takes
         # the software path immediately — same bytes, no PRR queueing.
         handle = HwTaskHandle(status=HcStatus.BUSY)
     else:
         handle = yield from hw_task_run(os, task_table_id, task_name,
-                                        data_in, sem=sem,
-                                        max_retries=hw_retries)
-    if handle.status == HcStatus.SUCCESS or not allow_software:
+                                        data_in, max_retries=2)
+    if handle.status == HcStatus.SUCCESS:
         return handle
 
     _note_sw_fallback(os, kind)
@@ -268,10 +271,7 @@ def _adaptive_run(os: Ucos, kind: str, task_table_id: int, task_name: str,
 
 
 def fft_compute(os: Ucos, task_table_id: int, task_name: str,
-                data_in: bytes, *, sem: Semaphore | None = None,
-                allow_software: bool = True,
-                besteffort: bool = False,
-                hw_retries: int = 2) -> Generator:
+                data_in: bytes) -> Generator:
     """Adaptive FFT: try the fabric, fall back to the CPU when it is busy.
 
     This is the hardware/software co-execution the paper's introduction
@@ -292,22 +292,19 @@ def fft_compute(os: Ucos, task_table_id: int, task_name: str,
         return fft_sw_profile(n), fft_golden.fft(x).tobytes()
 
     return (yield from _adaptive_run(
-        os, "fft", task_table_id, task_name, data_in, software, sem=sem,
-        allow_software=allow_software, besteffort=besteffort,
-        hw_retries=hw_retries))
+        os, "fft", task_table_id, task_name, data_in, software,
+        besteffort=False))
 
 
 def qam_compute(os: Ucos, task_table_id: int, task_name: str,
-                data_in: bytes, *, sem: Semaphore | None = None,
-                allow_software: bool = True,
-                besteffort: bool = False,
-                hw_retries: int = 2) -> Generator:
+                data_in: bytes, *, besteffort: bool = False) -> Generator:
     """Adaptive QAM modulation: fabric first, CPU fallback on HW failure.
 
     The software path is bit-compatible with the ``qamN`` IP core (both
     share the :mod:`repro.dsp.qam` golden model); its CPU cost is charged
     through :func:`repro.workloads.profiles.qam_sw_profile`.  ``prr_id``
-    is None on the software path, as for :func:`fft_compute`.
+    is None on the software path, as for :func:`fft_compute`.  A
+    ``besteffort`` call skips the fabric while a brownout is active.
     """
     from ..dsp import qam as qam_golden
     from ..workloads.profiles import qam_sw_profile
@@ -319,6 +316,5 @@ def qam_compute(os: Ucos, task_table_id: int, task_name: str,
                 qam_golden.modulate(symbols, order).tobytes())
 
     return (yield from _adaptive_run(
-        os, "qam", task_table_id, task_name, data_in, software, sem=sem,
-        allow_software=allow_software, besteffort=besteffort,
-        hw_retries=hw_retries))
+        os, "qam", task_table_id, task_name, data_in, software,
+        besteffort=besteffort))

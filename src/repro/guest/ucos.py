@@ -68,8 +68,6 @@ class Semaphore:
     name: str
     count: int = 0
     waiters: list["Tcb"] = field(default_factory=list)
-    posts: int = 0
-    pends: int = 0
 
 
 @dataclass(eq=False)
@@ -86,7 +84,6 @@ class Tcb:
     #: Action to re-execute after a transparent trap (VFP lazy switch).
     retry_action: Any = None
     pending_sem: Semaphore | None = None
-    switches: int = 0
 
 
 @dataclass
@@ -134,8 +131,8 @@ class Ucos:
         self.tasks[prio] = tcb
         return tcb
 
-    def create_semaphore(self, name: str, count: int = 0) -> Semaphore:
-        sem = Semaphore(name=name, count=count)
+    def create_semaphore(self, name: str) -> Semaphore:
+        sem = Semaphore(name=name)
         self.sems.append(sem)
         return sem
 
@@ -206,7 +203,6 @@ class Ucos:
 
     def _sem_post_isr(self, sem: Semaphore) -> None:
         self.port.exec.code(GL.KERNEL_CODE + CODE_SEM, UC.sem_post)
-        sem.posts += 1
         if sem.waiters:
             sem.waiters.sort(key=lambda t: t.prio)
             tcb = sem.waiters.pop(0)
@@ -260,7 +256,6 @@ class Ucos:
             ex.code(GL.KERNEL_CODE + CODE_SCHED, UC.sched_pick)
             ex.code(GL.KERNEL_CODE + CODE_CTXSW, UC.ctx_switch)
             self.stats.ctx_switches += 1
-            tcb.switches += 1
             self.current = tcb
 
         if tcb.gen is None:
@@ -324,7 +319,6 @@ class Ucos:
         elif isinstance(action, SemPend):
             ex.code(GL.KERNEL_CODE + CODE_SEM, UC.sem_pend)
             sem = action.sem
-            sem.pends += 1
             if sem.count > 0:
                 sem.count -= 1
                 tcb.inbox, tcb.has_inbox = True, True

@@ -86,8 +86,7 @@ class IntentJournal:
         return e
 
     def reuse_or_begin(self, op: str, *, client_vm: int | None, task_id: int,
-                       prr_id: int | None,
-                       reconfig: bool = False) -> JournalEntry:
+                       prr_id: int | None) -> JournalEntry:
         """Return the newest matching *open* entry, or append a fresh one.
 
         Recovery replays an interrupted release/reclaim by re-running it
@@ -99,7 +98,7 @@ class IntentJournal:
                     and e.task_id == task_id and e.prr_id == prr_id):
                 return e
         return self.begin(op, client_vm=client_vm, task_id=task_id,
-                          prr_id=prr_id, reconfig=reconfig)
+                          prr_id=prr_id)
 
     def note_act(self, entry: JournalEntry) -> None:
         if entry.state == INTENT:

@@ -1356,13 +1356,7 @@ class MiniNova:
         # Respawn: same address space, fresh vCPU/vGIC/runner state.
         new_runner = type(old_runner)(
             block_on_pcap=getattr(old_runner, "block_on_pcap", False))
-        pd = ProtectionDomain(
-            vm_id=old_pd.vm_id, name=old_pd.name, priority=old_pd.priority,
-            vcpu=Vcpu(vm_id=old_pd.vm_id, save_area=old_pd.kobj_addr + 0x40),
-            vgic=VGic(vm_id=old_pd.vm_id, acct=self.acct),
-            page_table=old_pd.page_table, asid=old_pd.asid,
-            phys_base=old_pd.phys_base, phys_size=old_pd.phys_size,
-            runner=new_runner, kobj_addr=old_pd.kobj_addr)
+        pd = old_pd.successor(new_runner, self.acct, epoch=0)
         self.domains[old_pd.vm_id] = pd
         self.manager_pd = pd
         new_runner.bind(self, pd)

@@ -32,7 +32,6 @@ class KernelCosts:
     # Scheduler + vCPU (Table I, Fig. 3)
     scheduler_pick: int = 30
     vm_switch_fixed: int = 64         # queue ops, quantum bookkeeping
-    vcpu_save_restore_per_word: int = 2
     ttbr_asid_dacr_reload: int = 24   # CP15 writes incl. barriers
     timer_reprogram: int = 22
     vfp_lazy_trap: int = 48           # trap decode + FPEXC flip

@@ -28,10 +28,6 @@ class ExitHypercall:
 class ExitIdle:
     """Guest has nothing runnable until its next virtual interrupt."""
 
-    #: Guest-cycles until the guest's own timer would wake it (0 = only an
-    #: external event can).
-    wake_in: int = 0
-
 
 @dataclass
 class ExitFault:

@@ -59,14 +59,12 @@ class KernelSymbols:
     hypercall_dispatch: int = KERNEL_BASE + 0x1000
     hypercall_handlers: int = KERNEL_BASE + 0x1800  # 25 handlers, 128 B apart
     vgic_inject: int = KERNEL_BASE + 0x3000
-    vgic_mask_switch: int = KERNEL_BASE + 0x3400
     scheduler: int = KERNEL_BASE + 0x3800
     vm_switch: int = KERNEL_BASE + 0x4000
     vfp_lazy: int = KERNEL_BASE + 0x4800
     mem_map: int = KERNEL_BASE + 0x5000             # PT insert/remove
     ivc: int = KERNEL_BASE + 0x5800
     hwreq_glue: int = KERNEL_BASE + 0x6000          # HC_HWTASK_* kernel glue
-    timer_prog: int = KERNEL_BASE + 0x6800
     exc_return: int = KERNEL_BASE + 0x7000
 
     def handler(self, hc_num: int) -> int:

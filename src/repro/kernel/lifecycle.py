@@ -57,7 +57,6 @@ from .costs import KERNEL_COSTS as C
 from .ivc import IVC_IRQ
 from .pd import PdState, ProtectionDomain
 from .vcpu import Vcpu
-from .vgic import VGic
 
 #: Snapshots retained per VM (oldest dropped beyond this).
 MAX_CHECKPOINTS_PER_VM = 2
@@ -149,7 +148,6 @@ class VmCheckpoint:
 
     vm_id: int
     seq: int
-    taken_at: int
     epoch: int
     reason: str
     #: vCPU state: user registers, virtual privileged registers (minus
@@ -157,10 +155,8 @@ class VmCheckpoint:
     vcpu: dict[str, Any]
     #: vGIC state: record list + pending FIFO + guest IRQ entry.
     vgic: dict[str, Any]
-    #: Scheduler view at snapshot time.
+    #: Remaining quantum at snapshot time.
     quantum_remaining: int
-    runnable: bool
-    queue_position: int
     #: The whole guest physical chunk, page by page (what makes the
     #: restore bit-exact).
     memory_image: PageImage
@@ -222,51 +218,44 @@ class VmLifecycle:
 
         Like a kill, a fleet pull or an injected fault can take a
         snapshot while guest user code is live, so the timed work runs
-        under a saved/restored privileged context."""
+        under :func:`privileged_context`."""
         k = self.k
         cpu = k.cpu
-        mode, masked = cpu.mode, cpu.irq_masked
-        cpu.set_mode(Mode.SVC)
-        cpu.irq_masked = True
-        self._checkpointing = True
-        try:
-            t0 = k.sim.now
-            # Modelled cost: an active context save into the kernel save
-            # area, one record-list store per vIRQ entry, then a
-            # descriptor-driven copy of the guest chunk (per-page setup).
-            cpu.code(k.syms.vm_switch, C.vm_switch_fixed)
-            cpu.store_words(L.kva(pd.vcpu.save_area),
-                            Vcpu.ACTIVE_CONTEXT_WORDS)
-            for irq_id in pd.vgic.all_irqs():
-                cpu.store(L.kva(pd.kobj_addr + 0x100 + 4 * irq_id))
-            cpu.instr(max(1, pd.phys_size // 4096))
-            seq = self._seq.get(pd.vm_id, 0) + 1
-            self._seq[pd.vm_id] = seq
-            snap = VmCheckpoint(
-                vm_id=pd.vm_id, seq=seq, taken_at=k.sim.now,
-                epoch=pd.epoch, reason=reason,
-                vcpu=pd.vcpu.snapshot(),
-                vgic=pd.vgic.snapshot(),
-                quantum_remaining=pd.quantum_remaining,
-                runnable=pd.state is PdState.RUN,
-                queue_position=k.sched.position(pd),
-                memory_image=self._capture(pd),
-                hw_data=(pd.hw_data.va, pd.hw_data.pa, pd.hw_data.size),
-                runner_state=self._runner_state(pd),
-                phys_base=pd.phys_base)
-            snaps = self._store.setdefault(pd.vm_id, [])
-            snaps.append(snap)
-            del snaps[:-MAX_CHECKPOINTS_PER_VM]
-            k.metrics.counter("vm.lifecycle.checkpoints").inc()
-            k.metrics.histogram("vm.lifecycle.checkpoint_cycles").observe(
-                k.sim.now - t0)
-            k.tracer.mark("vm_checkpoint", cat="lifecycle", vm=pd.vm_id,
-                          seq=seq, reason=reason)
-            return snap
-        finally:
-            self._checkpointing = False
-            cpu.set_mode(mode)
-            cpu.irq_masked = masked
+        with privileged_context(cpu):
+            self._checkpointing = True
+            try:
+                t0 = k.sim.now
+                # Modelled cost: an active context save into the kernel save
+                # area, one record-list store per vIRQ entry, then a
+                # descriptor-driven copy of the guest chunk (per-page setup).
+                cpu.code(k.syms.vm_switch, C.vm_switch_fixed)
+                cpu.store_words(L.kva(pd.vcpu.save_area),
+                                Vcpu.ACTIVE_CONTEXT_WORDS)
+                for irq_id in pd.vgic.all_irqs():
+                    cpu.store(L.kva(pd.kobj_addr + 0x100 + 4 * irq_id))
+                cpu.instr(max(1, pd.phys_size // 4096))
+                seq = self._seq.get(pd.vm_id, 0) + 1
+                self._seq[pd.vm_id] = seq
+                snap = VmCheckpoint(
+                    vm_id=pd.vm_id, seq=seq, epoch=pd.epoch, reason=reason,
+                    vcpu=pd.vcpu.snapshot(),
+                    vgic=pd.vgic.snapshot(),
+                    quantum_remaining=pd.quantum_remaining,
+                    memory_image=self._capture(pd),
+                    hw_data=(pd.hw_data.va, pd.hw_data.pa, pd.hw_data.size),
+                    runner_state=self._runner_state(pd),
+                    phys_base=pd.phys_base)
+                snaps = self._store.setdefault(pd.vm_id, [])
+                snaps.append(snap)
+                del snaps[:-MAX_CHECKPOINTS_PER_VM]
+                k.metrics.counter("vm.lifecycle.checkpoints").inc()
+                k.metrics.histogram("vm.lifecycle.checkpoint_cycles").observe(
+                    k.sim.now - t0)
+                k.tracer.mark("vm_checkpoint", cat="lifecycle", vm=pd.vm_id,
+                              seq=seq, reason=reason)
+                return snap
+            finally:
+                self._checkpointing = False
 
     def _capture(self, pd: ProtectionDomain) -> PageImage:
         """``pd``'s chunk as a page image: the pages stamped after the
@@ -360,14 +349,7 @@ class VmLifecycle:
                 self._halt(old, "runner_unsupported")
                 return None
             new_runner = respawn()
-            pd = ProtectionDomain(
-                vm_id=vm_id, name=old.name, priority=old.priority,
-                vcpu=Vcpu(vm_id=vm_id, save_area=old.kobj_addr + 0x40),
-                vgic=VGic(vm_id=vm_id, acct=k.acct),
-                page_table=old.page_table, asid=old.asid,
-                phys_base=old.phys_base, phys_size=old.phys_size,
-                runner=new_runner, kobj_addr=old.kobj_addr,
-                epoch=old.epoch + 1)
+            pd = old.successor(new_runner, k.acct, epoch=old.epoch + 1)
             k.domains[vm_id] = pd
             # Ledger continuity: same vm_id re-registers onto the same
             # accounting row, and the fresh epoch gets a fresh mailbox.

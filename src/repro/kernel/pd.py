@@ -1,17 +1,17 @@
 """Protection Domain: the kernel object wrapping one VM (Section III-A).
 
-A PD is the resource container and capability interface between a virtual
-machine and the microkernel: it holds the vCPU, the vGIC, the address
-space (page table + ASID), the scheduling parameters (priority, quantum),
-the hardware-task data section, and the exception interface that routes
-traps/hypercalls to capability portals.
+A PD is the kernel's resource container for one virtual machine: it
+holds the vCPU, the vGIC, the address space (page table + ASID), the
+scheduling parameters (priority, quantum) and the hardware-task data
+section.  The kernel dispatches a PD's traps and hypercalls itself
+(``MiniNova._handle_exit``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Any
 
 from ..mem.ptables import PageTable
 from .exits import DomainRunner
@@ -61,8 +61,6 @@ class ProtectionDomain:
     hw_data: HwDataSection = field(default_factory=HwDataSection)
     #: PRR interfaces currently mapped into this PD: prr_id -> guest VA.
     prr_iface: dict[int, int] = field(default_factory=dict)
-    #: Exception interface: portal name -> handler (kernel-internal).
-    portals: dict[str, Callable] = field(default_factory=dict)
     #: Kernel-memory address of the PD structure (switch path touches it).
     kobj_addr: int = 0
     #: Incarnation counter: bumped each time the VM is resurrected in
@@ -77,7 +75,7 @@ class ProtectionDomain:
         """True when [lo, hi) falls inside this VM's physical grant."""
         return self.phys_base <= lo and hi <= self.phys_base + self.phys_size and lo < hi
 
-    def va_to_pa(self, va: int, size: int = 0) -> int | None:
+    def va_to_pa(self, va: int) -> int | None:
         """Linear translation for addresses inside the guest's main regions.
 
         Guest regions are mapped linearly onto the VM's physical chunk
@@ -85,9 +83,22 @@ class ProtectionDomain:
         pointers without a full soft-walk.
         """
         pa = self.phys_base + va
-        if self.owns_phys(pa, pa + max(size, 1)):
+        if self.owns_phys(pa, pa + 1):
             return pa
         return None
+
+    def successor(self, runner: DomainRunner, acct: Any, *,
+                  epoch: int) -> "ProtectionDomain":
+        """A fresh incarnation of this domain: the same vm_id, name,
+        priority, address space, physical chunk and kernel object, with a
+        new vCPU and vGIC (on ``acct``), ``runner`` and ``epoch``."""
+        return ProtectionDomain(
+            vm_id=self.vm_id, name=self.name, priority=self.priority,
+            vcpu=Vcpu(vm_id=self.vm_id, save_area=self.kobj_addr + 0x40),
+            vgic=VGic(vm_id=self.vm_id, acct=acct),
+            page_table=self.page_table, asid=self.asid,
+            phys_base=self.phys_base, phys_size=self.phys_size,
+            runner=runner, kobj_addr=self.kobj_addr, epoch=epoch)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<PD {self.vm_id}:{self.name} prio={self.priority} {self.state.value}>"

@@ -29,11 +29,13 @@ from .pd import PdState, ProtectionDomain
 class Scheduler:
     """Run/suspend queues plus the quantum accounting of Section III-D."""
 
-    def __init__(self, quantum_cycles: int, metrics: MetricsRegistry,
-                 n_priorities: int = 8) -> None:
+    #: Priority levels; higher levels dispatch first.
+    n_priorities = 8
+
+    def __init__(self, quantum_cycles: int, metrics: MetricsRegistry) -> None:
         self.quantum_cycles = quantum_cycles
-        self.n_priorities = n_priorities
-        self._run: list[deque[ProtectionDomain]] = [deque() for _ in range(n_priorities)]
+        self._run: list[deque[ProtectionDomain]] = [
+            deque() for _ in range(self.n_priorities)]
         self._suspended: set[ProtectionDomain] = set()
         self._metrics = metrics
         self._m_preemptions = metrics.counter("sched.preemptions")
@@ -130,14 +132,6 @@ class Scheduler:
 
     def runnable_count(self) -> int:
         return sum(len(q) for q in self._run)
-
-    def position(self, pd: ProtectionDomain) -> int:
-        """Index of ``pd`` in its priority circle (-1 when not queued);
-        part of the scheduler view a VM checkpoint records."""
-        try:
-            return self._run[pd.priority].index(pd)
-        except ValueError:
-            return -1
 
     def run_queue_at(self, priority: int) -> list[ProtectionDomain]:
         return list(self._run[priority])

@@ -51,10 +51,8 @@ _REQUIRED_KEYS = {
 class FlightRecorder:
     """One recorder, one bundle; re-arm a fresh instance per run."""
 
-    def __init__(self, out: str | None = None, *,
-                 last_n: int = DEFAULT_LAST_N) -> None:
+    def __init__(self, out: str | None = None) -> None:
         self.out = out
-        self.last_n = last_n
         self.kernel = None
         self.seed: int | None = None
         self.plan = None
@@ -97,7 +95,7 @@ class FlightRecorder:
             check_invariants,
             check_lifecycle_invariants,
         )
-        tail = list(k.tracer.events)[-self.last_n:]
+        tail = list(k.tracer.events)[-DEFAULT_LAST_N:]
         plan = self.plan
         fault_plan = None
         if plan is not None:

@@ -70,9 +70,6 @@ class Gauge:
     def set(self, v) -> None:
         self.value = v
 
-    def inc(self, n=1) -> None:
-        self.value += n
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Gauge {self.name}{_labels_str(self.labels)}={self.value}>"
 

@@ -45,7 +45,6 @@ QAM_BYTES_IN = 128        # -> 256 symbols -> 2 KB of complex64 points
 @dataclass
 class RestartableStats:
     frames_done: int = 0
-    checkpoints_requested: int = 0
     resumed_at: int = -1     # first frame index computed by this incarnation
 
 
@@ -93,7 +92,6 @@ def make_restartable_task(kind: str, *, frames: int = 8, seed: int = 0,
             if checkpoint_every > 0 and (i + 1) % checkpoint_every == 0:
                 # The snapshot captures the frames written so far plus
                 # persist["frame"] = i + 1, so a restore resumes here.
-                st.checkpoints_requested += 1
                 yield Hypercall(int(Hc.VM_CHECKPOINT), (0,))
             yield Delay(1)
         yield Finish()

@@ -70,9 +70,8 @@ def make_t_hw_task(task_directory: dict[str, int], *,
                    seed: int = 0,
                    use_irq: bool = True,
                    verify: bool = False,
-                   iterations: int | None = None,
-                   period_ticks: int = 2):
-    """Build the T_hw task function.
+                   iterations: int | None = None):
+    """Build the T_hw task function: one request every two ticks.
 
     ``task_directory`` maps task names to Hardware-Task-Table IDs (built by
     the scenario from the installed bitstreams).
@@ -107,7 +106,7 @@ def make_t_hw_task(task_directory: dict[str, int], *,
                 stats.errors += 1
                 per["err"] += 1
             n += 1
-            yield Delay(period_ticks)
+            yield Delay(2)
         yield Finish()
 
     return fn

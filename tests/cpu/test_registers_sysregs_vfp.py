@@ -56,8 +56,10 @@ def test_spsr_per_mode():
     r = RegisterFile()
     r.set_spsr(0x10, Mode.SVC)
     r.set_spsr(0x1F, Mode.IRQ)
-    assert r.spsr(Mode.SVC) == 0x10
-    assert r.spsr(Mode.IRQ) == 0x1F
+    r.mode = Mode.SVC
+    assert r.spsr() == 0x10
+    r.mode = Mode.IRQ
+    assert r.spsr() == 0x1F
     with pytest.raises(KeyError):
         r.mode = Mode.USR
         r.spsr()
@@ -116,14 +118,6 @@ def test_cp15_side_effects_reach_mmu(cpu, memsys):
     assert memsys.mmu.asid == 7
     cpu.sysregs.write("DACR", 0x5, privileged=True)
     assert memsys.mmu.dacr == 0x5
-
-
-def test_cp15_snapshot_restore(cpu):
-    cpu.sysregs.write("VBAR", 0x100, privileged=True)
-    snap = cpu.sysregs.snapshot()
-    cpu.sysregs.write("VBAR", 0x200, privileged=True)
-    cpu.sysregs.restore(snap)
-    assert cpu.sysregs.read("VBAR", privileged=True) == 0x100
 
 
 # -- VFP ------------------------------------------------------------------

@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.eval.bench import (
     PROFILES,
     SCHEMA_VERSION,
+    bench_scenario,
     default_artifact_path,
     run_bench,
     write_bench,
@@ -85,6 +87,16 @@ class TestRunBench:
     def test_profiles_and_artifact_path(self):
         assert set(PROFILES) == {"paper", "quick"}
         assert default_artifact_path("paper") == "BENCH_paper.json"
+
+    def test_an_unknown_profile_raises(self):
+        """A misspelt profile fails instead of running the paper one."""
+        with pytest.raises(KeyError):
+            bench_scenario("quik")
+
+    def test_the_cli_has_no_profile_selector_but_quick(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--name", "paper"])
+        assert exc.value.code == 2
 
     def test_write_bench_round_trips_deterministically(self, payload,
                                                        tmp_path):

@@ -187,8 +187,10 @@ def test_fft_compute_software_fallback():
     os_ = ScriptedOs()
     rng = np.random.default_rng(9)
     x = (rng.standard_normal(256) + 1j * rng.standard_normal(256)).astype(np.complex64)
-    gen = api.fft_compute(os_, 1, "fft256", x.tobytes(), hw_retries=1)
+    gen = api.fft_compute(os_, 1, "fft256", x.tobytes())
     script = [
+        _expect(HwRequest, (HcStatus.BUSY, None, None)),
+        _expect(Delay, None),
         _expect(HwRequest, (HcStatus.BUSY, None, None)),
         _expect(Delay, None),
         _expect(Compute, None),      # the software FFT's CPU cost

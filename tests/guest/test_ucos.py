@@ -145,7 +145,8 @@ def test_delay_blocks_until_ticks(os_):
 
 
 def test_sem_with_initial_count_doesnt_block(os_):
-    sem = os_.create_semaphore("s", count=1)
+    sem = os_.create_semaphore("s")
+    sem.count = 1
     log = []
 
     def fn(os):

@@ -145,10 +145,10 @@ class TestKWayShardMerge:
         """K per-shard snapshots merge to the single-registry totals."""
         shards = [MetricSnapshot.of(_shard_registry(s)) for s in range(1, 6)]
         single = MetricsRegistry()
+        single.gauge("shard.depth").set(15)     # gauges add under merge
         for s in range(1, 6):
             single.counter("shard.ops").inc(s * 7 + 3)
             single.counter("shard.errors", kind="crc").inc(s % 3)
-            single.gauge("shard.depth").inc(s)      # gauges add under merge
             h = single.histogram("shard.lat_cycles", buckets=LADDER)
             for i in range(s * 5 + 1):
                 h.observe((i * 37 + s) % 1500)

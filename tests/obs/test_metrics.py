@@ -33,11 +33,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_replaces_the_value(self):
         g = Gauge("g")
+        assert g.value == 0
         g.set(10)
-        g.inc(5)
-        g.inc(-2)
+        g.set(13)
         assert g.value == 13
 
 

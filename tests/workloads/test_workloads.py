@@ -1,12 +1,14 @@
 """Workload factories: profiles, task action streams, T_hw helpers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.dsp import fft as fft_golden
 from repro.dsp import qam as qam_golden
 from repro.guest import layout_guest as GL
-from repro.guest.actions import Compute, Delay, Finish
+from repro.guest.actions import Compute, Delay
 from repro.workloads.profiles import (
     ADPCM_BLOCK,
     GSM_FRAME,
@@ -36,14 +38,15 @@ class _FakeOs:
     name = "fake"
 
 
-def _drain_without_rng(monkeypatch, fn):
-    """Every action of the task ``fn``; creating a generator fails."""
+def _first_actions_without_rng(monkeypatch, fn, n):
+    """The first ``n`` actions of the task ``fn``; creating a generator
+    fails."""
     def no_rng(*args, **kwargs):
         raise AssertionError("a workload task created an RNG")
 
     monkeypatch.setattr(np.random, "default_rng", no_rng)
     monkeypatch.setattr(np.random, "SeedSequence", no_rng)
-    return list(fn(_FakeOs()))
+    return list(itertools.islice(fn(_FakeOs()), n))
 
 
 def _unit(profile, ws_base):
@@ -54,23 +57,20 @@ def _unit(profile, ws_base):
 
 def test_gsm_task_yields_compute_and_rests(monkeypatch):
     stats = WorkloadStats()
-    fn = make_gsm_task(frames=10, rest_every=4, stats=stats)
+    fn = make_gsm_task(stats=stats)
     frame = _unit(GSM_FRAME, GL.USER_BASE)
-    assert _drain_without_rng(monkeypatch, fn) == (
-        [frame] * 4 + [Delay(1)] + [frame] * 4 + [Delay(1)] + [frame] * 2
-        + [Finish()])
-    assert stats.units == 10
+    assert _first_actions_without_rng(monkeypatch, fn, 18) == (
+        [frame] * 8 + [Delay(1)] + [frame] * 8 + [Delay(1)])
+    assert stats.units == 16
 
 
 def test_adpcm_task_yields_compute_and_rests(monkeypatch):
     stats = WorkloadStats()
-    fn = make_adpcm_task(ws_base=0x10_0000, blocks=7, rest_every=3,
-                         stats=stats)
-    block = _unit(ADPCM_BLOCK, 0x10_0000)
-    assert _drain_without_rng(monkeypatch, fn) == (
-        [block] * 3 + [Delay(1)] + [block] * 3 + [Delay(1)] + [block]
-        + [Finish()])
-    assert stats.units == 7
+    fn = make_adpcm_task(stats=stats)
+    block = _unit(ADPCM_BLOCK, GL.USER_BASE + 0x40000)
+    assert _first_actions_without_rng(monkeypatch, fn, 26) == (
+        [block] * 12 + [Delay(1)] + [block] * 12 + [Delay(1)])
+    assert stats.units == 24
 
 
 def test_make_input_shapes():
