@@ -10,6 +10,8 @@ a privileged page or register faults exactly like hardware would.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..common.errors import SimulationError
 from ..common.params import PlatformParams
 from ..mem.system import MemorySystem
@@ -21,6 +23,11 @@ from .vfp import Vfp
 
 #: ARM instructions per 32-byte I-cache line.
 _INSTR_PER_LINE = 8
+
+#: Exception kind -> (the mode it is taken in, its vector offset).  An FIQ
+#: enters through the IRQ vector: the model has no separate FIQ handler.
+_EXCEPTIONS = {kind: (mode, VECTOR_OFFSETS["irq" if kind == "fiq" else kind])
+               for kind, mode in EXCEPTION_MODE.items()}
 
 
 class Cpu:
@@ -49,8 +56,10 @@ class Cpu:
         #: Advance the clock; the kernel's accountant attributes the
         #: cycles to a context (:mod:`repro.obs.accounting`).
         self._charge = sim.clock.advance
-        #: Block size -> (I-lines, issue cycles), for :meth:`code`.
+        #: Block size -> (I-lines, issue cycles), for :meth:`code`, and
+        #: instruction count -> issue cycles, for :meth:`instr`.
         self._code_costs: dict[int, tuple[int, int]] = {}
+        self._issue_costs: dict[int, int] = {}
 
     # -- privilege ----------------------------------------------------------
 
@@ -63,7 +72,10 @@ class Cpu:
 
     def instr(self, n: int) -> None:
         """Charge issue cost for ``n`` straight-line instructions (no fetch)."""
-        self._charge(self.timing.instr_cycles(n))
+        cost = self._issue_costs.get(n)
+        if cost is None:
+            cost = self._issue_costs[n] = self.timing.instr_cycles(n)
+        self._charge(cost)
 
     #: Residual cost of a prefetch-covered line miss (the A9's sequential
     #: prefetcher hides most of the latency of straight-line code runs).
@@ -106,6 +118,12 @@ class Cpu:
         self.mem.touch_words(va, n, write=True, privileged=self.privileged,
                              charge=self._charge)
 
+    def load_run(self, vas: Sequence[int]) -> None:
+        """Timed loads of ``vas`` in order (a record walk): the same as
+        one :meth:`load` per address."""
+        self.mem.touch_run(vas, write=False, privileged=self.privileged,
+                           charge=self._charge)
+
     def stream_range(self, base: int, size: int, *, write: bool = False) -> None:
         """Streaming access to an *uncached* buffer (e.g. a DMA staging
         section on the non-coherent AXI_HP path): translation is paid per
@@ -140,17 +158,19 @@ class Cpu:
 
     def take_exception(self, kind: str) -> None:
         """Architectural exception entry: bank switch, SPSR, vector fetch."""
-        if kind not in EXCEPTION_MODE:
+        entry = _EXCEPTIONS.get(kind)
+        if entry is None:
             raise SimulationError(f"unknown exception kind {kind!r}")
-        target = EXCEPTION_MODE[kind]
+        target, vector = entry
         self._mode_stack.append((self.mode, self.irq_masked))
         self.regs.set_spsr(self.regs.cpsr, target)
         self.set_mode(target)
         self.irq_masked = True
+        # Charged before the vector fetch, which may raise.
         self._charge(self.timing.exception_entry)
         # Vector + first handler line fetch through the I-cache.
-        vec = self.vbar + VECTOR_OFFSETS["irq" if kind == "fiq" else kind]
-        self._charge(self.mem.touch(vec, privileged=True, fetch=True))
+        self._charge(self.mem.touch(self.vbar + vector, privileged=True,
+                                    fetch=True))
 
     def return_from_exception(self) -> None:
         """Exception return (movs pc, lr style): restore mode + IRQ mask."""

@@ -41,6 +41,9 @@ class Gic:
     def __init__(self) -> None:
         self.enabled = [False] * N_IRQS
         self.pending = [False] * N_IRQS
+        #: ``pending`` as a bit mask (bit i set iff ``pending[i]``), so the
+        #: search for the best pending ID visits only pending IDs.
+        self._pending_bits = 0
         self.active = [False] * N_IRQS
         self.priority = [0x80] * N_IRQS       # lower value = higher priority
         self.dist_on = True
@@ -58,6 +61,7 @@ class Gic:
         """A device raises its line (edge-triggered model)."""
         self._check_id(irq_id)
         self.pending[irq_id] = True
+        self._pending_bits |= 1 << irq_id
         self.asserted += 1
         self._update_line()
 
@@ -78,6 +82,7 @@ class Gic:
         if irq is None:
             return SPURIOUS_IRQ
         self.pending[irq] = False
+        self._pending_bits &= ~(1 << irq)
         self.active[irq] = True
         self._update_line()
         return irq
@@ -100,16 +105,19 @@ class Gic:
             raise DeviceError(f"IRQ id {irq_id} out of range")
 
     def _best_pending(self) -> int | None:
-        if not (self.dist_on and self.cpu_iface_on):
+        """The highest-priority pending, enabled and unmasked ID; the
+        lowest such ID on a tie."""
+        bits = self._pending_bits
+        if not (bits and self.dist_on and self.cpu_iface_on):
             return None
-        # Most calls follow an ACK or an EOI with nothing left pending.
-        if True not in self.pending:
-            return None
+        enabled, priority = self.enabled, self.priority
         best: int | None = None
-        for i in range(self.n_irqs):
-            if self.pending[i] and self.enabled[i] \
-                    and self.priority[i] < self.priority_mask:
-                if best is None or self.priority[i] < self.priority[best]:
+        while bits:                    # the pending IDs, in ascending order
+            low = bits & -bits
+            bits ^= low
+            i = low.bit_length() - 1
+            if enabled[i] and priority[i] < self.priority_mask:
+                if best is None or priority[i] < priority[best]:
                     best = i
         return best
 
@@ -174,7 +182,13 @@ class Gic:
         return val
 
     def _apply_bits(self, bits: list[bool], word: int, value: int, on: bool) -> None:
-        for b in range(32):
-            if value & (1 << b):
-                bits[word * 32 + b] = on
+        value &= 0xFFFF_FFFF
+        if bits is self.pending:
+            mask = value << (word * 32)
+            self._pending_bits = (self._pending_bits | mask if on
+                                  else self._pending_bits & ~mask)
+        while value:                   # the set bits only
+            low = value & -value
+            value ^= low
+            bits[word * 32 + low.bit_length() - 1] = on
         self._update_line()

@@ -101,6 +101,8 @@ class Ucos:
         self.name = name
         self.tick_hz = tick_hz
         self.tasks: dict[int, Tcb] = {}
+        #: ``tasks``' TCBs in priority order, highest (lowest number) first.
+        self._by_prio: list[Tcb] = []
         self.sems: list[Semaphore] = []
         self.stats = OsStats()
         self.current: Tcb | None = None
@@ -129,6 +131,8 @@ class Ucos:
             raise GuestPanic(f"priority {prio} already taken (uC/OS-II rule)")
         tcb = Tcb(prio=prio, name=name, fn=fn)
         self.tasks[prio] = tcb
+        self._by_prio.append(tcb)
+        self._by_prio.sort(key=lambda t: t.prio)
         return tcb
 
     def create_semaphore(self, name: str) -> Semaphore:
@@ -142,10 +146,9 @@ class Ucos:
         execution state carries over), empty ``persist``.  Semaphores and
         IRQ bindings are re-created by the tasks themselves as they boot."""
         fresh = Ucos(self.name, tick_hz=self.tick_hz)
-        for prio in sorted(self.tasks):
-            tcb = self.tasks[prio]
-            if prio != IDLE_PRIO:
-                fresh.create_task(tcb.name, prio, tcb.fn)
+        for tcb in self._by_prio:
+            if tcb.prio != IDLE_PRIO:
+                fresh.create_task(tcb.name, tcb.prio, tcb.fn)
         return fresh
 
     def _create_idle(self) -> None:
@@ -157,14 +160,19 @@ class Ucos:
     # -- scheduling core ----------------------------------------------------------
 
     def highest_ready(self) -> Tcb | None:
-        for prio in sorted(self.tasks):
-            if self.tasks[prio].state is TaskState.READY:
-                return self.tasks[prio]
+        for tcb in self._by_prio:
+            if tcb.state is TaskState.READY:
+                return tcb
         return None
 
-    def live_task_count(self) -> int:
-        return sum(1 for t in self.tasks.values()
-                   if t.state is not TaskState.DONE and t.prio != IDLE_PRIO)
+    def _app_task_live(self) -> bool:
+        """Whether an application task has not finished: the first
+        unfinished task in priority order is not the idle task, which
+        has the lowest priority and never finishes."""
+        for tcb in self._by_prio:
+            if tcb.state is not TaskState.DONE:
+                return tcb.prio != IDLE_PRIO
+        return False
 
     # -- tick & ISR paths (timed via the port's executor) ------------------------
 
@@ -187,9 +195,12 @@ class Ucos:
         ex = self.port.exec
         self.stats.ticks += 1
         ex.code(GL.KERNEL_CODE + CODE_TICK, UC.tick_handler)
+        # OSTimeTick walks every TCB: one timed load per TCB row.  The rows
+        # share one page, so only the first load can fault, before any of
+        # the untimed bookkeeping below.
+        rows = ex.addr_base + GL.KERNEL_DATA + 0x100
+        ex.cpu.load_run([rows + tcb.prio * 16 for tcb in self.tasks.values()])
         for tcb in self.tasks.values():
-            # OSTimeTick walks every TCB (timed via the data touch below).
-            ex.cpu.load(ex.addr_base + GL.KERNEL_DATA + 0x100 + tcb.prio * 16)
             if tcb.state is TaskState.DELAYED:
                 tcb.delay -= 1
                 if tcb.delay <= 0:
@@ -245,7 +256,7 @@ class Ucos:
         tcb = self.highest_ready()
         if tcb is None:            # cannot happen: idle is always ready
             return ("halt", None)
-        if self.live_task_count() == 0:
+        if not self._app_task_live():
             return ("halt", None)
         if (spin_until is not None and tcb is self.current
                 and tcb.prio == IDLE_PRIO and tcb.retry_action is None

@@ -395,13 +395,18 @@ class MiniNova:
         # The scheduler traverses the double-linked priority circles
         # (Fig. 3): one PD record per runnable domain.  Other domains'
         # records go cold while they wait, so this walk is where the
-        # VM-count-dependent cache cost of dispatch shows up.
+        # VM-count-dependent cache cost of dispatch shows up.  Each PD's
+        # 10 instructions are charged as the walk reaches it, and the
+        # loads of every record in one run after them: nothing reads the
+        # clock in between.
+        records = []
         for level in range(self.sched.n_priorities - 1, -1, -1):
             for queued in self.sched.run_queue_at(level):
                 cpu.instr(10)
                 # PD record: link words, priority/state, quantum account.
-                for off in (0x80, 0x180, 0x280):
-                    cpu.load(L.kva(queued.kobj_addr + off))
+                kobj = L.kva(queued.kobj_addr)
+                records += (kobj + 0x80, kobj + 0x180, kobj + 0x280)
+        cpu.load_run(records)
         cpu.code(syms.vm_switch, C.vm_switch_fixed)
 
         if prev is not None:
@@ -459,8 +464,8 @@ class MiniNova:
         cpu = self.cpu
         # Record-list walk: 96 entries x 4 B = 12 cache lines of per-VM data.
         cpu.instr(30)
-        for line_off in range(0x100, 0x100 + 2 * self.machine.gic.n_irqs, 32):
-            cpu.load(L.kva(pd.kobj_addr + line_off))
+        records = L.kva(pd.kobj_addr) + 0x100
+        cpu.load_run(range(records, records + 2 * self.machine.gic.n_irqs, 32))
         kernel_owned = (IRQ_PRIVATE_TIMER, IRQ_PCAP_DONE)
         irqs = [i for i in pd.vgic.enabled_irqs() if i not in kernel_owned]
         if not irqs:
@@ -553,9 +558,10 @@ class MiniNova:
                 break
         cpu = self.cpu
         # IRQ -> PRR -> client routing: scan the per-PRR routing records.
-        cpu.instr(10 * len(self.machine.prrs))
-        for i in range(len(self.machine.prrs)):
-            cpu.load(self.syms.vgic_inject + 0x80 + 32 * i)
+        n = len(self.machine.prrs)
+        cpu.instr(10 * n)
+        routes = self.syms.vgic_inject + 0x80
+        cpu.load_run(range(routes, routes + 32 * n, 32))
         if target is not None and target.state is PdState.DEAD:
             # Dead-epoch rule (docs/RECOVERY.md §9): counted + dropped,
             # never delivered.
@@ -637,10 +643,10 @@ class MiniNova:
         cpu.code(self.syms.vgic_inject, C.vgic_inject)
         # Scan the pending region of the vIRQ record list for the winner,
         # then mark it delivered and fetch the guest's IRQ entry address.
-        for line_off in range(0x100, 0x200, 32):
-            cpu.load(L.kva(pd.kobj_addr + line_off))
-        cpu.store(L.kva(pd.kobj_addr + 0x100 + 4 * irq))     # mark delivered
-        cpu.load(L.kva(pd.kobj_addr + 0x08))                 # IRQ entry address
+        kobj = L.kva(pd.kobj_addr)
+        cpu.load_run(range(kobj + 0x100, kobj + 0x200, 32))
+        cpu.store(kobj + 0x100 + 4 * irq)                    # mark delivered
+        cpu.load(kobj + 0x08)                                # IRQ entry address
         pd.vgic.take(irq)
         # Guest runs its handler in guest-kernel mode: DACR flips (Table II).
         if not pd.vcpu.guest_kernel_mode:

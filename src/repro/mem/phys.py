@@ -127,7 +127,8 @@ class Bus:
         self.device_pages.update(range(base // PAGE_SIZE,
                                        (end - 1) // PAGE_SIZE + 1))
 
-    def _find(self, paddr: int) -> _Region | None:
+    def window(self, paddr: int) -> _Region | None:
+        """The MMIO window holding ``paddr``, or None."""
         idx = bisect_right(self._starts, paddr) - 1
         if idx >= 0:
             r = self._regions[idx]
@@ -136,12 +137,12 @@ class Bus:
         return None
 
     def is_device(self, paddr: int) -> bool:
-        return self._find(paddr) is not None
+        return self.window(paddr) is not None
 
     def read32(self, paddr: int) -> int:
         if self.dram.contains(paddr):
             return self.dram.read32(paddr)
-        r = self._find(paddr)
+        r = self.window(paddr)
         if r is None:
             raise MemoryError_(f"bus error: read {hexaddr(paddr)} hits nothing")
         return r.device.mmio_read(paddr - r.base) & 0xFFFF_FFFF
@@ -150,7 +151,7 @@ class Bus:
         if self.dram.contains(paddr):
             self.dram.write32(paddr, value)
             return
-        r = self._find(paddr)
+        r = self.window(paddr)
         if r is None:
             raise MemoryError_(f"bus error: write {hexaddr(paddr)} hits nothing")
         r.device.mmio_write(paddr - r.base, value & 0xFFFF_FFFF)

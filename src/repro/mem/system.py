@@ -2,13 +2,15 @@
 
 Two access styles:
 
-* **trace** accesses (`touch`, `fetch_run`, `touch_words`, `read32`,
-  `write32`): every kernel-path load/store/fetch goes through TLB,
-  walker and caches individually — this is what makes the Table III
+* **trace** accesses (`touch`, `fetch_run`, `touch_words`, `touch_run`,
+  `read32`, `write32`): every kernel-path load/store/fetch goes through
+  TLB, walker and caches individually — this is what makes the Table III
   entry/exit costs emerge from cache state.  `fetch_run` takes a code
   block's I-lines a page at a time, with the same effect as one `touch`
-  per line, and `touch_words` a run of words a cache line at a time,
-  with the same effect as one `touch` per word.
+  per line, `touch_words` a run of words a cache line at a time, with
+  the same effect as one `touch` per word, and `touch_run` a list of
+  addresses a page at a time, with the same effect as one `touch` per
+  address.
 * **bulk** accesses (`sample_block`): guest workloads execute millions of
   instructions; we push a 1/N sample of their memory stream through the
   real cache/TLB models (polluting them realistically) and extrapolate the
@@ -18,11 +20,12 @@ Two access styles:
 from __future__ import annotations
 
 import operator
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ..cache.hierarchy import AccessKind, CacheHierarchy
+from ..cache.level import CacheLevel
 from ..common.errors import SimulationError
 from ..common.params import PlatformParams
 from ..obs.metrics import MetricsRegistry
@@ -63,6 +66,8 @@ class MemorySystem:
         # plans, per (physical address of a run's first line, line count).
         self._fetch_bindings: dict[int, tuple] = {}
         self._fetch_plans: dict[tuple[int, int], tuple] = {}
+        #: A device access is uncached: it costs a bus round-trip.
+        self._device_cycles = params.cpu.dram // 2
 
     # -- trace-accurate accesses -------------------------------------------
 
@@ -94,57 +99,63 @@ class MemorySystem:
                     entries.pop(i)
                     entries.insert(0, e)
                 caches = self.caches
-                l1 = caches.l1i if fetch else caches.l1d
-                tag = paddr >> l1._offset_bits
-                idx1 = tag % l1._sets
-                s1 = l1._tags[idx1]
-                st1 = l1.stats
-                if tag in s1:
-                    st1.hits += 1
-                    if s1[0] != tag:
-                        s1.remove(tag)
-                        s1.insert(0, tag)
-                    if write:
-                        l1._dirty.add(tag)
-                    return caches._lat_l1
-                st1.misses += 1
-                victim_wb = None
-                if len(s1) >= l1._ways:
-                    victim = s1.pop()
-                    st1.evictions += 1
-                    l1._resident -= 1
-                    d = l1._dirty
-                    if victim in d:
-                        d.discard(victim)
-                        st1.writebacks += 1
-                        victim_wb = victim
-                s1.insert(0, tag)
-                l1._resident += 1
-                if write:
-                    l1._dirty.add(tag)
-                lat = caches._lat_l1 + caches._lat_l2
-                if victim_wb is not None:
-                    # Victim address reconstruction uses the L1D line
-                    # size for both L1s, as CacheHierarchy.access does.
-                    caches.l2.fill(
-                        victim_wb << (self.params.l1d.line.bit_length() - 1),
-                        write=True)
-                hit2, victim2 = caches.l2.lookup(paddr, write=False)
-                if not hit2:
-                    caches.dram_accesses += 1
-                    lat += caches._lat_dram
-                    if victim2 is not None:
-                        lat += caches._lat_dram // 4
-                return lat
+                return self._cache_walk(paddr, write,
+                                        caches.l1i if fetch else caches.l1d)
         paddr, cycles = self.mmu.translate(vaddr, privileged=privileged,
                                            write=write, fetch=fetch)
         kind = AccessKind.FETCH if fetch else AccessKind.DATA
         if not self.bus.is_device(paddr):
             cycles += self.caches.access(paddr, write=write, kind=kind)
         else:
-            # Device accesses are uncached; charge a bus round-trip.
-            cycles += self.params.cpu.dram // 2
+            cycles += self._device_cycles
         return cycles
+
+    def _cache_walk(self, paddr: int, write: bool, l1: CacheLevel) -> int:
+        """The L1 and L2 walk of one cacheable fetch (``l1`` is L1I) or
+        data access (L1D): ``CacheHierarchy.access`` for those kinds,
+        inline.  Returns its cycles."""
+        caches = self.caches
+        tag = paddr >> l1._offset_bits
+        idx1 = tag % l1._sets
+        s1 = l1._tags[idx1]
+        st1 = l1.stats
+        if tag in s1:
+            st1.hits += 1
+            if s1[0] != tag:
+                s1.remove(tag)
+                s1.insert(0, tag)
+            if write:
+                l1._dirty.add(tag)
+            return caches._lat_l1
+        st1.misses += 1
+        victim_wb = None
+        if len(s1) >= l1._ways:
+            victim = s1.pop()
+            st1.evictions += 1
+            l1._resident -= 1
+            d = l1._dirty
+            if victim in d:
+                d.discard(victim)
+                st1.writebacks += 1
+                victim_wb = victim
+        s1.insert(0, tag)
+        l1._resident += 1
+        if write:
+            l1._dirty.add(tag)
+        lat = caches._lat_l1 + caches._lat_l2
+        if victim_wb is not None:
+            # Victim address reconstruction uses the L1D line
+            # size for both L1s, as CacheHierarchy.access does.
+            caches.l2.fill(
+                victim_wb << (self.params.l1d.line.bit_length() - 1),
+                write=True)
+        hit2, victim2 = caches.l2.lookup(paddr, write=False)
+        if not hit2:
+            caches.dram_accesses += 1
+            lat += caches._lat_dram
+            if victim2 is not None:
+                lat += caches._lat_dram // 4
+        return lat
 
     def fetch_run(self, vaddr: int, lines: int, *, privileged: bool,
                   covered: int) -> int:
@@ -366,26 +377,74 @@ class MemorySystem:
                 cyc += booked * self.caches._lat_l1
             charge(cyc)
 
+    def touch_run(self, vaddrs: Sequence[int], *, write: bool,
+                  privileged: bool, charge: Callable[[int], object]) -> None:
+        """Access each of ``vaddrs`` in order, all loads or all stores
+        (timing only), passing their summed cycles to ``charge``: the
+        state and the charged cycles of one ``touch`` per address.
+
+        With the fast path and the MMU on, the first access on each page
+        goes through ``touch``.  That leaves the page's TLB entry at the
+        front of its set, permitting this kind of access at this
+        privilege, so each following access on the same page is one TLB
+        hit that moves nothing, booked in one step, and the L1D/L2 walk
+        that ``touch`` takes (``_cache_walk``).  Device pages
+        (``Bus.device_pages``), and every access with the fast path or
+        the MMU off, take one ``touch`` each.  A fault charges the
+        accesses before it, not the faulting one, as the per-access loop
+        would (docs/PERFORMANCE.md §2).
+        """
+        touch = self.touch
+        cyc = booked = 0
+        try:
+            if not (self.fastpath and self.mmu.enabled):
+                for va in vaddrs:
+                    cyc += touch(va, write=write, privileged=privileged)
+                return
+            tlb_sets, tlb_nsets = self.mmu.tlb._sets, self.mmu.tlb._nsets
+            device_pages = self.bus.device_pages
+            walk, l1d = self._cache_walk, self.caches.l1d
+            vpn = base = -1            # the page whose entry is the front
+            for va in vaddrs:
+                if va >> 12 == vpn:
+                    booked += 1
+                    cyc += walk(base | (va & 0xFFF), write, l1d)
+                    continue
+                cyc += touch(va, write=write, privileged=privileged)
+                vpn = va >> 12
+                pfn = tlb_sets[vpn % tlb_nsets][0].pfn
+                if pfn in device_pages:
+                    vpn = -1
+                base = pfn << 12
+        finally:
+            if booked:
+                self.mmu.tlb.stats.hits += booked
+            charge(cyc)
+
     def read32(self, vaddr: int, *, privileged: bool) -> tuple[int, int]:
         """Functional timed read; returns (value, cycles)."""
         paddr, cycles = self.mmu.translate(vaddr, privileged=privileged,
                                            write=False)
-        if self.bus.is_device(paddr):
-            cycles += self.params.cpu.dram // 2
-        else:
-            cycles += self.caches.access(paddr, write=False, kind=AccessKind.DATA)
-        return self.bus.read32(paddr), cycles
+        window = self.bus.window(paddr)
+        if window is None:
+            cycles += self.caches.access(paddr, write=False,
+                                         kind=AccessKind.DATA)
+            return self.bus.read32(paddr), cycles
+        return (window.device.mmio_read(paddr - window.base) & 0xFFFF_FFFF,
+                cycles + self._device_cycles)
 
     def write32(self, vaddr: int, value: int, *, privileged: bool) -> int:
         """Functional timed write; returns cycles."""
         paddr, cycles = self.mmu.translate(vaddr, privileged=privileged,
                                            write=True)
-        if self.bus.is_device(paddr):
-            cycles += self.params.cpu.dram // 2
-        else:
-            cycles += self.caches.access(paddr, write=True, kind=AccessKind.DATA)
-        self.bus.write32(paddr, value)
-        return cycles
+        window = self.bus.window(paddr)
+        if window is None:
+            cycles += self.caches.access(paddr, write=True,
+                                         kind=AccessKind.DATA)
+            self.bus.write32(paddr, value)
+            return cycles
+        window.device.mmio_write(paddr - window.base, value & 0xFFFF_FFFF)
+        return cycles + self._device_cycles
 
     # -- bulk workload traffic ---------------------------------------------
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..common.errors import SimulationError
@@ -39,13 +38,6 @@ class Clock:
             raise SimulationError(f"clock cannot move backwards (to {t}, now {self.now})")
         self.now = t
         return self.now
-
-
-@dataclass(order=True)
-class _QueuedEvent:
-    time: int
-    seq: int
-    handle: "EventHandle" = field(compare=False)
 
 
 class EventHandle:
@@ -80,7 +72,10 @@ class Simulator:
 
     def __init__(self, metrics: MetricsRegistry) -> None:
         self.clock = Clock()
-        self._queue: list[_QueuedEvent] = []
+        #: A heap of ``(time, seq, handle)``.  ``seq`` is unique, so tuple
+        #: comparison orders by time, then scheduling order, and never
+        #: reaches the handle.
+        self._queue: list[tuple[int, int, EventHandle]] = []
         self._seq = itertools.count()
         # Engine activity in the machine's registry (docs/OBSERVABILITY.md
         # §6): events scheduled/fired, idle fast-forwards and their cycles.
@@ -130,7 +125,7 @@ class Simulator:
         if t < self.clock.now:
             raise SimulationError(f"cannot schedule event in the past ({t} < {self.clock.now})")
         handle = EventHandle(t, fn, args, label)
-        heapq.heappush(self._queue, _QueuedEvent(t, next(self._seq), handle))
+        heapq.heappush(self._queue, (t, next(self._seq), handle))
         self._m_scheduled.inc()
         return handle
 
@@ -151,8 +146,9 @@ class Simulator:
     # -- dispatching ---------------------------------------------------
 
     def _pop_due(self, t: int) -> EventHandle | None:
-        while self._queue and self._queue[0].time <= t:
-            ev = heapq.heappop(self._queue).handle
+        queue = self._queue
+        while queue and queue[0][0] <= t:
+            ev = heapq.heappop(queue)[2]
             if not ev.cancelled:
                 return ev
         return None
@@ -180,7 +176,7 @@ class Simulator:
         telemetry tap's next emission; ``inf`` when there is neither.
         Advancing the clock short of it without dispatching is
         unobservable (``GuestExecutor.spin``)."""
-        t = self._queue[0].time if self._queue else math.inf
+        t = self._queue[0][0] if self._queue else math.inf
         s = self._stream
         if s is not None and s.next_due < t:
             t = s.next_due
@@ -188,9 +184,9 @@ class Simulator:
 
     def next_event_time(self) -> int | None:
         """Time of the earliest pending event, or None when queue is empty."""
-        while self._queue and self._queue[0].handle.cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def advance_to_next_event(self, limit: int | None = None) -> bool:
         """Idle fast-forward: jump the clock to the next event and fire it.
@@ -238,4 +234,4 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        return sum(1 for e in self._queue if e.handle.pending)
+        return sum(1 for _, _, handle in self._queue if handle.pending)

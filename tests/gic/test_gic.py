@@ -136,7 +136,8 @@ def test_pl_irq_mapping_roundtrip():
 
 
 class _FullScanGic(Gic):
-    """The reference: ``_best_pending`` scans every ID, pending or not."""
+    """The reference: ``_best_pending`` scans every ID, pending or not,
+    and a bit-register write tests each of its 32 bits."""
 
     def _best_pending(self):
         if not (self.dist_on and self.cpu_iface_on):
@@ -149,39 +150,61 @@ class _FullScanGic(Gic):
                     best = i
         return best
 
+    def _apply_bits(self, bits, word, value, on):
+        for b in range(32):
+            if value & (1 << b):
+                bits[word * 32 + b] = on
+        self._update_line()
 
-_IDS = st.sampled_from([0, 5, 29, 40, 41, 63, 64, 95])
+
+_IDS = st.sampled_from([0, 5, 29, 31, 32, 40, 41, 63, 64, 95])
+_BIT_REGS = st.sampled_from([G.ICDISER, G.ICDICER, G.ICDISPR, G.ICDICPR])
+#: Bits above 31 are not register bits: a write ignores them.
+_BIT_VALUES = st.one_of(st.sampled_from([0, 1 << 31, 0xFFFF_FFFF]),
+                        st.integers(0, (1 << 40) - 1))
 _OPS = st.lists(st.one_of(
     st.tuples(st.just("assert"), _IDS),
     st.tuples(st.just("enable"), _IDS, st.booleans()),
     st.tuples(st.just("priority"), _IDS, st.sampled_from([0x10, 0x80, 0xF0])),
     st.tuples(st.just("mask"), st.sampled_from([0x00, 0x20, 0x90, 0xFF])),
-    st.tuples(st.just("ack")),
-    st.tuples(st.just("eoi"), _IDS)), max_size=60)
+    st.tuples(st.just("bits"), _BIT_REGS, st.integers(0, 2), _BIT_VALUES),
+    st.tuples(st.just("ack"), st.booleans()),
+    st.tuples(st.just("eoi"), _IDS, st.booleans())), max_size=60)
+
+
+def _step(gic, op):
+    """Apply one drawn operation; return what it returned.  ACK and EOI
+    go through the API or through their MMIO registers."""
+    kind = op[0]
+    if kind == "assert":
+        return gic.assert_irq(op[1])
+    if kind == "enable":
+        return gic.set_enable(op[1], op[2])
+    if kind == "priority":
+        return gic.set_priority(op[1], op[2])
+    if kind == "mask":
+        return gic.mmio_write(G.ICCPMR, op[1])
+    if kind == "bits":
+        return gic.mmio_write(op[1] + 4 * op[2], op[3])
+    if kind == "ack":
+        return gic.mmio_read(G.ICCIAR) if op[1] else gic.ack()
+    return gic.mmio_write(G.ICCEOIR, op[1]) if op[2] else gic.eoi(op[1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(_OPS)
 def test_empty_pending_shortcut_matches_the_full_scan(ops):
-    """Mixed assert, enable, priority, priority-mask, ACK and EOI
-    sequences, with IDs left pending while disabled or masked by
-    priority: the same line levels and ACK order as the full scan."""
-    seen = []
-    for gic in (Gic(), _FullScanGic()):
-        levels, acks = [], []
-        gic.irq_line_cb = levels.append
-        for op in ops:
-            if op[0] == "assert":
-                gic.assert_irq(op[1])
-            elif op[0] == "enable":
-                gic.set_enable(op[1], op[2])
-            elif op[0] == "priority":
-                gic.set_priority(op[1], op[2])
-            elif op[0] == "mask":
-                gic.mmio_write(G.ICCPMR, op[1])
-            elif op[0] == "ack":
-                acks.append(gic.ack())
-            else:
-                gic.eoi(op[1])
-        seen.append((levels, acks, list(gic.pending), list(gic.active)))
-    assert seen[0] == seen[1]
+    """Mixed assert, enable, priority, priority-mask, ACK and EOI calls
+    and writes of 0, bit 31, all ones and other values to the four
+    enable and pending registers, with IDs left pending while disabled
+    or masked by priority, against the full-scan reference: the same
+    ACK results, enable, pending and active bits and line levels after
+    every step."""
+    gics = (Gic(), _FullScanGic())
+    levels = ([], [])
+    for gic, seen in zip(gics, levels):
+        gic.irq_line_cb = seen.append
+    for op in ops:
+        states = [(_step(gic, op), seen, gic.enabled, gic.pending, gic.active)
+                  for gic, seen in zip(gics, levels)]
+        assert states[0] == states[1], op

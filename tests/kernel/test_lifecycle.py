@@ -130,9 +130,9 @@ def test_backoff_doubles_between_attempts():
     kernel.run(until_cycles=machine.sim.now + 500_000)
 
     def resurrect_eta():
-        times = [ev.handle.time for ev in machine.sim._queue
-                 if ev.handle.label == f"vm-resurrect-{GUEST_VM}"
-                 and not ev.handle.cancelled and not ev.handle.fired]
+        times = [handle.time for _, _, handle in machine.sim._queue
+                 if handle.label == f"vm-resurrect-{GUEST_VM}"
+                 and not handle.cancelled and not handle.fired]
         assert len(times) == 1
         return times[0]
 

@@ -1,9 +1,9 @@
 """Fast-path equivalence: fastpath on/off must be cycle-for-cycle identical.
 
 docs/PERFORMANCE.md §5 is the contract these tests pin: the fused bulk
-loop, the fused touch path, the fetch run and its plans, word runs, the
-closed-form idle spin and the walk memo are pure reformulations of the
-cost model.  Every simulated-cycle quantity —
+loop, the fused touch path, the fetch run and its plans, word runs, page
+runs, the closed-form idle spin and the walk memo are pure reformulations
+of the cost model.  Every simulated-cycle quantity —
 the clock, stats, accounting, fault-schedule results, bench series — must
 not move when ``PlatformParams.fastpath`` is flipped.  Plus unit tests for the
 walk memo's validity rule (TTBR and DACR writes keep it, a write to an
@@ -743,6 +743,226 @@ class TestWordRunEquivalence:
         assert counts["words"] > 1_000
         assert counts["touched"] == counts["lines"], counts
         assert counts["words"] - counts["touched"] >= 0.8 * counts["words"]
+
+
+def _page_runner(cpu, runs, after):
+    """``run(vas, write)``: one page run (``Cpu.load_run``, or
+    ``MemorySystem.touch_run`` for stores), or one ``load`` or ``store``
+    per address, the reference.  Appends the cycles each run charged and
+    the state it left to ``after``, also when it raises."""
+    def run(vas, write):
+        t0 = cpu.sim.now
+        try:
+            if not runs:
+                one = cpu.store if write else cpu.load
+                for va in vas:
+                    one(va)
+            elif write:
+                cpu.mem.touch_run(vas, write=True, privileged=cpu.privileged,
+                                  charge=cpu._charge)
+            else:
+                cpu.load_run(vas)
+        finally:
+            after.append((cpu.sim.now - t0, _trace_state(cpu)))
+    return run
+
+
+class TestPageRunEquivalence:
+    """``Cpu.load_run`` (``MemorySystem.touch_run``, docs/PERFORMANCE.md
+    §2) against one ``load`` or ``store`` per address."""
+
+    @staticmethod
+    def _both(script, params=DEFAULT_PARAMS):
+        """Run ``script(cpu, run)`` with page runs and with single
+        accesses; assert that every run charged the same cycles and left
+        the same state, and so did the script, and return the final state
+        and the cycles of each run."""
+        out = []
+        for runs in (True, False):
+            cpu = _kernel_space_cpu(params)
+            after = []
+            script(cpu, _page_runner(cpu, runs, after))
+            out.append((_trace_state(cpu), after))
+        assert out[0] == out[1]
+        return out[0][0], [cycles for cycles, _ in out[0][1]]
+
+    @pytest.mark.parametrize("write", [False, True], ids=["load", "store"])
+    @pytest.mark.parametrize("stride", [4, 16, 32, 0x100])
+    def test_strides_identical(self, stride, write):
+        """Runs of 1, 6 and 24 addresses at the stride, cold (the first
+        access of a page misses the TLB) and warm; a run across a page
+        boundary; repeated lines in a run that leaves a page and comes
+        back to it, behind its TLB set's front; a run of the other kind
+        over the same addresses; and runs 8 KB apart that evict each
+        other's L1D lines."""
+        from repro.kernel import layout as L
+
+        page = L.KERNEL_LINEAR_BASE + 0x40_0000
+
+        def script(cpu, run):
+            for k, n in enumerate((1, 6, 24)):
+                vas = [page + k * 0x4000 + 0x40 + i * stride
+                       for i in range(n)]
+                run(vas, write)
+                run(vas, write)
+            crossing = [page + 0x1_0000 - 5 * stride + i * stride
+                        for i in range(10)]
+            run(crossing, write)
+            # Pages a and b share a TLB set: coming back to a page finds
+            # its entry behind the front.
+            a, b = page + 0x1_20A0, page + 0x5_20A0
+            run([a, a, a + 4, a, a + 32, a + 4, b, a + 36, b + 4, a], write)
+            run(crossing, not write)
+            for k in range(6):
+                run([page + 0x2_0000 + k * 8192 + i * stride
+                     for i in range(4)], write)
+
+        state, charged = self._both(script)
+        assert state["tlb"][0]["misses"] >= 4
+        assert state["l1d"][0]["evictions"] and all(charged)
+        if write:
+            assert state["l1d"][3]
+
+    @pytest.mark.parametrize("va", [0xF8F0_0100, 0xF8F0_21F0],
+                             ids=["gic", "into_timer_window"])
+    def test_device_pages_identical(self, va):
+        """The GIC's page, a run into the timer window that starts
+        mid-page, and a run that moves between a device page and a DRAM
+        page: every device-page access takes ``touch``."""
+        from repro.kernel import layout as L
+
+        lin = L.KERNEL_LINEAR_BASE + 0x40_0000
+
+        def script(cpu, run):
+            for write in (False, True, False):
+                run([va + 4 * i for i in range(27)], write)
+                run([lin, lin + 32, va, va + 4, lin + 64, va + 8, va + 12],
+                    write)
+
+        self._both(script)
+
+    @pytest.mark.parametrize("params, mmu", [(SLOW_PARAMS, True),
+                                             (DEFAULT_PARAMS, False),
+                                             (SLOW_PARAMS, False)],
+                             ids=["fastpath_off", "mmu_off", "both_off"])
+    def test_reference_loop_cases_identical(self, params, mmu):
+        from repro.kernel import layout as L
+
+        def script(cpu, run):
+            cpu.sysregs.write("SCTLR", int(mmu), privileged=True)
+            va = (L.KERNEL_LINEAR_BASE if mmu else L.KERNEL_BASE) + 0x40_0004
+            for write in (False, True, False):
+                run([va + 32 * i for i in range(12)], write)
+                run([va + 0x1000 - 40 + 16 * i for i in range(8)], write)
+
+        state, _ = self._both(script, params)
+        assert state["l1d"][0]["hits"]
+
+    def test_fault_on_a_later_page(self):
+        """The run's fifth address is on an unmapped page: the four
+        before it are charged and booked, the faulting one is not, and
+        the abort carries the walk's cycles."""
+        faults = []
+
+        def script(cpu, run):
+            cpu.load(HOLE_VA + 0x800)               # the page's walk
+            with pytest.raises(DataAbort) as info:
+                run([HOLE_VA + 0xF00 + 0x40 * i for i in range(6)], True)
+            faults.append((info.value.vaddr, info.value.reason,
+                           info.value.cycles))
+
+        state, charged = self._both(script)
+        assert faults[0] == faults[1]
+        assert faults[0][:2] == (HOLE_VA + 0x1000, "translation fault (L2)")
+        assert faults[0][2] > 0
+        t = DEFAULT_PARAMS.cpu
+        assert charged == [4 * (t.l1_hit + t.l2_hit + t.dram)]  # cold lines
+        assert state["tlb"][0] == {"hits": 4, "misses": 2, "flushes": 0}
+
+    def test_record_walks_engage(self, monkeypatch):
+        """Non-vacuity, in the 4-guest run of the fetch spy: a spy counts,
+        per walker, the record loads made one ``Cpu.load`` at a time and
+        the page runs with their addresses, page changes and ``touch``
+        calls.  The vIRQ record scans, the scheduler's PD walk, the PL-IRQ
+        routing records and uC/OS-II's TCB walk go through page runs, and
+        each run makes one ``touch`` per page change and books every other
+        address in one step."""
+        from collections import Counter
+
+        from repro.cpu.core import Cpu
+        from repro.eval.scenarios import build_virtualized
+        from repro.guest.ucos import Ucos
+        from repro.kernel.core import MiniNova
+
+        walkers = ((MiniNova, "_inject_virq"), (MiniNova, "_gic_mask_set"),
+                   (MiniNova, "_vm_switch"), (MiniNova, "_route_pl_irq"),
+                   (Ucos, "_on_tick"))
+        counts = {name: Counter() for _, name in walkers}
+        inside, in_run = [], []
+
+        def spy_walker(fn, name):
+            def spy(*args, **kw):
+                counts[name]["calls"] += 1
+                inside.append(name)
+                try:
+                    return fn(*args, **kw)
+                finally:
+                    inside.pop()
+            return spy
+
+        load, touch_run, touch = Cpu.load, MemorySystem.touch_run, \
+            MemorySystem.touch
+
+        def spy_load(self, va):
+            if inside:
+                counts[inside[-1]]["loads"] += 1
+            return load(self, va)
+
+        def spy_touch_run(self, vaddrs, **kw):
+            vaddrs = list(vaddrs)
+            c = counts[inside[-1]]
+            c["runs"] += 1
+            c["addrs"] += len(vaddrs)
+            c["pages"] += sum(1 for i, va in enumerate(vaddrs)
+                              if i == 0 or va >> 12 != vaddrs[i - 1] >> 12)
+            in_run.append(True)
+            try:
+                return touch_run(self, vaddrs, **kw)
+            finally:
+                in_run.pop()
+
+        def spy_touch(self, *args, **kw):
+            if in_run:
+                counts[inside[-1]]["touched"] += 1
+            return touch(self, *args, **kw)
+
+        for cls, name in walkers:
+            monkeypatch.setattr(cls, name, spy_walker(getattr(cls, name),
+                                                      name))
+        monkeypatch.setattr(Cpu, "load", spy_load)
+        monkeypatch.setattr(MemorySystem, "touch_run", spy_touch_run)
+        monkeypatch.setattr(MemorySystem, "touch", spy_touch)
+        sc = build_virtualized(4, seed=1, with_workloads=False, verify=True,
+                               tick_hz=1000)
+        sc.run_ms(60.0)
+        prrs = len(sc.machine.prrs)
+        inject, mask, switch, route, tick = (counts[n] for _, n in walkers)
+        assert all(c["runs"] > 10 for c in counts.values()), counts
+        # One load outside the scan per injection: the IRQ entry address.
+        assert inject["loads"] == inject["runs"]
+        assert not (mask["loads"] or switch["loads"] or route["loads"]
+                    or tick["loads"]), counts
+        assert inject["addrs"] == 8 * inject["runs"]
+        assert mask["addrs"] == 6 * mask["runs"] == 6 * mask["calls"]
+        assert switch["runs"] == switch["calls"]
+        assert switch["addrs"] == 3 * switch["pages"]
+        assert route["addrs"] == prrs * route["runs"]
+        assert tick["runs"] == tick["calls"]
+        for c in counts.values():
+            assert c["touched"] == c["pages"], counts
+        addrs = sum(c["addrs"] for c in counts.values())
+        touched = sum(c["touched"] for c in counts.values())
+        assert addrs > 1_000 and addrs - touched >= 0.6 * addrs, counts
 
 
 # The bulk address space: 4 KB pages whose frames lie 64 KB apart, so

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.common.params import DEFAULT_PARAMS
+from repro.common.errors import MemoryError_
+from repro.common.params import DEFAULT_PARAMS, MemoryMapParams
+from repro.common.units import MB
 from repro.mem.descriptors import AP, DomainType, dacr_set
 from repro.mem.ptables import PageTable
 from repro.mem.system import MemorySystem
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture
@@ -79,3 +82,50 @@ def test_frame_allocators_partition_dram(memsys):
     k = memsys.kernel_frames.alloc(4096)
     g = memsys.guest_frames.alloc(4096)
     assert k < memsys.guest_frames.base <= g
+
+
+class _LoggedRegs:
+    """A device that logs its register accesses and reads back values
+    wider than a word."""
+
+    def __init__(self):
+        self.log = []
+
+    def mmio_read(self, offset):
+        self.log.append(("read", offset))
+        return 0x1_2345_6700 + offset
+
+    def mmio_write(self, offset, value):
+        self.log.append(("write", offset, value))
+
+
+def test_device_registers_on_a_partly_covered_page():
+    """One 4 KB page holds the last DRAM words, a gap and an MMIO window
+    over part of the rest.  ``read32``/``write32`` (MMU off) reach the
+    device at the window offset, with the value masked to a word, for a
+    bus round-trip; DRAM words go through the caches to DRAM; a gap word
+    takes its cache access and then raises the bus error."""
+    mm = MemoryMapParams(dram_size=64 * MB - 0x800)
+    ms = MemorySystem(DEFAULT_PARAMS.with_(memmap=mm), MetricsRegistry())
+    page = mm.dram_base + mm.dram_size - 0x800          # DRAM ends mid-page
+    assert page % 4096 == 0
+    dev = _LoggedRegs()
+    ms.bus.map_device(page + 0xC00, 0x100, dev, "regs")
+    t = DEFAULT_PARAMS.cpu
+    assert ms.read32(page + 0xC04, privileged=True) == (0x2345_6704,
+                                                         t.dram // 2)
+    assert ms.write32(page + 0xCFC, 0x1_0000_0005, privileged=True) \
+        == t.dram // 2
+    assert dev.log == [("read", 0x4), ("write", 0xFC, 5)]
+    assert ms.caches.l1d.stats.accesses == 0
+    assert ms.write32(page + 0x7FC, 0xABCD, privileged=True) \
+        == t.l1_hit + t.l2_hit + t.dram
+    assert ms.read32(page + 0x7FC, privileged=True) == (0xABCD, t.l1_hit)
+    for gap in (page + 0x800, page + 0xBFC, page + 0xD00, page + 0xFFC):
+        misses = ms.caches.l1d.stats.misses
+        with pytest.raises(MemoryError_, match="bus error: read"):
+            ms.read32(gap, privileged=True)
+        with pytest.raises(MemoryError_, match="bus error: write"):
+            ms.write32(gap, 1, privileged=True)
+        assert ms.caches.l1d.stats.misses == misses + 1
+    assert len(dev.log) == 2
