@@ -34,8 +34,6 @@ class CacheHierarchy:
         self._lat_l1 = t.l1_hit
         self._lat_l2 = t.l2_hit
         self._lat_dram = t.dram
-        #: DRAM accesses that missed everywhere (for bandwidth accounting).
-        self.dram_accesses = 0
 
     def access(self, paddr: int, *, write: bool = False,
                kind: AccessKind = AccessKind.DATA) -> int:
@@ -44,7 +42,6 @@ class CacheHierarchy:
             hit2, victim = self.l2.lookup(paddr, write=False)
             if hit2:
                 return self._lat_l2
-            self.dram_accesses += 1
             lat = self._lat_l2 + self._lat_dram
             if victim is not None:
                 lat += self._wb_cost()
@@ -61,7 +58,6 @@ class CacheHierarchy:
         hit2, victim2 = self.l2.lookup(paddr, write=False)
         lat += self._lat_l2
         if not hit2:
-            self.dram_accesses += 1
             lat += self._lat_dram
             if victim2 is not None:
                 lat += self._wb_cost()

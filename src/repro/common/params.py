@@ -107,14 +107,14 @@ class PlatformParams:
     fpga: FpgaParams = field(default_factory=FpgaParams)
     #: Sampling divisor for bulk (workload) memory traffic; 1 = trace every access.
     bulk_sample: int = 64
-    #: Simulation-engine fast path (docs/PERFORMANCE.md): fused bulk access
-    #: loop + memoized page walks.  Cycle-for-cycle identical to the slow
+    #: Simulation-engine fast path (docs/PERFORMANCE.md): fused access
+    #: loops + memoized page walks.  Cycle-for-cycle identical to the slow
     #: path; off exists for differential testing, not as a safety valve.
     fastpath: bool = True
 
     def __post_init__(self) -> None:
-        # The bulk loop (MemorySystem._sample_fast) takes an L2 tag from an
-        # L1D tag by a right shift.
+        # The data-run loop (MemorySystem._data_run) takes an L2 tag from
+        # an L1D tag by a right shift.
         if self.l2.line < self.l1d.line:
             raise DeviceError(f"L2 line ({self.l2.line} B) is shorter than "
                               f"the L1D line ({self.l1d.line} B)")

@@ -10,6 +10,7 @@ a privileged page or register faults exactly like hardware would.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Sequence
 
 from ..common.errors import SimulationError
@@ -106,22 +107,16 @@ class Cpu:
         """Timed store (timing only)."""
         self._charge(self.mem.touch(va, write=True, privileged=self.privileged))
 
-    def load_words(self, va: int, n: int) -> None:
-        """Timed loads of the ``n`` consecutive words from ``va``: the
-        same as ``n`` calls of :meth:`load`."""
-        self.mem.touch_words(va, n, write=False, privileged=self.privileged,
-                             charge=self._charge)
-
-    def store_words(self, va: int, n: int) -> None:
-        """Timed stores to the ``n`` consecutive words from ``va``: the
-        same as ``n`` calls of :meth:`store`."""
-        self.mem.touch_words(va, n, write=True, privileged=self.privileged,
-                             charge=self._charge)
-
     def load_run(self, vas: Sequence[int]) -> None:
-        """Timed loads of ``vas`` in order (a record walk): the same as
-        one :meth:`load` per address."""
-        self.mem.touch_run(vas, write=False, privileged=self.privileged,
+        """Timed loads of ``vas`` in order (a record walk, a context
+        restore): the same as one :meth:`load` per address."""
+        self.mem.touch_run(vas, repeat(False), privileged=self.privileged,
+                           charge=self._charge)
+
+    def store_run(self, vas: Sequence[int]) -> None:
+        """Timed stores to ``vas`` in order (a context save): the same as
+        one :meth:`store` per address."""
+        self.mem.touch_run(vas, repeat(True), privileged=self.privileged,
                            charge=self._charge)
 
     def stream_range(self, base: int, size: int, *, write: bool = False) -> None:

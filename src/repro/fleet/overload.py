@@ -205,7 +205,7 @@ class RetryBudget:
     amplification factor bounded at ``1 + ratio`` (plus a constant
     floor so cold starts can still retry at all)."""
 
-    __slots__ = ("ratio", "floor", "fresh", "retries", "denied")
+    __slots__ = ("ratio", "floor", "fresh", "retries")
 
     def __init__(self, *, ratio: float = 0.1, floor: int = 4) -> None:
         _require(ratio >= 0, f"ratio must be >= 0, got {ratio}")
@@ -214,7 +214,6 @@ class RetryBudget:
         self.floor = int(floor)
         self.fresh = 0
         self.retries = 0
-        self.denied = 0
 
     def note_fresh(self) -> None:
         self.fresh += 1
@@ -226,7 +225,6 @@ class RetryBudget:
         if self.retries < self.allowance():
             self.retries += 1
             return True
-        self.denied += 1
         return False
 
 
@@ -303,7 +301,7 @@ class AdmissionController:
                         for name in tenant_names}
         # Registered up front so idle-plane payload totals are stable 0s.
         self._c_admitted = metrics.counter("fleet.admission.admitted")
-        self._c_dropped = metrics.counter("fleet.admission.dropped")
+        metrics.counter("fleet.admission.dropped")
 
     def begin_tick(self, t: int, tenants: dict[str, Any],
                    multipliers: dict[str, float]) -> None:

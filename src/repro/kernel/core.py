@@ -412,14 +412,15 @@ class MiniNova:
         if prev is not None:
             # Active save: user registers + virtual state into the save area.
             prev.vcpu.save_user_regs(cpu.regs)
-            cpu.store_words(L.kva(prev.vcpu.save_area),
-                            Vcpu.ACTIVE_CONTEXT_WORDS)
+            area = L.kva(prev.vcpu.save_area)
+            cpu.store_run(range(area, area + 4 * Vcpu.ACTIVE_CONTEXT_WORDS, 4))
             self._gic_mask_set(prev, enable=False)
 
         # Unmask the successor's enabled IRQs, restore its context.
         self._gic_mask_set(to, enable=True)
         to.vcpu.restore_user_regs(cpu.regs)
-        cpu.load_words(L.kva(to.vcpu.save_area), Vcpu.ACTIVE_CONTEXT_WORDS)
+        area = L.kva(to.vcpu.save_area)
+        cpu.load_run(range(area, area + 4 * Vcpu.ACTIVE_CONTEXT_WORDS, 4))
 
         # TTBR/ASID/DACR reload (the cheap switch Section III-C argues for).
         sysregs = cpu.sysregs
@@ -440,10 +441,11 @@ class MiniNova:
         else:
             if prev is not None and cpu.vfp.owner == prev.vm_id:
                 cpu.vfp.save_bank()
-                cpu.store_words(L.kva(prev.vcpu.save_area + 0x100),
-                                VFP_CONTEXT_WORDS)
+                bank = L.kva(prev.vcpu.save_area + 0x100)
+                cpu.store_run(range(bank, bank + 4 * VFP_CONTEXT_WORDS, 4))
             cpu.vfp.restore_bank(to.vm_id)
-            cpu.load_words(L.kva(to.vcpu.save_area + 0x100), VFP_CONTEXT_WORDS)
+            bank = L.kva(to.vcpu.save_area + 0x100)
+            cpu.load_run(range(bank, bank + 4 * VFP_CONTEXT_WORDS, 4))
             cpu.vfp.enable()
 
         self._program_timer(to)
@@ -813,12 +815,12 @@ class MiniNova:
             old = self.domains.get(old_owner)
             if old is not None:
                 cpu.vfp.save_bank()
-                cpu.store_words(L.kva(old.vcpu.save_area + 0x100),
-                                VFP_CONTEXT_WORDS)
+                bank = L.kva(old.vcpu.save_area + 0x100)
+                cpu.store_run(range(bank, bank + 4 * VFP_CONTEXT_WORDS, 4))
         if cpu.vfp.owner != pd.vm_id:
             cpu.vfp.restore_bank(pd.vm_id)
-            cpu.load_words(L.kva(pd.vcpu.save_area + 0x100),
-                           VFP_CONTEXT_WORDS)
+            bank = L.kva(pd.vcpu.save_area + 0x100)
+            cpu.load_run(range(bank, bank + 4 * VFP_CONTEXT_WORDS, 4))
         cpu.vfp.enable()
         pd.vcpu.used_vfp = True
         self.metrics.counter("kernel.vfp_lazy_switches").inc()
@@ -874,7 +876,8 @@ class MiniNova:
         cpu.take_exception("svc")
         cpu.code(syms.svc_entry, C.svc_entry_stub)
         # Spill r0-r3 into the PD frame.
-        cpu.store_words(L.kva(pd.kobj_addr + 0x20), 4)
+        frame = L.kva(pd.kobj_addr + 0x20)
+        cpu.store_run(range(frame, frame + 16, 4))
         cpu.code(syms.hypercall_dispatch, C.hypercall_dispatch)
         cpu.load(L.kva(pd.kobj_addr))    # PD capability/portal lookup
         cpu.code(syms.handler(int(num)), 8)    # handler prologue fetch
@@ -1165,8 +1168,8 @@ class MiniNova:
             req = _HwRequest("irq_attach", pd, exit_,
                              task_id=a[0] if a else 0)
         # Copy the request into the manager's mailbox (its data area).
-        mbox = self.manager_pd.phys_base + L.MANAGER_DATA_VA
-        cpu.store_words(L.kva(mbox), 6)
+        mbox = L.kva(self.manager_pd.phys_base + L.MANAGER_DATA_VA)
+        cpu.store_run(range(mbox, mbox + 4 * 6, 4))
         self.manager_queue.append(req)
         cpu.code(self.syms.hwreq_glue + 0x100, C.hwreq_wakeup_manager)
         self.sched.resume(self.manager_pd,

@@ -229,8 +229,9 @@ class VmLifecycle:
                 # area, one record-list store per vIRQ entry, then a
                 # descriptor-driven copy of the guest chunk (per-page setup).
                 cpu.code(k.syms.vm_switch, C.vm_switch_fixed)
-                cpu.store_words(L.kva(pd.vcpu.save_area),
-                                Vcpu.ACTIVE_CONTEXT_WORDS)
+                area = L.kva(pd.vcpu.save_area)
+                cpu.store_run(range(area, area + 4 * Vcpu.ACTIVE_CONTEXT_WORDS,
+                                    4))
                 for irq_id in pd.vgic.all_irqs():
                     cpu.store(L.kva(pd.kobj_addr + 0x100 + 4 * irq_id))
                 cpu.instr(max(1, pd.phys_size // 4096))
@@ -426,7 +427,8 @@ class VmLifecycle:
         cpu.instr(max(1, len(ckpt.memory_image) // PAGE_SIZE))
         # Active context: registers, vregs, timer, privilege view.
         pd.vcpu.restore(ckpt.vcpu)
-        cpu.load_words(L.kva(pd.vcpu.save_area), Vcpu.ACTIVE_CONTEXT_WORDS)
+        area = L.kva(pd.vcpu.save_area)
+        cpu.load_run(range(area, area + 4 * Vcpu.ACTIVE_CONTEXT_WORDS, 4))
         # vGIC record list; pending vIRQs replay or drop by class.
         pd.vgic.irq_entry_va = ckpt.vgic["irq_entry_va"]
         for irq_id, enabled, _pending, guest_word in ckpt.vgic["records"]:

@@ -2,25 +2,24 @@
 
 Two access styles:
 
-* **trace** accesses (`touch`, `fetch_run`, `touch_words`, `touch_run`,
-  `read32`, `write32`): every kernel-path load/store/fetch goes through
-  TLB, walker and caches individually — this is what makes the Table III
-  entry/exit costs emerge from cache state.  `fetch_run` takes a code
-  block's I-lines a page at a time, with the same effect as one `touch`
-  per line, `touch_words` a run of words a cache line at a time, with
-  the same effect as one `touch` per word, and `touch_run` a list of
-  addresses a page at a time, with the same effect as one `touch` per
-  address.
+* **trace** accesses (`touch`, `fetch_run`, `touch_run`, `read32`,
+  `write32`): every kernel-path load/store/fetch goes through TLB, walker
+  and caches individually — this is what makes the Table III entry/exit
+  costs emerge from cache state.  `fetch_run` takes a code block's
+  I-lines a page at a time, with the same effect as one `touch` per line,
+  and `touch_run` a run of data accesses (a record walk, a context move)
+  in one fused loop, with the same effect as one `touch` per access.
 * **bulk** accesses (`sample_block`): guest workloads execute millions of
   instructions; we push a 1/N sample of their memory stream through the
   real cache/TLB models (polluting them realistically) and extrapolate the
-  latency of the unsampled remainder from the sampled mean.
+  latency of the unsampled remainder from the sampled mean.  The sample
+  runs through `touch_run`'s loop too.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -54,10 +53,11 @@ class MemorySystem:
         self._tlb_entries = params.tlb.entries
         self._l2_press_threshold = self._l2_lines // 2
         self._tlb_press_threshold = self._tlb_entries // 2
-        # Fast-path toggle (docs/PERFORMANCE.md): when on, sample_block
-        # runs a fused single-loop reformulation of translate+access and
-        # the MMU memoizes walk results.  Cycle-for-cycle identical to the
-        # slow path by construction; tests/mem/test_fastpath.py proves it.
+        # Fast-path toggle (docs/PERFORMANCE.md): when on, touch,
+        # fetch_run and touch_run (sample_block's too) run fused
+        # reformulations of the per-access path and the MMU memoizes walk
+        # results.  Cycle-for-cycle identical to the slow path by
+        # construction; tests/mem/test_fastpath.py proves it.
         self.fastpath = params.fastpath
         self.mmu.fastpath = params.fastpath
         # Cycles charged through the batched bulk path (fast path only).
@@ -151,7 +151,6 @@ class MemorySystem:
                 write=True)
         hit2, victim2 = caches.l2.lookup(paddr, write=False)
         if not hit2:
-            caches.dram_accesses += 1
             lat += caches._lat_dram
             if victim2 is not None:
                 lat += caches._lat_dram // 4
@@ -285,7 +284,6 @@ class MemorySystem:
                 s.evictions += m2 - free2
                 s.writebacks += wb2
                 l2._resident += free2
-                caches.dram_accesses += m2
         return cyc
 
     def _bind_fetch(self, covered: int) -> tuple:
@@ -327,98 +325,29 @@ class MemorySystem:
                          l2_tags[tag2 % l2_sets], tag2))
         return tuple(plan)
 
-    def touch_words(self, vaddr: int, n: int, *, write: bool,
-                    privileged: bool, charge: Callable[[int], object]
-                    ) -> None:
-        """Access the ``n`` consecutive words from ``vaddr`` (timing only),
-        passing their cycles to ``charge``: the state and the charged
-        cycles of ``n`` ``touch`` calls whose cycles are each charged.
-
-        With the fast path and the MMU on, the first word of each L1D line
-        goes through ``touch``.  That leaves the page's TLB entry at the
-        front of its set and the line at the front of its L1D set, with
-        its dirty bit set on a write, so each further word on the line is
-        one TLB hit and one L1D hit at ``lat_l1`` that moves nothing; they
-        are booked in one step.  Lines on a page that an MMIO window
-        overlaps, and every word with the fast path or the MMU off, take
-        one ``touch`` each.  A fault charges the words before it, not the
-        faulting one, as the per-word loop would (docs/PERFORMANCE.md §2).
-        """
-        touch = self.touch
-        end = vaddr + 4 * n
-        cyc = booked = 0
-        try:
-            if not (self.fastpath and self.mmu.enabled):
-                for va in range(vaddr, end, 4):
-                    cyc += touch(va, write=write, privileged=privileged)
-                return
-            last = self.params.l1d.line - 1
-            tlb_sets, tlb_nsets = self.mmu.tlb._sets, self.mmu.tlb._nsets
-            device_pages = self.bus.device_pages
-            va = vaddr
-            while va < end:
-                cyc += touch(va, write=write, privileged=privileged)
-                line_end = min(end, (va | last) + 1)
-                va += 4
-                if va >= line_end:
-                    continue
-                if tlb_sets[(va >> 12) % tlb_nsets][0].pfn in device_pages:
-                    while va < line_end:
-                        cyc += touch(va, write=write, privileged=privileged)
-                        va += 4
-                else:
-                    k = (line_end - va + 3) // 4
-                    booked += k
-                    va += 4 * k
-        finally:
-            if booked:
-                self.mmu.tlb.stats.hits += booked
-                self.caches.l1d.stats.hits += booked
-                cyc += booked * self.caches._lat_l1
-            charge(cyc)
-
-    def touch_run(self, vaddrs: Sequence[int], *, write: bool,
+    def touch_run(self, vaddrs: Sequence[int], writes: Iterable[bool], *,
                   privileged: bool, charge: Callable[[int], object]) -> None:
-        """Access each of ``vaddrs`` in order, all loads or all stores
-        (timing only), passing their summed cycles to ``charge``: the
-        state and the charged cycles of one ``touch`` per address.
+        """Access each of ``vaddrs`` in order (timing only), a store where
+        ``writes`` yields True and a load elsewhere, and pass the summed
+        cycles to ``charge``: the state and the charged cycles of one
+        ``touch`` per access.  ``writes`` yields a flag per address; it may
+        be longer (``itertools.repeat`` for a run of one kind).
 
-        With the fast path and the MMU on, the first access on each page
-        goes through ``touch``.  That leaves the page's TLB entry at the
-        front of its set, permitting this kind of access at this
-        privilege, so each following access on the same page is one TLB
-        hit that moves nothing, booked in one step, and the L1D/L2 walk
-        that ``touch`` takes (``_cache_walk``).  Device pages
-        (``Bus.device_pages``), and every access with the fast path or
-        the MMU off, take one ``touch`` each.  A fault charges the
-        accesses before it, not the faulting one, as the per-access loop
-        would (docs/PERFORMANCE.md §2).
+        With the fast path and the MMU on, the fused loop of ``_data_run``
+        books the run; otherwise it takes one ``touch`` per access, the
+        reference.  A fault charges the accesses before it, not the
+        faulting one, as the per-access loop would (docs/PERFORMANCE.md
+        §2).
         """
+        if self.fastpath and self.mmu.enabled:
+            self._data_run(vaddrs, writes, privileged, charge)
+            return
         touch = self.touch
-        cyc = booked = 0
+        cyc = 0
         try:
-            if not (self.fastpath and self.mmu.enabled):
-                for va in vaddrs:
-                    cyc += touch(va, write=write, privileged=privileged)
-                return
-            tlb_sets, tlb_nsets = self.mmu.tlb._sets, self.mmu.tlb._nsets
-            device_pages = self.bus.device_pages
-            walk, l1d = self._cache_walk, self.caches.l1d
-            vpn = base = -1            # the page whose entry is the front
-            for va in vaddrs:
-                if va >> 12 == vpn:
-                    booked += 1
-                    cyc += walk(base | (va & 0xFFF), write, l1d)
-                    continue
-                cyc += touch(va, write=write, privileged=privileged)
-                vpn = va >> 12
-                pfn = tlb_sets[vpn % tlb_nsets][0].pfn
-                if pfn in device_pages:
-                    vpn = -1
-                base = pfn << 12
+            for w, va in zip(writes, vaddrs):
+                cyc += touch(va, write=w, privileged=privileged)
         finally:
-            if booked:
-                self.mmu.tlb.stats.hits += booked
             charge(cyc)
 
     def read32(self, vaddr: int, *, privileged: bool) -> tuple[int, int]:
@@ -455,6 +384,8 @@ class MemorySystem:
         ``vaddrs``: the list of sampled virtual addresses (1/scale of the
         real stream); ``write_mask``: the list of their write flags.
         Returns extrapolated cycles for the *full* stream's memory latency.
+        The sample runs as one ``touch_run``; a fault escapes with the
+        accesses before it booked and nothing charged.
         """
         if not vaddrs:
             return 0
@@ -462,16 +393,10 @@ class MemorySystem:
         tlb = self.mmu.tlb
         l2_misses0 = l2.stats.misses
         tlb_misses0 = tlb.stats.misses
-        if self.fastpath and self.mmu.enabled:
-            total = self._sample_fast(vaddrs, write_mask, privileged)
-        else:
-            total = 0
-            translate = self.mmu.translate
-            caches_access = self.caches.access
-            for va, w in zip(vaddrs, write_mask):
-                paddr, c = translate(va, privileged=privileged, write=w)
-                c += caches_access(paddr, write=w, kind=AccessKind.DATA)
-                total += c
+        sampled: list[int] = []
+        self.touch_run(vaddrs, write_mask, privileged=privileged,
+                       charge=sampled.append)
+        total = sampled[0]
         if self.fastpath:
             self._m_batched.inc(total * scale)
         l2_new = l2.stats.misses - l2_misses0
@@ -554,38 +479,43 @@ class MemorySystem:
         self._m_batched.inc(n * self.caches._lat_l1 * scale)
         return True
 
-    def _sample_fast(self, vaddrs: list[int], write_mask: list[bool],
-                     privileged: bool) -> int:
-        """Fused reformulation of the per-access translate+access loop,
-        for the MMU on.
+    def _data_run(self, vaddrs: Sequence[int], writes: Iterable[bool],
+                  privileged: bool, charge: Callable[[int], object]) -> None:
+        """``touch_run`` with the fast path and the MMU on: the one fused
+        reformulation of the per-access ``touch`` loop for data runs.
 
         One Python loop body performs the TLB lookup, the flattened
         DACR/AP permission test and the L1D/L2 cache walk inline, mutating
         the exact same model state (LRU order, dirty bits, occupancy) in
-        the exact same order as ``Mmu.translate`` + ``CacheHierarchy.access``
-        would (docs/PERFORMANCE.md §2):
+        the exact same order as one ``touch`` per access would
+        (docs/PERFORMANCE.md §2):
 
         * ``mru`` maps the vpn of TLB entries that are the front of their
-          set, match the ASID (or are global) and permit both a read and
-          a write at this privilege to their page base: all of them for
-          a block longer than the TLB has sets, none at first for a
-          shorter one.  An access to a mapped page is a TLB hit that
-          moves nothing: one dict probe.  Any other access takes the
-          lookup, walk and insert path, after which its entry is the
-          front of its set, so ``mru`` drops the set's old front and
-          takes the new one if it permits both.
+          set, match the ASID (or are global), permit both a read and a
+          write at this privilege and are not on a device page to their
+          page base: all of them for a run longer than the TLB has sets,
+          none at first for a shorter one.  An access to a mapped page is
+          a TLB hit that moves nothing: one dict probe.  Any other access
+          takes the lookup, walk and insert path, after which its entry is
+          the front of its set, so ``mru`` drops the set's old front and
+          takes the new one if it qualifies.
+        * An access on a page in ``Bus.device_pages`` is translated as
+          any other, then costed as ``touch``'s slow path costs it: a bus
+          round-trip if an MMIO window holds the address, else
+          ``CacheHierarchy.access``.  Its page never enters ``mru``.
         * Only L1D hits and misses past L1D are counted in the loop; the
           rest follow once, in the ``finally``: every translated access is
-          a TLB hit or miss, every one that reached L1D is an L1D hit or
-          miss, and every L1D miss is an L2 hit or miss.  An access whose
-          translation raises reached no cache.  Nothing can run between
-          the accesses of one block, so batching the counts is
-          unobservable.
+          a TLB hit or miss, every one that reached L1D here is an L1D hit
+          or miss, and every L1D miss is an L2 hit or miss.  An access
+          whose translation raises reached no cache.  Nothing can run
+          between the accesses of one run, so batching the counts and the
+          charge is unobservable.
         * An L1D miss takes its L2 tag, and a dirty L1D victim its L2 tag,
           from the L1D tag by a right shift, which needs L2 lines at least
           as long as L1D lines (``PlatformParams`` rejects the rest).
         * Faults replay ``Mmu._check``, so they carry identical reasons
-          and costs.
+          and costs, and the ``finally`` charges the accesses before the
+          fault.
         """
         mmu = self.mmu
         caches = self.caches
@@ -595,17 +525,19 @@ class MemorySystem:
         tlb_sets = tlb._sets
         tlb_nsets = tlb._nsets
         tlb_insert = tlb.insert
-        ar = mmu.allow_table(privileged=privileged, write=False)
-        aw = mmu.allow_table(privileged=privileged, write=True)
+        device_pages = self.bus.device_pages
+        allow = mmu._allow
+        ar = allow[(privileged, False)]
+        aw = allow[(privileged, True)]
         mru = {}
         if len(vaddrs) > tlb_nsets:
-            # Filling the map visits every TLB set; a shorter block
-            # learns its pages through the lookup path instead.
+            # Filling the map visits every TLB set; a shorter run learns
+            # its pages through the lookup path instead.
             for entries in tlb_sets:
                 if entries:
                     e = entries[0]
-                    if ((e.global_ or e.asid == asid)
-                            and ar[e.perm] and aw[e.perm]):
+                    if ((e.global_ or e.asid == asid) and ar[e.perm]
+                            and aw[e.perm] and e.pfn not in device_pages):
                         mru[e.vpn] = e.pfn << 12
         mru_get = mru.get
         l1 = caches.l1d
@@ -622,15 +554,15 @@ class MemorySystem:
         up = l2._offset_bits - l1_shift      # L1D tag -> L2 tag
         # Hits and misses as above, allocations into a set with a free way
         # (every other allocation evicts) and dirty victims.
-        tm = walk_cycles = 0                 # TLB misses, their walks
+        tm = extra = 0                       # TLB misses; walk, device cycles
         h1 = free1 = wb1 = 0                 # L1D
         m2 = free2 = wb2 = 0                 # L2 lookups
         fill = freef = wbf = 0               # L1D victims filling L2
-        done = min(len(vaddrs), len(write_mask))   # accesses translated
-        faulted = 0
+        dev = faulted = 0                    # device-page accesses; a fault
         addrs = iter(vaddrs)
         try:
-            for va, w in zip(addrs, write_mask):
+            # ``writes`` first: the pair that ends the loop takes no address.
+            for w, va in zip(writes, addrs):
                 base = mru_get(va >> 12)
                 if base is None:
                     vpn = va >> 12
@@ -654,9 +586,16 @@ class MemorySystem:
                                    fetch=False, cycles=c)
                         raise SimulationError(
                             "fastpath allow table out of sync with Mmu._check")
-                    walk_cycles += c
+                    extra += c
                     base = e.pfn << 12
                     mru.pop(front, None)
+                    if e.pfn in device_pages:
+                        dev += 1
+                        paddr = base | (va & 0xFFF)
+                        extra += (self._device_cycles
+                                  if self.bus.is_device(paddr)
+                                  else caches.access(paddr, write=w))
+                        continue
                     if ar[perm] and aw[perm]:
                         mru[vpn] = base
                 tag = (base | (va & 0xFFF)) >> l1_shift
@@ -718,31 +657,30 @@ class MemorySystem:
                         wb2 += 1
                 s2.insert(0, tag)
         except BaseException:
-            # ``addrs`` has yielded the access that raised and every one
-            # before it.  That access was translated (a TLB hit or miss)
-            # but reached no cache.
-            done = len(vaddrs) - operator.length_hint(addrs)
+            # ``addrs`` has yielded the access that raised.  It was
+            # translated (a TLB hit or miss) but reached no cache.
             faulted = 1
             raise
         finally:
-            reached = done - faulted        # accesses that reached L1D
+            done = len(vaddrs) - operator.length_hint(addrs)  # translated
+            reached = done - faulted - dev      # accesses that reached L1D
             m1 = reached - h1
             s = tlb.stats
             s.hits += done - tm
             s.misses += tm
             s = l1.stats
             s.hits += h1
-            s.misses += m1
-            s.evictions += m1 - free1
-            s.writebacks += wb1
-            l1._resident += free1
-            s = l2.stats
-            s.hits += m1 - m2
-            s.misses += m2
-            s.evictions += m2 - free2 + fill - freef
-            s.writebacks += wb2 + wbf
-            l2._resident += free2 + freef
-            caches.dram_accesses += m2
-        return (reached * caches._lat_l1 + m1 * caches._lat_l2
-                + m2 * caches._lat_dram + wb2 * (caches._lat_dram // 4)
-                + walk_cycles)
+            if m1:
+                s.misses += m1
+                s.evictions += m1 - free1
+                s.writebacks += wb1
+                l1._resident += free1
+                s = l2.stats
+                s.hits += m1 - m2
+                s.misses += m2
+                s.evictions += m2 - free2 + fill - freef
+                s.writebacks += wb2 + wbf
+                l2._resident += free2 + freef
+            charge(reached * caches._lat_l1 + m1 * caches._lat_l2
+                   + m2 * caches._lat_dram + wb2 * (caches._lat_dram // 4)
+                   + extra)

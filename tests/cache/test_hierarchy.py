@@ -60,7 +60,7 @@ def test_dram_counter():
     h.access(0x10_0000)
     h.access(0x10_0000)
     h.access(0x50_0000, kind=AccessKind.WALK)
-    assert h.dram_accesses == 2
+    assert h.l2.stats.misses == 2           # each one DRAM access
 
 
 def test_flush_all_empties_and_costs():

@@ -54,7 +54,7 @@ def test_with_override():
 
 
 def test_l2_line_shorter_than_l1d_line_rejected():
-    """The bulk loop takes an L2 tag from an L1D tag by a right shift."""
+    """The data-run loop takes an L2 tag from an L1D tag by a right shift."""
     with pytest.raises(DeviceError, match="L2 line"):
         DEFAULT_PARAMS.with_(l2=CacheParams(size=512 * 1024, ways=8,
                                             line=16))

@@ -215,7 +215,8 @@ def test_invariant_sweep_is_not_fleet_traffic():
         def books():
             budget = disp.retry_budget
             return (disp.metrics.total("fleet.rpc.calls"),
-                    (budget.fresh, budget.retries, budget.denied),
+                    disp.metrics.total("fleet.rpc.retries_denied"),
+                    (budget.fresh, budget.retries),
                     [(ln.breaker.state, ln.breaker.failures,
                       list(ln.breaker.transitions)) for ln in disp.links])
 

@@ -1,9 +1,9 @@
 """Fast-path equivalence: fastpath on/off must be cycle-for-cycle identical.
 
-docs/PERFORMANCE.md §5 is the contract these tests pin: the fused bulk
-loop, the fused touch path, the fetch run and its plans, word runs, page
-runs, the closed-form idle spin and the walk memo are pure reformulations
-of the cost model.  Every simulated-cycle quantity —
+docs/PERFORMANCE.md §5 is the contract these tests pin: the fused
+data-run loop, the fused touch path, the fetch run and its plans, the
+closed-form idle spin and the walk memo are pure reformulations of the
+cost model.  Every simulated-cycle quantity —
 the clock, stats, accounting, fault-schedule results, bench series — must
 not move when ``PlatformParams.fastpath`` is flipped.  Plus unit tests for the
 walk memo's validity rule (TTBR and DACR writes keep it, a write to an
@@ -13,6 +13,7 @@ entry's descriptor page drops that entry) and the per-DACR-value tables.
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import repeat
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -49,7 +50,6 @@ def _scenario_state(sc):
     return {
         "now": k.sim.now,
         "caches": {n: vars(s) for n, s in caches.snapshot().items()},
-        "dram_accesses": caches.dram_accesses,
         "tlb": vars(tlb.stats.snapshot()),
         "walks": sc.machine.mem.mmu.walks,
         "accounting": k.acct.snapshot(),
@@ -302,23 +302,23 @@ def _kernel_space_cpu(params):
     return cpu
 
 
-def _trace_state(cpu):
-    """Everything a code block or a word run can change: the clock, the
-    TLB, L1I, L1D and L2 stats, tags, occupancy and dirty lines, the DRAM
-    access count and the walk count."""
-    mem = cpu.mem
-    caches, tlb = mem.caches, mem.mmu.tlb
+def _mem_state(mem):
+    """Everything an access can change: the TLB, L1I, L1D and L2 stats,
+    sets or tags, dirty lines and occupancy, the walks, the walk memo with
+    its counters and the fill-pressure accumulators.  The lists are the
+    live ones: compare before the next access."""
+    caches, mmu = mem.caches, mem.mmu
+    tlb = mmu.tlb
     return {
-        "now": cpu.sim.now,
-        "tlb": (vars(tlb.stats.snapshot()), tlb._resident,
-                [list(s) for s in tlb._sets]),
+        "tlb": (vars(tlb.stats.snapshot()), tlb._resident, tlb._sets),
         **{name: (vars(level.stats.snapshot()), level._resident,
-                  [list(t) for t in level._tags],
-                  set(level._dirty))
+                  level._tags, level._dirty)
            for name, level in (("l1i", caches.l1i), ("l1d", caches.l1d),
                                ("l2", caches.l2))},
-        "dram_accesses": caches.dram_accesses,
-        "walks": mem.mmu.walks,
+        "walks": mmu.walks,
+        "memo": (dict(mmu._walk_memo), mmu.walk_memo_hits,
+                 mmu._m_walk_invals.value),
+        "pressure": (mem._l2_fill_acc, mem._tlb_fill_acc),
     }
 
 
@@ -328,12 +328,16 @@ class TestFetchRunEquivalence:
 
     @staticmethod
     def _both(script):
-        """Run ``script(cpu)`` on both paths; return both final states."""
+        """Run ``script(cpu)`` on both paths; return both final states.
+        The reference has the whole fast path off, the walk memo included,
+        so the memo is left out of the comparison."""
         out = []
         for params in (DEFAULT_PARAMS, SLOW_PARAMS):
             cpu = _kernel_space_cpu(params)
             script(cpu)
-            out.append(_trace_state(cpu))
+            state = _mem_state(cpu.mem)
+            del state["memo"]
+            out.append({"now": cpu.sim.now, **state})
         return out
 
     @pytest.mark.parametrize("offset, n_instr", [
@@ -588,34 +592,199 @@ class TestFetchRunEquivalence:
         assert counts["untouched"] >= 0.8 * counts["calls"], counts
 
 
-def _mover(cpu, runs):
-    """``move(va, n, write)``: one word run, or ``n`` calls of ``load``
-    or ``store``, the reference."""
-    def move(va, n, write):
-        if runs:
-            (cpu.store_words if write else cpu.load_words)(va, n)
-        else:
-            one = cpu.store if write else cpu.load
-            for w in range(n):
-                one(va + 4 * w)
-    return move
+def _data_runs(mem, fast, log):
+    """``run(vaddrs, writes, privileged=True, scale=None)``: one data run on
+    ``mem``.  It logs the cycles the run charged and its fault (address,
+    reason, kind and walk cycles), or None.  With ``scale`` it is a
+    ``sample_block``, whose cycles are its return value.  Without, it is a
+    ``touch_run``, or one ``touch`` per access on the reference side
+    (``fast`` False)."""
+    def run(vaddrs, writes, privileged=True, scale=None):
+        charged, fault = [], None
+        try:
+            if scale is not None:
+                charged.append(mem.sample_block(
+                    vaddrs, write_mask=writes, privileged=privileged,
+                    scale=scale))
+            elif fast:
+                mem.touch_run(vaddrs, writes, privileged=privileged,
+                              charge=charged.append)
+            else:
+                for w, va in zip(writes, vaddrs):
+                    charged.append(mem.touch(va, write=w,
+                                             privileged=privileged))
+        except DataAbort as exc:
+            fault = (exc.vaddr, exc.reason, exc.write, exc.cycles)
+        log.append((sum(charged), fault))
+    return run
 
 
-class TestWordRunEquivalence:
-    """``Cpu.load_words``/``store_words`` (``MemorySystem.touch_words``,
-    docs/PERFORMANCE.md §2) against one ``load`` or ``store`` per word."""
+class DataRuns:
+    """The one equivalence of every data run (docs/PERFORMANCE.md §2):
+    ``touch_run``'s fused loop, which the kernel's record walks and context
+    moves, uC/OS-II's TCB walk and the guests' sample blocks all run,
+    against one ``touch`` per access.  Its cases are grouped by the shape
+    of the run: word moves, strided record walks and guest sample blocks.
+    """
 
     @staticmethod
-    def _both(script, params=DEFAULT_PARAMS):
-        """Run ``script(cpu, move)`` with word runs and with single words;
-        assert equal final states and return one."""
+    def _both(script, space, params=DEFAULT_PARAMS):
+        """Run ``script(mem, run)`` on two ``space(params)`` memory systems
+        and assert equal logs and final states; return one.  On the first,
+        runs go through ``touch_run``.  The second, the reference, has
+        ``MemorySystem.fastpath`` off, so each run is one ``touch`` per
+        access and each sample block runs ``touch_run``'s reference loop.
+        Its MMU keeps the walk memo, so the memo's counters compare too."""
         out = []
-        for runs in (True, False):
-            cpu = _kernel_space_cpu(params)
-            script(cpu, _mover(cpu, runs))
-            out.append(_trace_state(cpu))
+        for fast in (True, False):
+            mem = space(params)
+            mem.fastpath = fast and mem.fastpath
+            log = []
+            script(mem, _data_runs(mem, fast, log))
+            out.append((log, _mem_state(mem)))
         assert out[0] == out[1]
         return out[0]
+
+
+def _kernel_space(params):
+    return _kernel_space_cpu(params).mem
+
+
+#: Every caller of a data run, as (class, method).
+RUN_CALLERS = (("MiniNova", "_inject_virq"), ("MiniNova", "_gic_mask_set"),
+               ("MiniNova", "_vm_switch"), ("MiniNova", "_route_pl_irq"),
+               ("MiniNova", "_handle_hypercall"), ("MiniNova", "_hc_hwtask"),
+               ("Ucos", "_on_tick"), ("GuestExecutor", "word"))
+
+
+@pytest.fixture(scope="module")
+def data_run_spy():
+    """Non-vacuity for the data-run tests: the equality tests prove nothing
+    for a caller whose runs never reach the fused loop.  In the 4-guest
+    run of the fetch spy, a spy (not a product counter) counts, per
+    caller in ``RUN_CALLERS``, its calls, the runs that reach
+    ``MemorySystem._data_run`` with their addresses (runs of two or more
+    consecutive words apart as word runs), the caller's own single loads,
+    and the ``touch`` calls the loop makes for accesses on DRAM pages.
+    Returns the counts by method name and the run's PRR count."""
+    from collections import Counter
+
+    from repro.cpu.core import Cpu
+    from repro.eval.scenarios import build_virtualized
+    from repro.guest.exec import GuestExecutor
+    from repro.guest.ucos import Ucos
+    from repro.kernel.core import MiniNova
+
+    classes = {"MiniNova": MiniNova, "Ucos": Ucos,
+               "GuestExecutor": GuestExecutor}
+    counts = {name: Counter() for _, name in RUN_CALLERS}
+    inside, in_loop = [], []
+
+    def spy_caller(fn, name):
+        def spy(*args, **kw):
+            counts[name]["calls"] += 1
+            inside.append(name)
+            try:
+                return fn(*args, **kw)
+            finally:
+                inside.pop()
+        return spy
+
+    load, data_run, touch = Cpu.load, MemorySystem._data_run, \
+        MemorySystem.touch
+
+    def spy_load(self, va):
+        if inside:
+            counts[inside[-1]]["loads"] += 1
+        return load(self, va)
+
+    def spy_data_run(self, vaddrs, *args):
+        c = counts[inside[-1]]
+        c["runs"] += 1
+        c["addrs"] += len(vaddrs)
+        if len(vaddrs) > 1 and all(b - a == 4 for a, b in
+                                   zip(vaddrs, vaddrs[1:])):
+            c["word_runs"] += 1
+            c["words"] += len(vaddrs)
+        in_loop.append(True)
+        try:
+            return data_run(self, vaddrs, *args)
+        finally:
+            in_loop.pop()
+
+    def spy_touch(self, va, **kw):
+        if in_loop and self.mmu.probe(va).pfn not in self.bus.device_pages:
+            counts[inside[-1]]["dram_touches"] += 1
+        return touch(self, va, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls, name in RUN_CALLERS:
+            fn = getattr(classes[cls], name)
+            mp.setattr(classes[cls], name, spy_caller(fn, name))
+        mp.setattr(Cpu, "load", spy_load)
+        mp.setattr(MemorySystem, "_data_run", spy_data_run)
+        mp.setattr(MemorySystem, "touch", spy_touch)
+        sc = build_virtualized(4, seed=1, with_workloads=False, verify=True,
+                               tick_hz=1000)
+        sc.run_ms(60.0)
+    return counts, len(sc.machine.prrs)
+
+
+class KernelRuns(DataRuns):
+    """The cases that word moves and record walks share, on the kernel's
+    address space, for runs whose addresses lie ``STRIDE`` bytes apart."""
+
+    STRIDE = None
+
+    def _vas(self, va, n):
+        return range(va, va + self.STRIDE * n, self.STRIDE)
+
+    @pytest.mark.parametrize("va", [0xF8F0_0100, 0xF8F0_21F0],
+                             ids=["gic", "into_timer_window"])
+    def test_device_pages_identical(self, va):
+        """The GIC's page, a run into the timer window that starts
+        mid-page, and a run that moves between a device page and a DRAM
+        page, loads and stores mixed: device words cost a bus round-trip,
+        the page's other words a cache access, and a device page never
+        enters the loop's page map."""
+        from repro.kernel import layout as L
+
+        lin = L.KERNEL_LINEAR_BASE + 0x40_0000
+
+        def script(mem, run):
+            for write in (False, True, False):
+                run(self._vas(va, 27), repeat(write))
+                run([lin, lin + 32, va, va + 4, lin + 64, va + 8, va + 12],
+                    [write, True, not write, False, True, write, True])
+
+        self._both(script, _kernel_space)
+
+    @pytest.mark.parametrize("params, mmu", [(SLOW_PARAMS, True),
+                                             (DEFAULT_PARAMS, False),
+                                             (SLOW_PARAMS, False)],
+                             ids=["fastpath_off", "mmu_off", "both_off"])
+    def test_reference_loop_cases_identical(self, params, mmu):
+        """The fast path off, the MMU off, and both: the runs take
+        ``touch_run``'s reference loop, checked against one ``touch`` per
+        access, on one page and across a page boundary."""
+        from repro.kernel import layout as L
+
+        def script(mem, run):
+            mem.mmu.enabled = mmu
+            va = (L.KERNEL_LINEAR_BASE if mmu else L.KERNEL_BASE) + 0x40_0004
+            for write in (False, True, False):
+                run(self._vas(va, 27), repeat(write))
+                run(self._vas(va + 0x1000 - 40, 66), repeat(write))
+
+        _, state = self._both(script, _kernel_space, params)
+        assert state["l1d"][0]["hits"]
+
+
+class TestWordRunEquivalence(KernelRuns):
+    """Word moves: the kernel's context saves and restores, its hypercall
+    spill and its request mailbox copy."""
+
+    STRIDE = 4
 
     @pytest.mark.parametrize("write", [False, True], ids=["load", "store"])
     @pytest.mark.parametrize("offset", [0, 4, 28])
@@ -628,163 +797,75 @@ class TestWordRunEquivalence:
 
         base = L.KERNEL_LINEAR_BASE + 0x40_0000 + offset
 
-        def script(cpu, move):
+        def script(mem, run):
+            def move(va, n, w=write):
+                run(self._vas(va, n), repeat(w))
             for k, n in enumerate((1, 7, 8, 9, 27, 66)):
-                va = base + k * 0x400
-                move(va, n, write)
-                move(va, n, write)
-            move(base + 0x3000 - 64, 27, write)
+                move(base + k * 0x400, n)
+                move(base + k * 0x400, n)
+            move(base + 0x3000 - 64, 27)
             move(base + 0x1400, 66, not write)
             for k in range(6):
-                move(base + 0x8000 + k * 8192, 9, write)
+                move(base + 0x8000 + k * 8192, 9)
 
-        state = self._both(script)
+        _, state = self._both(script, _kernel_space)
         assert state["tlb"][0]["misses"] >= 4
         assert state["l1d"][0]["evictions"]
         if write:
             assert state["l1d"][3]
 
-    @pytest.mark.parametrize("va", [0xF8F0_0100, 0xF8F0_21F0],
-                             ids=["gic", "into_timer_window"])
-    def test_device_pages_identical(self, va):
-        """The GIC's page, and a run into the timer window that starts
-        mid-page: every word takes ``touch``."""
-        def script(cpu, move):
-            for write in (False, True, False):
-                move(va, 27, write)
-
-        self._both(script)
-
-    @pytest.mark.parametrize("params, mmu", [(SLOW_PARAMS, True),
-                                             (DEFAULT_PARAMS, False),
-                                             (SLOW_PARAMS, False)],
-                             ids=["fastpath_off", "mmu_off", "both_off"])
-    def test_reference_loop_cases_identical(self, params, mmu):
-        from repro.kernel import layout as L
-
-        def script(cpu, move):
-            cpu.sysregs.write("SCTLR", int(mmu), privileged=True)
-            va = (L.KERNEL_LINEAR_BASE if mmu else L.KERNEL_BASE) + 0x40_0004
-            for write in (False, True, False):
-                move(va, 27, write)
-                move(va + 0x1000 - 40, 66, write)
-
-        state = self._both(script, params)
-        assert state["l1d"][0]["hits"]
-
     def test_fault_on_a_later_line(self):
         """The run's third line is on an unmapped page: the words on the
         first two lines are charged and booked, the faulting word is not,
-        and the abort carries the walk's cycles."""
-        faults = []
+        and the abort carries the walk's cycles.  With the fast path off
+        the run takes ``touch_run``'s reference loop, to the same end."""
+        def script(mem, run):
+            mem.touch(HOLE_VA + 0x800, privileged=True)     # the page's walk
+            run(self._vas(HOLE_VA + 0xFDC, 12), repeat(True))
 
-        def script(cpu, move):
-            cpu.load(HOLE_VA + 0x800)               # the page's walk
-            t0 = cpu.sim.now
-            with pytest.raises(DataAbort) as info:
-                move(HOLE_VA + 0xFDC, 12, True)
-            faults.append((cpu.sim.now - t0, info.value.vaddr,
-                           info.value.reason, info.value.cycles))
-
-        state = self._both(script)
-        assert faults[0] == faults[1]
         t = DEFAULT_PARAMS.cpu
-        # Two cold lines (L1D and L2 misses), then seven L1D hits.
-        assert faults[0][:3] == (2 * (t.l1_hit + t.l2_hit + t.dram)
-                                 + 7 * t.l1_hit, HOLE_VA + 0x1000,
-                                 "translation fault (L2)")
-        assert faults[0][3] > 0
-        assert state["tlb"][0] == {"hits": 9, "misses": 2, "flushes": 0}
+        for params in (DEFAULT_PARAMS, SLOW_PARAMS):
+            ((charged, fault),), state = self._both(script, _kernel_space,
+                                                    params)
+            # Two cold lines (L1D and L2 misses), then seven L1D hits.
+            assert charged == (2 * (t.l1_hit + t.l2_hit + t.dram)
+                               + 7 * t.l1_hit)
+            assert fault[:3] == (HOLE_VA + 0x1000, "translation fault (L2)",
+                                 True)
+            assert fault[3] > 0
+            assert state["tlb"][0] == {"hits": 9, "misses": 2, "flushes": 0}
 
-    def test_word_runs_engage(self, monkeypatch):
-        """Non-vacuity, in the 4-guest run of the fetch spy: a spy counts
-        the context words that ``_vm_switch`` moves as word runs and the
-        ``touch`` calls those runs make.  Only each line's first word may
-        go through ``touch`` (so at most 7 in 8 words are booked in one
-        step, at 8 words a line); every other word must be."""
-        from repro.eval.scenarios import build_virtualized
-        from repro.kernel.core import MiniNova
+    def test_word_runs_engage(self, data_run_spy):
+        """Non-vacuity (``data_run_spy``): the scheduler's context moves,
+        the hypercall spill and the request mailbox copy reach the loop
+        as word runs, more than ten times each, the context moves over a
+        thousand words, and the loop calls ``touch`` for none of their
+        words."""
+        from repro.kernel.vcpu import Vcpu
 
-        counts = {"words": 0, "lines": 0, "touched": 0}
-        in_switch, in_run = [], []
-        vm_switch = MiniNova._vm_switch
-        touch_words, touch = MemorySystem.touch_words, MemorySystem.touch
-        last = DEFAULT_PARAMS.l1d.line.bit_length() - 1
-
-        def spy_switch(self, *args, **kw):
-            in_switch.append(True)
-            try:
-                return vm_switch(self, *args, **kw)
-            finally:
-                in_switch.pop()
-
-        def spy_touch_words(self, vaddr, n, **kw):
-            if in_switch:
-                counts["words"] += n
-                counts["lines"] += ((vaddr + 4 * n - 1) >> last) \
-                    - (vaddr >> last) + 1
-            in_run.append(True)
-            try:
-                return touch_words(self, vaddr, n, **kw)
-            finally:
-                in_run.pop()
-
-        def spy_touch(self, *args, **kw):
-            if in_switch and in_run:
-                counts["touched"] += 1
-            return touch(self, *args, **kw)
-
-        monkeypatch.setattr(MiniNova, "_vm_switch", spy_switch)
-        monkeypatch.setattr(MemorySystem, "touch_words", spy_touch_words)
-        monkeypatch.setattr(MemorySystem, "touch", spy_touch)
-        sc = build_virtualized(4, seed=1, with_workloads=False, verify=True,
-                               tick_hz=1000)
-        sc.run_ms(60.0)
-        assert counts["words"] > 1_000
-        assert counts["touched"] == counts["lines"], counts
-        assert counts["words"] - counts["touched"] >= 0.8 * counts["words"]
+        counts, _ = data_run_spy
+        switch, hypercall, hwtask = (counts[name] for name in (
+            "_vm_switch", "_handle_hypercall", "_hc_hwtask"))
+        assert all(c["word_runs"] > 10 for c in (switch, hypercall, hwtask))
+        assert switch["words"] > 1_000
+        assert not any(c["dram_touches"]
+                       for c in (switch, hypercall, hwtask)), counts
+        # The context restore, and a save when a VM ran (VFP is lazy).
+        assert switch["calls"] <= switch["word_runs"] <= 2 * switch["calls"]
+        assert switch["words"] == Vcpu.ACTIVE_CONTEXT_WORDS \
+            * switch["word_runs"]
+        assert hypercall["word_runs"] == hypercall["runs"]
+        assert hypercall["words"] == 4 * hypercall["runs"]
+        assert hwtask["word_runs"] == hwtask["runs"]
+        assert hwtask["words"] == 6 * hwtask["runs"]
 
 
-def _page_runner(cpu, runs, after):
-    """``run(vas, write)``: one page run (``Cpu.load_run``, or
-    ``MemorySystem.touch_run`` for stores), or one ``load`` or ``store``
-    per address, the reference.  Appends the cycles each run charged and
-    the state it left to ``after``, also when it raises."""
-    def run(vas, write):
-        t0 = cpu.sim.now
-        try:
-            if not runs:
-                one = cpu.store if write else cpu.load
-                for va in vas:
-                    one(va)
-            elif write:
-                cpu.mem.touch_run(vas, write=True, privileged=cpu.privileged,
-                                  charge=cpu._charge)
-            else:
-                cpu.load_run(vas)
-        finally:
-            after.append((cpu.sim.now - t0, _trace_state(cpu)))
-    return run
+class TestPageRunEquivalence(KernelRuns):
+    """Record walks: one word on each of many lines (the vIRQ record
+    scans, the scheduler's PD walk, the PL-IRQ routing records, uC/OS-II's
+    TCB rows)."""
 
-
-class TestPageRunEquivalence:
-    """``Cpu.load_run`` (``MemorySystem.touch_run``, docs/PERFORMANCE.md
-    §2) against one ``load`` or ``store`` per address."""
-
-    @staticmethod
-    def _both(script, params=DEFAULT_PARAMS):
-        """Run ``script(cpu, run)`` with page runs and with single
-        accesses; assert that every run charged the same cycles and left
-        the same state, and so did the script, and return the final state
-        and the cycles of each run."""
-        out = []
-        for runs in (True, False):
-            cpu = _kernel_space_cpu(params)
-            after = []
-            script(cpu, _page_runner(cpu, runs, after))
-            out.append((_trace_state(cpu), after))
-        assert out[0] == out[1]
-        return out[0][0], [cycles for cycles, _ in out[0][1]]
+    STRIDE = 32
 
     @pytest.mark.parametrize("write", [False, True], ids=["load", "store"])
     @pytest.mark.parametrize("stride", [4, 16, 32, 0x100])
@@ -799,170 +880,75 @@ class TestPageRunEquivalence:
 
         page = L.KERNEL_LINEAR_BASE + 0x40_0000
 
-        def script(cpu, run):
+        def script(mem, run):
             for k, n in enumerate((1, 6, 24)):
                 vas = [page + k * 0x4000 + 0x40 + i * stride
                        for i in range(n)]
-                run(vas, write)
-                run(vas, write)
+                run(vas, repeat(write))
+                run(vas, repeat(write))
             crossing = [page + 0x1_0000 - 5 * stride + i * stride
                         for i in range(10)]
-            run(crossing, write)
+            run(crossing, repeat(write))
             # Pages a and b share a TLB set: coming back to a page finds
             # its entry behind the front.
             a, b = page + 0x1_20A0, page + 0x5_20A0
-            run([a, a, a + 4, a, a + 32, a + 4, b, a + 36, b + 4, a], write)
-            run(crossing, not write)
+            run([a, a, a + 4, a, a + 32, a + 4, b, a + 36, b + 4, a],
+                repeat(write))
+            run(crossing, repeat(not write))
             for k in range(6):
                 run([page + 0x2_0000 + k * 8192 + i * stride
-                     for i in range(4)], write)
+                     for i in range(4)], repeat(write))
 
-        state, charged = self._both(script)
+        log, state = self._both(script, _kernel_space)
         assert state["tlb"][0]["misses"] >= 4
-        assert state["l1d"][0]["evictions"] and all(charged)
+        assert state["l1d"][0]["evictions"]
+        assert all(charged for charged, _ in log)
         if write:
             assert state["l1d"][3]
-
-    @pytest.mark.parametrize("va", [0xF8F0_0100, 0xF8F0_21F0],
-                             ids=["gic", "into_timer_window"])
-    def test_device_pages_identical(self, va):
-        """The GIC's page, a run into the timer window that starts
-        mid-page, and a run that moves between a device page and a DRAM
-        page: every device-page access takes ``touch``."""
-        from repro.kernel import layout as L
-
-        lin = L.KERNEL_LINEAR_BASE + 0x40_0000
-
-        def script(cpu, run):
-            for write in (False, True, False):
-                run([va + 4 * i for i in range(27)], write)
-                run([lin, lin + 32, va, va + 4, lin + 64, va + 8, va + 12],
-                    write)
-
-        self._both(script)
-
-    @pytest.mark.parametrize("params, mmu", [(SLOW_PARAMS, True),
-                                             (DEFAULT_PARAMS, False),
-                                             (SLOW_PARAMS, False)],
-                             ids=["fastpath_off", "mmu_off", "both_off"])
-    def test_reference_loop_cases_identical(self, params, mmu):
-        from repro.kernel import layout as L
-
-        def script(cpu, run):
-            cpu.sysregs.write("SCTLR", int(mmu), privileged=True)
-            va = (L.KERNEL_LINEAR_BASE if mmu else L.KERNEL_BASE) + 0x40_0004
-            for write in (False, True, False):
-                run([va + 32 * i for i in range(12)], write)
-                run([va + 0x1000 - 40 + 16 * i for i in range(8)], write)
-
-        state, _ = self._both(script, params)
-        assert state["l1d"][0]["hits"]
 
     def test_fault_on_a_later_page(self):
         """The run's fifth address is on an unmapped page: the four
         before it are charged and booked, the faulting one is not, and
         the abort carries the walk's cycles."""
-        faults = []
+        def script(mem, run):
+            mem.touch(HOLE_VA + 0x800, privileged=True)     # the page's walk
+            run([HOLE_VA + 0xF00 + 0x40 * i for i in range(6)], repeat(True))
 
-        def script(cpu, run):
-            cpu.load(HOLE_VA + 0x800)               # the page's walk
-            with pytest.raises(DataAbort) as info:
-                run([HOLE_VA + 0xF00 + 0x40 * i for i in range(6)], True)
-            faults.append((info.value.vaddr, info.value.reason,
-                           info.value.cycles))
-
-        state, charged = self._both(script)
-        assert faults[0] == faults[1]
-        assert faults[0][:2] == (HOLE_VA + 0x1000, "translation fault (L2)")
-        assert faults[0][2] > 0
+        ((charged, fault),), state = self._both(script, _kernel_space)
         t = DEFAULT_PARAMS.cpu
-        assert charged == [4 * (t.l1_hit + t.l2_hit + t.dram)]  # cold lines
+        assert charged == 4 * (t.l1_hit + t.l2_hit + t.dram)   # cold lines
+        assert fault[:2] == (HOLE_VA + 0x1000, "translation fault (L2)")
+        assert fault[3] > 0
         assert state["tlb"][0] == {"hits": 4, "misses": 2, "flushes": 0}
 
-    def test_record_walks_engage(self, monkeypatch):
-        """Non-vacuity, in the 4-guest run of the fetch spy: a spy counts,
-        per walker, the record loads made one ``Cpu.load`` at a time and
-        the page runs with their addresses, page changes and ``touch``
-        calls.  The vIRQ record scans, the scheduler's PD walk, the PL-IRQ
-        routing records and uC/OS-II's TCB walk go through page runs, and
-        each run makes one ``touch`` per page change and books every other
-        address in one step."""
-        from collections import Counter
-
-        from repro.cpu.core import Cpu
-        from repro.eval.scenarios import build_virtualized
-        from repro.guest.ucos import Ucos
-        from repro.kernel.core import MiniNova
-
-        walkers = ((MiniNova, "_inject_virq"), (MiniNova, "_gic_mask_set"),
-                   (MiniNova, "_vm_switch"), (MiniNova, "_route_pl_irq"),
-                   (Ucos, "_on_tick"))
-        counts = {name: Counter() for _, name in walkers}
-        inside, in_run = [], []
-
-        def spy_walker(fn, name):
-            def spy(*args, **kw):
-                counts[name]["calls"] += 1
-                inside.append(name)
-                try:
-                    return fn(*args, **kw)
-                finally:
-                    inside.pop()
-            return spy
-
-        load, touch_run, touch = Cpu.load, MemorySystem.touch_run, \
-            MemorySystem.touch
-
-        def spy_load(self, va):
-            if inside:
-                counts[inside[-1]]["loads"] += 1
-            return load(self, va)
-
-        def spy_touch_run(self, vaddrs, **kw):
-            vaddrs = list(vaddrs)
-            c = counts[inside[-1]]
-            c["runs"] += 1
-            c["addrs"] += len(vaddrs)
-            c["pages"] += sum(1 for i, va in enumerate(vaddrs)
-                              if i == 0 or va >> 12 != vaddrs[i - 1] >> 12)
-            in_run.append(True)
-            try:
-                return touch_run(self, vaddrs, **kw)
-            finally:
-                in_run.pop()
-
-        def spy_touch(self, *args, **kw):
-            if in_run:
-                counts[inside[-1]]["touched"] += 1
-            return touch(self, *args, **kw)
-
-        for cls, name in walkers:
-            monkeypatch.setattr(cls, name, spy_walker(getattr(cls, name),
-                                                      name))
-        monkeypatch.setattr(Cpu, "load", spy_load)
-        monkeypatch.setattr(MemorySystem, "touch_run", spy_touch_run)
-        monkeypatch.setattr(MemorySystem, "touch", spy_touch)
-        sc = build_virtualized(4, seed=1, with_workloads=False, verify=True,
-                               tick_hz=1000)
-        sc.run_ms(60.0)
-        prrs = len(sc.machine.prrs)
-        inject, mask, switch, route, tick = (counts[n] for _, n in walkers)
-        assert all(c["runs"] > 10 for c in counts.values()), counts
+    def test_record_walks_engage(self, data_run_spy):
+        """Non-vacuity (``data_run_spy``): the vIRQ record scans, the mask
+        walk, the scheduler's PD walk, the PL-IRQ routing records and
+        uC/OS-II's TCB walk reach the loop, more than ten times each, with
+        over a thousand records in all, and the loop calls ``touch`` for
+        none of them.  No walker
+        loads a record on its own, except ``_inject_virq``'s one load of
+        the guest's IRQ entry address."""
+        counts, prrs = data_run_spy
+        inject, mask, switch, route, tick = (counts[name] for name in (
+            "_inject_virq", "_gic_mask_set", "_vm_switch", "_route_pl_irq",
+            "_on_tick"))
+        walkers = (inject, mask, switch, route, tick)
+        assert all(c["runs"] - c["word_runs"] > 10 for c in walkers), counts
+        assert sum(c["addrs"] - c["words"] for c in walkers) > 1_000, counts
+        assert not any(c["dram_touches"] for c in walkers), counts
+        assert not any(c["word_runs"] for c in (inject, mask, route, tick))
         # One load outside the scan per injection: the IRQ entry address.
         assert inject["loads"] == inject["runs"]
         assert not (mask["loads"] or switch["loads"] or route["loads"]
                     or tick["loads"]), counts
         assert inject["addrs"] == 8 * inject["runs"]
         assert mask["addrs"] == 6 * mask["runs"] == 6 * mask["calls"]
-        assert switch["runs"] == switch["calls"]
-        assert switch["addrs"] == 3 * switch["pages"]
+        # One PD walk per switch, three records per runnable PD.
+        assert switch["runs"] - switch["word_runs"] == switch["calls"]
+        assert (switch["addrs"] - switch["words"]) % 3 == 0
         assert route["addrs"] == prrs * route["runs"]
         assert tick["runs"] == tick["calls"]
-        for c in counts.values():
-            assert c["touched"] == c["pages"], counts
-        addrs = sum(c["addrs"] for c in counts.values())
-        touched = sum(c["touched"] for c in counts.values())
-        assert addrs > 1_000 and addrs - touched >= 0.6 * addrs, counts
 
 
 # The bulk address space: 4 KB pages whose frames lie 64 KB apart, so
@@ -973,67 +959,39 @@ RW = (0x4000_0000, 0x4004_0000, 0x4008_0000, 0x400C_0000,
 RO = 0x4010_0000                  # user read-only
 PRIV = 0x4000_3000                # privileged only
 GLOBAL = 0x4000_4000              # a global (nG = 0) mapping
+DEV = 0x4000_6000                 # a device page: a window over lines 4-5
 HOLE_L2 = 0x4000_5000             # unmapped, in a mapped megabyte
 HOLE_L1 = 0x5000_0000             # unmapped megabyte
-BULK_PAGES = RW + (RO, PRIV, GLOBAL, HOLE_L2, HOLE_L1)
+MAPPED = RW + (RO, PRIV, GLOBAL, DEV)
+BULK_PAGES = MAPPED + (HOLE_L2, HOLE_L1)
 FRAME_BASE = 0x0400_0000
+DEV_FRAME = 0xE000_0000
 
-#: Cache geometries for the bulk loop: the default, whose L1D and L2 lines
-#: are both 32 B, and one with 64 B L2 lines, on which an L2 tag differs
-#: from the L1D tag it is taken from.
+#: Cache geometries for the data-run loop: the default, whose L1D and L2
+#: lines are both 32 B, and one with 64 B L2 lines, on which an L2 tag
+#: differs from the L1D tag it is taken from.
 GEOMETRIES = {"l2_32": DEFAULT_PARAMS,
               "l2_64": DEFAULT_PARAMS.with_(l2=replace(DEFAULT_PARAMS.l2,
                                                        line=64))}
 
 
-def _bulk_space(fast, params=DEFAULT_PARAMS):
+def _bulk_space(params):
     """A memory system on ``params`` with the MMU on over the bulk pages,
-    at ASID 1, and its registry.  ``fast=False`` keeps the walk memo but
-    runs ``sample_block``'s per-access reference loop, which is the loop
-    ``fastpath=False`` runs, so every walk-memo counter compares too."""
-    metrics = MetricsRegistry()
-    mem = MemorySystem(params, metrics)
-    mem.fastpath = fast
+    at ASID 1.  ``DEV`` maps a frame outside DRAM on which an MMIO window
+    covers lines 4 and 5."""
+    mem = MemorySystem(params, MetricsRegistry())
+    mem.bus.map_device(DEV_FRAME + 0x80, 0x40, None, "dev")
     pt = PageTable(mem.bus, mem.kernel_frames)
     aps = {RO: AP.PRIV_RW_USER_RO, PRIV: AP.PRIV_ONLY}
-    for k, va in enumerate(RW + (RO, PRIV, GLOBAL)):
-        pt.map_page(va, FRAME_BASE + k * 0x1_0000, ap=aps.get(va, AP.FULL),
-                    domain=0, ng=va != GLOBAL)
+    for k, va in enumerate(MAPPED):
+        pt.map_page(va, DEV_FRAME if va == DEV else FRAME_BASE + k * 0x1_0000,
+                    ap=aps.get(va, AP.FULL), domain=0, ng=va != GLOBAL)
     mmu = mem.mmu
     mmu.set_ttbr(pt.l1_base)
     mmu.set_dacr(dacr_set(0, 0, DomainType.CLIENT))
     mmu.set_asid(1)
     mmu.enabled = True
-    return mem, metrics
-
-
-def _bulk_state(mem, metrics):
-    """Everything a bulk block can change except the batched-cycles
-    counter, which only the fast path keeps.  The TLB sets, tags and
-    dirty sets are the live lists: compare before the next block."""
-    caches, mmu = mem.caches, mem.mmu
-    tlb = mmu.tlb
-    return {
-        "tlb": (vars(tlb.stats.snapshot()), tlb._resident, tlb._sets),
-        **{name: (vars(level.stats.snapshot()), level._resident,
-                  level._tags, level._dirty)
-           for name, level in (("l1d", caches.l1d), ("l2", caches.l2))},
-        "dram_accesses": caches.dram_accesses,
-        "walks": mmu.walks,
-        "memo": (dict(mmu._walk_memo),
-                 metrics.total("sim.fastpath.walk_cache_hits"),
-                 metrics.total("sim.fastpath.walk_cache_invalidations")),
-        "pressure": (mem._l2_fill_acc, mem._tlb_fill_acc),
-    }
-
-
-def _run_block(mem, vaddrs, writes, privileged=False, scale=64):
-    """``sample_block``'s cycles, or the fault it raised."""
-    try:
-        return mem.sample_block(vaddrs, write_mask=writes,
-                                privileged=privileged, scale=scale)
-    except DataAbort as exc:
-        return (type(exc), exc.vaddr, exc.reason, exc.write, exc.cycles)
+    return mem
 
 
 # One access per line of RW[4], far from every other page's TLB set: it
@@ -1042,23 +1000,20 @@ def _run_block(mem, vaddrs, writes, privileged=False, scale=64):
 PAD = [RW[4] + 0x20 * i for i in range(80)]
 
 
-class TestSampleBlockEquivalence:
-    """The fused bulk loop (docs/PERFORMANCE.md §2) against the
-    per-access loop, on the same MMU."""
+class TestSampleBlockEquivalence(DataRuns):
+    """Guest sample blocks: ``sample_block``, user mode unless stated, on
+    the bulk space, for blocks shorter and longer than the TLB has sets."""
 
-    @staticmethod
-    def _both(blocks, prepare=None):
-        """Run each ``(vaddrs, writes, privileged)`` block on both paths;
-        return both runs' outcomes and final states."""
-        out = []
-        for fast in (True, False):
-            mem, metrics = _bulk_space(fast)
+    @classmethod
+    def _blocks(cls, blocks, prepare=None):
+        """Run each ``(vaddrs, writes, privileged)`` block through
+        ``sample_block`` on both sides, after ``prepare(mem)``."""
+        def script(mem, run):
             if prepare is not None:
                 prepare(mem)
-            results = [_run_block(mem, *b) for b in blocks]
-            out.append((results, _bulk_state(mem, metrics)))
-        assert out[0] == out[1]
-        return out[0]
+            for vaddrs, writes, priv in blocks:
+                run(vaddrs, writes, priv, scale=64)
+        return cls._both(script, _bulk_space)
 
     @pytest.mark.parametrize("pad", [[], PAD], ids=["short", "long"])
     def test_insert_displaces_a_front_entry_used_again(self, pad):
@@ -1068,7 +1023,7 @@ class TestSampleBlockEquivalence:
         a miss, not free hits."""
         warm = ([RW[0], RW[1]], [False, False], False)
         block = [RW[1], RW[2], RW[1] + 8, RW[2] + 4, RW[0], RW[1]]
-        results, state = self._both(
+        _, state = self._blocks(
             [warm, (pad + block, [False] * len(pad) + [True] * 6, False)])
         tlb = state["tlb"][0]
         # The block misses on RW[2], RW[0] and, evicted by RW[0], RW[1].
@@ -1081,8 +1036,7 @@ class TestSampleBlockEquivalence:
     def test_hit_behind_the_front_moves_it(self, pad):
         warm = ([RW[0], RW[1]], [False, False], False)
         block = pad + [RW[0], RW[0] + 4, RW[1]]
-        results, state = self._both([warm, (block, [True] * len(block),
-                                            False)])
+        _, state = self._blocks([warm, (block, [True] * len(block), False)])
         assert [e.vpn for e in state["tlb"][2][0]] == [RW[1] >> 12,
                                                       RW[0] >> 12]
 
@@ -1092,11 +1046,14 @@ class TestSampleBlockEquivalence:
     @pytest.mark.parametrize("pad", [[], PAD], ids=["short", "long"])
     def test_translation_fault_mid_block(self, pad, hole, reason):
         """Accesses before the hole are booked; the hole counts as a
-        TLB miss and reaches no cache; nothing after it runs."""
+        TLB miss and reaches no cache; nothing after it runs, and the
+        block charges nothing."""
         block = pad + [RW[0], RW[1] + 0x40, hole + 8, RW[2]]
-        results, state = self._both([(block, [True] * len(block), False)])
-        assert results[0][:3] == (DataAbort, hole + 8, reason)
-        assert results[0][4] > 0                  # the walk's cycles
+        ((charged, fault),), state = self._blocks(
+            [(block, [True] * len(block), False)])
+        assert charged == 0
+        assert fault[:2] == (hole + 8, reason)
+        assert fault[3] > 0                       # the walk's cycles
         assert state["tlb"][0]["misses"] == (pad != []) + 3
         assert state["l1d"][0]["hits"] + state["l1d"][0]["misses"] == \
             len(pad) + 2
@@ -1110,22 +1067,22 @@ class TestSampleBlockEquivalence:
         ro_write = (pad + [RO, RO + 4, RW[5], RO + 8],
                     [False] * (len(pad) + 3) + [True], False)
         priv_read = ([RW[0], PRIV], [False, False], False)
-        results, state = self._both([ro_write, priv_read])
-        assert results[0] == (DataAbort, RO + 8,
-                              "permission fault (user read-only)", True, 0)
-        assert results[1][:3] == (DataAbort, PRIV,
-                                  "permission fault (privileged only)")
-        assert results[1][4] > 0
+        log, _ = self._blocks([ro_write, priv_read])
+        assert log[0] == (0, (RO + 8, "permission fault (user read-only)",
+                              True, 0))
+        assert log[1][1][:3] == (PRIV, "permission fault (privileged only)",
+                                 False)
+        assert log[1][1][3] > 0
         # Privileged, both pages are fine.
-        results, _ = self._both([(ro_write[0], ro_write[1], True),
-                                 (priv_read[0], priv_read[1], True)])
-        assert all(isinstance(r, int) for r in results)
+        log, _ = self._blocks([(ro_write[0], ro_write[1], True),
+                               (priv_read[0], priv_read[1], True)])
+        assert all(fault is None for _, fault in log)
 
     def test_dirty_victims_into_a_full_l2_set_with_a_dirty_lru_line(self):
         """A write miss evicts a dirty L1D line, whose fill lands in a full
         L2 set with a dirty least-recently-used line and writes it back;
         the block's own L2 lookups then miss in that set and evict dirty
-        lines too."""
+        lines too.  With a free way in that set, the fill takes it."""
         # Line 1 of every bulk frame lies in L1D set 1 and L2 set 1.
         frame = [FRAME_BASE + k * 0x1_0000 + 32 for k in range(17)]
 
@@ -1138,7 +1095,7 @@ class TestSampleBlockEquivalence:
             for f in frame[:4]:                  # L1D: 4 lines, the LRU
                 l1.fill(f, write=f == frame[0])  # one dirty
         block = [RW[4] + 32, RW[5] + 32]
-        results, state = self._both([(block, [True, True], True)], prepare)
+        _, state = self._blocks([(block, [True, True], True)], prepare)
         l1, l2 = state["l1d"][0], state["l2"][0]
         assert (l1["misses"], l1["evictions"], l1["writebacks"]) == (2, 2, 1)
         # Two L2 misses are the walks' beforehand.
@@ -1146,20 +1103,40 @@ class TestSampleBlockEquivalence:
         assert state["l2"][2][1][:4] == [frame[5] >> 5, frame[4] >> 5,
                                          frame[0] >> 5, frame[16] >> 5]
 
+        def prepare_free(mem):
+            prepare(mem)
+            mem.caches.l2.invalidate_line(frame[16])
+        _, state = self._blocks([(block, [True, True], True)], prepare_free)
+        l2 = state["l2"][0]
+        assert (l2["misses"], l2["writebacks"]) == (2 + 2, 2)
+
+    @pytest.mark.parametrize("pad", [[], PAD], ids=["short", "long"])
+    def test_device_page(self, pad):
+        """The device page's entry is the front of its TLB set when the
+        block starts.  Its window's words cost a bus round-trip each and
+        its other lines a cache access, and it never enters the block's
+        page map, even filled from the TLB's fronts."""
+        warm = ([DEV + 0x20], [False], False)
+        block = pad + [DEV + 0x80, DEV + 0x20, DEV + 0xA4, DEV + 0xC0]
+        only_device = ([DEV + 0x80, DEV + 0xA4], [False, True], True)
+        log, state = self._blocks(
+            [warm, (block, [True] * len(block), False), only_device])
+        assert log[2] == (64 * 2 * (DEFAULT_PARAMS.cpu.dram // 2), None)
+        assert state["l1d"][0]["misses"] == len(pad) + 2
+
     def test_mmu_off(self):
         def prepare(mem):
             mem.mmu.enabled = False
         block = [FRAME_BASE + 0x40 * i for i in range(100)] * 2
-        results, state = self._both(
+        _, state = self._blocks(
             [(block, [i % 3 == 0 for i in range(200)], False)], prepare)
         assert state["l1d"][0]["hits"] and not state["tlb"][0]["hits"]
 
     def test_one_address_and_empty_blocks(self):
-        results, state = self._both([([], [], False), ([RW[0]], [True],
-                                                       False),
-                                     ([RW[0] + 4], [False], False),
-                                     ([], [], True)])
-        assert results[0] == results[3] == 0
+        log, state = self._blocks([([], [], False), ([RW[0]], [True], False),
+                                   ([RW[0] + 4], [False], False),
+                                   ([], [], True)])
+        assert log[0] == log[3] == (0, None)
         assert state["tlb"][0] == {"hits": 1, "misses": 1, "flushes": 0}
 
     @pytest.mark.parametrize("params", GEOMETRIES.values(),
@@ -1167,40 +1144,53 @@ class TestSampleBlockEquivalence:
     @settings(max_examples=250, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(st.one_of(
-        st.tuples(st.just("block"), st.booleans(), st.booleans(),
+        st.tuples(st.sampled_from([64, None]), st.booleans(), st.booleans(),
                   st.lists(st.tuples(st.sampled_from(BULK_PAGES),
                                      st.integers(0, 7), st.integers(0, 7),
                                      st.booleans()), max_size=30)),
         st.tuples(st.just("asid"), st.integers(1, 3)),
         st.tuples(st.just("mmu"), st.booleans())), min_size=1, max_size=12))
     def test_random_blocks_on_a_warm_system(self, params, steps):
-        """Random blocks (holes, read-only and privileged-only pages, the
-        global page; a long one repeats its accesses past the TLB's set
-        count) between ASID switches and MMU toggles, on a system warmed
-        by a block over every mapped line, on each geometry."""
-        warm = [va + 32 * i for va in RW + (RO, PRIV, GLOBAL)
-                for i in range(8)]
-        sides = [_bulk_space(fast, params) for fast in (True, False)]
-        for mem, _ in sides:
-            mem.sample_block(warm, write_mask=[True] * len(warm),
-                             privileged=True, scale=64)
+        """Random sample blocks and kernel-style runs, privileged and
+        user, with loads and stores mixed on a page, over holes, the
+        read-only, privileged-only, global and device pages (a long one
+        repeats its accesses past the TLB's set count), between ASID
+        switches and MMU toggles, on a system warmed by a block over every
+        mapped line, on each geometry; compared after every step."""
+        warm = [va + 32 * i for va in MAPPED for i in range(8)]
+        sides = []
+        for fast in (True, False):
+            mem = _bulk_space(params)
+            mem.fastpath = fast
+            log = []
+            run = _data_runs(mem, fast, log)
+            run(warm, [True] * len(warm), True, scale=64)
+            sides.append((mem, log, run))
         for step in steps:
-            results = []
-            for mem, _ in sides:
+            for mem, _, run in sides:
                 if step[0] == "asid":
                     mem.mmu.set_asid(step[1])
                 elif step[0] == "mmu":
                     mem.mmu.enabled = step[1]
                 else:
-                    _, priv, long, accesses = step
+                    scale, priv, long, accesses = step
                     if long and accesses:
                         accesses = accesses * (len(PAD) // len(accesses) + 1)
-                    vaddrs = [va + 32 * ln + 4 * wd
-                              for va, ln, wd, _ in accesses]
-                    writes = [w for *_, w in accesses]
-                    results.append(_run_block(mem, vaddrs, writes, priv))
-            assert results[:1] == results[1:]
-            assert _bulk_state(*sides[0]) == _bulk_state(*sides[1])
+                    run([va + 32 * ln + 4 * wd for va, ln, wd, _ in accesses],
+                        [w for *_, w in accesses], priv, scale)
+            (mem0, log0, _), (mem1, log1, _) = sides
+            assert log0 == log1
+            assert _mem_state(mem0) == _mem_state(mem1)
+
+    def test_sample_blocks_engage(self, data_run_spy):
+        """Non-vacuity (``data_run_spy``): the idle task's one-word sample
+        blocks reach the loop more than ten times, and the loop calls
+        ``touch`` for none of their accesses."""
+        counts, _ = data_run_spy
+        word = counts["word"]
+        assert word["runs"] > 10, counts
+        assert word["addrs"] == word["runs"]
+        assert not word["dram_touches"], counts
 
 
 @pytest.fixture
