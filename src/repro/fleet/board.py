@@ -63,7 +63,7 @@ def decode_checkpoint(d: dict[str, Any]) -> VmCheckpoint:
 class BoardServer:
     """One board's operation endpoint.  All ops take/return plain data."""
 
-    def __init__(self, board_id: int, *, seed: int = 1) -> None:
+    def __init__(self, board_id: int, *, seed: int) -> None:
         self.board_id = board_id
         self.seed = seed
         self.machine = Machine(MachineConfig(tasks=BOARD_TASKS))

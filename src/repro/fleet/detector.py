@@ -16,18 +16,11 @@ ever observed again, so the fleet's request accounting stays exact.
 
 from __future__ import annotations
 
-#: Default declaration deadline, in dispatcher ticks without a
-#: successful heartbeat.
-DEFAULT_DEADLINE_TICKS = 3
-
 
 class FailureDetector:
     """Per-board last-heard bookkeeping + deadline declaration."""
 
-    def __init__(self, board_ids, *,
-                 deadline_ticks: int = DEFAULT_DEADLINE_TICKS) -> None:
-        if deadline_ticks < 1:
-            raise ValueError(f"deadline_ticks must be >= 1: {deadline_ticks}")
+    def __init__(self, board_ids, *, deadline_ticks: int) -> None:
         self.deadline = deadline_ticks
         self.last_ok = {b: -1 for b in board_ids}
         self.declared: set[int] = set()

@@ -26,8 +26,9 @@ byte-identical:
 Recovery policy: **critical** tenants are re-placed at all costs — onto
 the least-loaded live board, evicting best-effort tenants if the
 surviving capacity is short — and only declared dead when no board can
-hold them.  **Best-effort** tenants are shed instead, their queued and
-future requests counted as shed (F4 stays exact either way).
+hold them.  **Best-effort** tenants are shed instead.  Either way a
+tenant taken out of service sheds its queued requests and every later
+arrival, each with its own outcome in the ledger (F4).
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ from ..faults.plan import (BOARD_CRASH, BOARD_HANG, BOARD_PARTITION,
                            RETRY_STORM, TRAFFIC_SURGE, UNLIMITED,
                            FaultPlan, FaultSpec)
 from ..obs.metrics import MetricsRegistry
-from .detector import DEFAULT_DEADLINE_TICKS, FailureDetector
+from .detector import FailureDetector
 from .invariants import check_fleet_invariants
 from .overload import (NO_LIMITS, AdmissionController, LoadShedder,
                        OverloadConfig, _require, check_overload_invariants)
 from .rpc import BoardLink, BoardUnreachable
-from .tenant import (BESTEFFORT, CRITICAL, DEAD, MIGRATING, RUNNING, SHED,
+from .tenant import (BESTEFFORT, CRITICAL, DEAD, MIGRATING, RUNNING,
+                     SERVED, SHED, SHED_FROM_QUEUE, SHED_ON_ARRIVAL,
                      TenantRecord, TenantSpec)
 from .traffic import TrafficModel
 from .workers import InlineHost
@@ -91,7 +93,7 @@ class FleetConfig:
     seed: int = 1
     ticks: int = 32
     tick_ms: float = 2.0
-    deadline_ticks: int = DEFAULT_DEADLINE_TICKS
+    deadline_ticks: int = 3  # a board silent for more ticks is declared dead
     checkpoint_every_ticks: int = 4
     max_tenants_per_board: int = 4
     #: Board hosting; ``"inline"`` (:class:`InlineHost`) is the only
@@ -199,10 +201,20 @@ class Dispatcher:
         self.epoch_log: dict[str, list[int]] = {s.name: [] for s in specs}
         self.violations: list[str] = []
         self.flight_bundle: dict[str, Any] | None = None
-        #: Request-latency samples in cycles, by class + overall.
-        self.latency: dict[str, list[int]] = {
-            "all": [], CRITICAL: [], BESTEFFORT: []}
         self.now_tick = -1
+
+    @property
+    def latency(self) -> dict[str, list[int]]:
+        """Served requests' latencies in cycles, by class + overall,
+        read off the ledgers (tenant by tenant, in request-ID order)."""
+        out = {"all": [], CRITICAL: [], BESTEFFORT: []}
+        for rec in self.tenants.values():
+            lats = [(end - arrival + 1) * self.tick_cycles
+                    for arrival, outcome, end in rec.ledger
+                    if outcome == SERVED]
+            out["all"] += lats
+            out[rec.spec.tclass] += lats
+        return out
 
     # -- placement ---------------------------------------------------------
 
@@ -260,20 +272,14 @@ class Dispatcher:
             if n <= 0:
                 continue
             rec = self.tenants[name]
-            rec.arrived += n
             self.metrics.counter("fleet.requests.arrived").inc(n)
             if rec.state in (SHED, DEAD):
-                rec.shed_requests += n
+                for _ in range(n):
+                    rec.arrive(t, SHED_ON_ARRIVAL)
                 self.metrics.counter("fleet.requests.shed").inc(n)
             else:
                 for _ in range(n):
-                    reason = self.admission.admit(rec, t)
-                    if reason is None:
-                        rec.admitted += 1
-                        rec.queue.append(t)
-                    else:
-                        rec.dropped[reason] = \
-                            rec.dropped.get(reason, 0) + 1
+                    rec.arrive(t, self.admission.admit(rec, t))
 
     def _inject(self, t: int) -> None:
         for ks in self.kills:
@@ -315,15 +321,15 @@ class Dispatcher:
 
     def _serve(self, board_id: int, progress: dict[int, int],
                t: int) -> None:
-        """Fold a board's frame progress into request accounting.
+        """Serve one queued request per new frame, oldest first.
 
         ``rec.progress`` is a high-water mark: an adopted incarnation
         replaying the frames since its checkpoint stays below it and
-        serves nothing twice (F4)."""
+        serves nothing twice (F4).  Every serve is goodput: requests at
+        the overload deadline were expired at the tick's start (O3)."""
         hist = self.metrics.histogram("fleet.request_latency_cycles")
         served_c = self.metrics.counter("fleet.requests.served")
         goodput_c = self.metrics.counter("fleet.goodput")
-        deadline = self.overload.deadline_ticks
         for name, rec in sorted(self.tenants.items()):
             if rec.state != RUNNING or rec.board != board_id:
                 continue
@@ -333,17 +339,10 @@ class Dispatcher:
             delta = frame - rec.progress
             rec.progress = frame
             for _ in range(min(delta, len(rec.queue))):
-                arrived_t = rec.queue.popleft()
-                lat_ticks = t - arrived_t + 1
-                lat = lat_ticks * self.tick_cycles
-                rec.served += 1
+                arrived_t = rec.end_head(t, SERVED)
                 served_c.inc()
-                if lat_ticks <= deadline:
-                    rec.goodput += 1
-                    goodput_c.inc()
-                hist.observe(lat)
-                self.latency["all"].append(lat)
-                self.latency[rec.spec.tclass].append(lat)
+                goodput_c.inc()
+                hist.observe((t - arrived_t + 1) * self.tick_cycles)
 
     def _pull_checkpoints(self, t: int) -> None:
         every = self.cfg.checkpoint_every_ticks
@@ -400,7 +399,10 @@ class Dispatcher:
             if target is None and rec.spec.tclass == CRITICAL:
                 target = self._make_room(tried)
             if target is None:
-                self._give_up(rec)
+                # No board can hold it: a best-effort tenant is shed, a
+                # critical one is accounted dead (the terminal F1 state).
+                self._retire(rec, SHED if rec.spec.tclass == BESTEFFORT
+                             else DEAD)
                 return
             link = self.links[target]
             try:
@@ -441,42 +443,29 @@ class Dispatcher:
         if not cands:
             return None
         _, board_id, victim = min(cands)
-        self._shed(self.tenants[victim], reason="capacity")
+        # The victim runs on a reachable board: cands holds no other.
+        rec = self.tenants[victim]
+        try:
+            self.links[board_id].call("kill", rec.vm_id, "shed:capacity")
+        except BoardUnreachable:
+            pass
+        self._retire(rec, SHED)
         return board_id
 
-    def _shed(self, rec: TenantRecord, *, reason: str) -> None:
-        if rec.board is not None and rec.state == RUNNING:
-            link = self.links[rec.board]
-            if link.reachable:
-                try:
-                    link.call("kill", rec.vm_id, f"shed:{reason}")
-                except BoardUnreachable:
-                    pass
-        rec.state = SHED
+    def _retire(self, rec: TenantRecord, state: str) -> None:
+        """Take a tenant out of service as SHED or DEAD; its queued
+        requests are shed from the queue."""
+        rec.state = state
         rec.board, rec.vm_id = None, None
-        dropped = len(rec.queue)
-        rec.shed_requests += dropped
-        rec.queue_shed += dropped
-        rec.queue.clear()
-        self.metrics.counter("fleet.tenants.shed").inc()
-        if dropped:
-            self.metrics.counter("fleet.requests.shed").inc(dropped)
-
-    def _give_up(self, rec: TenantRecord) -> None:
-        """No board can hold the tenant: best-effort ones are shed,
-        critical ones are accounted dead (the terminal F1 state)."""
-        if rec.spec.tclass == BESTEFFORT:
-            self._shed(rec, reason="no_capacity")
-            return
-        rec.state = DEAD
-        rec.board, rec.vm_id = None, None
-        dropped = len(rec.queue)
-        rec.shed_requests += dropped
-        rec.queue_shed += dropped
-        rec.queue.clear()
-        self.metrics.counter("fleet.tenants.dead").inc()
-        if dropped:
-            self.metrics.counter("fleet.requests.shed").inc(dropped)
+        flushed = len(rec.queue)
+        while rec.queue:
+            rec.end_head(self.now_tick, SHED_FROM_QUEUE)
+        if flushed:
+            self.metrics.counter("fleet.requests.shed").inc(flushed)
+        if state == SHED:
+            self.metrics.counter("fleet.tenants.shed").inc()
+        else:
+            self.metrics.counter("fleet.tenants.dead").inc()
 
     # -- telemetry + teardown ----------------------------------------------
 

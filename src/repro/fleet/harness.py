@@ -32,7 +32,7 @@ from ..obs.aggregate import MetricSnapshot
 from ..obs.analytics import SeriesSummary
 from ..obs.flight import write_bundle
 from .dispatcher import Dispatcher, FleetConfig, KillSpec
-from .overload import OverloadConfig
+from .overload import DROP_REASONS, OverloadConfig
 from .tenant import CRITICAL, DEAD, RUNNING, SHED, TenantSpec
 
 #: Payload schema for fleet runs (independent of the bench schema).
@@ -176,10 +176,9 @@ def _payload(disp: Dispatcher, cfg: FleetConfig,
 def _overload_block(disp: Dispatcher) -> dict[str, Any]:
     """The payload's overload-plane view: degrade/restore events, every
     breaker transition, and drops by reason (all empty when idle)."""
-    drops: dict[str, int] = {}
-    for rec in disp.tenants.values():
-        for reason, n in rec.dropped.items():
-            drops[reason] = drops.get(reason, 0) + n
+    drops = {reason: disp.metrics.total("fleet.admission.dropped",
+                                        reason=reason)
+             for reason in DROP_REASONS}
     transitions = [
         {"board": link.board_id, "tick": tick, "from": frm, "to": to}
         for link in disp.links
@@ -187,7 +186,7 @@ def _overload_block(disp: Dispatcher) -> dict[str, Any]:
     return {
         "events": list(disp.shedder.events),
         "breaker_transitions": transitions,
-        "drops_by_reason": {k: drops[k] for k in sorted(drops)},
+        "drops_by_reason": {k: n for k, n in sorted(drops.items()) if n},
     }
 
 

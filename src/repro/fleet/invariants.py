@@ -16,10 +16,11 @@ F3  **No orphaned PRR grants.**  On every reachable board, each PRR
     granted to a client VM belongs to a tenant currently placed there
     (or to the board's manager service).  A migrated or shed tenant's
     grants must have been reclaimed by its kill.
-F4  **Request conservation.**  Per tenant: arrived == served + shed +
-    dropped + queued, exactly, at every tick (dropped stays zero under
-    the no-limit plane :data:`~repro.fleet.overload.NO_LIMITS` — see
-    O1-O5 in :mod:`repro.fleet.overload`).
+F4  **Request conservation.**  Per tenant, every request in the ledger
+    is queued or has exactly one outcome: the queue holds exactly the
+    request IDs that have no outcome, oldest first, at every tick.  The
+    same pass checks O3, the overload plane's per-request timing (O1-O5
+    in :mod:`repro.fleet.overload`), so each ledger is read once a tick.
 F5  **Monotonic placement epochs.**  The epoch sequence of every tenant
     is strictly increasing — a stale (pre-migration) placement can never
     be re-admitted as current.
@@ -33,7 +34,8 @@ flight-recorder dump on the first reachable board (docs/FLEET.md §6).
 
 from __future__ import annotations
 
-from .tenant import DEAD, MIGRATING, RUNNING, SHED
+from .overload import DROP_DEADLINE
+from .tenant import DEAD, MIGRATING, REFUSALS, RUNNING, SERVED, SHED
 
 #: ``attach_manager`` always takes the first VM id on a board.
 MANAGER_VM_ID = 1
@@ -85,14 +87,9 @@ def check_fleet_invariants(disp) -> list[str]:
                 out.append(f"F3: board {link.board_id} PRR {prr_id} "
                            f"granted to unplaced vm {client}")
 
-    # F4: request conservation.
-    for name, rec in sorted(disp.tenants.items()):
-        if rec.arrived != rec.accounted():
-            out.append(
-                f"F4: tenant {name} leaks requests: arrived {rec.arrived} "
-                f"!= served {rec.served} + shed {rec.shed_requests} "
-                f"+ dropped {sum(rec.dropped.values())} "
-                f"+ queued {len(rec.queue)}")
+    # F4: request conservation, with O3 in the same pass.
+    for _, rec in sorted(disp.tenants.items()):
+        out.extend(check_ledger(rec, disp.overload.deadline_ticks))
 
     # F5: strictly monotonic placement epochs.
     for name, log in sorted(disp.epoch_log.items()):
@@ -105,4 +102,32 @@ def check_fleet_invariants(disp) -> list[str]:
     if fenced_calls:
         out.append(f"F6: {fenced_calls} RPC attempt(s) to fenced boards")
 
+    return out
+
+
+def check_ledger(rec, deadline: int) -> list[str]:
+    """F4 and O3 over one tenant's request ledger, in one pass (a
+    request that arrives at tick ``a`` and is served at ``e`` waited
+    ``e - a + 1`` ticks)."""
+    out: list[str] = []
+    name = rec.spec.name
+    open_ids = []
+    for rid, (arrival, outcome, end) in enumerate(rec.ledger):
+        if outcome is None:
+            open_ids.append(rid)
+        elif outcome in REFUSALS:
+            if end != arrival:
+                out.append(f"O3: tenant {name} request {rid} refused "
+                           f"({outcome}) at t{end}, not on arrival "
+                           f"t{arrival}")
+        elif outcome == SERVED:
+            if end - arrival >= deadline:
+                out.append(f"O3: tenant {name} request {rid} served at "
+                           f"t{end} past its deadline (arrived t{arrival})")
+        elif outcome == DROP_DEADLINE and end - arrival < deadline:
+            out.append(f"O3: tenant {name} request {rid} expired at "
+                       f"t{end} before its deadline (arrived t{arrival})")
+    if open_ids != list(rec.queue):
+        out.append(f"F4: tenant {name} queues {list(rec.queue)} but its "
+                   f"requests without an outcome are {open_ids}")
     return out

@@ -4,15 +4,15 @@ The fleet survives *crashes*; this module makes it survive *load*
 (docs/FLEET.md §11).  Four deterministic mechanisms compose, armed in
 every fleet run.  A :class:`FleetConfig` without an
 :class:`OverloadConfig` gets :data:`NO_LIMITS`, whose limits can never
-bind: nothing is refused, expired, degraded, denied or tripped, and
-goodput equals served.
+bind: nothing is refused, expired, degraded, denied or tripped.
 
 * **Token-bucket admission** (:class:`AdmissionController`) — each
   tenant's requests pass a per-tenant :class:`TokenBucket` and a bounded,
   deadline-aware queue.  Requests are refused *at admission* with a
   recorded reason (``rate_limited``, ``queue_full``) or expired out of
   the queue head (``deadline_exceeded``) instead of rotting; queues can
-  never exceed ``queue_bound`` (invariant O1).
+  never exceed ``queue_bound`` (invariant O1).  Expiry runs before the
+  tick's serve, so goodput equals served (invariant O3).
 * **Progressive load shedding** (:class:`LoadShedder`) — queue pressure
   on a *best-effort* tenant halves its admitted rate level by level
   (×1 → ×1/2 → ×1/4 → ×0, :data:`DEGRADE_LEVELS`); the final level
@@ -27,8 +27,8 @@ goodput equals served.
   against the legal transition set (invariant O4).
 
 Overload invariants O1-O5 (:func:`check_overload_invariants`) ride the
-same flight-recorder funnel as F1-F6.  O5 — brownout reroutes are
-bit-identical — is board-local and proven by
+same flight-recorder funnel as F1-F6, O3 in F4's pass over each ledger.
+O5 — brownout reroutes are bit-identical — is board-local and proven by
 :func:`repro.fleet.harness.run_brownout_demo` (docs/FLEET.md §11).
 """
 
@@ -39,8 +39,8 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Any
 
-#: Admission drop reasons (the only values a tenant's ``dropped`` dict
-#: may carry; ``deadline_exceeded`` is the post-admission queue expiry).
+#: Admission drop reasons, request outcomes in a tenant's ledger
+#: (``deadline_exceeded`` is the post-admission queue expiry).
 DROP_RATE_LIMITED = "rate_limited"
 DROP_QUEUE_FULL = "queue_full"
 DROP_DEADLINE = "deadline_exceeded"
@@ -80,8 +80,8 @@ class OverloadConfig:
     admit_burst: float = 4.0
     #: Hard per-tenant queue bound (O1).
     queue_bound: int = 8
-    #: Queued requests older than this many ticks are expired with
-    #: reason ``deadline_exceeded``; also the goodput deadline.
+    #: Queued requests this many ticks old are expired with reason
+    #: ``deadline_exceeded`` before the tick's serve (O3).
     deadline_ticks: int = 8
     #: Shedder watermarks on best-effort queue depth, with hysteresis.
     degrade_high_water: int = 4
@@ -186,7 +186,7 @@ class TokenBucket:
         self.burst = float(burst)
         self.tokens = float(burst)
 
-    def refill(self, multiplier: float = 1.0) -> None:
+    def refill(self, multiplier: float) -> None:
         self.tokens = min(self.burst, self.tokens + self.rate * multiplier)
 
     def try_take(self) -> bool:
@@ -207,9 +207,7 @@ class RetryBudget:
 
     __slots__ = ("ratio", "floor", "fresh", "retries")
 
-    def __init__(self, *, ratio: float = 0.1, floor: int = 4) -> None:
-        _require(ratio >= 0, f"ratio must be >= 0, got {ratio}")
-        _require(floor >= 0, f"floor must be >= 0, got {floor}")
+    def __init__(self, *, ratio: float, floor: int) -> None:
         self.ratio = float(ratio)
         self.floor = int(floor)
         self.fresh = 0
@@ -238,10 +236,7 @@ class CircuitBreaker:
     __slots__ = ("threshold", "cooldown", "state", "failures",
                  "open_until", "transitions")
 
-    def __init__(self, *, threshold: int = 2, cooldown_ticks: int = 2) -> None:
-        _require(threshold >= 1, f"threshold must be >= 1, got {threshold}")
-        _require(cooldown_ticks >= 1,
-                 f"cooldown_ticks must be >= 1, got {cooldown_ticks}")
+    def __init__(self, *, threshold: int, cooldown_ticks: int) -> None:
         self.threshold = int(threshold)
         self.cooldown = int(cooldown_ticks)
         self.state = BREAKER_CLOSED
@@ -309,16 +304,15 @@ class AdmissionController:
             self.buckets[name].refill(multipliers.get(name, 1.0))
             rec = tenants[name]
             # Expire overdue queue heads (FIFO ⇒ the head is oldest).
-            while rec.queue and t - rec.queue[0] >= self.cfg.deadline_ticks:
-                rec.queue.popleft()
-                rec.dropped[DROP_DEADLINE] = \
-                    rec.dropped.get(DROP_DEADLINE, 0) + 1
+            while (rec.queue and t - rec.ledger[rec.queue[0]][0]
+                   >= self.cfg.deadline_ticks):
+                rec.end_head(t, DROP_DEADLINE)
                 self.m.counter("fleet.admission.dropped",
                                reason=DROP_DEADLINE).inc()
 
     def admit(self, rec, t: int) -> str | None:
         """Gate one arrival; returns None when admitted, else the drop
-        reason (the caller records it on the tenant)."""
+        reason (the caller books either in the tenant's ledger)."""
         name = rec.spec.name
         if not self.buckets[name].try_take():
             self.m.counter("fleet.admission.dropped",
@@ -399,18 +393,20 @@ class LoadShedder:
 
 
 def check_overload_invariants(disp) -> list[str]:
-    """O1-O4 against a live dispatcher (O5 — brownout reroutes are
-    bit-identical — is board-local, proven by the brownout demo harness
-    and gated by the surge series):
+    """O1, O2 and O4 against a live dispatcher (O3 runs in F4's pass,
+    :func:`repro.fleet.invariants.check_ledger`; O5 — brownout reroutes
+    are bit-identical — is board-local, proven by the brownout demo
+    harness and gated by the surge series):
 
     O1  **Queues always bounded.**  No tenant queue ever exceeds
         ``queue_bound``.
     O2  **Priority-ordered shedding.**  The overload plane never
         degrades a critical tenant — best-effort traffic is always
         degraded (down to zero admission) first.
-    O3  **Exact admission accounting.**  Per tenant:
-        arrived == admitted + pre-queue drops + arrival-shed, and
-        admitted == served + expired + queue-shed + queued.
+    O3  **Admission outcomes on time.**  Per request: a refusal ends on
+        its arrival tick, an expiry comes no earlier than
+        ``deadline_ticks`` after arrival, and a serve comes within that
+        deadline — so goodput equals served.
     O4  **Breaker transitions legal.**  Every recorded transition is in
         :data:`BREAKER_TRANSITIONS` and the log chains state to state.
     """
@@ -428,22 +424,6 @@ def check_overload_invariants(disp) -> list[str]:
         if rec.spec.tclass == CRITICAL and levels.get(name, 0) != 0:
             out.append(f"O2: critical tenant {name} degraded to "
                        f"level {levels[name]}")
-
-    for name, rec in sorted(disp.tenants.items()):
-        dropped = sum(rec.dropped.values())
-        expired = rec.dropped.get(DROP_DEADLINE, 0)
-        pre_queue = dropped - expired
-        arrival_shed = rec.shed_requests - rec.queue_shed
-        if rec.arrived != rec.admitted + pre_queue + arrival_shed:
-            out.append(f"O3: tenant {name} admission leak: arrived "
-                       f"{rec.arrived} != admitted {rec.admitted} + "
-                       f"dropped {pre_queue} + shed {arrival_shed}")
-        if rec.admitted != (rec.served + expired + rec.queue_shed
-                            + len(rec.queue)):
-            out.append(f"O3: tenant {name} queue leak: admitted "
-                       f"{rec.admitted} != served {rec.served} + expired "
-                       f"{expired} + shed {rec.queue_shed} + queued "
-                       f"{len(rec.queue)}")
 
     for link in disp.links:
         prev = BREAKER_CLOSED

@@ -35,7 +35,6 @@ from typing import Any
 
 from ..faults.plan import (BOARD_CRASH, BOARD_HANG, BOARD_PARTITION,
                            RETRY_STORM)
-from .overload import NO_LIMITS
 
 #: Attempts per logical RPC before the failure escapes to the detector.
 RETRY_LIMIT = 3
@@ -60,7 +59,7 @@ class BoardLink:
     """Fault-aware RPC endpoint for one board."""
 
     def __init__(self, board_id: int, host, metrics, *,
-                 breaker=None, retry_budget=None) -> None:
+                 breaker, retry_budget) -> None:
         self.board_id = board_id
         self.host = host
         self.m = metrics
@@ -78,9 +77,8 @@ class BoardLink:
         #: The overload plane (docs/FLEET.md §11): a per-link
         #: :class:`~repro.fleet.overload.CircuitBreaker` and the
         #: fleet-wide shared :class:`~repro.fleet.overload.RetryBudget`.
-        #: A link given neither gets no-limit ones that never trip or deny.
-        self.breaker = breaker or NO_LIMITS.breaker()
-        self.retry_budget = retry_budget or NO_LIMITS.retry_budget()
+        self.breaker = breaker
+        self.retry_budget = retry_budget
 
     # -- fault state -------------------------------------------------------
 

@@ -16,17 +16,19 @@ The service workload is the checkpoint-aware restartable frame loop of
 its golden FFT/QAM output into slot ``i mod RESTART_SLOTS`` of the
 hw-data section (the finite-slot region wraps), records progress in
 ``os.persist["frame"]`` and checkpoints every ``checkpoint_every``
-frames.  Each completed frame serves exactly one queued request of the
-open-loop traffic model, and because frame outputs are pure functions of
-``(kind, seed, i)`` the fleet's request accounting is reproducible to
-the byte across same-seed runs.
+frames.  Each completed frame serves the oldest queued request in the
+tenant's request ledger (:class:`TenantRecord`), and because frame
+outputs are pure functions of ``(kind, seed, i)`` the fleet's request
+accounting is reproducible to the byte across same-seed runs.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any
+
+from .overload import DROP_QUEUE_FULL, DROP_RATE_LIMITED, DROP_REASONS
 
 #: Criticality classes, shed order: best-effort tenants go first.
 CRITICAL = "critical"
@@ -38,6 +40,16 @@ RUNNING = "running"
 MIGRATING = "migrating"
 SHED = "shed"
 DEAD = "dead"
+
+#: Request outcomes besides the admission plane's drop reasons
+#: (:data:`~repro.fleet.overload.DROP_REASONS`): served by a frame, shed
+#: on arrival (the tenant was shed or dead), or shed from the queue (the
+#: tenant was shed or died with the request queued).
+SERVED = "served"
+SHED_ON_ARRIVAL = "shed_on_arrival"
+SHED_FROM_QUEUE = "shed_from_queue"
+#: The outcomes that refuse a request on arrival: it was never admitted.
+REFUSALS = frozenset({DROP_RATE_LIMITED, DROP_QUEUE_FULL, SHED_ON_ARRIVAL})
 
 
 @dataclass(frozen=True)
@@ -85,43 +97,48 @@ class TenantRecord:
     #: Progress recorded at the last checkpoint pull — what a migration
     #: can resume from without replaying more than the checkpoint gap.
     checkpointed: int = 0
-    #: Open-loop request queue: arrival ticks, FIFO (F4).  A deque —
-    #: the serve loop pops from the head every tick and ``pop(0)`` on a
-    #: list is O(n) in queue depth.
+    #: The request ledger, indexed by request ID (arrival order): one
+    #: ``[arrival tick, outcome, end tick]`` row per request.  Outcome and
+    #: end tick are None while the request is queued.  Only :meth:`arrive`
+    #: and :meth:`end_head` write it.
+    ledger: list[list] = field(default_factory=list)
+    #: The IDs still queued, oldest first (F4).  A deque: the serve loop
+    #: pops from the head every tick, and ``pop(0)`` on a list is O(n) in
+    #: queue depth.
     queue: deque[int] = field(default_factory=deque)
-    arrived: int = 0
-    served: int = 0
-    shed_requests: int = 0
-    #: Overload-plane accounting: requests past admission, drops by
-    #: reason (rate_limited / queue_full / deadline_exceeded; none under
-    #: NO_LIMITS), the subset of ``shed_requests`` flushed from the queue
-    #: on a kill, and requests served within the overload deadline
-    #: (== served under NO_LIMITS).
-    admitted: int = 0
-    dropped: dict[str, int] = field(default_factory=dict)
-    queue_shed: int = 0
-    goodput: int = 0
     migrations: int = 0
     restarts: int = 0
 
-    def accounted(self) -> int:
-        """F4 left-hand side: every request is queued, served, shed,
-        or dropped by the admission plane."""
-        return (self.served + self.shed_requests
-                + sum(self.dropped.values()) + len(self.queue))
+    def arrive(self, t: int, outcome: str | None) -> None:
+        """Book one request arriving at tick ``t``: queued when
+        ``outcome`` is None, else refused with that outcome on arrival."""
+        if outcome is None:
+            self.queue.append(len(self.ledger))
+            self.ledger.append([t, None, None])
+        else:
+            self.ledger.append([t, outcome, t])
+
+    def end_head(self, t: int, outcome: str) -> int:
+        """Give the oldest queued request ``outcome`` at tick ``t``;
+        returns its arrival tick."""
+        row = self.ledger[self.queue.popleft()]
+        row[1], row[2] = outcome, t
+        return row[0]
 
     def as_dict(self) -> dict[str, Any]:
+        n = Counter(row[1] for row in self.ledger)
+        arrived = len(self.ledger)
         return {
             "name": self.spec.name, "class": self.spec.tclass,
             "kind": self.spec.kind, "state": self.state,
             "board": self.board, "vm_id": self.vm_id,
             "epoch": self.epoch, "progress": self.progress,
-            "arrived": self.arrived, "served": self.served,
-            "shed_requests": self.shed_requests,
-            "admitted": self.admitted,
-            "dropped": {k: self.dropped[k] for k in sorted(self.dropped)},
-            "queue_shed": self.queue_shed,
-            "goodput": self.goodput,
+            "arrived": arrived, "served": n[SERVED],
+            "shed_requests": n[SHED_ON_ARRIVAL] + n[SHED_FROM_QUEUE],
+            "admitted": arrived - sum(n[o] for o in REFUSALS),
+            "dropped": {r: n[r] for r in DROP_REASONS if n[r]},
+            "queue_shed": n[SHED_FROM_QUEUE],
+            "goodput": n[SERVED],       # every serve meets the deadline
             "queued": len(self.queue),
             "migrations": self.migrations, "restarts": self.restarts,
         }

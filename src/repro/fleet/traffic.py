@@ -20,24 +20,18 @@ from ..common.rng import make_rng
 class TrafficModel:
     """Per-tenant open-loop arrival generator."""
 
-    def __init__(self, tenant_names, *, seed: int,
-                 rate_per_tick: float = 1.0,
+    def __init__(self, tenant_names, *, seed: int, rate_per_tick: float,
                  burst_period_ticks: int = 16,
-                 burst_factor: float = 2.0,
-                 surges=()) -> None:
-        if rate_per_tick < 0:
-            raise ValueError(f"rate_per_tick must be >= 0: {rate_per_tick}")
+                 burst_factor: float = 2.0) -> None:
         self.rate = float(rate_per_tick)
         self.period = max(1, int(burst_period_ticks))
         self.factor = float(burst_factor)
         #: Scheduled surge windows ``(start_tick, duration_ticks,
         #: factor)``: extra offered-load multipliers stacked on the
         #: diurnal square wave.  The ``traffic.surge`` fault site and
-        #: the surge series feed this knob; the Poisson draw count per
-        #: tick is unchanged, so determinism is too.
+        #: the surge series feed them through :meth:`schedule_surge`; the
+        #: Poisson draw count per tick is unchanged, so determinism is too.
         self.surges: list[tuple[int, int, float]] = []
-        for start, duration, factor in surges:
-            self.schedule_surge(int(start), int(duration), float(factor))
         self._rngs = {name: make_rng(seed, stream=f"fleet-arrivals-{name}")
                       for name in tenant_names}
 

@@ -6,11 +6,11 @@ from repro.faults.plan import BOARD_CRASH, BOARD_HANG
 from repro.fleet.board import BoardServer, encode_checkpoint
 from repro.fleet.dispatcher import (Dispatcher, FleetConfig, KillSpec,
                                     default_tenants)
-from repro.fleet.invariants import check_fleet_invariants
+from repro.fleet.invariants import check_fleet_invariants, check_ledger
 from repro.fleet.overload import BREAKER_HALF_OPEN, CircuitBreaker
 from repro.fleet.rpc import BoardUnreachable
-from repro.fleet.tenant import (BESTEFFORT, CRITICAL, DEAD, RUNNING, SHED,
-                                TenantSpec)
+from repro.fleet.tenant import (BESTEFFORT, CRITICAL, DEAD, RUNNING, SERVED,
+                                SHED, SHED_ON_ARRIVAL, TenantSpec)
 
 
 def run_fleet_ticks(cfg, kills=(), tenants=None):
@@ -101,7 +101,7 @@ def test_capacity_pressure_sheds_besteffort_first():
         assert disp.metrics.total("fleet.tenants.shed") >= 1
         # Request accounting stays exact through the shed (F4).
         for rec in disp.tenants.values():
-            assert rec.arrived == rec.accounted()
+            assert check_ledger(rec, disp.overload.deadline_ticks) == []
     finally:
         disp.close()
 
@@ -174,13 +174,30 @@ def test_fleet_invariant_checks_catch_corruption():
     disp = run_fleet_ticks(cfg)
     try:
         assert check_fleet_invariants(disp) == []
-        # F4: leak a request.
-        disp.tenants["tn00"].arrived += 1
-        vs = check_fleet_invariants(disp)
-        assert any(v.startswith("F4") for v in vs)
-        disp.tenants["tn00"].arrived -= 1
-        # F2: duplicate placement slot.
         r0, r1 = (disp.tenants["tn00"], disp.tenants["tn01"])
+        # F4, three ways, on two freshly queued requests.
+        for _ in range(2):
+            r0.arrive(disp.now_tick, None)
+        assert check_fleet_invariants(disp) == []
+
+        def f4():
+            return any(v.startswith("F4")
+                       for v in check_fleet_invariants(disp))
+
+        # A request leaves the queue with no outcome.
+        rid = r0.queue.pop()
+        assert f4()
+        r0.queue.append(rid)
+        # An ended request stays queued.
+        r0.ledger[rid][1:] = [SERVED, disp.now_tick]
+        assert f4()
+        r0.ledger[rid][1:] = [None, None]
+        # The queue falls out of arrival order.
+        r0.queue.reverse()
+        assert f4()
+        r0.queue.reverse()
+        assert check_fleet_invariants(disp) == []
+        # F2: duplicate placement slot.
         old_board, old_vm = r1.board, r1.vm_id
         r1.board, r1.vm_id = r0.board, r0.vm_id
         assert any(v.startswith("F2")
@@ -268,7 +285,11 @@ def test_dead_tenant_arrivals_are_shed():
         rec = disp.tenants["tn00"]
         assert rec.state == DEAD
         assert disp.metrics.total("fleet.tenants.dead") == 1
-        assert rec.arrived == rec.accounted()       # F4 even when dead
+        # F4 even when dead: nothing stays queued, later arrivals are
+        # shed on arrival.
+        assert check_ledger(rec, disp.overload.deadline_ticks) == []
+        assert not rec.queue
+        assert rec.ledger[-1][1] == SHED_ON_ARRIVAL
         assert disp.violations == []
     finally:
         disp.close()
@@ -276,9 +297,9 @@ def test_dead_tenant_arrivals_are_shed():
 
 def test_service_queue_is_fifo_deque():
     # Regression: the per-tenant queue used to be a list served with
-    # O(n) pop(0); it is now a deque and must keep strict FIFO order —
-    # a served request's latency is measured from the *oldest* queued
-    # arrival, and F4 still balances afterwards.
+    # O(n) pop(0); it is now a deque of request IDs and must keep strict
+    # FIFO order — a served request's latency is measured from the
+    # *oldest* queued arrival, and F4 still holds afterwards.
     from collections import deque
 
     cfg = FleetConfig(boards=1, tenants_per_board=1, seed=3, ticks=1,
@@ -287,8 +308,8 @@ def test_service_queue_is_fifo_deque():
     try:
         rec = disp.tenants["tn00"]
         assert isinstance(rec.queue, deque)
-        rec.queue.extend([0, 1, 2])             # arrival ticks, in order
-        rec.arrived += 3
+        for t in range(3):                      # arrival ticks, in order
+            rec.arrive(t, None)
         before = len(disp.latency["all"])
         disp._serve(rec.board, {rec.vm_id: rec.progress + 2}, t=5)
         # Two served, oldest first: latency (5-0+1) then (5-1+1) ticks.
@@ -296,7 +317,8 @@ def test_service_queue_is_fifo_deque():
                 for lat in disp.latency["all"][before:]]
         assert lats == [6, 5]
         assert list(rec.queue) == [2]           # youngest still queued
-        assert rec.arrived == rec.accounted()   # F4
+        assert [row[1] for row in rec.ledger] == [SERVED, SERVED, None]
+        assert check_ledger(rec, disp.overload.deadline_ticks) == []  # F4
         assert check_fleet_invariants(disp) == []
     finally:
         disp.close()

@@ -8,6 +8,7 @@ from repro.faults.plan import (BOARD_CRASH, BOARD_HANG, RETRY_STORM,
                                TRAFFIC_SURGE)
 from repro.fleet.dispatcher import Dispatcher, FleetConfig, KillSpec
 from repro.fleet.harness import run_brownout_demo, run_fleet
+from repro.fleet.invariants import check_fleet_invariants
 from repro.fleet.overload import (BREAKER_CLOSED, BREAKER_HALF_OPEN,
                                   BREAKER_OPEN, BREAKER_TRANSITIONS,
                                   DEGRADE_LEVELS, DROP_DEADLINE,
@@ -16,7 +17,8 @@ from repro.fleet.overload import (BREAKER_CLOSED, BREAKER_HALF_OPEN,
                                   AdmissionController, CircuitBreaker,
                                   LoadShedder, OverloadConfig, RetryBudget,
                                   TokenBucket, check_overload_invariants)
-from repro.fleet.tenant import BESTEFFORT, CRITICAL, TenantRecord, TenantSpec
+from repro.fleet.tenant import (BESTEFFORT, CRITICAL, SERVED, TenantRecord,
+                                TenantSpec)
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -85,7 +87,7 @@ class TestTokenBucket:
 
     def test_refill_caps_at_burst(self):
         b = TokenBucket(rate=5.0, burst=3.0)
-        b.refill()
+        b.refill(1.0)
         assert b.tokens == 3.0
 
     def test_degrade_multiplier_scales_refill(self):
@@ -114,12 +116,6 @@ class TestRetryBudget:
         assert rb.allowance() == 2.0
         assert rb.try_retry() and rb.try_retry()
         assert not rb.try_retry()           # 2 < floor 0 + 0.5*4 fails
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryBudget(ratio=-0.1)
-        with pytest.raises(ValueError):
-            RetryBudget(floor=-1)
 
 
 class TestCircuitBreaker:
@@ -185,7 +181,7 @@ class TestAdmissionController:
         _, m, rec, adm = self._make(admit_rate=0.0, admit_burst=2.0,
                                     queue_bound=1)
         assert adm.admit(rec, t=0) is None
-        rec.queue.append(0)
+        rec.arrive(0, None)
         assert adm.admit(rec, t=0) == DROP_QUEUE_FULL
         assert adm.admit(rec, t=0) == DROP_RATE_LIMITED   # bucket empty
         assert m.total("fleet.admission.admitted") == 1
@@ -193,10 +189,14 @@ class TestAdmissionController:
 
     def test_begin_tick_expires_overdue_heads(self):
         _, m, rec, adm = self._make(deadline_ticks=3)
-        rec.queue.extend([0, 1, 5])
+        for t in (0, 1, 5):
+            rec.arrive(t, None)
         adm.begin_tick(4, {rec.spec.name: rec}, {})
-        assert list(rec.queue) == [5]       # 0 and 1 are >= 3 ticks old
-        assert rec.dropped[DROP_DEADLINE] == 2
+        # 0 and 1 are >= 3 ticks old: expired at tick 4, and the tick-5
+        # arrival is all that stays queued.
+        assert [rec.ledger[i][0] for i in rec.queue] == [5]
+        assert rec.ledger[:2] == [[0, DROP_DEADLINE, 4], [1, DROP_DEADLINE, 4]]
+        assert rec.as_dict()["dropped"] == {DROP_DEADLINE: 2}
         assert m.total("fleet.admission.dropped") == 2
 
 
@@ -209,7 +209,8 @@ class TestLoadShedder:
     def test_degrade_needs_sustained_pressure(self):
         sh = self._shedder()
         rec = _rec()
-        rec.queue.extend([0, 0, 0])
+        for _ in range(3):
+            rec.arrive(0, None)
         sh.step(0, {rec.spec.name: rec})
         assert sh.multiplier(rec) == 1.0    # one hot tick: not yet
         sh.step(1, {rec.spec.name: rec})
@@ -229,7 +230,6 @@ class TestLoadShedder:
         sh = self._shedder()
         rec = _rec()
         sh.levels[rec.spec.name] = 1
-        rec.queue.clear()
         sh.step(0, {rec.spec.name: rec})
         sh.step(1, {rec.spec.name: rec})
         assert sh.levels[rec.spec.name] == 0
@@ -238,7 +238,8 @@ class TestLoadShedder:
     def test_critical_tenants_untouchable(self):
         sh = self._shedder()
         rec = _rec(tclass=CRITICAL)
-        rec.queue.extend([0] * 10)
+        for _ in range(10):
+            rec.arrive(0, None)
         for t in range(6):
             sh.step(t, {rec.spec.name: rec})
         assert sh.multiplier(rec) == 1.0
@@ -277,9 +278,10 @@ class TestArmedFleet:
         assert payload["config"]["overload"] == ARMED.as_dict()
         ov = payload["overload"]
         assert sum(ov["drops_by_reason"].values()) == f["admission_dropped"]
-        # O3 holds in the payload's own terms: goodput <= served.
+        # O3 holds in the payload's own terms: every serve met the
+        # deadline, so goodput is the served count.
         for td in payload["tenants"].values():
-            assert td["goodput"] <= td["served"]
+            assert td["goodput"] == td["served"]
 
     def test_same_seed_runs_are_byte_identical(self):
         one = run_fleet(_armed_cfg(), kills=SURGE_KILLS)
@@ -314,6 +316,60 @@ class TestArmedFleet:
                 == json.dumps(two, sort_keys=True))
 
 
+def test_overload_invariant_checks_catch_corruption():
+    disp = Dispatcher(_armed_cfg(), kills=SURGE_KILLS)
+    disp.place_initial()
+    try:
+        for t in range(4):
+            disp.tick(t)
+        assert check_overload_invariants(disp) == []
+        now, deadline = disp.now_tick, ARMED.deadline_ticks
+        crit = disp.tenants["tn00"]
+        assert crit.spec.tclass == CRITICAL
+
+        def found(check, text):
+            return [v for v in check(disp) if text in v]
+
+        # O2: a degraded critical tenant.
+        disp.shedder.levels["tn00"] = 1
+        assert found(check_overload_invariants, "O2")
+        del disp.shedder.levels["tn00"]
+        # O3 runs in F4's pass over the ledger: one refused request,
+        # rewritten case by case, trips it only past each bound.
+        crit.arrive(now, DROP_RATE_LIMITED)
+        row = crit.ledger[-1]
+        for outcome, end, trips in (
+                (DROP_RATE_LIMITED, now + 1, True),     # refused late
+                (DROP_DEADLINE, now + deadline - 1, True),  # expired early
+                (DROP_DEADLINE, now + deadline, False),
+                (SERVED, now + deadline, True),     # waited deadline + 1
+                (SERVED, now + deadline - 1, False)):
+            row[1:] = [outcome, end]
+            assert bool(found(check_fleet_invariants, "O3")) == trips, \
+                (outcome, end)
+        row[1:] = [DROP_RATE_LIMITED, now]
+        assert check_fleet_invariants(disp) == []
+        # O4: an illegal transition, then a legal one that breaks the
+        # chain (the log starts from closed).
+        breaker = disp.links[0].breaker
+        saved = list(breaker.transitions)
+        breaker.transitions[:] = [(now, BREAKER_CLOSED, BREAKER_HALF_OPEN)]
+        assert found(check_overload_invariants, "illegal breaker transition")
+        assert not found(check_overload_invariants, "breaks the chain")
+        breaker.transitions[:] = [(now, BREAKER_OPEN, BREAKER_HALF_OPEN)]
+        assert found(check_overload_invariants, "breaks the chain")
+        assert not found(check_overload_invariants, "illegal")
+        breaker.transitions[:] = saved
+        assert check_overload_invariants(disp) == []
+        # O1: a queue over its bound, booked request by request (F4 holds).
+        for _ in range(ARMED.queue_bound + 1):
+            crit.arrive(now, None)
+        assert found(check_overload_invariants, "O1")
+        assert check_fleet_invariants(disp) == []
+    finally:
+        disp.close()
+
+
 class TestNoLimits:
     """The plane every unconfigured fleet run arms."""
 
@@ -337,16 +393,17 @@ class TestNoLimits:
         for t in range(self.CALLS):
             adm.begin_tick(t, {rec.spec.name: rec}, {rec.spec.name: 1.0})
             assert adm.admit(rec, t) is None
-            rec.queue.append(t)
+            rec.arrive(t, None)
         assert len(rec.queue) == self.CALLS     # the tick-0 head survives
-        assert rec.dropped == {}
+        assert rec.as_dict()["dropped"] == {}
         assert m.total("fleet.admission.admitted") == self.CALLS
         assert m.total("fleet.admission.dropped") == 0
 
     def test_shedder_never_degrades_or_kills(self):
         sh = LoadShedder(NO_LIMITS, MetricsRegistry())
         rec = _rec()
-        rec.queue.extend([0] * self.CALLS)
+        for _ in range(self.CALLS):
+            rec.arrive(0, None)
         for t in range(self.CALLS // 10):
             sh.step(t, {rec.spec.name: rec})
         assert sh.multiplier(rec) == 1.0
@@ -395,10 +452,11 @@ class TestNoLimits:
             for link in disp.links:
                 assert link.breaker.transitions == []
             for rec in disp.tenants.values():
-                assert rec.dropped == {}
-                assert rec.goodput == rec.served
-                arrival_shed = rec.shed_requests - rec.queue_shed
-                assert rec.admitted == rec.arrived - arrival_shed
+                d = rec.as_dict()
+                assert d["dropped"] == {}
+                assert d["goodput"] == d["served"]
+                arrival_shed = d["shed_requests"] - d["queue_shed"]
+                assert d["admitted"] == d["arrived"] - arrival_shed
         finally:
             disp.close()
 

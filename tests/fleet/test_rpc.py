@@ -5,6 +5,7 @@ import pytest
 from repro.faults.plan import BOARD_CRASH, BOARD_HANG, BOARD_PARTITION
 from repro.fleet.rpc import (BACKOFF_BASE_CYCLES, DEADLINE_CYCLES,
                              RETRY_LIMIT, BoardLink, BoardUnreachable)
+from repro.fleet.overload import NO_LIMITS
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -28,7 +29,9 @@ class FakeHost:
 def make_link(board_id=0):
     m = MetricsRegistry()
     host = FakeHost()
-    return BoardLink(board_id, host, m), host, m
+    link = BoardLink(board_id, host, m, breaker=NO_LIMITS.breaker(),
+                     retry_budget=NO_LIMITS.retry_budget())
+    return link, host, m
 
 
 def test_healthy_call_passes_through_and_counts():

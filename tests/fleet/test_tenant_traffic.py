@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.fleet.tenant import (BESTEFFORT, CRITICAL, RUNNING,
-                                TenantRecord, TenantSpec)
+from repro.fleet.invariants import check_ledger
+from repro.fleet.tenant import (BESTEFFORT, CRITICAL, RUNNING, SERVED,
+                                SHED_ON_ARRIVAL, TenantRecord, TenantSpec)
 from repro.fleet.traffic import TrafficModel
 
 
@@ -28,12 +29,16 @@ class TestTenantSpec:
 class TestTenantRecord:
     def test_accounting_identity(self):
         rec = TenantRecord(spec=TenantSpec(name="t"))
-        rec.arrived = 7
-        rec.served = 3
-        rec.shed_requests = 2
-        rec.queue.extend([1, 4])
-        assert rec.accounted() == rec.arrived       # F4 holds
+        for t in range(5):
+            rec.arrive(t, None)
+        rec.arrive(5, SHED_ON_ARRIVAL)
+        rec.arrive(6, SHED_ON_ARRIVAL)
+        for _ in range(3):
+            rec.end_head(6, SERVED)
+        assert list(rec.queue) == [3, 4]
+        assert check_ledger(rec, deadline=8) == []  # F4 holds
         d = rec.as_dict()
+        assert (d["arrived"], d["served"], d["shed_requests"]) == (7, 3, 2)
         assert d["queued"] == 2 and d["state"] == RUNNING
 
 
@@ -65,10 +70,6 @@ class TestTrafficModel:
         assert all(n == 0 for tick in range(10)
                    for n in t.arrivals(tick).values())
 
-    def test_negative_rate_rejected(self):
-        with pytest.raises(ValueError):
-            TrafficModel(["a"], seed=1, rate_per_tick=-0.5)
-
     def test_same_seed_tape_is_byte_identical(self):
         # The rerun guarantee at its root: the full arrival tape,
         # JSON-encoded, is byte-equal across same-seed instances.
@@ -76,8 +77,8 @@ class TestTrafficModel:
 
         def tape():
             t = TrafficModel(["a", "b", "c"], seed=11, rate_per_tick=0.7,
-                             burst_period_ticks=8, burst_factor=3.0,
-                             surges=((5, 4, 6.0),))
+                             burst_period_ticks=8, burst_factor=3.0)
+            t.schedule_surge(5, 4, 6.0)
             return json.dumps([t.arrivals(i) for i in range(64)],
                               sort_keys=True).encode()
 
@@ -115,16 +116,8 @@ class TestSurgeKnob:
         assert t.intensity(4) == 15.0   # stacks on the square wave
         assert t.intensity(5) == 3.0    # window closed
 
-    def test_constructor_and_scheduled_surges_agree(self):
-        t1 = TrafficModel(["a"], seed=4, rate_per_tick=1.0,
-                          surges=((6, 2, 8.0),))
-        t2 = TrafficModel(["a"], seed=4, rate_per_tick=1.0)
-        t2.schedule_surge(6, 2, 8.0)
-        assert ([t1.arrivals(i) for i in range(20)]
-                == [t2.arrivals(i) for i in range(20)])
-
     def test_bad_surge_rejected(self):
-        t = TrafficModel(["a"], seed=1)
+        t = TrafficModel(["a"], seed=1, rate_per_tick=1.0)
         with pytest.raises(ValueError):
             t.schedule_surge(0, 0, 2.0)
         with pytest.raises(ValueError):

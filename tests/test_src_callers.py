@@ -86,8 +86,6 @@ KEEP_PARAMS = {
         "traffic shape: kept with the model's other parameters (PR 25)",
     "TrafficModel(burst_factor)":
         "traffic shape: kept with the model's other parameters (PR 25)",
-    "TrafficModel(surges)":
-        "traffic shape: kept with the model's other parameters (PR 25)",
     "decode(state)": "oracle: adpcm.decode resumes from a codec state",
     "AdpcmState(predictor)": "oracle: the ADPCM codec's state",
     "AdpcmState(index)": "oracle: the ADPCM codec's state",
